@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -74,6 +75,8 @@ def read_data_csv(path: str, expect_header: bool) -> np.ndarray:
                 row = [float(c) for c in cells]
             except ValueError:
                 raise DataError(f"{path}: line {lineno}: malformed row {line!r}") from None
+            if not all(math.isfinite(v) for v in row):
+                raise DataError(f"{path}: line {lineno}: non-finite value in {line!r}")
             if width is None:
                 width = len(row)
             elif len(row) != width:
@@ -101,8 +104,21 @@ def _threads_cap() -> int | None:
     return cap
 
 
-def _apply_config_file(args, parser_defaults):
-    """Fill unset (default-valued) args from --config JSON, if given."""
+def _given_flags(argv) -> set:
+    """Destinations of the flags present in argv, whatever their values.
+
+    Re-parses argv with every subcommand default suppressed, so only the
+    flags actually given land in the namespace.
+    """
+    parser, commands = build_parser()
+    for sub in commands.values():
+        for action in sub._actions:
+            action.default = argparse.SUPPRESS
+    return set(vars(parser.parse_args(argv)))
+
+
+def _apply_config_file(args, argv):
+    """Fill args not given in argv from --config JSON, if given."""
     if not getattr(args, "config", None):
         return args
     if not os.path.exists(args.config):
@@ -112,9 +128,10 @@ def _apply_config_file(args, parser_defaults):
             doc = json.load(fh)
         except json.JSONDecodeError as err:
             raise DataError(f"unreadable config {args.config}: {err}") from None
+    given = _given_flags(argv)
     for key, value in doc.items():
         attr = key.replace("-", "_")
-        if hasattr(args, attr) and getattr(args, attr) == parser_defaults.get(attr):
+        if hasattr(args, attr) and attr not in given:
             setattr(args, attr, value)
     return args
 
@@ -423,12 +440,11 @@ def build_parser():
 
 
 def main(argv=None) -> int:
-    parser, commands = build_parser()
+    parser, _ = build_parser()
     args = parser.parse_args(argv)
-    defaults = {a.dest: a.default for a in commands[args.command]._actions}
     try:
         _threads_cap()
-        args = _apply_config_file(args, defaults)
+        args = _apply_config_file(args, argv)
         return args.func(args)
     except (DataError, DomainError) as err:
         print(f"error: {err}", file=sys.stderr)

@@ -137,11 +137,12 @@ class MadeConditioner:
 
 
 def apply_cwn(v, eta):
-    """Row-softmax of (v + eta broadcast over rows): a stochastic matrix.
+    """Row-logsoftmax of (v + eta broadcast over rows): a log-stochastic matrix.
 
     v: (rows, cols) statistical pre-activations; eta: (cols,) or batched
     (n, cols) per-unit modulation. Equivalent to rescaling the
-    exponentiated inputs by exp(eta) before normalizing each row.
+    exponentiated inputs by exp(eta) before normalizing each row; the
+    result is the entrywise log of that row-stochastic matrix.
     """
     v_cols = (v.shape if dg.is_value(v) else np.shape(v))[-1]
     eta_shape = eta.shape if dg.is_value(eta) else np.shape(eta)
@@ -151,7 +152,7 @@ def apply_cwn(v, eta):
         )
     if len(eta_shape) == 2:  # batched: (n, cols) against (rows, cols)
         eta = dg.reshape(eta, (eta_shape[0], 1, eta_shape[1]))
-    return dg.exp(dg.logsoftmax(dg.add(v, eta), axis=-1))
+    return dg.logsoftmax(dg.add(v, eta), axis=-1)
 
 
 def identity_init(made: MadeConditioner, seed: int = 0) -> MadeConditioner:

@@ -352,6 +352,28 @@ def logsoftmax(a, axis: int = -1):
     return sub(a, logsumexp(a, axis=axis, keepdims=True))
 
 
+def log_matvec(log_m, v):
+    """Log-space matrix-vector product: LSE_j(log_m[..., i, j] + v[..., j]).
+
+    log_m: shared (rows, cols) or batched (n, rows, cols); v: (n, cols).
+    Returns (n, rows). One node whose gradient is the softmax over j.
+    """
+    mid = tuple(v.shape[:-1]) + (1, v.shape[-1])
+    if not _any_value(log_m, v):
+        return sm.logsumexp_over_axis(add(log_m, reshape(v, mid)), -1)
+    log_m, v = _lift(log_m), _lift(v)
+    terms = log_m.data + v.data.reshape(mid)
+    out = Value(sm.logsumexp_over_axis(terms, -1), "log_matvec", (log_m, v))
+
+    def bw(g):
+        gt = np.expand_dims(g, -1) * np.exp(terms - np.expand_dims(out.data, -1))
+        log_m._accum(_unbroadcast(gt, log_m.data.shape))
+        v._accum(_unbroadcast(gt, mid).reshape(v.data.shape))
+
+    out._backward = bw
+    return out
+
+
 # -- shape ops -----------------------------------------------------------
 
 
@@ -405,39 +427,6 @@ def concat(parts, axis: int = 0):
 
 
 # -- graph execution -----------------------------------------------------
-
-_OPS = {
-    "add": add,
-    "sub": sub,
-    "mul": mul,
-    "div": div,
-    "neg": neg,
-    "exp": exp,
-    "log": log,
-    "sigmoid": sigmoid,
-    "tanh": tanh,
-    "matmul": matmul,
-    "sum": vsum,
-    "mean": vmean,
-    "logsumexp-over-axis": logsumexp,
-    "softplus": softplus,
-    "broadcast": broadcast_to,
-    "reshape": reshape,
-    "slice": take,
-    "concat": concat,
-    "relu": relu,
-    "sin": sin,
-}
-
-
-def record(kind: str, operands, **kwargs) -> Value:
-    """Record one op by name; operands become graph nodes."""
-    if kind not in _OPS:
-        raise DomainError(f"unknown op-kind {kind!r}")
-    operands = [op if isinstance(op, Value) else _lift(op) for op in operands]
-    if kind == "concat":
-        return _OPS[kind](operands, **kwargs)
-    return _OPS[kind](*operands, **kwargs)
 
 
 def backward(root: Value):

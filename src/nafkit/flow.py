@@ -17,18 +17,11 @@ import tempfile
 import numpy as np
 
 from . import diffgraph as dg
-from . import stablemath as sm
 from . import transformer as tf
-from .conditioner import (
-    GATE_IDENTITY_OFFSET,
-    MadeConditioner,
-    SOFTNESS_IDENTITY_OFFSET,
-)
+from .conditioner import MadeConditioner
 from .errors import DataError, DomainError, SaturationError
 
 LOG_2PI = float(np.log(2.0 * np.pi))
-
-KINDS = ("affine-exp", "affine-gate", "dsf", "ddsf")
 
 
 class StandardNormal:
@@ -69,128 +62,43 @@ class UniformBase:
 _BASES = {"normal": StandardNormal, "uniform": UniformBase}
 
 
-def _head_layout(kind: str, d: int, dims):
-    """Per-dimension conditioner output width, offsets, and block slices."""
-    if kind in ("affine-exp", "affine-gate"):
-        offset = np.zeros(2)
-        if kind == "affine-gate":
-            offset[1] = GATE_IDENTITY_OFFSET
-        return 2, offset, None
-    if kind == "dsf":
-        offset = np.concatenate(
-            [np.zeros(d), np.full(d, SOFTNESS_IDENTITY_OFFSET), np.zeros(d)]
-        )
-        return 3 * d, offset, None
-    if kind == "ddsf":
-        slices, offs, pos = [], [], 0
-        for d_in, d_out in zip(dims[:-1], dims[1:]):
-            eta = slice(pos, pos + d_in)
-            pos += d_in
-            a_pre = slice(pos, pos + d_out)
-            pos += d_out
-            b = slice(pos, pos + d_out)
-            pos += d_out
-            slices.append((eta, a_pre, b))
-            offs.extend([np.zeros(d_in), np.full(d_out, SOFTNESS_IDENTITY_OFFSET),
-                         np.zeros(d_out)])
-        return pos, np.concatenate(offs), slices
-    raise DomainError(f"unknown transformer kind {kind!r}")
-
-
 class FlowLayer:
     """One autoregressive transformation y_t = tau(c(x_<t), x_t)."""
 
     def __init__(self, m, kind, d=tf.DSF_DEFAULT_D, ddsf_dims=None,
                  hidden=(64,), order=None, seed=0, name="layer"):
-        if kind not in KINDS:
-            raise DomainError(f"unknown transformer kind {kind!r}; use one of {KINDS}")
         self.m = int(m)
         self.kind = kind
         self.d = int(d)
-        self.dims = None
         self.name = name
-        if kind == "ddsf":
-            dims = tuple(int(v) for v in (ddsf_dims or tf.DDSF_DEFAULT_DIMS))
-            if dims[0] != 1 or dims[-1] != 1 or len(dims) < 2:
-                raise DomainError("ddsf dims must chain from 1 to 1")
-            self.dims = dims
-        width, offset, self._ddsf_slices = _head_layout(kind, self.d, self.dims)
+        self.family = tf.family(kind)(d=self.d, dims=ddsf_dims, name=name)
         self.order = tuple(order) if order is not None else tuple(range(1, m + 1))
         self.conditioner = MadeConditioner(
-            m, width, hidden_sizes=hidden, order=self.order, out_offset=offset,
-            seed=seed, name=f"{name}.cond",
+            m, self.family.width, hidden_sizes=hidden, order=self.order,
+            out_offset=self.family.offset, seed=seed, name=f"{name}.cond",
         )
-        self.v_u, self.v_w = [], []
-        if kind == "ddsf":
-            for li, (d_in, d_out) in enumerate(zip(self.dims[:-1], self.dims[1:])):
-                self.v_u.append(dg.Parameter(np.zeros((d_out, d_in)), f"{name}.vu{li}"))
-                self.v_w.append(dg.Parameter(np.zeros((d_out, d_out)), f"{name}.vw{li}"))
 
     def parameters(self):
-        return [*self.conditioner.parameters(), *self.v_u, *self.v_w]
+        return [*self.conditioner.parameters(), *self.family.params]
 
     # -- forward ---------------------------------------------------------
 
-    def forward(self, x, on_saturate="raise"):
+    def forward(self, x):
         """x: (n, m) -> (y (n, m), logdet (n,)); graph iff x is a Value."""
-        blocks = self.conditioner.forward(x)  # (n, m, P)
-        if self.kind in ("affine-exp", "affine-gate"):
-            mu = dg.take(blocks, (slice(None), slice(None), 0))
-            s = dg.take(blocks, (slice(None), slice(None), 1))
-            y, ld = tf._affine_core(x, mu, s, self.kind.split("-")[1])
-            return y, dg.vsum(ld, axis=1)
-
+        blocks = self.conditioner.forward(x)  # (n, m, width)
         n = x.shape[0]
         B = n * self.m
-        x_flat = dg.reshape(x, (B,))
-        if self.kind == "dsf":
-            d = self.d
-            w_pre = dg.reshape(dg.take(blocks, (Ellipsis, slice(0, d))), (B, d))
-            a_pre = dg.reshape(dg.take(blocks, (Ellipsis, slice(d, 2 * d))), (B, d))
-            b = dg.reshape(dg.take(blocks, (Ellipsis, slice(2 * d, 3 * d))), (B, d))
-            try:
-                y_f, ld_f = tf.dsf_from_preact(x_flat, w_pre, a_pre, b, on_saturate)
-            except SaturationError as err:
-                raise self._with_dim(err) from None
-        else:
-            layers = self._ddsf_layers(blocks, B, graph=dg.is_value(x))
-            try:
-                y_f, ld_f = tf._ddsf_core(x_flat, layers, on_saturate)
-            except SaturationError as err:
-                raise self._with_dim(err) from None
-        y = dg.reshape(y_f, (n, self.m))
-        logdet = dg.vsum(dg.reshape(ld_f, (n, self.m)), axis=1)
-        return y, logdet
-
-    def _ddsf_layers(self, blocks, B, graph):
-        out = []
-        for li, (sl_eta, sl_a, sl_b) in enumerate(self._ddsf_slices):
-            d_in, d_out = self.dims[li], self.dims[li + 1]
-            eta = dg.reshape(dg.take(blocks, (Ellipsis, sl_eta)), (B, 1, d_in))
-            a_pre = dg.reshape(dg.take(blocks, (Ellipsis, sl_a)), (B, d_out))
-            b = dg.reshape(dg.take(blocks, (Ellipsis, sl_b)), (B, d_out))
-            vu = self.v_u[li] if graph else self.v_u[li].data
-            vw = self.v_w[li] if graph else self.v_w[li].data
-            log_u = dg.logsoftmax(dg.add(vu, eta), axis=-1)  # (B, d_out, d_in)
-            log_w = dg.logsoftmax(vw, axis=-1)  # (d_out, d_out)
-            a = dg.softplus(a_pre)
-            out.append({
-                "u": dg.exp(log_u),
-                "log_u": log_u,
-                "log_w": log_w,
-                "a": a,
-                "log_a": dg.log(a),
-                "b": b,
-            })
-        return out
-
-    def _with_dim(self, err: SaturationError) -> SaturationError:
-        # the flat layout is (sample, dimension) row-major
-        dim = None if err.index is None else err.index % self.m
-        return SaturationError(
-            f"{self.name}, dimension {dim}: {err}",
-            magnitude=err.magnitude, layer=err.layer, dim=dim, index=err.index,
-        )
+        blocks = dg.reshape(blocks, (B, self.family.width))
+        try:
+            y, ld = self.family.forward(dg.reshape(x, (B,)), blocks)
+        except SaturationError as err:
+            # the flat layout is (batch point, dimension) row-major
+            point, dim = divmod(err.index, self.m)
+            raise SaturationError(
+                f"{self.name}, dimension {dim}, batch point {point}: {err}",
+                magnitude=err.magnitude, layer=err.layer, dim=dim, index=err.index,
+            ) from None
+        return dg.reshape(y, (n, self.m)), dg.vsum(dg.reshape(ld, (n, self.m)), axis=1)
 
     # -- inverse ---------------------------------------------------------
 
@@ -205,42 +113,19 @@ class FlowLayer:
         for deg in range(1, self.m + 1):
             i = self.order.index(deg)
             blocks = self.conditioner.forward(x)
-            x[:, i] = self._invert_dim(blocks, i, y[:, i])
+            x[:, i] = self.family.inverse(y[:, i], blocks[:, i, :])
         return x
-
-    def _invert_dim(self, blocks, i, y_i):
-        if self.kind in ("affine-exp", "affine-gate"):
-            mu = blocks[:, i, 0]
-            s = blocks[:, i, 1]
-            if self.kind == "affine-exp":
-                return (y_i - mu) * np.exp(-s)
-            sig = sm.sigmoid(s)  # the exact forward gate, not its log form
-            return (y_i - (1.0 - sig) * mu) / sig
-        if self.kind == "dsf":
-            d = self.d
-            w_pre = blocks[:, i, 0:d]
-            a_pre = blocks[:, i, d: 2 * d]
-            b = blocks[:, i, 2 * d: 3 * d]
-            fwd = lambda t: tf.dsf_from_preact(t, w_pre, a_pre, b, "clamp")[0]
-        else:
-            layers = self._ddsf_layers_np(blocks[:, i, :])
-            fwd = lambda t: tf._ddsf_core(t, layers, "clamp")[0]
-        return tf.invert_batch(y_i, fwd)
-
-    def _ddsf_layers_np(self, block):
-        n = block.shape[0]
-        fake = block.reshape(n, 1, -1)
-        return self._ddsf_layers(fake, n, graph=False)
 
     # -- (de)serialization -------------------------------------------------
 
     def spec(self) -> dict:
+        dims = self.family.dims
         return {
             "kind": self.kind,
             "order": list(self.order),
             "d": self.d,
-            "L": len(self.dims) - 1 if self.dims else None,
-            "dims": list(self.dims) if self.dims else None,
+            "L": len(dims) - 1 if dims else None,
+            "dims": list(dims) if dims else None,
             "hidden": list(self.conditioner.hidden_sizes),
         }
 
@@ -284,11 +169,11 @@ class FlowStack:
             raise DomainError("duplicate parameter names in stack")
         return out
 
-    def forward(self, x, on_saturate="raise"):
+    def forward(self, x):
         """Map through every layer; total logdet is the exact sum."""
         total = None
         for layer in self.layers:
-            x, ld = layer.forward(x, on_saturate)
+            x, ld = layer.forward(x)
             total = ld if total is None else total + ld
         return x, total
 
@@ -333,25 +218,41 @@ class FlowStack:
 
     @classmethod
     def from_json(cls, doc: dict) -> "FlowStack":
-        if doc.get("version") != 1:
-            raise DataError(f"unsupported checkpoint version {doc.get('version')!r}")
+        """Rebuild a stack from to_json output; malformed input is a DataError."""
+        version = doc.get("version") if isinstance(doc, dict) else None
+        if version != 1:
+            raise DataError(f"unsupported checkpoint version {version!r}")
+        m = _entry(doc, "m", "checkpoint")
         layers = []
-        for i, spec in enumerate(doc["layers"]):
-            layers.append(FlowLayer(
-                doc["m"], spec["kind"], d=spec["d"], ddsf_dims=spec["dims"],
-                hidden=tuple(spec["hidden"]), order=tuple(spec["order"]),
-                seed=0, name=f"layer{i}",
-            ))
-        stack = cls(layers, base=doc["base"])
+        for i, spec in enumerate(_entry(doc, "layers", "checkpoint")):
+            where = f"checkpoint layer {i}"
+            kind, d, dims, hidden, order = (
+                _entry(spec, key, where) for key in ("kind", "d", "dims", "hidden", "order")
+            )
+            try:
+                layers.append(FlowLayer(
+                    m, kind, d=d, ddsf_dims=dims, hidden=tuple(hidden),
+                    order=tuple(order), seed=0, name=f"layer{i}",
+                ))
+            except (TypeError, ValueError) as err:
+                raise DataError(f"{where}: {err}") from None
+        stack = cls(layers, base=_entry(doc, "base", "checkpoint"))
         by_name = {p.name: p for p in stack.parameters()}
-        saved = doc["params"]
+        saved = _entry(doc, "params", "checkpoint")
         if set(saved) != set(by_name):
             missing = set(by_name) ^ set(saved)
             raise DataError(f"checkpoint parameter names mismatch: {sorted(missing)[:4]}")
         for name, entry in saved.items():
-            arr = np.asarray(entry["data"], dtype=np.float64).reshape(entry["shape"])
+            where = f"checkpoint parameter {name}"
+            data, shape = _entry(entry, "data", where), _entry(entry, "shape", where)
+            try:
+                arr = np.asarray(data, dtype=np.float64).reshape(shape)
+            except (TypeError, ValueError):
+                raise DataError(f"{where} is malformed") from None
             if arr.shape != by_name[name].data.shape:
                 raise DataError(f"checkpoint shape mismatch for {name}")
+            if not np.all(np.isfinite(arr)):
+                raise DataError(f"{where} has non-finite values")
             by_name[name].data = arr
         return stack
 
@@ -363,6 +264,13 @@ class FlowStack:
             except json.JSONDecodeError as err:
                 raise DataError(f"unreadable checkpoint {path}: {err}") from None
         return cls.from_json(doc)
+
+
+def _entry(doc, key, where):
+    """doc[key] of a checkpoint mapping, or a DataError naming the key."""
+    if not isinstance(doc, dict) or key not in doc:
+        raise DataError(f"{where} has no {key!r} entry")
+    return doc[key]
 
 
 def write_atomic(path: str, text: str):

@@ -9,8 +9,6 @@ logsumexp/logsoftmax stay exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import DomainError
@@ -95,58 +93,3 @@ def logsoftmax(v):
 def logsoftmax_over_axis(a, axis: int):
     a = np.asarray(a, dtype=np.float64)
     return a - np.expand_dims(logsumexp_over_axis(a, axis), axis)
-
-
-@dataclass
-class LogMatrix:
-    """A matrix stored as entrywise natural logs of a nonnegative matrix.
-
-    Entries are finite or -inf (log of a structural zero); NaN is never
-    admitted.
-    """
-
-    entries: np.ndarray
-
-    def __post_init__(self):
-        e = np.asarray(self.entries, dtype=np.float64)
-        if e.ndim != 2:
-            raise DomainError("LogMatrix entries must be 2-D")
-        if np.isnan(e).any() or np.any(e == np.inf):
-            raise DomainError("LogMatrix entries must be finite or -inf")
-        self.entries = e
-
-    @property
-    def rows(self) -> int:
-        return self.entries.shape[0]
-
-    @property
-    def cols(self) -> int:
-        return self.entries.shape[1]
-
-    @classmethod
-    def from_dense(cls, m) -> "LogMatrix":
-        m = np.asarray(m, dtype=np.float64)
-        if np.any(m < 0):
-            raise DomainError("from_dense requires a nonnegative matrix")
-        with np.errstate(divide="ignore"):
-            return cls(np.log(m))
-
-    def to_dense(self) -> np.ndarray:
-        return np.exp(self.entries)
-
-
-def log_matmul(a: LogMatrix, b: LogMatrix) -> LogMatrix:
-    """Logarithmic matrix product: out[i,k] = LSE_j(a[i,j] + b[j,k])."""
-    if a.cols != b.rows:
-        raise DomainError(
-            f"log_matmul dimension mismatch: {a.rows}x{a.cols} vs {b.rows}x{b.cols}"
-        )
-    return LogMatrix(log_matmul_raw(a.entries, b.entries))
-
-
-def log_matmul_raw(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """log_matmul on raw arrays; broadcasts leading (batch) axes."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    stacked = a[..., :, :, None] + b[..., None, :, :]
-    return logsumexp_over_axis(stacked, axis=-2)

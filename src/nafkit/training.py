@@ -9,13 +9,13 @@ bit-reproducible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 import numpy as np
 
 from . import diffgraph as dg
-from .errors import DomainError, NumericError, SaturationError
+from .errors import DomainError, NumericError
 from .flow import FlowStack
 from .targets import TargetSpec
 
@@ -46,25 +46,13 @@ class TrainConfig:
             raise DomainError("batch must be >= 1")
 
     def as_dict(self) -> dict:
-        return {
-            "loss": self.loss, "steps": self.steps, "batch": self.batch,
-            "lr": self.lr, "beta1": self.beta1, "beta2": self.beta2,
-            "eps": self.eps, "seed": self.seed, "grad_clip": self.grad_clip,
-            "polyak": self.polyak,
-        }
+        return asdict(self)
 
 
 def mle_loss(batch, stack: FlowStack):
     """Mean negative log-density of the batch (a differentiable scalar)."""
     batch = np.asarray(batch, dtype=np.float64)
-    try:
-        logp = stack.log_density(dg.Value(batch, op="input"))
-    except SaturationError as err:
-        point = None if err.index is None else err.index // stack.m
-        raise SaturationError(
-            f"density not evaluable at batch point {point}: {err}",
-            magnitude=err.magnitude, layer=err.layer, dim=err.dim, index=point,
-        ) from None
+    logp = stack.log_density(dg.Value(batch, op="input"))
     return dg.vmean(logp) * (-1.0)
 
 
@@ -150,6 +138,9 @@ def fit(stack: FlowStack, config: TrainConfig, data=None, target=None):
             raise DomainError(f"data must be (n, {stack.m}), got {data.shape}")
         if data.shape[0] < config.batch:
             raise DomainError("batch size exceeds the dataset")
+        bad = ~np.all(np.isfinite(data), axis=1)
+        if np.any(bad):
+            raise DomainError(f"data row {int(np.argmax(bad))} is not finite")
     elif target is None:
         raise DomainError("energy fitting requires a target")
 

@@ -9,6 +9,9 @@ stacked Jacobian chains neither vanish nor overflow.
 
 The cores are written against the diffgraph dispatch layer: fed Values
 they record a differentiable graph, fed ndarrays they run plain numpy.
+Each family is one Family subclass in the FAMILIES registry; it owns
+its conditioner block layout, any extra parameters, its forward on a
+conditioner block and its inverse.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ import numpy as np
 
 from . import diffgraph as dg
 from . import stablemath as sm
+from .conditioner import GATE_IDENTITY_OFFSET, SOFTNESS_IDENTITY_OFFSET, apply_cwn
 from .errors import DomainError, RangeError, SaturationError
 
 # Inversion-path floor: the pre-logit is clamped into [1e-12, 1 - 1e-12]
@@ -126,11 +130,12 @@ def _check_saturation(log_num, log_den, x, mode, layer=None):
     """Keep the pre-logit numerically inside (0, 1).
 
     mode "raise": error once log(D) or log(1-D) underflows float64,
-    naming the offending input magnitude. mode "clamp": floor both logs
-    at LOG_EPS (numpy path only; used by bisection closures so bracket
-    probes at extreme x stay evaluable). mode "ignore": fault injection.
+    naming the offending input magnitude and its flat index. mode
+    "clamp": floor both logs at LOG_EPS (numpy path only; used by
+    inversion closures so bracket probes at extreme x stay evaluable).
+    SATURATION_GUARD = False skips both, for fault injection.
     """
-    if not SATURATION_GUARD or mode == "ignore":
+    if not SATURATION_GUARD:
         return log_num, log_den
     rn, rd = _raw(log_num), _raw(log_den)
     if mode == "clamp":
@@ -157,30 +162,6 @@ def _check_saturation(log_num, log_den, x, mode, layer=None):
         layer=layer,
         index=index,
     )
-
-
-# -- affine ----------------------------------------------------------------
-
-
-def _affine_core(x, mu, s, kind):
-    if kind == "exp":
-        y = mu + dg.exp(s) * x
-        logdet = s + dg.mul(x, 0.0)  # broadcast s to y's shape
-    elif kind == "gate":
-        g = dg.sigmoid(s)
-        y = g * x + (1.0 - g) * mu
-        logdet = dg.logsigmoid(s) + dg.mul(x, 0.0)
-    else:
-        raise DomainError(f"unknown affine kind {kind!r}")
-    return y, logdet
-
-
-def affine_forward(x, p: AffineParams, kind: str = "exp"):
-    """y and log(dy/dx) for the affine transformer."""
-    y, logdet = _affine_core(np.asarray(x, dtype=np.float64), p.mu, p.sigma_pre, kind)
-    if np.ndim(x) == 0:
-        return float(y), float(logdet)
-    return y, logdet
 
 
 # -- dsf -------------------------------------------------------------------
@@ -242,8 +223,7 @@ def _ddsf_core(x, layers, mode="raise"):
     (B, d_out, d_in) or shared (d_out, d_in)), log_w ((d_out, d_out)), a,
     log_a, b ((..., d_out)). The running quantity r = log(dh/dx) stays a
     (B, d_out) vector because the chain starts from a scalar, so each
-    chain step is one broadcast add + logsumexp (a logarithmic dot
-    product against a log-vector) instead of a full matrix product.
+    chain step is one log_matvec instead of a full matrix product.
     """
     B = x.shape[0]
     h = dg.reshape(x, (B, 1))
@@ -253,16 +233,14 @@ def _ddsf_core(x, layers, mode="raise"):
         C = lay["a"] * uh + lay["b"]
         ls_pos = dg.logsigmoid(C)
         ls_neg = dg.logsigmoid(dg.neg(C))
-        log_num = dg.logsumexp(dg.add(lay["log_w"], _expand_mid(ls_pos)), axis=-1)
-        log_den = dg.logsumexp(dg.add(lay["log_w"], _expand_mid(ls_neg)), axis=-1)
+        log_num = dg.log_matvec(lay["log_w"], ls_pos)
+        log_den = dg.log_matvec(lay["log_w"], ls_neg)
         log_num, log_den = _check_saturation(log_num, log_den, x, mode, layer=li)
         h = log_num - log_den
 
-        s = dg.logsumexp(dg.add(lay["log_u"], _expand_mid(r)), axis=-1)
+        s = dg.log_matvec(lay["log_u"], r)
         col = ls_pos + ls_neg + lay["log_a"] + s
-        r = dg.logsumexp(dg.add(lay["log_w"], _expand_mid(col)), axis=-1) - (
-            log_num + log_den
-        )
+        r = dg.log_matvec(lay["log_w"], col) - (log_num + log_den)
     if r.shape[-1] != 1:
         raise DomainError("ddsf layer chain must end with output size 1")
     y = dg.take(h, (slice(None), 0))
@@ -299,50 +277,16 @@ def ddsf_forward(x, layers, mode: str = "raise"):
     return y, logdet
 
 
-# -- inversion and monotonicity -------------------------------------------
-
-
-def invert(y, forward, bracket=(-1.0, 1.0)) -> float:
-    """Bisection inverse of a strictly increasing scalar map.
-
-    The bracket doubles outward from the hint until it straddles y (up to
-    |x| = 1e6, else RangeError), then bisects until |forward(x) - y| <=
-    1e-10 or the bracket width falls below 1e-12.
-    """
-    y = float(y)
-    lo, hi = float(bracket[0]), float(bracket[1])
-    if not lo < hi:
-        raise DomainError("bracket hint must satisfy lo < hi")
-    flo, fhi = forward(lo), forward(hi)
-    w = hi - lo
-    while flo > y:
-        if lo <= -BRACKET_CAP:
-            raise RangeError(f"no x in [-1e6, 1e6] reaches y = {y:.6g}")
-        w *= 2.0
-        lo = max(lo - w, -BRACKET_CAP)
-        flo = forward(lo)
-    w = hi - lo
-    while fhi < y:
-        if hi >= BRACKET_CAP:
-            raise RangeError(f"no x in [-1e6, 1e6] reaches y = {y:.6g}")
-        w *= 2.0
-        hi = min(hi + w, BRACKET_CAP)
-        fhi = forward(hi)
-    mid = 0.5 * (lo + hi)
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        fm = forward(mid)
-        if abs(fm - y) <= 1e-10 or (hi - lo) <= 1e-12:
-            return mid
-        if fm < y:
-            lo = mid
-        else:
-            hi = mid
-    return mid
+# -- inversion -------------------------------------------------------------
 
 
 def invert_batch(y, forward, lo0: float = -1.0, hi0: float = 1.0) -> np.ndarray:
-    """Vectorized bisection: forward maps (n,) -> (n,), monotone per entry."""
+    """Vectorized bisection: forward maps (n,) -> (n,), increasing per entry.
+
+    Each bracket doubles outward from [lo0, hi0] until it straddles its y
+    (up to |x| = 1e6, else RangeError), then all entries bisect together
+    until the widest bracket is at most 1e-12.
+    """
     y = np.asarray(y, dtype=np.float64)
     lo = np.full_like(y, lo0)
     hi = np.full_like(y, hi0)
@@ -376,29 +320,170 @@ def invert_batch(y, forward, lo0: float = -1.0, hi0: float = 1.0) -> np.ndarray:
     return 0.5 * (lo + hi)
 
 
-def check_monotone(forward, grid) -> bool:
-    """True iff forward is strictly increasing along the given grid."""
-    grid = np.asarray(grid, dtype=np.float64)
-    if grid.size < 2 or np.any(np.diff(grid) <= 0):
-        raise DomainError("grid must be strictly increasing with >= 2 points")
-    ys = np.array([float(forward(float(g))) for g in grid])
-    return bool(np.all(np.diff(ys) > 0))
+# -- families --------------------------------------------------------------
 
 
-# -- random valid parameterizations (property suites) -----------------------
+class Family:
+    """One transformer family, sized by (d, dims), behind a conditioner.
+
+    An instance owns:
+      width, offset  the per-dimension conditioner output count, and the
+                     constants added to it so a fresh flow starts near
+                     the identity map;
+      params         trainable leaves outside the conditioner;
+      forward        (y, log dy/dx) of a flat (B,) x under a (B, width)
+                     block, recording a graph iff the block is a Value;
+      inverse        x with forward(x, block) = y (numpy path).
+    decode(block) reads the block into the arguments of core(x, p, mode).
+    The static random_params / evaluate work on activated parameter
+    containers (AffineParams, DsfParams, a list of DdsfLayerParams).
+    """
+
+    dims = None
+    params = ()
+
+    def __init__(self, d=DSF_DEFAULT_D, dims=None, name="layer"):
+        pass
+
+    def forward(self, x, block, mode="raise"):
+        return self.core(x, self.decode(block), mode)
+
+    def inverse(self, y, block):
+        p = self.decode(block)  # once, not per bisection probe
+        return invert_batch(y, lambda t: self.core(t, p, "clamp")[0])
 
 
-def random_params(kind: str, rng: np.random.Generator, d: int = DSF_DEFAULT_D,
-                  dims=DDSF_DEFAULT_DIMS):
-    """Draw parameters satisfying each family's validity invariants."""
-    if kind == "affine-exp" or kind == "affine-gate":
+class AffineExp(Family):
+    """y = mu + exp(s) x on block columns (mu, s)."""
+
+    width = 2
+    offset = np.zeros(2)
+
+    @staticmethod
+    def decode(block):
+        return dg.take(block, (slice(None), 0)), dg.take(block, (slice(None), 1))
+
+    @staticmethod
+    def core(x, p, mode="raise"):
+        mu, s = p
+        return mu + dg.exp(s) * x, s + dg.mul(x, 0.0)  # broadcast s to y's shape
+
+    def inverse(self, y, block):
+        mu, s = self.decode(block)
+        return (y - mu) * np.exp(-s)
+
+    @staticmethod
+    def random_params(rng, d, dims):
         return AffineParams(mu=float(rng.normal()), sigma_pre=float(rng.normal()))
-    if kind == "dsf":
+
+    @classmethod
+    def evaluate(cls, x, p, mode="raise"):
+        y, logdet = cls.core(np.asarray(x, dtype=np.float64), (p.mu, p.sigma_pre))
+        if np.ndim(x) == 0:
+            return float(y), float(logdet)
+        return y, logdet
+
+
+class AffineGate(AffineExp):
+    """y = g x + (1 - g) mu with gate g = sigmoid(s), block columns (mu, s)."""
+
+    offset = np.array([0.0, GATE_IDENTITY_OFFSET])
+
+    @staticmethod
+    def core(x, p, mode="raise"):
+        mu, s = p
+        g = dg.sigmoid(s)
+        return g * x + (1.0 - g) * mu, dg.logsigmoid(s) + dg.mul(x, 0.0)
+
+    def inverse(self, y, block):
+        mu, s = self.decode(block)
+        sig = sm.sigmoid(s)  # the exact forward gate, not its log form
+        return (y - (1.0 - sig) * mu) / sig
+
+
+class Dsf(Family):
+    """d softmax-weighted sigmoids; block columns (w_pre, a_pre, b), d each."""
+
+    def __init__(self, d=DSF_DEFAULT_D, dims=None, name="layer"):
+        self.d = int(d)
+        if self.d < 1:
+            raise DomainError("dsf needs d >= 1")
+        self.width = 3 * self.d
+        self.offset = np.concatenate(
+            [np.zeros(self.d), np.full(self.d, SOFTNESS_IDENTITY_OFFSET), np.zeros(self.d)]
+        )
+
+    def decode(self, block):
+        d = self.d
+        return tuple(dg.take(block, (slice(None), slice(k * d, (k + 1) * d)))
+                     for k in range(3))
+
+    @staticmethod
+    def core(x, p, mode="raise"):
+        return dsf_from_preact(x, *p, mode)
+
+    @staticmethod
+    def random_params(rng, d, dims):
         w = np.exp(sm.logsoftmax(rng.normal(size=d)))
         a = sm.softplus(rng.normal(size=d) + 0.5)
         b = rng.normal(size=d) * 2.0
         return DsfParams(w=w, a=a, b=b)
-    if kind == "ddsf":
+
+    evaluate = staticmethod(dsf_forward)
+
+
+class Ddsf(Family):
+    """Dense sigmoid layers whose widths chain dims[0] = 1 -> dims[-1] = 1.
+
+    Per layer the block holds (eta, a_pre, b) with d_in, d_out, d_out
+    columns. CWN modulates the trainable vu{li} (d_out, d_in) by eta
+    into the row-stochastic u; vw{li} (d_out, d_out) row-normalizes into
+    the mixing matrix w shared by every dimension.
+    """
+
+    def __init__(self, d=DSF_DEFAULT_D, dims=None, name="layer"):
+        dims = tuple(int(v) for v in (dims or DDSF_DEFAULT_DIMS))
+        if len(dims) < 2 or dims[0] != 1 or dims[-1] != 1 or min(dims) < 1:
+            raise DomainError("ddsf dims must be positive and chain from 1 to 1")
+        self.dims = dims
+        pairs = list(zip(dims[:-1], dims[1:]))
+        self.slices, offsets, pos = [], [], 0
+        for d_in, d_out in pairs:
+            eta, a_pre, b = (pos, pos + d_in, pos + d_in + d_out)
+            pos += d_in + 2 * d_out
+            self.slices.append((slice(eta, a_pre), slice(a_pre, b), slice(b, pos)))
+            offsets += [np.zeros(d_in), np.full(d_out, SOFTNESS_IDENTITY_OFFSET),
+                        np.zeros(d_out)]
+        self.width, self.offset = pos, np.concatenate(offsets)
+        self.v_u = [dg.Parameter(np.zeros((d_out, d_in)), f"{name}.vu{li}")
+                    for li, (d_in, d_out) in enumerate(pairs)]
+        self.v_w = [dg.Parameter(np.zeros((d_out, d_out)), f"{name}.vw{li}")
+                    for li, (_, d_out) in enumerate(pairs)]
+        self.params = [*self.v_u, *self.v_w]
+
+    def decode(self, block):
+        graph = dg.is_value(block)
+        rows = slice(None)
+        layers = []
+        for (eta, a_pre, b), vu, vw in zip(self.slices, self.v_u, self.v_w):
+            log_u = apply_cwn(vu if graph else vu.data, dg.take(block, (rows, eta)))
+            a = dg.softplus(dg.take(block, (rows, a_pre)))
+            layers.append({
+                "u": dg.exp(log_u),
+                "log_u": log_u,
+                "log_w": dg.logsoftmax(vw if graph else vw.data, axis=-1),
+                "a": a,
+                "log_a": dg.log(a),
+                "b": dg.take(block, (rows, b)),
+            })
+        return layers
+
+    @staticmethod
+    def core(x, p, mode="raise"):
+        return _ddsf_core(x, p, mode)
+
+    @staticmethod
+    def random_params(rng, d, dims):
         layers = []
         for d_in, d_out in zip(dims[:-1], dims[1:]):
             u = np.exp(sm.logsoftmax_over_axis(rng.normal(size=(d_out, d_in)), 1))
@@ -407,17 +492,35 @@ def random_params(kind: str, rng: np.random.Generator, d: int = DSF_DEFAULT_D,
             b = rng.normal(size=d_out) * 2.0
             layers.append(DdsfLayerParams(u=u, w=w, a=a, b=b))
         return layers
-    raise DomainError(f"unknown transformer kind {kind!r}")
+
+    evaluate = staticmethod(ddsf_forward)
+
+
+FAMILIES = {"affine-exp": AffineExp, "affine-gate": AffineGate, "dsf": Dsf, "ddsf": Ddsf}
+
+
+def family(kind) -> type:
+    """The Family subclass registered under a kind name."""
+    try:
+        return FAMILIES[kind]
+    except (KeyError, TypeError):
+        raise DomainError(
+            f"unknown transformer kind {kind!r}; use one of {tuple(FAMILIES)}"
+        ) from None
+
+
+def random_params(kind: str, rng: np.random.Generator, d: int = DSF_DEFAULT_D,
+                  dims=DDSF_DEFAULT_DIMS):
+    """Draw parameters satisfying each family's validity invariants."""
+    return family(kind).random_params(rng, d, dims)
 
 
 def forward_closure(kind: str, params, mode: str = "raise"):
-    """Scalar y(x) closure for invert/check_monotone."""
-    if kind == "affine-exp":
-        return lambda x: affine_forward(x, params, "exp")[0]
-    if kind == "affine-gate":
-        return lambda x: affine_forward(x, params, "gate")[0]
-    if kind == "dsf":
-        return lambda x: dsf_forward(x, params, mode)[0]
-    if kind == "ddsf":
-        return lambda x: ddsf_forward(x, params, mode)[0]
-    raise DomainError(f"unknown transformer kind {kind!r}")
+    """y(x) under activated parameters, for scalar or (n,) x."""
+    evaluate = family(kind).evaluate
+    return lambda x: evaluate(x, params, mode)[0]
+
+
+def affine_forward(x, p: AffineParams, kind: str = "exp"):
+    """y and log(dy/dx) for the affine transformer; kind "exp" or "gate"."""
+    return family(f"affine-{kind}").evaluate(x, p)

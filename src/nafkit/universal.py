@@ -19,7 +19,7 @@ import numpy as np
 
 from . import stablemath as sm
 from .errors import DomainError
-from .transformer import DsfParams, dsf_prelogit
+from .transformer import DsfParams, dsf_prelogit, invert_batch
 
 
 @dataclass
@@ -46,16 +46,8 @@ class MonotoneTarget:
         """Quantile of level y, analytic if supplied, else bisection."""
         if self.inv is not None:
             return float(self.inv(y))
-        lo, hi = self.r0, self.r1
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if self.fn(mid) < y:
-                lo = mid
-            else:
-                hi = mid
-            if hi - lo <= 1e-12:
-                break
-        return 0.5 * (lo + hi)
+        fn = lambda xs: np.array([self.fn(float(x)) for x in xs])
+        return float(invert_batch([float(y)], fn, lo0=self.r0, hi0=self.r1)[0])
 
 
 def identity_target() -> MonotoneTarget:

@@ -97,6 +97,27 @@ class TestFitDensityCommand:
         grid = read_data_csv(str(out / "density_grid.csv"), expect_header=True)
         assert grid.shape == (121, 3)
 
+    def test_nonfinite_cell_exits_3_naming_line(self, tmp_path, capsys, rng):
+        lines = ["x1,x2"] + [f"{a:.17g},{b:.17g}" for a, b in rng.normal(size=(40, 2))]
+        lines[17] = "0.25,nan"  # line 18
+        data = tmp_path / "data.csv"
+        data.write_text("\n".join(lines) + "\n")
+        code = run(["fit-density", "--data", data, "--header", "--hidden", 8,
+                    "--steps", 5, "--batch", 16, "--out", tmp_path / "o"])
+        assert code == 3
+        assert "line 18" in capsys.readouterr().err
+
+    def test_explicit_flag_at_default_beats_config(self, tmp_path):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"lr": 0.5, "seed": 4}))
+        out = tmp_path / "o"
+        assert run(["fit-density", "--target", "grid-k2", "--d", 4, "--hidden", 8,
+                    "--steps", 3, "--train-n", 128, "--val-n", 32, "--batch", 64,
+                    "--lr", "0.01", "--config", cfg, "--out", out]) == 0
+        config = json.loads((out / "config.json").read_text())
+        assert config["lr"] == 0.01  # given, although equal to the parser default
+        assert config["seed"] == 4  # not given: adopted from the file
+
     def test_rerun_from_emitted_config(self, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"
         args = ["fit-density", "--target", "grid-k2", "--model", "dsf", "--d", 4,
@@ -182,6 +203,49 @@ class TestSampleAndLogpdf:
                     "-4", "4", "--points", 9, "--out", out]) == 0
         rows = read_data_csv(str(out), expect_header=True)
         assert rows.shape == (81, 3)
+
+
+def _drop_layers(doc):
+    del doc["layers"]
+
+
+def _drop_hidden(doc):
+    del doc["layers"][0]["hidden"]
+
+
+def _inf_param(doc):
+    doc["params"]["layer0.cond.b1"]["data"][0] = math.inf
+
+
+def _unknown_kind(doc):
+    doc["layers"][0]["kind"] = "spline"
+
+
+def _zero_d(doc):
+    doc["layers"][0]["d"] = 0
+
+
+def _unchained_dims(doc):
+    doc["layers"][0].update(kind="ddsf", dims=[2, 1])
+
+
+class TestCheckpointValidation:
+    @pytest.mark.parametrize("corrupt, needle", [
+        (_drop_layers, "'layers'"),
+        (_drop_hidden, "'hidden'"),
+        (_inf_param, "layer0.cond.b1"),
+        (_unknown_kind, "spline"),
+        (_zero_d, "d >= 1"),
+        (_unchained_dims, "chain from 1 to 1"),
+    ], ids=["no-layers", "no-hidden", "inf-param", "kind", "d", "dims"])
+    def test_malformed_checkpoint_exits_3(self, tmp_path, capsys, corrupt, needle):
+        doc = FlowStack.build(m=2, kind="dsf", d=4, hidden=(8,), seed=0).to_json()
+        corrupt(doc)
+        path = tmp_path / "ckpt.json"
+        path.write_text(json.dumps(doc))
+        code = run(["sample", "--checkpoint", path, "--n", 5, "--out", tmp_path / "s.csv"])
+        assert code == 3
+        assert needle in capsys.readouterr().err
 
 
 class TestCertifyUniversalCommand:

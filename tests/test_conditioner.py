@@ -125,14 +125,16 @@ class TestConditionerForward:
 
 
 class TestApplyCwn:
+    """apply_cwn returns the entrywise log of a row-stochastic matrix."""
+
     def test_uniform_when_all_zero(self):
         out = apply_cwn(np.zeros((2, 2)), np.zeros(2))
-        np.testing.assert_allclose(out, 0.25 + np.zeros((2, 2)) + 0.25, atol=1e-12)
+        np.testing.assert_allclose(np.exp(out), 0.25 + np.zeros((2, 2)) + 0.25, atol=1e-12)
 
     def test_softmax_oracle(self):
         # softmax(ln 3, 0) = (0.75, 0.25)
         out = apply_cwn(np.zeros((1, 2)), np.array([np.log(3.0), 0.0]))
-        np.testing.assert_allclose(out, [[0.75, 0.25]], atol=1e-12)
+        np.testing.assert_allclose(np.exp(out), [[0.75, 0.25]], atol=1e-12)
 
     def test_constant_eta_shift_invariance(self):
         rng = np.random.default_rng(0)
@@ -147,13 +149,13 @@ class TestApplyCwn:
             v = rng.uniform(-50, 50, size=(3, 5))
             eta = rng.uniform(-50, 50, size=5)
             out = apply_cwn(v, eta)
-            np.testing.assert_allclose(out.sum(axis=1), 1.0, atol=1e-12)
+            np.testing.assert_allclose(np.exp(out).sum(axis=1), 1.0, atol=1e-12)
 
     def test_equivalent_to_exp_rescaling(self):
         rng = np.random.default_rng(2)
         v = rng.normal(size=(2, 3))
         eta = rng.normal(size=3)
-        direct = apply_cwn(v, eta)
+        direct = np.exp(apply_cwn(v, eta))
         scaled = np.exp(v) * np.exp(eta)
         want = scaled / scaled.sum(axis=1, keepdims=True)
         np.testing.assert_allclose(direct, want, rtol=1e-12)

@@ -18,57 +18,39 @@ def grad_of(expr_fn, *leaf_values):
 
 class TestRecord:
     def test_add(self):
-        out = dg.record("add", [dg.Value(2.0), dg.Value(3.0)])
+        out = dg.add(dg.Value(2.0), dg.Value(3.0))
         assert float(out.data) == 5.0
 
     def test_sigmoid(self):
-        out = dg.record("sigmoid", [dg.Value(0.0)])
+        out = dg.sigmoid(dg.Value(0.0))
         assert float(out.data) == pytest.approx(0.5)
 
     def test_logsumexp_matches_stablemath(self):
         v = np.array([[0.0, math.log(3.0)]])
-        out = dg.record("logsumexp-over-axis", [dg.Value(v)], axis=1)
+        out = dg.logsumexp(dg.Value(v), axis=1)
         assert float(out.data[0]) == pytest.approx(sm.logsumexp(v[0]), abs=1e-12)
 
-    def test_unknown_kind(self):
-        with pytest.raises(DomainError):
-            dg.record("fused-mystery", [dg.Value(1.0)])
-
     def test_every_spec_kind_is_recordable(self):
-        kinds = ["add", "sub", "mul", "div", "neg", "exp", "log", "sigmoid",
-                 "tanh", "matmul", "sum", "mean", "logsumexp-over-axis",
-                 "softplus", "broadcast", "reshape", "slice", "concat"]
-        a = np.array([[1.0, 2.0], [3.0, 4.0]])
-        for kind in kinds:
-            if kind in ("add", "sub", "mul", "div"):
-                out = dg.record(kind, [dg.Value(a), dg.Value(a)])
-            elif kind == "matmul":
-                out = dg.record(kind, [dg.Value(a), dg.Value(a)])
-            elif kind == "logsumexp-over-axis":
-                out = dg.record(kind, [dg.Value(a)], axis=0)
-            elif kind == "broadcast":
-                out = dg.record(kind, [dg.Value(a)], shape=(2, 2, 2))
-            elif kind == "reshape":
-                out = dg.record(kind, [dg.Value(a)], shape=(4,))
-            elif kind == "slice":
-                out = dg.record(kind, [dg.Value(a)], idx=(slice(None), 0))
-            elif kind == "concat":
-                out = dg.record(kind, [dg.Value(a), dg.Value(a)], axis=0)
-            else:
-                out = dg.record(kind, [dg.Value(a)])
-            assert isinstance(out, dg.Value)
+        a = dg.Value(np.array([[1.0, 2.0], [3.0, 4.0]]))
+        outs = [dg.add(a, a), dg.sub(a, a), dg.mul(a, a), dg.div(a, a), dg.neg(a),
+                dg.exp(a), dg.log(a), dg.sigmoid(a), dg.tanh(a), dg.matmul(a, a),
+                dg.vsum(a), dg.vmean(a), dg.logsumexp(a, axis=0), dg.softplus(a),
+                dg.broadcast_to(a, (2, 2, 2)), dg.reshape(a, (4,)),
+                dg.take(a, (slice(None), 0)), dg.concat([a, a], axis=0),
+                dg.log_matvec(a, a)]
+        assert all(isinstance(out, dg.Value) for out in outs)
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(DomainError):
-            dg.record("matmul", [dg.Value(np.ones((2, 3))), dg.Value(np.ones((2, 2)))])
+            dg.matmul(dg.Value(np.ones((2, 3))), dg.Value(np.ones((2, 2))))
 
     def test_log_pole_rejected(self):
         with pytest.raises(NumericError):
-            dg.record("log", [dg.Value(0.0)])
+            dg.log(dg.Value(0.0))
 
     def test_div_pole_rejected(self):
         with pytest.raises(NumericError):
-            dg.record("div", [dg.Value(1.0), dg.Value(0.0)])
+            dg.div(dg.Value(1.0), dg.Value(0.0))
 
 
 class TestBackward:
@@ -160,6 +142,10 @@ OPS_FD_CASES = [
     ("broadcast", lambda a: dg.broadcast_to(dg.reshape(a, (1, 3)), (2, 3)), 1),
     ("slice", lambda a: a[(slice(0, 2),)], 1),
     ("concat", lambda a, b: dg.concat([a, b], axis=0), 2),
+    ("log_matvec", lambda a, b: dg.log_matvec(
+        dg.reshape(dg.concat([a, b], axis=0), (2, 3)), dg.reshape(b, (1, 3))), 2),
+    ("log_matvec-batched", lambda a, b: dg.log_matvec(
+        dg.reshape(a, (1, 1, 3)), dg.reshape(b, (1, 3))), 2),
 ]
 
 

@@ -150,6 +150,11 @@ class TestTrainConfig:
         with pytest.raises(DomainError):
             TrainConfig(batch=0)
 
+    def test_as_dict_round_trips_every_field(self):
+        cfg = TrainConfig(loss="energy", steps=7, batch=3, lr=0.5, beta1=0.8, beta2=0.99,
+                          eps=1e-6, seed=9, grad_clip=None, polyak=0.95, trace_every=4)
+        assert TrainConfig(**cfg.as_dict()) == cfg
+
 
 class TestFit:
     def test_identity_init_reaches_normal_entropy(self, rng):
@@ -215,6 +220,14 @@ class TestFit:
         with pytest.raises(DomainError):
             fit(stack, TrainConfig(loss="mle", steps=1, batch=64),
                 data=np.zeros((8, 2)))
+
+    def test_nonfinite_row_rejected_by_index(self, rng):
+        data = rng.normal(size=(64, 2))
+        data[17, 1] = np.inf
+        with pytest.raises(DomainError) as exc:
+            fit(FlowStack.build(m=2, kind="dsf", d=4, seed=0),
+                TrainConfig(loss="mle", steps=1, batch=16), data=data)
+        assert "row 17" in str(exc.value)
 
     def test_polyak_installs_averaged_weights(self, rng):
         data = rng.normal(size=(256, 1))
