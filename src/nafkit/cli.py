@@ -54,6 +54,15 @@ def write_csv(path: str, rows, header=None):
     write_atomic(path, "\n".join(lines) + "\n")
 
 
+def write_density_grid(path: str, stack, window, points: int):
+    """x,y,logp rows of a 2-D stack's log-density on a points x points grid."""
+    lo, hi = window
+    axis = np.linspace(lo, hi, points)
+    gx, gy = np.meshgrid(axis, axis, indexing="ij")
+    pts = np.stack([gx.reshape(-1), gy.reshape(-1)], axis=1)
+    write_csv(path, np.column_stack([pts, stack.log_density(pts)]), header=["x", "y", "logp"])
+
+
 def write_json(path: str, payload: dict):
     write_atomic(path, json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
@@ -221,13 +230,8 @@ def cmd_fit_density(args) -> int:
         "steps": cfg.steps, "seed": cfg.seed, "config": cfg.as_dict(),
     })
     if args.density_grid and m == 2:
-        lo, hi = args.grid_window
-        axis = np.linspace(lo, hi, args.grid_points)
-        gx, gy = np.meshgrid(axis, axis, indexing="ij")
-        pts = np.stack([gx.reshape(-1), gy.reshape(-1)], axis=1)
-        logp = stack.log_density(pts)
-        write_csv(os.path.join(args.out, "density_grid.csv"),
-                  np.column_stack([pts, logp]), header=["x", "y", "logp"])
+        write_density_grid(os.path.join(args.out, "density_grid.csv"), stack,
+                           args.grid_window, args.grid_points)
     return EXIT_OK
 
 
@@ -294,12 +298,7 @@ def cmd_grid_export(args) -> int:
     stack = FlowStack.load(args.checkpoint)
     if stack.m != 2:
         raise DataError("grid-export requires a 2-D checkpoint")
-    lo, hi = args.window
-    axis = np.linspace(lo, hi, args.points)
-    gx, gy = np.meshgrid(axis, axis, indexing="ij")
-    pts = np.stack([gx.reshape(-1), gy.reshape(-1)], axis=1)
-    logp = stack.log_density(pts)
-    write_csv(args.out, np.column_stack([pts, logp]), header=["x", "y", "logp"])
+    write_density_grid(args.out, stack, args.window, args.points)
     return EXIT_OK
 
 

@@ -377,14 +377,6 @@ def log_matvec(log_m, v):
 # -- shape ops -----------------------------------------------------------
 
 
-def broadcast_to(a, shape):
-    if not _any_value(a):
-        return np.broadcast_to(np.asarray(a, dtype=np.float64), shape)
-    out = Value(np.broadcast_to(a.data, shape).copy(), "broadcast", (a,))
-    out._backward = lambda g: a._accum(_unbroadcast(g, a.data.shape))
-    return out
-
-
 def reshape(a, shape):
     if not _any_value(a):
         return np.asarray(a, dtype=np.float64).reshape(shape)
@@ -403,24 +395,6 @@ def take(a, idx):
         if a.grad is None:
             a.grad = np.zeros_like(a.data)
         np.add.at(a.grad, idx, g)
-
-    out._backward = bw
-    return out
-
-
-def concat(parts, axis: int = 0):
-    if not _any_value(*parts):
-        return np.concatenate([np.asarray(p, dtype=np.float64) for p in parts], axis)
-    parts = [_lift(p) for p in parts]
-    out = Value(np.concatenate([p.data for p in parts], axis), "concat", tuple(parts))
-    sizes = [p.data.shape[axis] for p in parts]
-
-    def bw(g):
-        offs = np.cumsum([0] + sizes)
-        for p, lo, hi in zip(parts, offs[:-1], offs[1:]):
-            sl = [slice(None)] * g.ndim
-            sl[axis] = slice(lo, hi)
-            p._accum(g[tuple(sl)])
 
     out._backward = bw
     return out

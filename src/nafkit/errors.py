@@ -31,6 +31,11 @@ class SaturationError(NumericError):
 class RangeError(NumericError):
     """Requested output value lies outside a map's numeric range."""
 
+    def __init__(self, msg, index=None):
+        super().__init__(msg)
+        self.dim = None  # filled in by the flow layer
+        self.index = index  # flat position of the first unreachable target
+
 
 class InconsistencyError(RuntimeError):
     """A closure expected to be deterministic returned differing values."""

@@ -19,7 +19,7 @@ import numpy as np
 from . import diffgraph as dg
 from . import transformer as tf
 from .conditioner import MadeConditioner
-from .errors import DataError, DomainError, SaturationError
+from .errors import DataError, DomainError, RangeError, SaturationError
 
 LOG_2PI = float(np.log(2.0 * np.pi))
 
@@ -93,11 +93,7 @@ class FlowLayer:
             y, ld = self.family.forward(dg.reshape(x, (B,)), blocks)
         except SaturationError as err:
             # the flat layout is (batch point, dimension) row-major
-            point, dim = divmod(err.index, self.m)
-            raise SaturationError(
-                f"{self.name}, dimension {dim}, batch point {point}: {err}",
-                magnitude=err.magnitude, layer=err.layer, dim=dim, index=err.index,
-            ) from None
+            raise self._located(err, *divmod(err.index, self.m)) from None
         return dg.reshape(y, (n, self.m)), dg.vsum(dg.reshape(ld, (n, self.m)), axis=1)
 
     # -- inverse ---------------------------------------------------------
@@ -113,8 +109,17 @@ class FlowLayer:
         for deg in range(1, self.m + 1):
             i = self.order.index(deg)
             blocks = self.conditioner.forward(x)
-            x[:, i] = self.family.inverse(y[:, i], blocks[:, i, :])
+            try:
+                x[:, i] = self.family.inverse(y[:, i], blocks[:, i, :])
+            except (SaturationError, RangeError) as err:
+                raise self._located(err, err.index, i) from None
         return x
+
+    def _located(self, err, point, dim):
+        """err, its message prefixed with this layer, dimension and batch point."""
+        err.args = (f"{self.name}, dimension {dim}, batch point {point}: {err}",)
+        err.dim, err.index = dim, point * self.m + dim
+        return err
 
     # -- (de)serialization -------------------------------------------------
 

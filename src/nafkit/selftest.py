@@ -57,7 +57,7 @@ def suite_monotone(rng: np.random.Generator, seeds: int = 1000):
     for kind in tf.FAMILIES:
         for s in range(seeds):
             params = tf.random_params(kind, np.random.default_rng(s))
-            fwd = tf.forward_closure(kind, params, mode="clamp")
+            fwd = tf.forward_closure(kind, params)
             if np.any(np.diff(fwd(grid)) <= 0):
                 return False, f"{kind} not strictly increasing at seed {s}"
     return True, f"{seeds} seeds per kind strictly increasing"
@@ -69,21 +69,21 @@ def suite_logdet(rng: np.random.Generator, seeds: int = 100):
     for kind in tf.FAMILIES:
         for s in range(seeds):
             params = tf.random_params(kind, np.random.default_rng(10_000 + s))
-            fwd = tf.forward_closure(kind, params, mode="raise")
+            fwd = tf.forward_closure(kind, params)
             x = float(np.random.default_rng(20_000 + s).uniform(-3, 3))
             _, ld = tf.family(kind).evaluate(x, params)
             fd = (fwd(x + h) - fwd(x - h)) / (2 * h)
             if abs(np.exp(ld) - fd) / max(abs(fd), 1e-12) > 1e-4:
                 return False, f"{kind} logdet off at seed {s}, x={x:.3f}"
-    # Saturation probes: far outside the nominal regime the guard must
-    # either clamp (inversion path) or raise; silent pass-through is the
-    # fault this flags when the guard is disabled.
+    # Saturation probes: far outside the nominal regime the guarded
+    # forward (shared by densities and inversion) must raise; silent
+    # pass-through is the fault this flags when the guard is disabled.
     flagged = []
     for s in range(5):
         params = tf.random_params("dsf", np.random.default_rng(s))
         big = 1e6
         try:
-            tf.dsf_forward(big, params, mode="raise")
+            tf.dsf_forward(big, params)
             flagged.append(s)
         except SaturationError:
             pass
@@ -120,7 +120,7 @@ def suite_roundtrip(rng: np.random.Generator, n: int = 300):
     """invert(forward(x)) recovers x to 1e-8 for every kind."""
     for kind in tf.FAMILIES:
         params = tf.random_params(kind, np.random.default_rng(3))
-        fwd = tf.forward_closure(kind, params, mode="clamp")
+        fwd = tf.forward_closure(kind, params)
         xs = rng.uniform(-4, 4, size=n)
         ys = fwd(xs)
         back = tf.invert_batch(ys, fwd)

@@ -11,7 +11,9 @@ The cores are written against the diffgraph dispatch layer: fed Values
 they record a differentiable graph, fed ndarrays they run plain numpy.
 Each family is one Family subclass in the FAMILIES registry; it owns
 its conditioner block layout, any extra parameters, its forward on a
-conditioner block and its inverse.
+conditioner block and its inverse. Densities and inversion evaluate the
+same guarded forward, so every x an inverse returns is one the density
+path can score.
 """
 
 from __future__ import annotations
@@ -25,10 +27,6 @@ from . import stablemath as sm
 from .conditioner import GATE_IDENTITY_OFFSET, SOFTNESS_IDENTITY_OFFSET, apply_cwn
 from .errors import DomainError, RangeError, SaturationError
 
-# Inversion-path floor: the pre-logit is clamped into [1e-12, 1 - 1e-12]
-# so bracket probes at extreme x stay evaluable (and monotone).
-LOG_EPS = float(np.log(1e-12))
-
 # Forward-path saturation: log(D) or log(1-D) below this exponent
 # underflows float64, i.e. the pre-logit is numerically 0 or 1. Stays
 # clear of the nominal regime |a*x + b| <= 310.
@@ -37,6 +35,7 @@ LOG_UNDERFLOW = -708.0
 # Debug switch for fault-injection runs; leave True in normal operation.
 SATURATION_GUARD = True
 
+# Reach of every inverse: an x beyond it is a RangeError.
 BRACKET_CAP = 1e6
 
 DSF_DEFAULT_D = 16
@@ -126,35 +125,24 @@ def _raw(x):
     return x.data if dg.is_value(x) else np.asarray(x, dtype=np.float64)
 
 
-def _check_saturation(log_num, log_den, x, mode, layer=None):
-    """Keep the pre-logit numerically inside (0, 1).
+def _check_saturation(log_num, log_den, x, layer=None):
+    """Raise once log(D) or log(1-D) underflows float64 (pre-logit 0 or 1).
 
-    mode "raise": error once log(D) or log(1-D) underflows float64,
-    naming the offending input magnitude and its flat index. mode
-    "clamp": floor both logs at LOG_EPS (numpy path only; used by
-    inversion closures so bracket probes at extreme x stay evaluable).
-    SATURATION_GUARD = False skips both, for fault injection.
+    The error names the largest offending input magnitude and the flat
+    index of the first offending input. SATURATION_GUARD = False skips
+    the check, for fault injection.
     """
     if not SATURATION_GUARD:
-        return log_num, log_den
-    rn, rd = _raw(log_num), _raw(log_den)
-    if mode == "clamp":
-        if dg.is_value(log_num):
-            raise DomainError("clamp mode is only available on the numpy path")
-        return np.maximum(rn, LOG_EPS), np.maximum(rd, LOG_EPS)
-    bad = (rn < LOG_UNDERFLOW) | (rd < LOG_UNDERFLOW)
+        return
+    bad = (_raw(log_num) < LOG_UNDERFLOW) | (_raw(log_den) < LOG_UNDERFLOW)
     if not np.any(bad):
-        return log_num, log_den
+        return
     xarr = np.atleast_1d(_raw(x))
     bad = np.atleast_1d(bad)
     if bad.ndim > xarr.ndim:  # per-unit flags: collapse trailing axes
         bad = bad.any(axis=tuple(range(xarr.ndim, bad.ndim)))
-    if bad.shape == xarr.shape:
-        mag = float(np.max(np.abs(xarr[bad])))
-        index = int(np.argmax(bad))
-    else:
-        mag = float(np.max(np.abs(xarr)))
-        index = 0
+    mag = float(np.max(np.abs(xarr[bad])))
+    index = int(np.argmax(bad))
     where = "" if layer is None else f" in layer {layer}"
     raise SaturationError(
         f"pre-logit saturated{where} (|x| up to {mag:.6g})",
@@ -167,7 +155,7 @@ def _check_saturation(log_num, log_den, x, mode, layer=None):
 # -- dsf -------------------------------------------------------------------
 
 
-def _dsf_core(x, log_w, a, log_a, b, mode="raise"):
+def _dsf_core(x, log_w, a, log_a, b):
     """Sigmoid-mixture transformer on pre-activated logs.
 
     x: (...,); log_w/a/log_a/b: (..., d). Returns (y, logdet) shaped like
@@ -182,7 +170,7 @@ def _dsf_core(x, log_w, a, log_a, b, mode="raise"):
     ls_neg = dg.logsigmoid(-C)
     log_num = dg.logsumexp(log_w + ls_pos, axis=-1)
     log_den = dg.logsumexp(log_w + ls_neg, axis=-1)
-    log_num, log_den = _check_saturation(log_num, log_den, x, mode)
+    _check_saturation(log_num, log_den, x)
     y = log_num - log_den
     logdet = dg.logsumexp(log_w + log_a + ls_pos + ls_neg, axis=-1) - (
         log_num + log_den
@@ -190,21 +178,21 @@ def _dsf_core(x, log_w, a, log_a, b, mode="raise"):
     return y, logdet
 
 
-def dsf_forward(x, p: DsfParams, mode: str = "raise"):
+def dsf_forward(x, p: DsfParams):
     """y and log(dy/dx) from activated DsfParams (numpy path)."""
     with np.errstate(divide="ignore", invalid="ignore"):
         log_w, log_a = np.log(p.w), np.log(p.a)
-    y, logdet = _dsf_core(np.asarray(x, dtype=np.float64), log_w, p.a, log_a, p.b, mode)
+    y, logdet = _dsf_core(np.asarray(x, dtype=np.float64), log_w, p.a, log_a, p.b)
     if np.ndim(x) == 0:
         return float(y), float(logdet)
     return y, logdet
 
 
-def dsf_from_preact(x, w_pre, a_pre, b, mode="raise"):
+def dsf_from_preact(x, w_pre, a_pre, b):
     """Same transformer fed conditioner pre-activations (graph or numpy)."""
     log_w = dg.logsoftmax(w_pre, axis=-1)
     a = dg.softplus(a_pre)
-    return _dsf_core(x, log_w, a, dg.log(a), b, mode)
+    return _dsf_core(x, log_w, a, dg.log(a), b)
 
 
 def dsf_prelogit(x, p: DsfParams):
@@ -216,7 +204,7 @@ def dsf_prelogit(x, p: DsfParams):
 # -- ddsf ------------------------------------------------------------------
 
 
-def _ddsf_core(x, layers, mode="raise"):
+def _ddsf_core(x, layers):
     """Dense multi-layer transformer with a log-space Jacobian chain.
 
     x: (B,). Each entry of `layers` is a dict with keys u, log_u (batched
@@ -235,7 +223,7 @@ def _ddsf_core(x, layers, mode="raise"):
         ls_neg = dg.logsigmoid(dg.neg(C))
         log_num = dg.log_matvec(lay["log_w"], ls_pos)
         log_den = dg.log_matvec(lay["log_w"], ls_neg)
-        log_num, log_den = _check_saturation(log_num, log_den, x, mode, layer=li)
+        _check_saturation(log_num, log_den, x, layer=li)
         h = log_num - log_den
 
         s = dg.log_matvec(lay["log_u"], r)
@@ -248,7 +236,7 @@ def _ddsf_core(x, layers, mode="raise"):
     return y, logdet
 
 
-def ddsf_forward(x, layers, mode: str = "raise"):
+def ddsf_forward(x, layers):
     """y and log(dy/dx) for a list of activated DdsfLayerParams."""
     if not layers:
         raise DomainError("ddsf needs at least one layer")
@@ -271,7 +259,7 @@ def ddsf_forward(x, layers, mode: str = "raise"):
             }
             for p in layers
         ]
-    y, logdet = _ddsf_core(xv, prepared, mode)
+    y, logdet = _ddsf_core(xv, prepared)
     if scalar:
         return float(y[0]), float(logdet[0])
     return y, logdet
@@ -284,8 +272,8 @@ def invert_batch(y, forward, lo0: float = -1.0, hi0: float = 1.0) -> np.ndarray:
     """Vectorized bisection: forward maps (n,) -> (n,), increasing per entry.
 
     Each bracket doubles outward from [lo0, hi0] until it straddles its y
-    (up to |x| = 1e6, else RangeError), then all entries bisect together
-    until the widest bracket is at most 1e-12.
+    (up to |x| = 1e6, else RangeError naming the first such entry), then
+    all entries bisect together until the widest bracket is at most 1e-12.
     """
     y = np.asarray(y, dtype=np.float64)
     lo = np.full_like(y, lo0)
@@ -298,17 +286,16 @@ def invert_batch(y, forward, lo0: float = -1.0, hi0: float = 1.0) -> np.ndarray:
         need_hi = fhi < y
         if not (need_lo.any() or need_hi.any()):
             break
-        if np.any(need_lo & (lo <= -BRACKET_CAP)) or np.any(
-            need_hi & (hi >= BRACKET_CAP)
-        ):
-            raise RangeError("bracket expansion exhausted at |x| = 1e6")
+        stuck = (need_lo & (lo <= -BRACKET_CAP)) | (need_hi & (hi >= BRACKET_CAP))
+        if stuck.any():
+            raise _unreachable(y, stuck)
         w = w * 2.0
         lo = np.where(need_lo, np.maximum(lo - w, -BRACKET_CAP), lo)
         hi = np.where(need_hi, np.minimum(hi + w, BRACKET_CAP), hi)
         flo = np.where(need_lo, forward(lo), flo)
         fhi = np.where(need_hi, forward(hi), fhi)
     else:
-        raise RangeError("bracket expansion exhausted at |x| = 1e6")
+        raise _unreachable(y, need_lo | need_hi)
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         fm = forward(mid)
@@ -318,6 +305,20 @@ def invert_batch(y, forward, lo0: float = -1.0, hi0: float = 1.0) -> np.ndarray:
         if np.max(hi - lo) <= 1e-12:
             break
     return 0.5 * (lo + hi)
+
+
+def _unreachable(y, entries):
+    """RangeError naming the first flagged entry of y and its target."""
+    i = int(np.argmax(entries))
+    return RangeError(f"no |x| <= 1e6 reaches y = {y[i]:.6g}", index=i)
+
+
+def _within_reach(y, x):
+    """x from a closed-form inverse, held to the bisection's reach."""
+    far = ~(np.abs(x) <= BRACKET_CAP)  # also flags inf and nan
+    if far.any():
+        raise _unreachable(y, far)
+    return x
 
 
 # -- families --------------------------------------------------------------
@@ -334,7 +335,8 @@ class Family:
       forward        (y, log dy/dx) of a flat (B,) x under a (B, width)
                      block, recording a graph iff the block is a Value;
       inverse        x with forward(x, block) = y (numpy path).
-    decode(block) reads the block into the arguments of core(x, p, mode).
+    decode(block) reads the block into the arguments of core(x, p); the
+    inverse bisects that same guarded core.
     The static random_params / evaluate work on activated parameter
     containers (AffineParams, DsfParams, a list of DdsfLayerParams).
     """
@@ -345,12 +347,12 @@ class Family:
     def __init__(self, d=DSF_DEFAULT_D, dims=None, name="layer"):
         pass
 
-    def forward(self, x, block, mode="raise"):
-        return self.core(x, self.decode(block), mode)
+    def forward(self, x, block):
+        return self.core(x, self.decode(block))
 
     def inverse(self, y, block):
         p = self.decode(block)  # once, not per bisection probe
-        return invert_batch(y, lambda t: self.core(t, p, "clamp")[0])
+        return invert_batch(y, lambda t: self.core(t, p)[0])
 
 
 class AffineExp(Family):
@@ -364,20 +366,20 @@ class AffineExp(Family):
         return dg.take(block, (slice(None), 0)), dg.take(block, (slice(None), 1))
 
     @staticmethod
-    def core(x, p, mode="raise"):
+    def core(x, p):
         mu, s = p
         return mu + dg.exp(s) * x, s + dg.mul(x, 0.0)  # broadcast s to y's shape
 
     def inverse(self, y, block):
         mu, s = self.decode(block)
-        return (y - mu) * np.exp(-s)
+        return _within_reach(y, (y - mu) * np.exp(-s))
 
     @staticmethod
     def random_params(rng, d, dims):
         return AffineParams(mu=float(rng.normal()), sigma_pre=float(rng.normal()))
 
     @classmethod
-    def evaluate(cls, x, p, mode="raise"):
+    def evaluate(cls, x, p):
         y, logdet = cls.core(np.asarray(x, dtype=np.float64), (p.mu, p.sigma_pre))
         if np.ndim(x) == 0:
             return float(y), float(logdet)
@@ -390,7 +392,7 @@ class AffineGate(AffineExp):
     offset = np.array([0.0, GATE_IDENTITY_OFFSET])
 
     @staticmethod
-    def core(x, p, mode="raise"):
+    def core(x, p):
         mu, s = p
         g = dg.sigmoid(s)
         return g * x + (1.0 - g) * mu, dg.logsigmoid(s) + dg.mul(x, 0.0)
@@ -398,7 +400,7 @@ class AffineGate(AffineExp):
     def inverse(self, y, block):
         mu, s = self.decode(block)
         sig = sm.sigmoid(s)  # the exact forward gate, not its log form
-        return (y - (1.0 - sig) * mu) / sig
+        return _within_reach(y, (y - (1.0 - sig) * mu) / sig)
 
 
 class Dsf(Family):
@@ -419,8 +421,8 @@ class Dsf(Family):
                      for k in range(3))
 
     @staticmethod
-    def core(x, p, mode="raise"):
-        return dsf_from_preact(x, *p, mode)
+    def core(x, p):
+        return dsf_from_preact(x, *p)
 
     @staticmethod
     def random_params(rng, d, dims):
@@ -479,8 +481,8 @@ class Ddsf(Family):
         return layers
 
     @staticmethod
-    def core(x, p, mode="raise"):
-        return _ddsf_core(x, p, mode)
+    def core(x, p):
+        return _ddsf_core(x, p)
 
     @staticmethod
     def random_params(rng, d, dims):
@@ -515,10 +517,10 @@ def random_params(kind: str, rng: np.random.Generator, d: int = DSF_DEFAULT_D,
     return family(kind).random_params(rng, d, dims)
 
 
-def forward_closure(kind: str, params, mode: str = "raise"):
+def forward_closure(kind: str, params):
     """y(x) under activated parameters, for scalar or (n,) x."""
     evaluate = family(kind).evaluate
-    return lambda x: evaluate(x, params, mode)[0]
+    return lambda x: evaluate(x, params)[0]
 
 
 def affine_forward(x, p: AffineParams, kind: str = "exp"):

@@ -33,7 +33,7 @@ def report(num, ok, detail, budget_s=None, elapsed=None):
 
 
 def _closure(kind, params):
-    return tf.forward_closure(kind, params, mode="clamp")
+    return tf.forward_closure(kind, params)
 
 
 @pytest.fixture(scope="module")

@@ -7,7 +7,7 @@ import pytest
 from conftest import constant_affine_stack, exact_identity_dsf_stack
 from nafkit import diffgraph as dg
 from nafkit import transformer as tf
-from nafkit.errors import DataError, DomainError
+from nafkit.errors import DataError, DomainError, RangeError, SaturationError
 from nafkit.flow import FlowLayer, FlowStack, StandardNormal, UniformBase
 
 LOG_2PI = math.log(2.0 * math.pi)
@@ -175,6 +175,29 @@ class TestSampling:
         assert np.max(np.abs(z_back - z)) <= 1e-6
         samples = stack.sample(200, seed=4)
         assert np.all(np.isfinite(stack.log_density(samples)))
+
+    @pytest.mark.parametrize("kind,dims", [("dsf", None), ("ddsf", (1, 16, 16, 1))])
+    def test_tail_points_round_trip(self, kind, dims):
+        # inversion evaluates the guarded forward, so tails the density
+        # path scores come back too
+        stack = FlowStack.build(m=2, kind=kind, ddsf_dims=dims, seed=0)
+        x = np.array([[0.0, 28.0], [-40.0, -40.0]])
+        z, _ = stack.forward(x)
+        assert np.max(np.abs(stack.inverse(z) - x)) <= 1e-6
+
+    def test_unreachable_inverse_names_layer_and_dimension(self):
+        stack = FlowStack.build(m=2, kind="affine-exp", seed=0)
+        with pytest.raises(RangeError) as exc:
+            stack.inverse(np.array([[0.0, 0.0], [0.0, 1e7]]))
+        assert str(exc.value).startswith("layer0, dimension 1, batch point 1: ")
+        assert exc.value.dim == 1
+
+    def test_saturated_inverse_names_layer_dimension_and_sample(self):
+        stack = FlowStack.build(m=2, kind="dsf", seed=0)
+        with pytest.raises(SaturationError) as exc:
+            stack.inverse(np.array([[0.0, 0.0], [1e7, 0.0]]))
+        assert str(exc.value).startswith("layer0, dimension 0, batch point 1: ")
+        assert (exc.value.dim, exc.value.index) == (0, 2)
 
     def test_sample_logdensity_finite(self, rng):
         stack = FlowStack.build(m=2, kind="dsf", d=8, seed=8)

@@ -26,7 +26,7 @@ class TestSelftest:
         assert [name for name, _, _ in rows] == ["step-bound"]
 
     def test_fault_injection_flags_logdet_only(self, guard_restored):
-        # with the saturation clamp disabled, extreme-x probes go
+        # with the saturation guard disabled, extreme-x probes go
         # unguarded and the logdet suite flags them; the monotone and
         # round-trip suites stay in the nominal regime and still pass
         from nafkit.selftest import suite_monotone

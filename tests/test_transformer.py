@@ -89,11 +89,6 @@ class TestDsfForward:
             tf.dsf_forward(1e4, p)
         assert exc.value.magnitude == pytest.approx(1e4)
 
-    def test_clamp_mode_keeps_evaluating(self):
-        p = tf.DsfParams(w=[0.5, 0.5], a=[5.0, 5.0], b=[0.0, 0.0])
-        y, _ = tf.dsf_forward(1e4, p, mode="clamp")
-        assert np.isfinite(y)
-
 
 class TestDdsf:
     def _identity_layers(self, d=2):
@@ -155,7 +150,7 @@ class TestInvert:
 
     def test_round_trip_thousand_points(self):
         p = tf.DsfParams(w=[0.5, 0.5], a=[2.0, 1.0], b=[0.0, 0.0])
-        fn = tf.forward_closure("dsf", p, mode="clamp")
+        fn = tf.forward_closure("dsf", p)
         assert tf.invert_batch([0.0], fn)[0] == pytest.approx(0.0, abs=1e-10)
         rng = np.random.default_rng(0)
         xs = rng.uniform(-4, 4, size=1000)
@@ -170,10 +165,14 @@ class TestInvert:
 
     def test_range_error_when_unreachable(self):
         p = tf.DsfParams(w=[0.5, 0.5], a=[1.0, 1.0], b=[0.0, 0.0])
-        fn = tf.forward_closure("dsf", p, mode="clamp")
-        # pre-logit clamp bounds |y| by ~27.6; 100 is out of range
-        with pytest.raises(RangeError):
-            tf.invert_batch([100.0], fn)
+        fn = tf.forward_closure("dsf", p)
+        # identical units make the identity; inversion bisects the same
+        # guarded forward, which reaches far past 100
+        assert tf.invert_batch([100.0], fn)[0] == pytest.approx(100.0, abs=1e-8)
+        # tanh stays below 1 on every |x| <= 1e6
+        with pytest.raises(RangeError) as exc:
+            tf.invert_batch([0.5, 2.0], np.tanh)
+        assert exc.value.index == 1
 
 
 def increasing(fn, grid):
@@ -192,13 +191,13 @@ class TestCheckMonotone:
         grid = np.linspace(-5, 5, 201)
         for s in range(200):
             p = tf.random_params("dsf", np.random.default_rng(s))
-            assert increasing(tf.forward_closure("dsf", p, "clamp"), grid)
+            assert increasing(tf.forward_closure("dsf", p), grid)
 
     def test_corrupted_slope_detected(self):
         p = tf.DsfParams(w=[0.5, 0.5], a=[1.0, 1.0], b=[-2.0, 2.0])
         p.a[1] = -3.0  # violate positivity after construction
         grid = np.linspace(-5, 5, 801)
-        assert not increasing(tf.forward_closure("dsf", p, "clamp"), grid)
+        assert not increasing(tf.forward_closure("dsf", p), grid)
 
 
 class TestLogdetProperty:
@@ -206,7 +205,7 @@ class TestLogdetProperty:
     def test_logdet_matches_fd_100_seeds(self, kind):
         for s in range(100):
             params = tf.random_params(kind, np.random.default_rng(s))
-            fn = tf.forward_closure(kind, params, mode="clamp")
+            fn = tf.forward_closure(kind, params)
             x = float(np.random.default_rng(1000 + s).uniform(-3, 3))
             if kind == "affine-exp":
                 _, ld = tf.affine_forward(x, params, "exp")
