@@ -1,15 +1,19 @@
 """Minimal reverse-accumulation engine over small dense tensors.
 
-A Value wraps a float64 ndarray of rank <= 3 plus enough provenance to
-run exact reverse accumulation. Graphs are recorded dynamically, one per
-loss evaluation, and become garbage as soon as the caller drops the root,
-so training loops never retain per-step memory.
+A Value wraps a float64 ndarray of rank <= 3 plus the provenance exact
+reverse accumulation needs; graphs are recorded dynamically, one per loss.
 
-Every public function here (exp, log, sigmoid, softplus, logsumexp, ...)
-also accepts plain ndarrays/floats and then computes in numpy without
-recording anything. Model code is written once against this interface and
-serves both the training path (Values) and the evaluation/inversion path
-(arrays). The log-space kernels mirror stablemath bit for bit.
+Every primitive is one _op call with two functions of arrays: a forward,
+which holds the op's domain guard, and a pure adjoint(g, out, *inputs)
+returning one gradient per input. Fed only ndarrays/floats, an op returns
+the forward's array; fed any Value, it records one node. Model code is
+thus written once for the training path (Values) and the evaluation and
+inversion path (arrays), which raise the same typed errors. The log-space
+kernels mirror stablemath bit for bit.
+
+Lifetime: no backward closure holds a node other than its parents, so
+graphs have no reference cycle and are freed as soon as the caller drops
+the root, whatever the cyclic garbage collector does.
 """
 
 from __future__ import annotations
@@ -140,143 +144,106 @@ def _any_value(*xs) -> bool:
     return any(isinstance(x, Value) for x in xs)
 
 
-# -- core binary/unary ops ---------------------------------------------
+def _op(name: str, forward, adjoint, *args):
+    """Apply one primitive to arrays, or record it when an input is a Value.
+
+    forward(*arrays) returns the output array. adjoint(g, out, *arrays)
+    returns one gradient per input; it sees arrays only, so the recorded
+    closure holds the parents and their data but never its own node.
+    """
+    if not _any_value(*args):
+        return forward(*(np.asarray(a, dtype=np.float64) for a in args))
+    parents = tuple(_lift(a) for a in args)
+    ins = tuple(p.data for p in parents)
+    node = Value(forward(*ins), name, parents)
+    out = node.data
+
+    def bw(g):
+        for p, gp in zip(parents, adjoint(g, out, *ins)):
+            p._accum(_unbroadcast(gp, p.data.shape))
+
+    node._backward = bw
+    return node
+
+
+def _nonzero(b):
+    if np.any(b == 0.0):
+        raise NumericError("division by zero")
+    return b
+
+
+def _positive(a):
+    if np.any(a <= 0.0):
+        raise NumericError("log of a nonpositive value")
+    return a
+
+
+def _finite_exp(a):
+    out = np.exp(a)
+    if not np.all(np.isfinite(out)):
+        raise NumericError("exp overflow")
+    return out
+
+
+def _matmul2d(a, b):
+    if a.ndim != 2 or b.ndim != 2:
+        raise DomainError("matmul supports 2-D operands only")
+    if a.shape[1] != b.shape[0]:
+        raise DomainError(f"matmul inner dimensions differ: {a.shape} @ {b.shape}")
+    return a @ b
+
+
+# -- elementwise ops -----------------------------------------------------
 
 
 def add(a, b):
-    if not _any_value(a, b):
-        return np.asarray(a, dtype=np.float64) + np.asarray(b, dtype=np.float64)
-    a, b = _lift(a), _lift(b)
-    out = Value(a.data + b.data, "add", (a, b))
-
-    def bw(g):
-        a._accum(_unbroadcast(g, a.data.shape))
-        b._accum(_unbroadcast(g, b.data.shape))
-
-    out._backward = bw
-    return out
+    return _op("add", np.add, lambda g, out, a, b: (g, g), a, b)
 
 
 def sub(a, b):
-    if not _any_value(a, b):
-        return np.asarray(a, dtype=np.float64) - np.asarray(b, dtype=np.float64)
-    a, b = _lift(a), _lift(b)
-    out = Value(a.data - b.data, "sub", (a, b))
-
-    def bw(g):
-        a._accum(_unbroadcast(g, a.data.shape))
-        b._accum(_unbroadcast(-g, b.data.shape))
-
-    out._backward = bw
-    return out
+    return _op("sub", np.subtract, lambda g, out, a, b: (g, -g), a, b)
 
 
 def mul(a, b):
-    if not _any_value(a, b):
-        return np.asarray(a, dtype=np.float64) * np.asarray(b, dtype=np.float64)
-    a, b = _lift(a), _lift(b)
-    out = Value(a.data * b.data, "mul", (a, b))
-
-    def bw(g):
-        a._accum(_unbroadcast(g * b.data, a.data.shape))
-        b._accum(_unbroadcast(g * a.data, b.data.shape))
-
-    out._backward = bw
-    return out
+    return _op("mul", np.multiply, lambda g, out, a, b: (g * b, g * a), a, b)
 
 
 def div(a, b):
-    if not _any_value(a, b):
-        bd = np.asarray(b, dtype=np.float64)
-        if np.any(bd == 0.0):
-            raise NumericError("division by zero")
-        return np.asarray(a, dtype=np.float64) / bd
-    a, b = _lift(a), _lift(b)
-    if np.any(b.data == 0.0):
-        raise NumericError("division by zero")
-    out = Value(a.data / b.data, "div", (a, b))
-
-    def bw(g):
-        a._accum(_unbroadcast(g / b.data, a.data.shape))
-        b._accum(_unbroadcast(-g * a.data / (b.data * b.data), b.data.shape))
-
-    out._backward = bw
-    return out
+    return _op("div", lambda a, b: a / _nonzero(b),
+               lambda g, out, a, b: (g / b, -g * a / (b * b)), a, b)
 
 
 def neg(a):
-    if not _any_value(a):
-        return -np.asarray(a, dtype=np.float64)
-    out = Value(-a.data, "neg", (a,))
-    out._backward = lambda g: a._accum(-g)
-    return out
+    return _op("neg", np.negative, lambda g, out, a: (-g,), a)
 
 
 def exp(a):
-    if not _any_value(a):
-        return np.exp(np.asarray(a, dtype=np.float64))
-    data = np.exp(a.data)
-    if not np.all(np.isfinite(data)):
-        raise NumericError("exp overflow")
-    out = Value(data, "exp", (a,))
-    out._backward = lambda g: a._accum(g * out.data)
-    return out
+    return _op("exp", _finite_exp, lambda g, out, a: (g * out,), a)
 
 
 def log(a):
-    if not _any_value(a):
-        ad = np.asarray(a, dtype=np.float64)
-        if np.any(ad <= 0.0):
-            raise NumericError("log of a nonpositive value")
-        return np.log(ad)
-    if np.any(a.data <= 0.0):
-        raise NumericError("log of a nonpositive value")
-    out = Value(np.log(a.data), "log", (a,))
-    out._backward = lambda g: a._accum(g / a.data)
-    return out
+    return _op("log", lambda a: np.log(_positive(a)), lambda g, out, a: (g / a,), a)
 
 
 def sigmoid(a):
-    if not _any_value(a):
-        return sm.sigmoid(a)
-    s = sm.sigmoid(a.data)
-    out = Value(s, "sigmoid", (a,))
-    out._backward = lambda g: a._accum(g * out.data * (1.0 - out.data))
-    return out
+    return _op("sigmoid", sm.sigmoid, lambda g, out, a: (g * out * (1.0 - out),), a)
 
 
 def tanh(a):
-    if not _any_value(a):
-        return np.tanh(np.asarray(a, dtype=np.float64))
-    t = np.tanh(a.data)
-    out = Value(t, "tanh", (a,))
-    out._backward = lambda g: a._accum(g * (1.0 - out.data * out.data))
-    return out
+    return _op("tanh", np.tanh, lambda g, out, a: (g * (1.0 - out * out),), a)
 
 
 def softplus(a):
     """Stable log(1+exp(x)) + delta; gradient is sigmoid(x)."""
-    if not _any_value(a):
-        return sm.softplus(a)
-    out = Value(sm.softplus(a.data), "softplus", (a,))
-    out._backward = lambda g: a._accum(g * sm.sigmoid(a.data))
-    return out
+    return _op("softplus", sm.softplus, lambda g, out, a: (g * sm.sigmoid(a),), a)
 
 
 def relu(a):
-    if not _any_value(a):
-        return np.maximum(np.asarray(a, dtype=np.float64), 0.0)
-    out = Value(np.maximum(a.data, 0.0), "relu", (a,))
-    out._backward = lambda g: a._accum(g * (a.data > 0.0))
-    return out
+    return _op("relu", lambda a: np.maximum(a, 0.0), lambda g, out, a: (g * (a > 0.0),), a)
 
 
 def sin(a):
-    if not _any_value(a):
-        return np.sin(np.asarray(a, dtype=np.float64))
-    out = Value(np.sin(a.data), "sin", (a,))
-    out._backward = lambda g: a._accum(g * np.cos(a.data))
-    return out
+    return _op("sin", np.sin, lambda g, out, a: (g * np.cos(a),), a)
 
 
 def logsigmoid(a):
@@ -285,42 +252,23 @@ def logsigmoid(a):
 
 
 def matmul(a, b):
-    if not _any_value(a, b):
-        return np.asarray(a, dtype=np.float64) @ np.asarray(b, dtype=np.float64)
-    a, b = _lift(a), _lift(b)
-    if a.data.ndim != 2 or b.data.ndim != 2:
-        raise DomainError("matmul supports 2-D operands only")
-    if a.data.shape[1] != b.data.shape[0]:
-        raise DomainError(
-            f"matmul inner dimensions differ: {a.data.shape} @ {b.data.shape}"
-        )
-    out = Value(a.data @ b.data, "matmul", (a, b))
-
-    def bw(g):
-        a._accum(g @ b.data.T)
-        b._accum(a.data.T @ g)
-
-    out._backward = bw
-    return out
+    return _op("matmul", _matmul2d, lambda g, out, a, b: (g @ b.T, a.T @ g), a, b)
 
 
 # -- reductions ----------------------------------------------------------
 
 
+def _keep(g, axis, keepdims):
+    """g with the reduced axis restored, ready to broadcast over the input."""
+    return g if keepdims else np.expand_dims(g, axis)
+
+
 def vsum(a, axis=None, keepdims=False):
-    if not _any_value(a):
-        return np.sum(np.asarray(a, dtype=np.float64), axis=axis, keepdims=keepdims)
-    out = Value(np.sum(a.data, axis=axis, keepdims=keepdims), "sum", (a,))
+    def adjoint(g, out, a):
+        gg = g if axis is None else _keep(g, axis, keepdims)
+        return (np.broadcast_to(gg, a.shape).astype(np.float64),)
 
-    def bw(g):
-        if axis is None:
-            a._accum(np.broadcast_to(g, a.data.shape).astype(np.float64))
-        else:
-            gg = g if keepdims else np.expand_dims(g, axis)
-            a._accum(np.broadcast_to(gg, a.data.shape).astype(np.float64))
-
-    out._backward = bw
-    return out
+    return _op("sum", lambda a: np.sum(a, axis=axis, keepdims=keepdims), adjoint, a)
 
 
 def vmean(a, axis=None, keepdims=False):
@@ -332,20 +280,14 @@ def vmean(a, axis=None, keepdims=False):
 
 def logsumexp(a, axis: int = -1, keepdims=False):
     """Stable logsumexp whose gradient is the softmax of the inputs."""
-    if not _any_value(a):
-        out = sm.logsumexp_over_axis(np.asarray(a, dtype=np.float64), axis)
+    def forward(a):
+        out = sm.logsumexp_over_axis(a, axis)
         return np.expand_dims(out, axis) if keepdims else out
-    data = sm.logsumexp_over_axis(a.data, axis)
-    out = Value(np.expand_dims(data, axis) if keepdims else data, "logsumexp", (a,))
 
-    def bw(g):
-        ref = out.data if keepdims else np.expand_dims(out.data, axis)
-        soft = np.exp(a.data - ref)
-        gg = g if keepdims else np.expand_dims(g, axis)
-        a._accum(gg * soft)
+    def adjoint(g, out, a):
+        return (_keep(g, axis, keepdims) * np.exp(a - _keep(out, axis, keepdims)),)
 
-    out._backward = bw
-    return out
+    return _op("logsumexp", forward, adjoint, a)
 
 
 def logsoftmax(a, axis: int = -1):
@@ -359,30 +301,23 @@ def log_matvec(log_m, v):
     Returns (n, rows). One node whose gradient is the softmax over j.
     """
     mid = tuple(v.shape[:-1]) + (1, v.shape[-1])
-    if not _any_value(log_m, v):
-        return sm.logsumexp_over_axis(add(log_m, reshape(v, mid)), -1)
-    log_m, v = _lift(log_m), _lift(v)
-    terms = log_m.data + v.data.reshape(mid)
-    out = Value(sm.logsumexp_over_axis(terms, -1), "log_matvec", (log_m, v))
 
-    def bw(g):
-        gt = np.expand_dims(g, -1) * np.exp(terms - np.expand_dims(out.data, -1))
-        log_m._accum(_unbroadcast(gt, log_m.data.shape))
-        v._accum(_unbroadcast(gt, mid).reshape(v.data.shape))
+    def forward(log_m, v):
+        return sm.logsumexp_over_axis(log_m + v.reshape(mid), -1)
 
-    out._backward = bw
-    return out
+    def adjoint(g, out, log_m, v):
+        gt = np.expand_dims(g, -1) * np.exp(log_m + v.reshape(mid) - np.expand_dims(out, -1))
+        return gt, gt.sum(axis=-2)
+
+    return _op("log_matvec", forward, adjoint, log_m, v)
 
 
 # -- shape ops -----------------------------------------------------------
 
 
 def reshape(a, shape):
-    if not _any_value(a):
-        return np.asarray(a, dtype=np.float64).reshape(shape)
-    out = Value(a.data.reshape(shape), "reshape", (a,))
-    out._backward = lambda g: a._accum(g.reshape(a.data.shape))
-    return out
+    return _op("reshape", lambda a: a.reshape(shape),
+               lambda g, out, a: (g.reshape(a.shape),), a)
 
 
 def take(a, idx):

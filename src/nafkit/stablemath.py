@@ -36,8 +36,10 @@ def logsumexp_over_axis(a, axis: int):
     a = np.asarray(a, dtype=np.float64)
     m = np.max(a, axis=axis, keepdims=True)
     m = np.where(np.isfinite(m), m, 0.0)
+    shifted = a - m
+    np.exp(shifted, out=shifted)  # in place: one large temporary, not two
     with np.errstate(divide="ignore"):
-        out = np.log(np.sum(np.exp(a - m), axis=axis, keepdims=True)) + m
+        out = np.log(np.sum(shifted, axis=axis, keepdims=True)) + m
     return np.squeeze(out, axis=axis)
 
 

@@ -32,7 +32,6 @@ class TrainConfig:
     seed: int = 0
     grad_clip: Optional[float] = 10.0
     polyak: Optional[float] = None
-    trace_every: int = 1
 
     def __post_init__(self):
         if self.loss not in ("mle", "energy"):
@@ -171,8 +170,7 @@ def fit(stack: FlowStack, config: TrainConfig, data=None, target=None):
             for buf, p in zip(ema, params):
                 buf *= a
                 buf += (1.0 - a) * p.data
-        if step % config.trace_every == 0 or step == config.steps - 1:
-            trace.append((step, float(loss.data)))
+        trace.append((step, float(loss.data)))
 
     if ema is not None:
         for buf, p in zip(ema, params):

@@ -290,10 +290,8 @@ def invert_batch(y, forward, lo0: float = -1.0, hi0: float = 1.0) -> np.ndarray:
         if stuck.any():
             raise _unreachable(y, stuck)
         w = w * 2.0
-        lo = np.where(need_lo, np.maximum(lo - w, -BRACKET_CAP), lo)
-        hi = np.where(need_hi, np.minimum(hi + w, BRACKET_CAP), hi)
-        flo = np.where(need_lo, forward(lo), flo)
-        fhi = np.where(need_hi, forward(hi), fhi)
+        lo, flo = _probe(forward, lo, flo, np.maximum(lo - w, -BRACKET_CAP), need_lo)
+        hi, fhi = _probe(forward, hi, fhi, np.minimum(hi + w, BRACKET_CAP), need_hi)
     else:
         raise _unreachable(y, need_lo | need_hi)
     for _ in range(200):
@@ -305,6 +303,24 @@ def invert_batch(y, forward, lo0: float = -1.0, hi0: float = 1.0) -> np.ndarray:
         if np.max(hi - lo) <= 1e-12:
             break
     return 0.5 * (lo + hi)
+
+
+def _probe(forward, end, f_end, to, moving):
+    """Move the flagged ends to `to`; return the ends and forward there.
+
+    A probe that trips the saturation guard pulls the moving ends halfway
+    back. An end that cannot move without saturating re-raises the guard's
+    error: no x the guarded forward accepts reaches its target.
+    """
+    new = np.where(moving, to, end)
+    while True:
+        try:
+            return new, np.where(moving, forward(new), f_end)
+        except SaturationError:
+            back = np.where(moving, 0.5 * (end + new), end)
+            if np.any(moving & ((back == end) | (back == new))):
+                raise
+            new = back
 
 
 def _unreachable(y, entries):

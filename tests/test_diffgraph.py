@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -39,17 +41,61 @@ class TestRecord:
                 dg.log_matvec(a, a)]
         assert all(isinstance(out, dg.Value) for out in outs)
 
+    # Each guard runs on both paths: recorded Values and plain arrays.
+
     def test_shape_mismatch_rejected(self):
         with pytest.raises(DomainError):
             dg.matmul(dg.Value(np.ones((2, 3))), dg.Value(np.ones((2, 2))))
+        with pytest.raises(DomainError):
+            dg.matmul(np.ones((2, 3)), np.ones((2, 2)))
 
     def test_log_pole_rejected(self):
         with pytest.raises(NumericError):
             dg.log(dg.Value(0.0))
+        with pytest.raises(NumericError):
+            dg.log(np.array([1.0, 0.0]))
 
     def test_div_pole_rejected(self):
         with pytest.raises(NumericError):
             dg.div(dg.Value(1.0), dg.Value(0.0))
+        with pytest.raises(NumericError):
+            dg.div(np.array([1.0]), np.array([0.0]))
+
+    def test_exp_overflow_rejected(self):
+        with pytest.raises(NumericError):
+            dg.exp(dg.Value(np.array([1000.0])))
+        with pytest.raises(NumericError):
+            dg.exp(np.array([1000.0]))
+
+
+OWN_OUTPUT_OPS = [
+    ("exp", dg.exp),
+    ("sigmoid", dg.sigmoid),
+    ("tanh", dg.tanh),
+    ("logsumexp", lambda a: dg.logsumexp(a, axis=0)),
+    ("log_matvec", lambda a: dg.log_matvec(a, a)),
+]
+
+
+class TestLifetime:
+    """A graph is freed by reference counting alone, with no cycle for the
+    cyclic collector to find, even for ops whose adjoint reads their output."""
+
+    @pytest.mark.parametrize("op", [c[1] for c in OWN_OUTPUT_OPS],
+                             ids=[c[0] for c in OWN_OUTPUT_OPS])
+    def test_graph_freed_when_root_dropped(self, op):
+        p = dg.Parameter(np.array([[0.1, -0.2], [0.3, 0.4]]), "p")
+        gc.disable()
+        try:
+            node = op(p)
+            data = weakref.ref(node.data)
+            loss = dg.vsum(node)
+            dg.backward(loss)
+            del loss, node
+            assert data() is None
+        finally:
+            gc.enable()
+        assert p.grad is not None
 
 
 class TestBackward:

@@ -152,7 +152,7 @@ class TestTrainConfig:
 
     def test_as_dict_round_trips_every_field(self):
         cfg = TrainConfig(loss="energy", steps=7, batch=3, lr=0.5, beta1=0.8, beta2=0.99,
-                          eps=1e-6, seed=9, grad_clip=None, polyak=0.95, trace_every=4)
+                          eps=1e-6, seed=9, grad_clip=None, polyak=0.95)
         assert TrainConfig(**cfg.as_dict()) == cfg
 
 

@@ -174,6 +174,16 @@ class TestInvert:
             tf.invert_batch([0.5, 2.0], np.tanh)
         assert exc.value.index == 1
 
+    def test_reach_is_the_guarded_forward(self):
+        # the identity dsf maps |x| up to the guard (about 708) onto itself;
+        # a bracket probe past the guard is pulled back, not raised
+        p = tf.DsfParams(w=[0.5, 0.5], a=[1.0, 1.0], b=[0.0, 0.0])
+        fn = tf.forward_closure("dsf", p)
+        ys = np.array([-600.0, 3.0, 700.0])
+        assert np.max(np.abs(tf.invert_batch(ys, fn) - ys)) <= 1e-8
+        with pytest.raises(SaturationError):
+            tf.invert_batch([1e4], fn)
+
 
 def increasing(fn, grid):
     ys = np.array([fn(float(g)) for g in grid])
