@@ -349,7 +349,7 @@ def cmd_selftest(args) -> int:
 
     names = args.suite if args.suite else None
     guard_before = tf.SATURATION_GUARD
-    if args.debug_no_clamp:
+    if args.debug_no_guard:
         tf.SATURATION_GUARD = False
     try:
         passed, rows = run_selftest(names, seed=args.seed)
@@ -427,8 +427,10 @@ def build_parser():
     st.add_argument("--suite", action="append", choices=sorted(SUITES),
                     help="run only this suite (repeatable)")
     st.add_argument("--seed", type=int, default=0)
-    st.add_argument("--debug-no-clamp", action="store_true",
-                    help="disable the saturation guard (fault injection)")
+    st.add_argument("--debug-no-guard", "--debug-no-clamp", dest="debug_no_guard",
+                    action="store_true",
+                    help="disable the saturation guard (fault injection); "
+                         "--debug-no-clamp is the old spelling")
     st.set_defaults(func=cmd_selftest)
 
     for name, parser in (("fit-density", fd), ("fit-energy", fe), ("sample", sp),

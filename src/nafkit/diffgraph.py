@@ -179,7 +179,8 @@ def _positive(a):
 
 
 def _finite_exp(a):
-    out = np.exp(a)
+    with np.errstate(over="ignore"):  # overflow is raised below, typed
+        out = np.exp(a)
     if not np.all(np.isfinite(out)):
         raise NumericError("exp overflow")
     return out

@@ -13,7 +13,9 @@ Each family is one Family subclass in the FAMILIES registry; it owns
 its conditioner block layout, any extra parameters, its forward on a
 conditioner block and its inverse. Densities and inversion evaluate the
 same guarded forward, so every x an inverse returns is one the density
-path can score.
+path can score. dsf and ddsf have no closed-form inverse: invert_batch
+brackets each target and refines it with Chandrupatla's derivative-free
+interpolation, about a dozen forward evaluations per dimension.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ import numpy as np
 from . import diffgraph as dg
 from . import stablemath as sm
 from .conditioner import GATE_IDENTITY_OFFSET, SOFTNESS_IDENTITY_OFFSET, apply_cwn
-from .errors import DomainError, RangeError, SaturationError
+from .errors import DomainError, NumericError, RangeError, SaturationError
 
 # Forward-path saturation: log(D) or log(1-D) below this exponent
 # underflows float64, i.e. the pre-logit is numerically 0 or 1. Stays
@@ -37,6 +39,9 @@ SATURATION_GUARD = True
 
 # Reach of every inverse: an x beyond it is a RangeError.
 BRACKET_CAP = 1e6
+
+# Refinement steps after bracketing before an inverse is a NumericError.
+SOLVER_ITERATIONS = 200
 
 DSF_DEFAULT_D = 16
 DDSF_DEFAULT_DIMS = (1, 16, 1)
@@ -269,11 +274,18 @@ def ddsf_forward(x, layers):
 
 
 def invert_batch(y, forward, lo0: float = -1.0, hi0: float = 1.0) -> np.ndarray:
-    """Vectorized bisection: forward maps (n,) -> (n,), increasing per entry.
+    """Vectorized root-finding: forward maps (n,) -> (n,), increasing per entry.
 
     Each bracket doubles outward from [lo0, hi0] until it straddles its y
-    (up to |x| = 1e6, else RangeError naming the first such entry), then
-    all entries bisect together until the widest bracket is at most 1e-12.
+    (up to |x| = 1e6, else RangeError naming the first such entry). Then
+    all entries refine together by Chandrupatla's (1997) safeguarded
+    inverse quadratic interpolation, which falls back to the midpoint
+    whenever interpolation is not trusted and always shrinks the bracket.
+    An entry is done when its bracket is at most 1e-12 (or four ulps of
+    |x|) wide or forward hits y exactly; the bracket end nearer y is
+    returned. A non-finite forward value, or an entry that does not
+    converge within SOLVER_ITERATIONS steps, is a NumericError naming the
+    first such entry.
     """
     y = np.asarray(y, dtype=np.float64)
     lo = np.full_like(y, lo0)
@@ -290,36 +302,69 @@ def invert_batch(y, forward, lo0: float = -1.0, hi0: float = 1.0) -> np.ndarray:
         if stuck.any():
             raise _unreachable(y, stuck)
         w = w * 2.0
-        lo, flo = _probe(forward, lo, flo, np.maximum(lo - w, -BRACKET_CAP), need_lo)
-        hi, fhi = _probe(forward, hi, fhi, np.minimum(hi + w, BRACKET_CAP), need_hi)
+        lo, flo, w = _probe(forward, lo, flo, np.maximum(lo - w, -BRACKET_CAP), need_lo, w)
+        hi, fhi, w = _probe(forward, hi, fhi, np.minimum(hi + w, BRACKET_CAP), need_hi, w)
     else:
         raise _unreachable(y, need_lo | need_hi)
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        fm = forward(mid)
-        above = fm >= y
-        hi = np.where(above, mid, hi)
-        lo = np.where(above, lo, mid)
-        if np.max(hi - lo) <= 1e-12:
-            break
-    return 0.5 * (lo + hi)
+    # a: newest point, b: the bracket's other end, c: the end replaced
+    # last (first a itself, which makes the first step the midpoint).
+    a, fa = hi, _finite(fhi, hi) - y
+    b, fb = lo, _finite(flo, lo) - y
+    c, fc = a, fa
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for _ in range(SOLVER_ITERATIONS):
+            width = np.abs(b - a)
+            tol = np.maximum(1e-12, 4.0 * np.spacing(np.maximum(np.abs(a), np.abs(b))))
+            live = (width > tol) & (fa != 0.0) & (fb != 0.0)
+            if not live.any():
+                return np.where(np.abs(fa) <= np.abs(fb), a, b)
+            xi, phi = (a - b) / (c - b), (fa - fb) / (fc - fb)
+            iqi = (phi * phi < xi) & ((1.0 - phi) ** 2 < 1.0 - xi)
+            t = np.where(iqi, fa / (fb - fa) * fc / (fb - fc)
+                         + (c - a) / (b - a) * fa / (fc - fa) * fb / (fc - fb), 0.5)
+            tl = 0.5 * tol / width  # a new point stays tol/2 inside the bracket
+            xt = np.where(live, a + np.clip(t, tl, 1.0 - tl) * (b - a), a)
+            ft = _finite(forward(xt), xt) - y
+            same = np.sign(ft) == np.sign(fa)
+            c, fc = np.where(same, a, b), np.where(same, fa, fb)
+            b, fb = np.where(same, b, a), np.where(same, fb, fa)
+            a, fa = xt, ft
+    i = int(np.argmax(live))
+    raise NumericError(f"inversion of y = {y[i]:.6g} (entry {i}) did not converge "
+                       f"in {SOLVER_ITERATIONS} steps")
 
 
-def _probe(forward, end, f_end, to, moving):
-    """Move the flagged ends to `to`; return the ends and forward there.
+def _finite(f, x):
+    """f, once every forward value in it is finite."""
+    bad = ~np.isfinite(f)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise NumericError(f"inversion forward returned {f[i]} at x = {x[i]:.6g} "
+                           f"(entry {i})")
+    return f
+
+
+def _probe(forward, end, f_end, to, moving, w):
+    """Move the flagged ends to `to`; return the ends, forward there and w.
 
     A probe that trips the saturation guard pulls the moving ends halfway
-    back. An end that cannot move without saturating re-raises the guard's
-    error: no x the guarded forward accepts reaches its target.
+    back, and their w shrinks so that the next (doubled) step is a quarter
+    of the one that tripped: midway between the new end and the tripping
+    point. An end that cannot move without saturating re-raises the
+    guard's error: no x the guarded forward accepts reaches its target.
+    A call with no moving end evaluates nothing.
     """
+    if not moving.any():
+        return end, f_end, w
     new = np.where(moving, to, end)
     while True:
         try:
-            return new, np.where(moving, forward(new), f_end)
+            return new, np.where(moving, forward(new), f_end), w
         except SaturationError:
             back = np.where(moving, 0.5 * (end + new), end)
             if np.any(moving & ((back == end) | (back == new))):
                 raise
+            w = np.where(moving, 0.125 * np.abs(new - end), w)
             new = back
 
 
@@ -330,7 +375,7 @@ def _unreachable(y, entries):
 
 
 def _within_reach(y, x):
-    """x from a closed-form inverse, held to the bisection's reach."""
+    """x from a closed-form inverse, held to invert_batch's reach."""
     far = ~(np.abs(x) <= BRACKET_CAP)  # also flags inf and nan
     if far.any():
         raise _unreachable(y, far)
@@ -352,7 +397,7 @@ class Family:
                      block, recording a graph iff the block is a Value;
       inverse        x with forward(x, block) = y (numpy path).
     decode(block) reads the block into the arguments of core(x, p); the
-    inverse bisects that same guarded core.
+    inverse solves that same guarded core with invert_batch.
     The static random_params / evaluate work on activated parameter
     containers (AffineParams, DsfParams, a list of DdsfLayerParams).
     """
@@ -367,7 +412,7 @@ class Family:
         return self.core(x, self.decode(block))
 
     def inverse(self, y, block):
-        p = self.decode(block)  # once, not per bisection probe
+        p = self.decode(block)  # once, not per solver evaluation
         return invert_batch(y, lambda t: self.core(t, p)[0])
 
 

@@ -43,7 +43,7 @@ class MonotoneTarget:
             raise DomainError("target must be strictly increasing (flat region found)")
 
     def inverse(self, y: float) -> float:
-        """Quantile of level y, analytic if supplied, else bisection."""
+        """Quantile of level y, analytic if supplied, else invert_batch."""
         if self.inv is not None:
             return float(self.inv(y))
         fn = lambda xs: np.array([self.fn(float(x)) for x in xs])

@@ -279,6 +279,23 @@ class TestSelftestCommand:
         assert run(["selftest", "--suite", "step-bound", "--debug-no-clamp"]) == 0
         assert tf.SATURATION_GUARD is True
 
+    @pytest.mark.parametrize("flag", ["--debug-no-guard", "--debug-no-clamp"])
+    def test_debug_flag_switches_guard_off(self, monkeypatch, flag):
+        from nafkit import cli
+        from nafkit import transformer as tf
+
+        seen = []
+
+        def fake_selftest(names, seed):
+            seen.append(tf.SATURATION_GUARD)
+            return True, [("step-bound", True, "ok")]
+
+        monkeypatch.setattr(cli, "run_selftest", fake_selftest)
+        assert run(["selftest", "--suite", "step-bound", flag]) == 0
+        assert run(["selftest", "--suite", "step-bound"]) == 0
+        assert seen == [False, True]
+        assert tf.SATURATION_GUARD is True
+
     def test_unknown_suite_usage_error(self):
         with pytest.raises(SystemExit) as exc:
             run(["selftest", "--suite", "nonsense"])

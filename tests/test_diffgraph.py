@@ -1,5 +1,6 @@
 import gc
 import math
+import warnings
 import weakref
 
 import numpy as np
@@ -62,10 +63,12 @@ class TestRecord:
             dg.div(np.array([1.0]), np.array([0.0]))
 
     def test_exp_overflow_rejected(self):
-        with pytest.raises(NumericError):
-            dg.exp(dg.Value(np.array([1000.0])))
-        with pytest.raises(NumericError):
-            dg.exp(np.array([1000.0]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # the typed error, not a RuntimeWarning
+            with pytest.raises(NumericError):
+                dg.exp(dg.Value(np.array([1000.0])))
+            with pytest.raises(NumericError):
+                dg.exp(np.array([1000.0]))
 
 
 OWN_OUTPUT_OPS = [

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from nafkit import transformer as tf
-from nafkit.errors import DomainError, RangeError, SaturationError
+from nafkit.errors import DomainError, NumericError, RangeError, SaturationError
 
 LN2 = math.log(2.0)
 
@@ -166,7 +166,7 @@ class TestInvert:
     def test_range_error_when_unreachable(self):
         p = tf.DsfParams(w=[0.5, 0.5], a=[1.0, 1.0], b=[0.0, 0.0])
         fn = tf.forward_closure("dsf", p)
-        # identical units make the identity; inversion bisects the same
+        # identical units make the identity; inversion solves the same
         # guarded forward, which reaches far past 100
         assert tf.invert_batch([100.0], fn)[0] == pytest.approx(100.0, abs=1e-8)
         # tanh stays below 1 on every |x| <= 1e6
@@ -183,6 +183,59 @@ class TestInvert:
         assert np.max(np.abs(tf.invert_batch(ys, fn) - ys)) <= 1e-8
         with pytest.raises(SaturationError):
             tf.invert_batch([1e4], fn)
+
+    def test_target_past_guard_raises_within_budget(self):
+        # a probe that trips the guard also shortens the next step, so
+        # the ends close on the guard instead of re-tripping it each time
+        p = tf.DsfParams(w=[0.5, 0.5], a=[1.0, 1.0], b=[0.0, 0.0])
+        fn, calls = counted(tf.forward_closure("dsf", p))
+        with pytest.raises(SaturationError):
+            tf.invert_batch([1e4], fn)
+        assert calls[0] <= 150
+
+    @pytest.mark.parametrize("kind", ["dsf", "ddsf"])
+    def test_forward_evals_per_call(self, kind):
+        params = tf.random_params(kind, np.random.default_rng(13))
+        fn = tf.forward_closure(kind, params)
+        xs = np.random.default_rng(0).uniform(-4, 4, size=1000)
+        ys = fn(xs)
+        counting, calls = counted(fn)
+        back = tf.invert_batch(ys, counting)
+        assert np.max(np.abs(back - xs)) <= 1e-8
+        assert calls[0] <= 20
+
+    @pytest.mark.parametrize("nan_where", [
+        lambda t: t > 0.3,  # at the bracket end x = 1
+        lambda t: np.abs(t) < 0.1,  # at the first iterate, the midpoint x = 0
+    ], ids=["bracket-end", "iterate"])
+    def test_nonfinite_forward_raises(self, nan_where):
+        with pytest.raises(NumericError) as exc:
+            tf.invert_batch([0.2, 0.5], lambda t: np.where(nan_where(t), np.nan, t))
+        assert "entry 0" in str(exc.value)
+
+    def test_large_x_ends_at_ulp_width(self):
+        # 1e-12 is below the spacing of floats near 5e5
+        fn, calls = counted(tf.forward_closure("affine-exp", tf.AffineParams(0.0, 0.0)))
+        assert tf.invert_batch([5e5], fn)[0] == 5e5
+        assert calls[0] <= 60
+
+    def test_iteration_cap_raises(self, monkeypatch):
+        monkeypatch.setattr(tf, "SOLVER_ITERATIONS", 2)
+        p = tf.DsfParams(w=[0.5, 0.5], a=[2.0, 1.0], b=[0.0, 0.0])
+        with pytest.raises(NumericError) as exc:
+            tf.invert_batch([0.1, 0.7], tf.forward_closure("dsf", p))
+        assert "entry 0" in str(exc.value)
+
+
+def counted(fn):
+    """fn wrapped to count its calls in the returned one-element list."""
+    calls = [0]
+
+    def wrapped(t):
+        calls[0] += 1
+        return fn(t)
+
+    return wrapped, calls
 
 
 def increasing(fn, grid):
