@@ -8,8 +8,10 @@ which holds the op's domain guard, and a pure adjoint(g, out, *inputs)
 returning one gradient per input. Fed only ndarrays/floats, an op returns
 the forward's array; fed any Value, it records one node. Model code is
 thus written once for the training path (Values) and the evaluation and
-inversion path (arrays), which raise the same typed errors. The log-space
-kernels mirror stablemath bit for bit.
+inversion path (arrays), which raise the same typed errors. logsumexp
+mirrors stablemath bit for bit; log_dot_exp forms log(M @ exp(v)) as a
+max-shifted product, as accurate as the logsumexp of log M + v but not
+bit-identical to it.
 
 Lifetime: no backward closure holds a node other than its parents, so
 graphs have no reference cycle and are freed as soon as the caller drops
@@ -24,6 +26,7 @@ from . import stablemath as sm
 from .errors import DomainError, InconsistencyError, NumericError
 
 _SUPPORTED_RANK = 3
+_TINY = np.finfo(np.float64).tiny  # smallest normal float64
 
 
 def _as_data(x) -> np.ndarray:
@@ -295,22 +298,68 @@ def logsoftmax(a, axis: int = -1):
     return sub(a, logsumexp(a, axis=axis, keepdims=True))
 
 
-def log_matvec(log_m, v):
-    """Log-space matrix-vector product: LSE_j(log_m[..., i, j] + v[..., j]).
+def _matvec(mat, v):
+    """Row-wise mat @ v[n]: mat shared (rows, cols) or batched (n, rows, cols)."""
+    if mat.ndim == 2:
+        return v @ mat.T
+    return np.matmul(mat, v[..., None])[..., 0]
 
-    log_m: shared (rows, cols) or batched (n, rows, cols); v: (n, cols).
-    Returns (n, rows). One node whose gradient is the softmax over j.
+
+def _matvec_grads(g, mat, v):
+    """Gradients of _matvec(mat, v) for the upstream g: (d mat, d v)."""
+    if mat.ndim == 2:
+        return g.T @ v, g @ mat
+    return g[..., :, None] * v[..., None, :], np.matmul(g[..., None, :], mat)[..., 0, :]
+
+
+def matvec(mat, v):
+    """Row-wise matrix-vector product; mat (rows, cols) or (n, rows, cols), v (n, cols)."""
+    return _op("matvec", _matvec, lambda g, out, mat, v: _matvec_grads(g, mat, v), mat, v)
+
+
+def _shifted_exp(v):
+    """exp(v - m) and the row max m, with non-finite maxima taken as 0."""
+    m = np.max(v, axis=-1, keepdims=True)
+    m = np.where(np.isfinite(m), m, 0.0)
+    return np.exp(v - m), m
+
+
+def log_dot_exp(mat, v):
+    """log(mat @ exp(v)) per row for a nonnegative mat, shaped as in matvec.
+
+    The max-shifted product log(mat @ exp(v - m)) + m is one BLAS or
+    batched product. A row whose shifted product falls below the smallest
+    normal float (mat ~0 where v peaks) is recomputed as the logsumexp of
+    log(mat) + v, so it keeps full precision, and only a structural zero
+    comes back as -inf. The gradient is exp(v_j - out_i) for mat and
+    mat_ij exp(v_j - out_i) for v; one that overflows is a NumericError.
     """
-    mid = tuple(v.shape[:-1]) + (1, v.shape[-1])
+    def forward(mat, v):
+        if np.any(mat < 0.0):
+            raise NumericError("log_dot_exp of a negative matrix entry")
+        e, m = _shifted_exp(v)
+        p = _matvec(mat, e)
+        low = ~(p >= _TINY)
+        with np.errstate(divide="ignore"):
+            out = np.log(p) + m
+            if low.any():
+                n, i = np.nonzero(low)
+                rows = mat[i] if mat.ndim == 2 else mat[n, i]
+                out[low] = sm.logsumexp_over_axis(np.log(rows) + v[n], -1)
+        return out
 
-    def forward(log_m, v):
-        return sm.logsumexp_over_axis(log_m + v.reshape(mid), -1)
+    def adjoint(g, out, mat, v):
+        e, m = _shifted_exp(v)
+        with np.errstate(over="ignore", invalid="ignore"):
+            s = g * np.exp(m - out)
+        bad = ~np.isfinite(s)
+        if bad.any():
+            n = int(np.argmax(bad.any(axis=-1)))
+            raise NumericError(f"log_dot_exp gradient overflows at row {n}", index=n)
+        g_mat, g_lin = _matvec_grads(s, mat, e)
+        return g_mat, e * g_lin
 
-    def adjoint(g, out, log_m, v):
-        gt = np.expand_dims(g, -1) * np.exp(log_m + v.reshape(mid) - np.expand_dims(out, -1))
-        return gt, gt.sum(axis=-2)
-
-    return _op("log_matvec", forward, adjoint, log_m, v)
+    return _op("log_dot_exp", forward, adjoint, mat, v)
 
 
 # -- shape ops -----------------------------------------------------------

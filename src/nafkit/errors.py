@@ -16,25 +16,23 @@ class DataError(ValueError):
 class NumericError(ArithmeticError):
     """A computation left the representable/valid numeric regime."""
 
+    def __init__(self, msg, index=None):
+        super().__init__(msg)
+        self.dim = None  # filled in by the flow layer
+        self.index = index  # flat position of the first offending input
+
 
 class SaturationError(NumericError):
     """A transformer's pre-logit hit 0 or 1 within float tolerance."""
 
-    def __init__(self, msg, magnitude=None, dim=None, layer=None, index=None):
-        super().__init__(msg)
+    def __init__(self, msg, magnitude=None, layer=None, index=None):
+        super().__init__(msg, index)
         self.magnitude = magnitude
-        self.dim = dim
         self.layer = layer
-        self.index = index  # flat position of the first offending input
 
 
 class RangeError(NumericError):
     """Requested output value lies outside a map's numeric range."""
-
-    def __init__(self, msg, index=None):
-        super().__init__(msg)
-        self.dim = None  # filled in by the flow layer
-        self.index = index  # flat position of the first unreachable target
 
 
 class InconsistencyError(RuntimeError):

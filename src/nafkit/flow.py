@@ -19,7 +19,7 @@ import numpy as np
 from . import diffgraph as dg
 from . import transformer as tf
 from .conditioner import MadeConditioner
-from .errors import DataError, DomainError, RangeError, SaturationError
+from .errors import DataError, DomainError, NumericError
 
 LOG_2PI = float(np.log(2.0 * np.pi))
 
@@ -91,7 +91,9 @@ class FlowLayer:
         blocks = dg.reshape(blocks, (B, self.family.width))
         try:
             y, ld = self.family.forward(dg.reshape(x, (B,)), blocks)
-        except SaturationError as err:
+        except NumericError as err:
+            if err.index is None:
+                raise
             # the flat layout is (batch point, dimension) row-major
             raise self._located(err, *divmod(err.index, self.m)) from None
         return dg.reshape(y, (n, self.m)), dg.vsum(dg.reshape(ld, (n, self.m)), axis=1)
@@ -111,7 +113,9 @@ class FlowLayer:
             blocks = self.conditioner.forward(x)
             try:
                 x[:, i] = self.family.inverse(y[:, i], blocks[:, i, :])
-            except (SaturationError, RangeError) as err:
+            except NumericError as err:
+                if err.index is None:
+                    raise
                 raise self._located(err, err.index, i) from None
         return x
 

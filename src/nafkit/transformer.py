@@ -120,12 +120,6 @@ def _expand_last(x):
     return np.asarray(x, dtype=np.float64)[..., None]
 
 
-def _expand_mid(x):
-    """(n, d) -> (n, 1, d); (d,) -> (1, d)."""
-    shape = tuple(x.shape)
-    return dg.reshape(x, shape[:-1] + (1, shape[-1]))
-
-
 def _raw(x):
     return x.data if dg.is_value(x) else np.asarray(x, dtype=np.float64)
 
@@ -212,28 +206,28 @@ def dsf_prelogit(x, p: DsfParams):
 def _ddsf_core(x, layers):
     """Dense multi-layer transformer with a log-space Jacobian chain.
 
-    x: (B,). Each entry of `layers` is a dict with keys u, log_u (batched
-    (B, d_out, d_in) or shared (d_out, d_in)), log_w ((d_out, d_out)), a,
-    log_a, b ((..., d_out)). The running quantity r = log(dh/dx) stays a
-    (B, d_out) vector because the chain starts from a scalar, so each
-    chain step is one log_matvec instead of a full matrix product.
+    x: (B,). Each entry of `layers` is a dict with keys u (batched
+    (B, d_out, d_in) or shared (d_out, d_in)), w ((d_out, d_out)), a,
+    log_a, b ((..., d_out)); u and w are row-stochastic. The running
+    quantity r = log(dh/dx) stays a (B, d_out) vector because the chain
+    starts from a scalar, so each chain step is one max-shifted product
+    log_dot_exp(M, r) = log(M @ exp(r)) instead of a full matrix product.
     """
     B = x.shape[0]
     h = dg.reshape(x, (B, 1))
     r = np.zeros((B, 1))  # log(dh0/dx) = log 1
     for li, lay in enumerate(layers):
-        uh = dg.vsum(lay["u"] * _expand_mid(h), axis=-1)  # (B, d_out)
-        C = lay["a"] * uh + lay["b"]
+        C = lay["a"] * dg.matvec(lay["u"], h) + lay["b"]
         ls_pos = dg.logsigmoid(C)
         ls_neg = dg.logsigmoid(dg.neg(C))
-        log_num = dg.log_matvec(lay["log_w"], ls_pos)
-        log_den = dg.log_matvec(lay["log_w"], ls_neg)
+        log_num = dg.log_dot_exp(lay["w"], ls_pos)
+        log_den = dg.log_dot_exp(lay["w"], ls_neg)
         _check_saturation(log_num, log_den, x, layer=li)
         h = log_num - log_den
 
-        s = dg.log_matvec(lay["log_u"], r)
+        s = dg.log_dot_exp(lay["u"], r)
         col = ls_pos + ls_neg + lay["log_a"] + s
-        r = dg.log_matvec(lay["log_w"], col) - (log_num + log_den)
+        r = dg.log_dot_exp(lay["w"], col) - (log_num + log_den)
     if r.shape[-1] != 1:
         raise DomainError("ddsf layer chain must end with output size 1")
     y = dg.take(h, (slice(None), 0))
@@ -252,18 +246,10 @@ def ddsf_forward(x, layers):
             raise DomainError("layer dimensions do not chain")
     scalar = np.ndim(x) == 0
     xv = np.atleast_1d(np.asarray(x, dtype=np.float64))
-    with np.errstate(divide="ignore"):
-        prepared = [
-            {
-                "u": p.u,
-                "log_u": np.log(p.u),
-                "log_w": np.log(p.w),
-                "a": p.a,
-                "log_a": np.log(p.a),
-                "b": p.b,
-            }
-            for p in layers
-        ]
+    prepared = [
+        {"u": p.u, "w": p.w, "a": p.a, "log_a": np.log(p.a), "b": p.b}
+        for p in layers
+    ]
     y, logdet = _ddsf_core(xv, prepared)
     if scalar:
         return float(y[0]), float(logdet[0])
@@ -331,7 +317,7 @@ def invert_batch(y, forward, lo0: float = -1.0, hi0: float = 1.0) -> np.ndarray:
             a, fa = xt, ft
     i = int(np.argmax(live))
     raise NumericError(f"inversion of y = {y[i]:.6g} (entry {i}) did not converge "
-                       f"in {SOLVER_ITERATIONS} steps")
+                       f"in {SOLVER_ITERATIONS} steps", index=i)
 
 
 def _finite(f, x):
@@ -340,7 +326,7 @@ def _finite(f, x):
     if bad.any():
         i = int(np.argmax(bad))
         raise NumericError(f"inversion forward returned {f[i]} at x = {x[i]:.6g} "
-                           f"(entry {i})")
+                           f"(entry {i})", index=i)
     return f
 
 
@@ -533,8 +519,7 @@ class Ddsf(Family):
             a = dg.softplus(dg.take(block, (rows, a_pre)))
             layers.append({
                 "u": dg.exp(log_u),
-                "log_u": log_u,
-                "log_w": dg.logsoftmax(vw if graph else vw.data, axis=-1),
+                "w": dg.exp(dg.logsoftmax(vw if graph else vw.data, axis=-1)),
                 "a": a,
                 "log_a": dg.log(a),
                 "b": dg.take(block, (rows, b)),

@@ -2,6 +2,7 @@ import gc
 import math
 import warnings
 import weakref
+import zlib
 
 import numpy as np
 import pytest
@@ -39,7 +40,7 @@ class TestRecord:
                 dg.exp(a), dg.log(a), dg.sigmoid(a), dg.tanh(a), dg.matmul(a, a),
                 dg.vsum(a), dg.vmean(a), dg.logsumexp(a, axis=0), dg.softplus(a),
                 dg.reshape(a, (4,)), dg.take(a, (slice(None), 0)),
-                dg.log_matvec(a, a)]
+                dg.log_dot_exp(dg.exp(a), a), dg.matvec(a, a)]
         assert all(isinstance(out, dg.Value) for out in outs)
 
     # Each guard runs on both paths: recorded Values and plain arrays.
@@ -76,7 +77,7 @@ OWN_OUTPUT_OPS = [
     ("sigmoid", dg.sigmoid),
     ("tanh", dg.tanh),
     ("logsumexp", lambda a: dg.logsumexp(a, axis=0)),
-    ("log_matvec", lambda a: dg.log_matvec(a, a)),
+    ("log_dot_exp", lambda a: dg.log_dot_exp(dg.exp(a), a)),
 ]
 
 
@@ -188,20 +189,25 @@ OPS_FD_CASES = [
     ("matmul", lambda a, b: dg.matmul(dg.reshape(a, (1, 3)), dg.reshape(b, (3, 1))), 2),
     ("reshape", lambda a: dg.reshape(a, (3, 1)), 1),
     ("slice", lambda a: a[(slice(0, 2),)], 1),
-    ("log_matvec", lambda a, b: dg.log_matvec(
+    ("log_dot_exp", lambda a, b: dg.log_dot_exp(
+        dg.exp(dg.reshape(a, (1, 3)) + np.array([[0.0], [0.5]])), dg.reshape(b, (1, 3))), 2),
+    ("log_dot_exp-3d", lambda a, b: dg.log_dot_exp(
+        dg.exp(dg.reshape(a, (1, 1, 3))), dg.reshape(b, (1, 3))), 2),
+    ("matvec", lambda a, b: dg.matvec(
         dg.reshape(a, (1, 3)) + np.array([[0.0], [0.5]]), dg.reshape(b, (1, 3))), 2),
-    ("log_matvec-batched", lambda a, b: dg.log_matvec(
+    ("matvec-3d", lambda a, b: dg.matvec(
         dg.reshape(a, (1, 1, 3)), dg.reshape(b, (1, 3))), 2),
 ]
 
 
 class TestFiniteDifferencesPerOp:
     """Every op-kind within 1e-4 of central differences on 100 random
-    instances with data in [-3, 3]."""
+    instances with data in [-3, 3], drawn from a seed that is a stable
+    function of the op's name (str hashes vary per process)."""
 
     @pytest.mark.parametrize("name,fn,arity", OPS_FD_CASES, ids=[c[0] for c in OPS_FD_CASES])
     def test_op_matches_central_differences(self, name, fn, arity):
-        rng = np.random.default_rng(abs(hash(name)) % (2**32))
+        rng = np.random.default_rng(zlib.crc32(name.encode()))
         for trial in range(100):
             vals = [rng.uniform(-3, 3, size=3) for _ in range(arity)]
             params = [dg.Parameter(v, f"p{i}") for i, v in enumerate(vals)]

@@ -7,7 +7,7 @@ import pytest
 from conftest import constant_affine_stack, exact_identity_dsf_stack
 from nafkit import diffgraph as dg
 from nafkit import transformer as tf
-from nafkit.errors import DataError, DomainError, RangeError, SaturationError
+from nafkit.errors import DataError, DomainError, NumericError, RangeError, SaturationError
 from nafkit.flow import FlowLayer, FlowStack, StandardNormal, UniformBase
 
 LOG_2PI = math.log(2.0 * math.pi)
@@ -198,6 +198,14 @@ class TestSampling:
             stack.inverse(np.array([[0.0, 0.0], [1e7, 0.0]]))
         assert str(exc.value).startswith("layer0, dimension 0, batch point 1: ")
         assert (exc.value.dim, exc.value.index) == (0, 2)
+
+    def test_unconverged_inverse_names_layer_dimension_and_sample(self, monkeypatch):
+        monkeypatch.setattr(tf, "SOLVER_ITERATIONS", 2)
+        stack = FlowStack.build(m=2, kind="dsf", n_layers=2, seed=0)
+        with pytest.raises(NumericError) as exc:
+            stack.inverse(np.array([[0.0, 0.0], [0.3, 0.7]]))
+        assert str(exc.value).startswith("layer1, dimension 1, batch point 0: ")
+        assert (exc.value.dim, exc.value.index) == (1, 1)
 
     def test_sample_logdensity_finite(self, rng):
         stack = FlowStack.build(m=2, kind="dsf", d=8, seed=8)

@@ -5,7 +5,7 @@ import pytest
 
 from nafkit import diffgraph as dg
 from nafkit import stablemath as sm
-from nafkit.errors import DomainError
+from nafkit.errors import DomainError, NumericError
 
 LN2 = math.log(2.0)
 
@@ -127,28 +127,26 @@ class TestLogsoftmax:
 
 
 class TestLogMatrix:
-    """The log-space matrix-vector kernel behind the ddsf Jacobian chain."""
+    """The max-shifted log(M @ exp(v)) kernel behind the ddsf Jacobian chain."""
 
     def test_identity_product(self):
         rng = np.random.default_rng(4)
         v = rng.uniform(0.5, 3.0, size=(3, 2))
-        with np.errstate(divide="ignore"):
-            eye = np.log(np.eye(2))
-        out = dg.log_matvec(eye, np.log(v))
+        out = dg.log_dot_exp(np.eye(2), np.log(v))
         np.testing.assert_allclose(np.exp(out), v, rtol=1e-12)
 
     def test_ones_product(self):
-        out = dg.log_matvec(np.zeros((2, 2)), np.zeros((1, 2)))
+        out = dg.log_dot_exp(np.ones((2, 2)), np.zeros((1, 2)))
         np.testing.assert_allclose(np.exp(out), [[2.0, 2.0]], rtol=1e-12)
 
     def test_direct_product_oracle(self):
         # 2*5 + 3*7 = 31
-        out = dg.log_matvec(np.log([[2.0, 3.0]]), np.log([[5.0, 7.0]]))
+        out = dg.log_dot_exp(np.array([[2.0, 3.0]]), np.log([[5.0, 7.0]]))
         assert out[0, 0] == pytest.approx(3.4339872044851463, abs=1e-12)
 
     def test_structural_zeros_survive(self):
         with np.errstate(divide="ignore"):
-            out = dg.log_matvec(np.log([[0.0, 1.0]]), np.log([[1.0, 0.0]]))
+            out = dg.log_dot_exp(np.array([[0.0, 1.0]]), np.log([[1.0, 0.0]]))
         assert out[0, 0] == -np.inf
 
     def test_matches_dense_product_property(self):
@@ -157,20 +155,51 @@ class TestLogMatrix:
             a = rng.uniform(1e-3, 10.0, size=(3, 4))
             v = rng.uniform(1e-3, 10.0, size=(2, 4))
             want = np.log(v @ a.T)
-            np.testing.assert_allclose(dg.log_matvec(np.log(a), np.log(v)), want, rtol=1e-9)
-            batched = np.log(np.stack([a, a]))  # one matrix per row of v
-            np.testing.assert_allclose(dg.log_matvec(batched, np.log(v)), want, rtol=1e-9)
+            np.testing.assert_allclose(dg.log_dot_exp(a, np.log(v)), want, rtol=1e-9)
+            batched = np.stack([a, a])  # one matrix per row of v
+            np.testing.assert_allclose(dg.log_dot_exp(batched, np.log(v)), want, rtol=1e-9)
+
+    def test_matches_logsumexp_reference(self):
+        # entries of M spread over 300 decades and v over +-700
+        rng = np.random.default_rng(7)
+        for _ in range(200):
+            mat = rng.uniform(0.0, 1.0, size=(5, 3, 4)) * 10.0 ** rng.uniform(-300, 0, (5, 3, 4))
+            v = rng.uniform(-700, 700, size=(5, 4)) * rng.uniform(0, 1, size=(5, 1))
+            want = sm.logsumexp_over_axis(np.log(mat) + v[:, None, :], -1)
+            np.testing.assert_allclose(dg.log_dot_exp(mat, v), want, rtol=1e-13, atol=1e-13)
+            want = sm.logsumexp_over_axis(np.log(mat[0]) + v[:, None, :], -1)
+            np.testing.assert_allclose(dg.log_dot_exp(mat[0], v), want, rtol=1e-13, atol=1e-13)
+
+    def test_underflowed_rows_keep_their_value(self):
+        # M is ~0 where v peaks, so the shifted product of rows 0 and 1 is
+        # below the smallest normal float; the true values are finite
+        mat = np.array([[0.0, 1.0], [1e-320, 1.0], [1.0, 1.0]])
+        v = np.array([[0.0, -800.0]])
+        with np.errstate(divide="ignore"):
+            want = sm.logsumexp_over_axis(np.log(mat) + v[:, None, :], -1)
+        out = dg.log_dot_exp(mat, v)
+        assert np.all(np.isfinite(out)) and out[0, 0] == -800.0
+        np.testing.assert_allclose(out, want, rtol=1e-13)
+        np.testing.assert_allclose(dg.log_dot_exp(mat[None], v), want, rtol=1e-13)
+        # d out / d M there is exp(v_j - out) > 1e308: a typed error, not inf
+        v_leaf = dg.Value(np.array([[0.0, -800.0], [0.0, -1.0]]))
+        with pytest.raises(NumericError) as exc:
+            dg.backward(dg.vsum(dg.log_dot_exp(np.array([[1e-320, 1.0]]), v_leaf)))
+        assert exc.value.index == 0
+
+    def test_negative_entry_rejected(self):
+        with pytest.raises(NumericError):
+            dg.log_dot_exp(np.array([[1.0, -0.5]]), np.zeros((1, 2)))
 
     def test_associativity_property(self):
         # A(Bv) = (AB)v, with AB formed densely
         rng = np.random.default_rng(6)
         for _ in range(100):
-            a, b = (rng.uniform(-5, 5, size=(3, 3)) for _ in range(2))
+            a, b = (np.exp(rng.uniform(-5, 5, size=(3, 3))) for _ in range(2))
             v = rng.uniform(-5, 5, size=(1, 3))
-            ab = np.log(np.exp(a) @ np.exp(b))
-            left = dg.log_matvec(a, dg.log_matvec(b, v))
-            np.testing.assert_allclose(left, dg.log_matvec(ab, v), rtol=1e-9, atol=1e-9)
+            left = dg.log_dot_exp(a, dg.log_dot_exp(b, v))
+            np.testing.assert_allclose(left, dg.log_dot_exp(a @ b, v), rtol=1e-9, atol=1e-9)
 
     def test_stable_at_large_magnitudes(self):
-        out = dg.log_matvec(np.full((2, 2), 1e3), np.full((1, 2), -1e3))
-        np.testing.assert_allclose(out, math.log(2.0), atol=1e-9)
+        out = dg.log_dot_exp(np.ones((2, 2)), np.array([[1e3, 1e3], [-1e3, -1e3]]))
+        np.testing.assert_allclose(out, [[1e3 + LN2] * 2, [-1e3 + LN2] * 2], atol=1e-9)

@@ -212,6 +212,7 @@ class TestInvert:
         with pytest.raises(NumericError) as exc:
             tf.invert_batch([0.2, 0.5], lambda t: np.where(nan_where(t), np.nan, t))
         assert "entry 0" in str(exc.value)
+        assert exc.value.index == 0
 
     def test_large_x_ends_at_ulp_width(self):
         # 1e-12 is below the spacing of floats near 5e5
@@ -225,6 +226,7 @@ class TestInvert:
         with pytest.raises(NumericError) as exc:
             tf.invert_batch([0.1, 0.7], tf.forward_closure("dsf", p))
         assert "entry 0" in str(exc.value)
+        assert exc.value.index == 0
 
 
 def counted(fn):
