@@ -13,6 +13,16 @@ mirrors stablemath bit for bit; log_dot_exp forms log(M @ exp(v)) as a
 max-shifted product, as accurate as the logsumexp of log M + v but not
 bit-identical to it.
 
+Constants are not nodes: an ndarray or float operand of a recorded op is
+read as data, is no parent and gets no gradient. Saved arrays: a forward
+whose adjoint needs more than the output returns a tuple (output, *saved)
+instead; the node holds the output and its adjoint receives the whole
+tuple as `out`. That is the only way an adjoint sees forward state.
+
+Gradients: a node's first incoming gradient is stored as is, so it may
+share its array with another node's gradient; it is written in place only
+once the node owns it (a later sum, or a buffer take allocated).
+
 Lifetime: no backward closure holds a node other than its parents, so
 graphs have no reference cycle and are freed as soon as the caller drops
 the root, whatever the cyclic garbage collector does.
@@ -52,7 +62,7 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
 class Value:
     """One node of a recorded computation."""
 
-    __slots__ = ("data", "grad", "op", "parents", "_backward")
+    __slots__ = ("data", "grad", "op", "parents", "_backward", "_owned")
 
     # Make ndarray <op> Value defer to our reflected operators instead of
     # numpy building object arrays.
@@ -64,6 +74,7 @@ class Value:
         self.op = op
         self.parents = parents
         self._backward = None
+        self._owned = False  # whether grad is this node's own buffer
 
     @property
     def shape(self):
@@ -71,8 +82,11 @@ class Value:
 
     def _accum(self, g: np.ndarray):
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += g
+            self.grad, self._owned = g, False
+        elif self._owned:
+            self.grad += g
+        else:
+            self.grad, self._owned = self.grad + g, True
 
     def zero_grad(self):
         self.grad = None
@@ -135,10 +149,6 @@ class Parameter(Value):
         return f"Parameter({self.name!r}, shape={self.data.shape})"
 
 
-def _lift(x) -> Value:
-    return x if isinstance(x, Value) else Value(x, op="const")
-
-
 def is_value(x) -> bool:
     return isinstance(x, Value)
 
@@ -150,20 +160,27 @@ def _any_value(*xs) -> bool:
 def _op(name: str, forward, adjoint, *args):
     """Apply one primitive to arrays, or record it when an input is a Value.
 
-    forward(*arrays) returns the output array. adjoint(g, out, *arrays)
-    returns one gradient per input; it sees arrays only, so the recorded
-    closure holds the parents and their data but never its own node.
+    forward(*arrays) returns the output array, or (output, *saved) for an
+    adjoint that reads forward intermediates. adjoint(g, out, *arrays),
+    with out what the forward returned, gives one gradient per input; it
+    sees arrays only, so the recorded closure holds the parents and their
+    data but never its own node. Only Value inputs become parents; the
+    gradients for the other inputs are dropped.
     """
     if not _any_value(*args):
-        return forward(*(np.asarray(a, dtype=np.float64) for a in args))
-    parents = tuple(_lift(a) for a in args)
-    ins = tuple(p.data for p in parents)
-    node = Value(forward(*ins), name, parents)
-    out = node.data
+        out = forward(*(np.asarray(a, dtype=np.float64) for a in args))
+        return out[0] if isinstance(out, tuple) else out
+    ins = tuple(a.data if isinstance(a, Value) else np.asarray(a, dtype=np.float64)
+                for a in args)
+    out = forward(*ins)
+    live = tuple((i, a) for i, a in enumerate(args) if isinstance(a, Value))
+    node = Value(out[0] if isinstance(out, tuple) else out, name,
+                 tuple(a for _, a in live))
 
     def bw(g):
-        for p, gp in zip(parents, adjoint(g, out, *ins)):
-            p._accum(_unbroadcast(gp, p.data.shape))
+        grads = adjoint(g, out, *ins)
+        for i, p in live:
+            p._accum(_unbroadcast(grads[i], p.data.shape))
 
     node._backward = bw
     return node
@@ -370,16 +387,30 @@ def reshape(a, shape):
                lambda g, out, a: (g.reshape(a.shape),), a)
 
 
+def _advanced_index(idx) -> bool:
+    """Whether idx holds an array or sequence, which numpy reads as advanced."""
+    parts = idx if isinstance(idx, tuple) else (idx,)
+    return any(isinstance(p, (list, tuple, np.ndarray)) for p in parts)
+
+
 def take(a, idx):
-    """Basic indexing/slicing with scatter-add backward."""
+    """Basic indexing/slicing; backward adds into the parent's gradient in place.
+
+    A recorded take admits basic indices only: an array or list index may
+    repeat an entry, which an in-place add would count once.
+    """
     if not _any_value(a):
         return np.asarray(a, dtype=np.float64)[idx]
+    if _advanced_index(idx):
+        raise DomainError(f"take records basic indices only, got {idx!r}")
     out = Value(a.data[idx], "slice", (a,))
 
     def bw(g):
         if a.grad is None:
-            a.grad = np.zeros_like(a.data)
-        np.add.at(a.grad, idx, g)
+            a.grad, a._owned = np.zeros_like(a.data), True
+        elif not a._owned:
+            a.grad, a._owned = np.array(a.grad, dtype=np.float64), True
+        a.grad[idx] += g
 
     out._backward = bw
     return out
@@ -394,7 +425,8 @@ def backward(root: Value):
     Repeated calls accumulate into .grad; callers zero gradients between
     optimizer steps. Each pass propagates its own gradients in isolation
     (pre-existing .grad values are folded back in afterwards), so running
-    the same graph twice exactly doubles every leaf gradient.
+    the same graph twice exactly doubles every leaf gradient. A .grad may
+    share its array with another node's, so callers rescale it out of place.
     """
     if not isinstance(root, Value):
         raise DomainError("backward requires a Value root")

@@ -65,13 +65,14 @@ def logsigmoid(x):
 
 
 def sigmoid(x):
-    """Logistic function, split at 0 to avoid overflowing exp."""
+    """Logistic function from exp(-|x|), which cannot overflow.
+
+    1/(1+e) for x >= 0 and e/(1+e) below: the same bits as splitting the
+    input at 0, without scattering through boolean masks.
+    """
     x = np.asarray(x, dtype=np.float64)
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
+    e = np.exp(-np.abs(x))
+    out = np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
     return float(out) if out.ndim == 0 else out
 
 

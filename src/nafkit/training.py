@@ -111,8 +111,8 @@ def clip_global_norm(params, max_norm: float):
     if norm > max_norm and norm > 0:
         scale = max_norm / norm
         for p in params:
-            if p.grad is not None:
-                p.grad *= scale
+            if p.grad is not None:  # not in place: a gradient may share its array
+                p.grad = p.grad * scale
     return norm
 
 

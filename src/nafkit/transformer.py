@@ -7,15 +7,19 @@ row-stochastic mixing matrices (ddsf). Every forward returns both y and
 log(dy/dx), with the log-derivative assembled entirely in log space so
 stacked Jacobian chains neither vanish nor overflow.
 
-The cores are written against the diffgraph dispatch layer: fed Values
-they record a differentiable graph, fed ndarrays they run plain numpy.
-Each family is one Family subclass in the FAMILIES registry; it owns
-its conditioner block layout, any extra parameters, its forward on a
-conditioner block and its inverse. Densities and inversion evaluate the
-same guarded forward, so every x an inverse returns is one the density
-path can score. dsf and ddsf have no closed-form inverse: invert_batch
-brackets each target and refines it with Chandrupatla's derivative-free
-interpolation, about a dozen forward evaluations per dimension.
+The affine and ddsf cores are written against the diffgraph dispatch
+layer: fed Values they record a differentiable graph, fed ndarrays they
+run plain numpy. dsf has one numpy kernel, _dsf_core: densities and
+inversion call it directly, and training records it as a single "dsf"
+node over the whole conditioner block, whose adjoint is derived by hand
+and reads the intermediates the kernel saved. Each family is one Family
+subclass in the FAMILIES registry; it owns its conditioner block layout,
+any extra parameters, its forward on a conditioner block and its
+inverse. Densities and inversion evaluate the same guarded forward, so
+every x an inverse returns is one the density path can score. dsf and
+ddsf have no closed-form inverse: invert_batch brackets each target and
+refines it with Chandrupatla's derivative-free interpolation, about a
+dozen forward evaluations per dimension.
 """
 
 from __future__ import annotations
@@ -114,12 +118,6 @@ class DdsfLayerParams:
 # -- shared plumbing -------------------------------------------------------
 
 
-def _expand_last(x):
-    if dg.is_value(x):
-        return dg.reshape(x, tuple(x.shape) + (1,))
-    return np.asarray(x, dtype=np.float64)[..., None]
-
-
 def _raw(x):
     return x.data if dg.is_value(x) else np.asarray(x, dtype=np.float64)
 
@@ -155,43 +153,89 @@ def _check_saturation(log_num, log_den, x, layer=None):
 
 
 def _dsf_core(x, log_w, a, log_a, b):
-    """Sigmoid-mixture transformer on pre-activated logs.
+    """The dsf kernel: y, log(dy/dx) and the intermediates its adjoint reads.
 
-    x: (...,); log_w/a/log_a/b: (..., d). Returns (y, logdet) shaped like
-    x. log D and log(1-D) are two logsumexp reductions (the complement
-    uses sum_j w_j sigmoid(-C_j), exact because w lies on the simplex);
-    log(dy/dx) = LSE_j[log w_j + log a_j + log s(C_j) + log s(-C_j)]
-    - log D - log(1-D). The softplus deltas inside logsigmoid cancel
-    exactly in both y and logdet.
+    Plain numpy on activated logs: x (...,); log_w/a/log_a/b (..., d).
+    With C = a*x + b, ls_pos = log s(C) and ls_neg = log s(-C),
+    y = log D - log(1-D) where log D = LSE_j(log w_j + ls_pos_j) and
+    log(1-D) = LSE_j(log w_j + ls_neg_j) (exact because w lies on the
+    simplex), and log(dy/dx) = log R - log D - log(1-D) where
+    log R = LSE_j[log w_j + log a_j + ls_pos_j + ls_neg_j]. The softplus
+    deltas inside logsigmoid cancel exactly in both y and logdet. The
+    third return value holds C, the three LSE arguments and their results;
+    the numpy path drops it, the graph path saves it for _dsf_adjoint.
     """
-    C = a * _expand_last(x) + b
-    ls_pos = dg.logsigmoid(C)
-    ls_neg = dg.logsigmoid(-C)
-    log_num = dg.logsumexp(log_w + ls_pos, axis=-1)
-    log_den = dg.logsumexp(log_w + ls_neg, axis=-1)
+    C = a * x[..., None] + b
+    ls_pos = sm.logsigmoid(C)
+    ls_neg = sm.logsigmoid(-C)
+    t_num, t_den = log_w + ls_pos, log_w + ls_neg
+    log_num = sm.logsumexp_over_axis(t_num, -1)
+    log_den = sm.logsumexp_over_axis(t_den, -1)
     _check_saturation(log_num, log_den, x)
-    y = log_num - log_den
-    logdet = dg.logsumexp(log_w + log_a + ls_pos + ls_neg, axis=-1) - (
-        log_num + log_den
-    )
-    return y, logdet
+    t_r = log_w + log_a + ls_pos + ls_neg
+    log_r = sm.logsumexp_over_axis(t_r, -1)
+    saved = (C, t_num, t_den, t_r, log_num, log_den, log_r)
+    return log_num - log_den, log_r - (log_num + log_den), saved
+
+
+def _dsf_activate(block):
+    """(log w, a, log a, b) from a (B, 3d) block of (w_pre, a_pre, b)."""
+    w_pre, a_pre, b = np.split(block, 3, axis=-1)
+    log_w = w_pre - sm.logsumexp_over_axis(w_pre, -1)[..., None]
+    a = sm.softplus(a_pre)
+    return log_w, a, np.log(a), b
+
+
+def _dsf_forward(x, block):
+    """The "dsf" op's forward: (y, logdet) stacked as (2, B), then saved arrays."""
+    log_w, a, log_a, b = _dsf_activate(block)
+    y, logdet, saved = _dsf_core(x, log_w, a, log_a, b)
+    return (np.stack([y, logdet]), log_w, a, *saved)
+
+
+def _dsf_adjoint(g, out, x, block):
+    """Gradients of the stacked (y, logdet) for x and the block, by hand.
+
+    g is (2, B). With p, q and r the softmax weights of the three LSE
+    arguments, d/d log w = g_num p + g_den q + g_ld r, where g_num and
+    g_den are the upstream gradients of log D and log(1-D); C collects
+    (g_num p + g_ld r) s(-C) - (g_den q + g_ld r) s(C), and log a gets
+    g_ld r. w_pre goes back through log-softmax, a_pre through softplus.
+    """
+    _, log_w, a, C, t_num, t_den, t_r, log_num, log_den, log_r = out
+    g_y, g_ld = g[0][:, None], g[1][:, None]
+    gp = (g_y - g_ld) * np.exp(t_num - log_num[:, None])
+    gq = (-g_y - g_ld) * np.exp(t_den - log_den[:, None])
+    gr = g_ld * np.exp(t_r - log_r[:, None])
+    g_log_w = gp + gq + gr
+    g_c = (gp + gr) * sm.sigmoid(-C) - (gq + gr) * sm.sigmoid(C)
+    g_w_pre = g_log_w - np.exp(log_w) * np.sum(g_log_w, axis=-1, keepdims=True)
+    _, a_pre, _ = np.split(block, 3, axis=-1)
+    g_a_pre = (g_c * x[:, None] + gr / a) * sm.sigmoid(a_pre)
+    return np.sum(g_c * a, axis=-1), np.concatenate([g_w_pre, g_a_pre, g_c], axis=-1)
+
+
+def dsf_from_preact(x, block):
+    """dsf on a (B, 3d) block of conditioner pre-activations, x (B,).
+
+    Fed arrays it runs the kernel; fed a Value it records one "dsf" node
+    holding (y, logdet), which the two returned takes read.
+    """
+    if not (dg.is_value(x) or dg.is_value(block)):
+        return _dsf_core(x, *_dsf_activate(block))[:2]
+    node = dg._op("dsf", _dsf_forward, _dsf_adjoint, x, block)
+    return dg.take(node, 0), dg.take(node, 1)
 
 
 def dsf_forward(x, p: DsfParams):
     """y and log(dy/dx) from activated DsfParams (numpy path)."""
+    x = np.asarray(x, dtype=np.float64)
     with np.errstate(divide="ignore", invalid="ignore"):
         log_w, log_a = np.log(p.w), np.log(p.a)
-    y, logdet = _dsf_core(np.asarray(x, dtype=np.float64), log_w, p.a, log_a, p.b)
-    if np.ndim(x) == 0:
+    y, logdet, _ = _dsf_core(x, log_w, p.a, log_a, p.b)
+    if x.ndim == 0:
         return float(y), float(logdet)
     return y, logdet
-
-
-def dsf_from_preact(x, w_pre, a_pre, b):
-    """Same transformer fed conditioner pre-activations (graph or numpy)."""
-    log_w = dg.logsoftmax(w_pre, axis=-1)
-    a = dg.softplus(a_pre)
-    return _dsf_core(x, log_w, a, dg.log(a), b)
 
 
 def dsf_prelogit(x, p: DsfParams):
@@ -462,14 +506,13 @@ class Dsf(Family):
             [np.zeros(self.d), np.full(self.d, SOFTNESS_IDENTITY_OFFSET), np.zeros(self.d)]
         )
 
-    def decode(self, block):
-        d = self.d
-        return tuple(dg.take(block, (slice(None), slice(k * d, (k + 1) * d)))
-                     for k in range(3))
+    @staticmethod
+    def decode(block):
+        return block  # the dsf op reads the whole block
 
     @staticmethod
     def core(x, p):
-        return dsf_from_preact(x, *p)
+        return dsf_from_preact(x, p)
 
     @staticmethod
     def random_params(rng, d, dims):

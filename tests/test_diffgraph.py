@@ -9,7 +9,10 @@ import pytest
 
 from nafkit import diffgraph as dg
 from nafkit import stablemath as sm
+from nafkit import transformer as tf
 from nafkit.errors import DomainError, InconsistencyError, NumericError
+from nafkit.flow import FlowStack
+from nafkit.training import mle_loss
 
 
 def grad_of(expr_fn, *leaf_values):
@@ -78,6 +81,9 @@ OWN_OUTPUT_OPS = [
     ("tanh", dg.tanh),
     ("logsumexp", lambda a: dg.logsumexp(a, axis=0)),
     ("log_dot_exp", lambda a: dg.log_dot_exp(dg.exp(a), a)),
+    # the dsf node itself, (2, 4), not the takes that read y and logdet
+    ("dsf", lambda a: tf.dsf_from_preact(
+        dg.reshape(a, (4,)), dg.reshape(a, (4, 1)) * np.array([[1.0, 0.5, -1.0]]))[0].parents[0]),
 ]
 
 
@@ -197,6 +203,9 @@ OPS_FD_CASES = [
         dg.reshape(a, (1, 3)) + np.array([[0.0], [0.5]]), dg.reshape(b, (1, 3))), 2),
     ("matvec-3d", lambda a, b: dg.matvec(
         dg.reshape(a, (1, 1, 3)), dg.reshape(b, (1, 3))), 2),
+    # x = a at three points; a d = 2 block (w_pre, a_pre, b) mixed from b
+    ("dsf", lambda a, b: dg.add(*tf.dsf_from_preact(
+        a, dg.reshape(b, (1, 3)) @ np.tile(np.eye(3), 2) + np.array([[0.0], [0.5], [-0.5]]))), 2),
 ]
 
 
@@ -241,6 +250,61 @@ class TestMatmulShapes:
     def test_rank_cap(self):
         with pytest.raises(DomainError):
             dg.Value(np.zeros((2, 2, 2, 2)))
+
+
+class TestTake:
+    def test_takes_of_one_parent_add_in_place(self):
+        a = dg.Value(np.arange(6.0).reshape(2, 3))
+        out = dg.vsum(a[(slice(None), 1)] * 2.0) + dg.vsum(a[0]) + dg.vsum(a[:, 1:])
+        dg.backward(out)
+        np.testing.assert_array_equal(a.grad, [[1, 4, 2], [0, 3, 1]])
+
+    @pytest.mark.parametrize("second,expected", [
+        (lambda a: a[1:], [1, 2, 2]),
+        (lambda a: a * 2.0, [3, 3, 3]),
+    ], ids=["take", "mul"])
+    def test_shared_gradient_leaves_the_sibling_alone(self, second, expected):
+        # add hands one gradient array to both parents; a's later gradient
+        # (from a take or any op) must not be added into b's
+        a, b = dg.Value(np.zeros(3)), dg.Value(np.zeros(3))
+        dg.backward(dg.vsum(a + b) + dg.vsum(second(a)))
+        np.testing.assert_array_equal(a.grad, expected)
+        np.testing.assert_array_equal(b.grad, [1, 1, 1])
+
+    @pytest.mark.parametrize("idx", [[0, 0], np.array([1, 0]), (slice(None), [0, 2])],
+                             ids=["list", "array", "tuple-with-list"])
+    def test_advanced_index_rejected_when_recorded(self, idx):
+        a = dg.Value(np.arange(6.0).reshape(2, 3))
+        with pytest.raises(DomainError):
+            dg.take(a, idx)
+        dg.take(a.data, idx)  # the numpy path indexes as numpy does
+
+
+class TestStructure:
+    def test_constant_operand_is_no_node(self):
+        p = dg.Parameter(np.zeros(3), "p")
+        out = dg.add(p, np.ones(3))
+        assert len(out.parents) == 1 and out.parents[0] is p
+        dg.backward(dg.vsum(out))
+        np.testing.assert_array_equal(p.grad, np.ones(3))
+        leaves = [n for n in _graph(out) if not n.parents]
+        assert leaves == [p]
+
+    def test_dsf_mle_loss_node_count(self):
+        stack = FlowStack.build(m=2, kind="dsf", d=16, hidden=(64,))
+        batch = np.random.default_rng(0).normal(size=(32, 2))
+        assert len(_graph(mle_loss(batch, stack))) <= 30
+
+
+def _graph(root):
+    """Every node reachable from root."""
+    seen, stack = {}, [root]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen[id(node)] = node
+            stack.extend(node.parents)
+    return list(seen.values())
 
 
 class TestCheckGradients:

@@ -76,6 +76,22 @@ class TestSoftplus:
             assert math.log1p(math.exp(sm.softplus_inv(y))) == pytest.approx(y, rel=1e-12)
 
 
+class TestSigmoid:
+    def test_bits_match_the_split_formula(self):
+        xs = np.array([0.0, -0.0, 1e-300, -1e-300, 30.0, -30.0, 745.0, -745.0,
+                       800.0, -800.0])
+        pos = xs >= 0
+        split = np.empty_like(xs)
+        split[pos] = 1.0 / (1.0 + np.exp(-xs[pos]))
+        ex = np.exp(xs[~pos])
+        split[~pos] = ex / (1.0 + ex)
+        assert sm.sigmoid(xs).tobytes() == split.tobytes()
+
+    def test_scalar_returns_float(self):
+        assert type(sm.sigmoid(0.0)) is float
+        assert sm.sigmoid(0.0) == 0.5
+
+
 class TestLogsigmoid:
     def test_zero(self):
         assert sm.logsigmoid(0.0) == pytest.approx(-(LN2 + 1e-6), abs=1e-15)

@@ -8,7 +8,7 @@ from nafkit import diffgraph as dg
 from nafkit.errors import DomainError, NumericError
 from nafkit.flow import FlowStack
 from nafkit.targets import TargetSpec, get_target
-from nafkit.training import Adam, TrainConfig, energy_loss, fit, mle_loss
+from nafkit.training import Adam, TrainConfig, clip_global_norm, energy_loss, fit, mle_loss
 
 LOG_2PI = math.log(2.0 * math.pi)
 STD_NORMAL_ENTROPY = 0.5 * math.log(2.0 * math.pi * math.e)  # ~1.4189385332
@@ -137,6 +137,17 @@ class TestAdam:
             dg.backward(loss)
             opt.step()
         assert all(b < a for a, b in zip(losses, losses[1:]))
+
+
+class TestClipGlobalNorm:
+    def test_shared_gradient_array_scaled_once(self):
+        # add gives p and q one gradient array; each is scaled exactly once
+        p, q = dg.Parameter(np.zeros(2), "p"), dg.Parameter(np.zeros(2), "q")
+        dg.backward(dg.vsum((p + q) * 3.0))
+        norm = clip_global_norm([p, q], 1.0)
+        assert norm == pytest.approx(6.0)
+        np.testing.assert_allclose(p.grad, [0.5, 0.5])
+        np.testing.assert_allclose(q.grad, [0.5, 0.5])
 
 
 class TestTrainConfig:

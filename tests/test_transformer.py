@@ -3,8 +3,11 @@ import math
 import numpy as np
 import pytest
 
+from nafkit import diffgraph as dg
 from nafkit import transformer as tf
 from nafkit.errors import DomainError, NumericError, RangeError, SaturationError
+from nafkit.flow import FlowStack
+from nafkit.training import mle_loss
 
 LN2 = math.log(2.0)
 
@@ -88,6 +91,60 @@ class TestDsfForward:
         with pytest.raises(SaturationError) as exc:
             tf.dsf_forward(1e4, p)
         assert exc.value.magnitude == pytest.approx(1e4)
+
+
+def composite_dsf(x, block, d):
+    """The dsf transformer spelled out in diffgraph ops, one node per step."""
+    w_pre, a_pre, b = (dg.take(block, (slice(None), slice(k * d, (k + 1) * d)))
+                       for k in range(3))
+    log_w = dg.logsoftmax(w_pre, axis=-1)
+    a = dg.softplus(a_pre)
+    C = a * dg.reshape(x, (x.shape[0], 1)) + b
+    ls_pos, ls_neg = dg.logsigmoid(C), dg.logsigmoid(-C)
+    log_num = dg.logsumexp(log_w + ls_pos, axis=-1)
+    log_den = dg.logsumexp(log_w + ls_neg, axis=-1)
+    logdet = dg.logsumexp(log_w + dg.log(a) + ls_pos + ls_neg, axis=-1) - (log_num + log_den)
+    return log_num - log_den, logdet
+
+
+class TestDsfOp:
+    """The one-node dsf op against the same transformer built from ops."""
+
+    def test_gradients_match_composite(self):
+        rng = np.random.default_rng(21)
+        B, d = 256, 16
+        # random_params("dsf") scale: w_pre ~ N(0,1), a_pre ~ N(0.5,1), b ~ 2 N(0,1)
+        block = np.concatenate([rng.normal(size=(B, d)), rng.normal(size=(B, d)) + 0.5,
+                                rng.normal(size=(B, d)) * 2.0], axis=1)
+        block[: B // 2, 2 * d] = 30.0 * rng.choice([-1.0, 1.0], size=B // 2)
+        xs = rng.uniform(-3.0, 3.0, size=B)
+        g_y, g_ld = rng.normal(size=B), rng.normal(size=B)
+        results = []
+        for fn in (lambda x, blk: composite_dsf(x, blk, d), tf.dsf_from_preact):
+            x, blk = dg.Value(xs), dg.Value(block)
+            y, ld = fn(x, blk)
+            dg.backward(dg.vsum(y * g_y) + dg.vsum(ld * g_ld))
+            results.append((y.data, ld.data, x.grad, blk.grad))
+        (y0, ld0, gx0, gb0), (y1, ld1, gx1, gb1) = results
+        assert y0.tobytes() == y1.tobytes() and ld0.tobytes() == ld1.tobytes()
+        for ref, got in ((gx0, gx1), (gb0, gb1)):
+            np.testing.assert_allclose(got, ref, rtol=1e-12, atol=0.0)
+
+    def test_numpy_path_matches_graph_values(self):
+        rng = np.random.default_rng(3)
+        block = rng.normal(size=(8, 12))
+        xs = rng.normal(size=8)
+        y, ld = tf.dsf_from_preact(xs, block)
+        gy, gld = tf.dsf_from_preact(dg.Value(xs), dg.Value(block))
+        assert y.tobytes() == gy.data.tobytes() and ld.tobytes() == gld.data.tobytes()
+
+    def test_graph_saturation_names_layer_dimension_and_point(self):
+        stack = FlowStack.build(m=2, kind="dsf", d=16, seed=0)
+        batch = np.array([[0.0, 0.0], [0.1, -0.2], [0.3, 0.1], [0.0, 1e4]])
+        with pytest.raises(SaturationError) as exc:
+            mle_loss(batch, stack)
+        assert str(exc.value).startswith("layer0, dimension 1, batch point 3: ")
+        assert (exc.value.dim, exc.value.index) == (1, 7)
 
 
 class TestDdsf:
