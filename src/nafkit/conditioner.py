@@ -136,25 +136,6 @@ class MadeConditioner:
         return h + self.out_offset
 
 
-def apply_cwn(v, eta):
-    """Row-logsoftmax of (v + eta broadcast over rows): a log-stochastic matrix.
-
-    v: (rows, cols) statistical pre-activations; eta: (cols,) or batched
-    (n, cols) per-unit modulation. Equivalent to rescaling the
-    exponentiated inputs by exp(eta) before normalizing each row; the
-    result is the entrywise log of that row-stochastic matrix.
-    """
-    v_cols = (v.shape if dg.is_value(v) else np.shape(v))[-1]
-    eta_shape = eta.shape if dg.is_value(eta) else np.shape(eta)
-    if eta_shape[-1] != v_cols:
-        raise DomainError(
-            f"eta length {eta_shape[-1]} != weight column count {v_cols}"
-        )
-    if len(eta_shape) == 2:  # batched: (n, cols) against (rows, cols)
-        eta = dg.reshape(eta, (eta_shape[0], 1, eta_shape[1]))
-    return dg.logsoftmax(dg.add(v, eta), axis=-1)
-
-
 def identity_init(made: MadeConditioner, seed: int = 0) -> MadeConditioner:
     """Near-identity start: tiny uniform weights and output biases.
 

@@ -315,25 +315,6 @@ def logsoftmax(a, axis: int = -1):
     return sub(a, logsumexp(a, axis=axis, keepdims=True))
 
 
-def _matvec(mat, v):
-    """Row-wise mat @ v[n]: mat shared (rows, cols) or batched (n, rows, cols)."""
-    if mat.ndim == 2:
-        return v @ mat.T
-    return np.matmul(mat, v[..., None])[..., 0]
-
-
-def _matvec_grads(g, mat, v):
-    """Gradients of _matvec(mat, v) for the upstream g: (d mat, d v)."""
-    if mat.ndim == 2:
-        return g.T @ v, g @ mat
-    return g[..., :, None] * v[..., None, :], np.matmul(g[..., None, :], mat)[..., 0, :]
-
-
-def matvec(mat, v):
-    """Row-wise matrix-vector product; mat (rows, cols) or (n, rows, cols), v (n, cols)."""
-    return _op("matvec", _matvec, lambda g, out, mat, v: _matvec_grads(g, mat, v), mat, v)
-
-
 def _shifted_exp(v):
     """exp(v - m) and the row max m, with non-finite maxima taken as 0."""
     m = np.max(v, axis=-1, keepdims=True)
@@ -341,42 +322,44 @@ def _shifted_exp(v):
     return np.exp(v - m), m
 
 
-def log_dot_exp(mat, v):
-    """log(mat @ exp(v)) per row for a nonnegative mat, shaped as in matvec.
+def _log_dot_exp(mat, v):
+    """log_dot_exp's forward: (out, e, m) with e = exp(v - m), m v's row max."""
+    if np.any(mat < 0.0):
+        raise NumericError("log_dot_exp of a negative matrix entry")
+    e, m = _shifted_exp(v)
+    p = e @ mat.T
+    low = ~(p >= _TINY)
+    with np.errstate(divide="ignore"):
+        out = np.log(p) + m
+        if low.any():
+            n, i = np.nonzero(low)
+            out[low] = sm.logsumexp_over_axis(np.log(mat[i]) + v[n], -1)
+    return out, e, m
 
-    The max-shifted product log(mat @ exp(v - m)) + m is one BLAS or
-    batched product. A row whose shifted product falls below the smallest
-    normal float (mat ~0 where v peaks) is recomputed as the logsumexp of
+
+def _log_dot_exp_grads(g, out, e, m, mat):
+    """Gradients of _log_dot_exp's out for mat and v, from its saved e and m."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        s = g * np.exp(m - out)
+    bad = ~np.isfinite(s)
+    if bad.any():
+        n = int(np.argmax(bad.any(axis=-1)))
+        raise NumericError(f"log_dot_exp gradient overflows at row {n}", index=n)
+    return s.T @ e, e * (s @ mat)
+
+
+def log_dot_exp(mat, v):
+    """log(mat @ exp(v)) per row of v (n, cols) for a nonnegative mat (rows, cols).
+
+    The max-shifted product log(exp(v - m) @ mat.T) + m is one BLAS
+    product. A row whose shifted product falls below the smallest normal
+    float (mat ~0 where v peaks) is recomputed as the logsumexp of
     log(mat) + v, so it keeps full precision, and only a structural zero
     comes back as -inf. The gradient is exp(v_j - out_i) for mat and
     mat_ij exp(v_j - out_i) for v; one that overflows is a NumericError.
     """
-    def forward(mat, v):
-        if np.any(mat < 0.0):
-            raise NumericError("log_dot_exp of a negative matrix entry")
-        e, m = _shifted_exp(v)
-        p = _matvec(mat, e)
-        low = ~(p >= _TINY)
-        with np.errstate(divide="ignore"):
-            out = np.log(p) + m
-            if low.any():
-                n, i = np.nonzero(low)
-                rows = mat[i] if mat.ndim == 2 else mat[n, i]
-                out[low] = sm.logsumexp_over_axis(np.log(rows) + v[n], -1)
-        return out
-
-    def adjoint(g, out, mat, v):
-        e, m = _shifted_exp(v)
-        with np.errstate(over="ignore", invalid="ignore"):
-            s = g * np.exp(m - out)
-        bad = ~np.isfinite(s)
-        if bad.any():
-            n = int(np.argmax(bad.any(axis=-1)))
-            raise NumericError(f"log_dot_exp gradient overflows at row {n}", index=n)
-        g_mat, g_lin = _matvec_grads(s, mat, e)
-        return g_mat, e * g_lin
-
-    return _op("log_dot_exp", forward, adjoint, mat, v)
+    return _op("log_dot_exp", _log_dot_exp,
+               lambda g, out, mat, v: _log_dot_exp_grads(g, *out, mat), mat, v)
 
 
 # -- shape ops -----------------------------------------------------------

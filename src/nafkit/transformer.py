@@ -7,12 +7,16 @@ row-stochastic mixing matrices (ddsf). Every forward returns both y and
 log(dy/dx), with the log-derivative assembled entirely in log space so
 stacked Jacobian chains neither vanish nor overflow.
 
-The affine and ddsf cores are written against the diffgraph dispatch
-layer: fed Values they record a differentiable graph, fed ndarrays they
-run plain numpy. dsf has one numpy kernel, _dsf_core: densities and
-inversion call it directly, and training records it as a single "dsf"
-node over the whole conditioner block, whose adjoint is derived by hand
-and reads the intermediates the kernel saved. Each family is one Family
+The affine cores are written against the diffgraph dispatch layer: fed
+Values they record a differentiable graph, fed ndarrays they run plain
+numpy. dsf and ddsf each have one numpy kernel, _dsf_core and
+_ddsf_core: densities and inversion call it directly, and training
+records it as a single "dsf" or "ddsf" node over the whole conditioner
+block (and, for ddsf, its trainable vu and vw), whose adjoint is derived
+by hand and reads the intermediates the kernel saved. The ddsf kernel
+never forms CWN's (B, d_out, d_in) weights: it keeps them factored as
+a (d_out, d_in) and a (B, d_in) exponential and works by matrix
+products, forward and backward. Each family is one Family
 subclass in the FAMILIES registry; it owns its conditioner block layout,
 any extra parameters, its forward on a conditioner block and its
 inverse. Densities and inversion evaluate the same guarded forward, so
@@ -30,7 +34,7 @@ import numpy as np
 
 from . import diffgraph as dg
 from . import stablemath as sm
-from .conditioner import GATE_IDENTITY_OFFSET, SOFTNESS_IDENTITY_OFFSET, apply_cwn
+from .conditioner import GATE_IDENTITY_OFFSET, SOFTNESS_IDENTITY_OFFSET
 from .errors import DomainError, NumericError, RangeError, SaturationError
 
 # Forward-path saturation: log(D) or log(1-D) below this exponent
@@ -247,40 +251,205 @@ def dsf_prelogit(x, p: DsfParams):
 # -- ddsf ------------------------------------------------------------------
 
 
-def _ddsf_core(x, layers):
-    """Dense multi-layer transformer with a log-space Jacobian chain.
+def _cwn_product(V, E, X):
+    """log sum_j exp(V_ij + X_bj) as one max-shifted product, and its pieces.
 
-    x: (B,). Each entry of `layers` is a dict with keys u (batched
-    (B, d_out, d_in) or shared (d_out, d_in)), w ((d_out, d_out)), a,
-    log_a, b ((..., d_out)); u and w are row-stochastic. The running
-    quantity r = log(dh/dx) stays a (B, d_out) vector because the chain
-    starts from a scalar, so each chain step is one max-shifted product
-    log_dot_exp(M, r) = log(M @ exp(r)) instead of a full matrix product.
+    V (rows, n) with E = exp(V), X (B, n). With m the row max of X and
+    G = exp(X - m), P = G @ E.T. Returns log P + m, 1/P (0 on low rows),
+    G, and the low rows: where P falls below the smallest normal float (V
+    and X peak in different columns, about 700 nats apart), the log is
+    recomputed as the logsumexp of V + X, and the rows' weights
+    exp(V_ij + X_bj - log) come back as (batch, row, weights); else None.
+    The CWN weights are u_bij = E_ij G_bj / P_bi on every other row.
+    """
+    G, m = dg._shifted_exp(X)
+    P = G @ E.T
+    low = ~(P >= dg._TINY)
+    with np.errstate(divide="ignore", over="ignore"):
+        inv = 1.0 / P
+        log_p = np.log(P) + m
+    rows = None
+    if low.any():
+        inv[low] = 0.0
+        n, i = np.nonzero(low)
+        t = V[i] + X[n]
+        log_p[n, i] = sm.logsumexp_over_axis(t, -1)
+        rows = (n, i, np.exp(t - log_p[n, i][:, None]))
+    return log_p, inv, G, rows
+
+
+def _cwn_mix(h, E, cwn):
+    """u @ h per row for the CWN weights u of a _cwn_product."""
+    _, inv, G, low = cwn
+    out = ((G * h) @ E.T) * inv
+    if low is not None:
+        n, i, u = low
+        out[n, i] = np.sum(u * h[n], axis=-1)
+    return out
+
+
+def _cwn_adjoint(g_uh, g_s, h, uh, E, cz, cq):
+    """Gradients of uh = u @ h and s = log(u @ exp r) for V, eta, h and r.
+
+    u = E F / Z and q = E G / Q are the weights of the two CWN products
+    cz (over eta) and cq (over eta + r); s = log Q - log Z. Per row,
+    duh/dV_ij = u_ij (h_j - uh), ds/dV_ij = q_ij - u_ij, and eta gets the
+    same per column, so every term is a (B, n) x (n, rows) product:
+    g_V = E * [(g_uh/Z)' (F h) - ((g_uh uh + g_s)/Z)' F + (g_s/Q)' G].
+    Low rows, whose 1/Z or 1/Q is 0, add their terms from their weights.
+    """
+    _, inv_z, F, low_z = cz
+    _, inv_q, G, low_q = cq
+    k = g_uh * uh + g_s
+    a, b, c = g_uh * inv_z, k * inv_z, g_s * inv_q
+    g_v = E * (a.T @ (F * h) - b.T @ F + c.T @ G)
+    aE, bE, cE = a @ E, b @ E, c @ E
+    g_h, g_r = F * aE, G * cE
+    g_eta = h * g_h - F * bE + g_r
+    if low_z is not None:
+        n, i, u = low_z
+        t = u * (g_uh[n, i][:, None] * h[n] - k[n, i][:, None])
+        np.add.at(g_v, i, t)
+        np.add.at(g_eta, n, t)
+        np.add.at(g_h, n, g_uh[n, i][:, None] * u)
+    if low_q is not None:
+        n, i, q = low_q
+        t = g_s[n, i][:, None] * q
+        np.add.at(g_v, i, t)
+        np.add.at(g_eta, n, t)
+        np.add.at(g_r, n, t)
+    return g_v, g_eta, g_h, g_r
+
+
+def _ddsf_layer(V, E, eta, a, b, w):
+    """One layer's arrays, fixed while x varies: u's factors and log Z.
+
+    A one-column u is 1 once normalized, so it gets no CWN product.
+    """
+    return {"V": V, "E": E, "eta": eta, "a": a, "log_a": np.log(a), "b": b, "w": w,
+            "Z": None if V.shape[1] == 1 else _cwn_product(V, E, eta)}
+
+
+def _ddsf_decode(block, slices, v_u, v_w):
+    """Per-layer arrays from a (B, width) block and the trainable vu, vw."""
+    layers = []
+    for (eta, a_pre, b), vu, vw in zip(slices, v_u, v_w):
+        eta, a_pre, b = block[:, eta], block[:, a_pre], block[:, b]
+        if vu.shape != (b.shape[1], eta.shape[1]) or vw.shape != (b.shape[1],) * 2:
+            raise DomainError(f"vu {vu.shape} and vw {vw.shape} do not fit a layer "
+                              f"with {eta.shape[1]} inputs and {b.shape[1]} outputs")
+        V = vu - np.max(vu, axis=1, keepdims=True)
+        w = np.exp(sm.logsoftmax_over_axis(vw, 1))
+        layers.append(_ddsf_layer(V, np.exp(V), eta, sm.softplus(a_pre), b, w))
+    return layers
+
+
+def _ddsf_core(x, layers):
+    """The ddsf kernel: y, log(dy/dx) and the intermediates its adjoint reads.
+
+    Plain numpy; x (B,), layers from _ddsf_layer. Per layer, CWN's
+    row-stochastic u = softmax_j(vu_ij + eta_bj) is never formed: with
+    E = exp(vu - rowmax), F = exp(eta - rowmax) and Z = F @ E.T,
+    u @ h = ((F h) @ E.T) / Z, and the chain link log(u @ exp r) =
+    log Q - log Z with Q the same product over eta + r. Then
+    C = a (u @ h) + b, log D = log(w @ s(C)), log(1-D) = log(w @ s(-C)),
+    h' = log D - log(1-D) and r' = log(w @ exp(log s(C) + log s(-C) +
+    log a + log(u @ exp r))) - log D - log(1-D) = log(dh'/dx), each w
+    product a max-shifted log_dot_exp. r stays a (B, d) vector because the
+    chain starts from a scalar.
     """
     B = x.shape[0]
-    h = dg.reshape(x, (B, 1))
-    r = np.zeros((B, 1))  # log(dh0/dx) = log 1
+    h, r = x[:, None], np.zeros((B, 1))  # log(dh0/dx) = log 1
+    saved = []
     for li, lay in enumerate(layers):
-        C = lay["a"] * dg.matvec(lay["u"], h) + lay["b"]
-        ls_pos = dg.logsigmoid(C)
-        ls_neg = dg.logsigmoid(dg.neg(C))
-        log_num = dg.log_dot_exp(lay["w"], ls_pos)
-        log_den = dg.log_dot_exp(lay["w"], ls_neg)
-        _check_saturation(log_num, log_den, x, layer=li)
-        h = log_num - log_den
-
-        s = dg.log_dot_exp(lay["u"], r)
-        col = ls_pos + ls_neg + lay["log_a"] + s
-        r = dg.log_dot_exp(lay["w"], col) - (log_num + log_den)
-    if r.shape[-1] != 1:
+        w, cz = lay["w"], lay["Z"]
+        uh = h if cz is None else _cwn_mix(h, lay["E"], cz)
+        C = lay["a"] * uh + lay["b"]
+        ls_pos, ls_neg = sm.logsigmoid(C), sm.logsigmoid(-C)
+        num, den = dg._log_dot_exp(w, ls_pos), dg._log_dot_exp(w, ls_neg)
+        _check_saturation(num[0], den[0], x, layer=li)
+        if cz is None:
+            s, cq = r, None
+        else:
+            cq = _cwn_product(lay["V"], lay["E"], lay["eta"] + r)
+            s = cq[0] - cz[0]
+        col = dg._log_dot_exp(w, ls_pos + ls_neg + lay["log_a"] + s)
+        saved.append((h, uh, C, cq, num, den, col))
+        h, r = num[0] - den[0], col[0] - (num[0] + den[0])
+    if h.shape[1] != 1:
         raise DomainError("ddsf layer chain must end with output size 1")
-    y = dg.take(h, (slice(None), 0))
-    logdet = dg.take(r, (slice(None), 0))
-    return y, logdet
+    return h[:, 0], r[:, 0], saved
+
+
+def _ddsf_adjoint(g, layers, saved, block, slices):
+    """Gradients of the stacked (y, logdet) for x, the block, vu and vw, by hand.
+
+    Per layer, back to front, with g_h and g_r the upstream gradients of h'
+    and r': the w products log D, log(1-D) and the chain link get
+    g_h - g_r, -g_h - g_r and g_r, and pass them on to their arguments and
+    to w (then through w's row softmax to vw). C collects log s(C)'s and
+    the link's through s(-C), minus log s(-C)'s and the link's through
+    s(C); log a gets the link's, and a goes on through softplus. u @ h
+    gets a g_C and log(u @ exp r) the link's, which _cwn_adjoint takes on
+    to vu, eta, h and r.
+    """
+    g_h, g_r = g[0][:, None], g[1][:, None]
+    g_block = np.empty_like(block)  # every column is written below
+    g_vu, g_vw = [], []
+    for lay, (eta, a_pre, b), (h, uh, C, cq, num, den, col) in zip(
+            reversed(layers), reversed(slices), reversed(saved)):
+        w, a = lay["w"], lay["a"]
+        gw_num, g_pos = dg._log_dot_exp_grads(g_h - g_r, *num, w)
+        gw_den, g_neg = dg._log_dot_exp_grads(-g_h - g_r, *den, w)
+        gw_col, g_col = dg._log_dot_exp_grads(g_r, *col, w)
+        g_w = gw_num + gw_den + gw_col
+        g_vw.append(w * (g_w - np.sum(g_w * w, axis=1, keepdims=True)))
+        g_c = (g_pos + g_col) * sm.sigmoid(-C) - (g_neg + g_col) * sm.sigmoid(C)
+        g_block[:, a_pre] = (g_c * uh + g_col / a) * sm.sigmoid(block[:, a_pre])
+        g_block[:, b] = g_c
+        if cq is None:  # u = 1: u @ h = h and s = r
+            g_h = np.sum(g_c * a, axis=1, keepdims=True)
+            g_r = np.sum(g_col, axis=1, keepdims=True)
+            g_block[:, eta] = 0.0
+            g_vu.append(np.zeros_like(lay["V"]))
+        else:
+            g_v, g_block[:, eta], g_h, g_r = _cwn_adjoint(
+                g_c * a, g_col, h, uh, lay["E"], lay["Z"], cq)
+            g_vu.append(g_v)
+    return (g_h[:, 0], g_block, *reversed(g_vu), *reversed(g_vw))
+
+
+def ddsf_from_preact(x, block, slices, v_u, v_w):
+    """ddsf on a (B, width) block of conditioner pre-activations, x (B,).
+
+    slices holds each layer's (eta, a_pre, b) column slices; v_u and v_w
+    the trainable (d_out, d_in) and (d_out, d_out) matrices. With x and
+    block arrays it runs the kernel on the matrices' data; with either a
+    Value it records one "ddsf" node holding (y, logdet), which the two
+    returned takes read.
+    """
+    if not (dg.is_value(x) or dg.is_value(block)):
+        layers = _ddsf_decode(block, slices, [_raw(v) for v in v_u], [_raw(v) for v in v_w])
+        return _ddsf_core(x, layers)[:2]
+    n = len(slices)
+
+    def forward(x, block, *vs):
+        layers = _ddsf_decode(block, slices, vs[:n], vs[n:])
+        y, logdet, saved = _ddsf_core(x, layers)
+        return np.stack([y, logdet]), layers, saved
+
+    def adjoint(g, out, x, block, *vs):
+        return _ddsf_adjoint(g, out[1], out[2], block, slices)
+
+    node = dg._op("ddsf", forward, adjoint, x, block, *v_u, *v_w)
+    return dg.take(node, 0), dg.take(node, 1)
 
 
 def ddsf_forward(x, layers):
-    """y and log(dy/dx) for a list of activated DdsfLayerParams."""
+    """y and log(dy/dx) for a list of activated DdsfLayerParams.
+
+    Each activated u enters the kernel as its own factor E = u, with F = 1.
+    """
     if not layers:
         raise DomainError("ddsf needs at least one layer")
     if layers[0].d_in != 1 or layers[-1].d_out != 1:
@@ -290,11 +459,10 @@ def ddsf_forward(x, layers):
             raise DomainError("layer dimensions do not chain")
     scalar = np.ndim(x) == 0
     xv = np.atleast_1d(np.asarray(x, dtype=np.float64))
-    prepared = [
-        {"u": p.u, "w": p.w, "a": p.a, "log_a": np.log(p.a), "b": p.b}
-        for p in layers
-    ]
-    y, logdet = _ddsf_core(xv, prepared)
+    with np.errstate(divide="ignore"):
+        prepared = [_ddsf_layer(np.log(p.u), p.u, np.zeros((len(xv), p.d_in)), p.a, p.b, p.w)
+                    for p in layers]
+    y, logdet, _ = _ddsf_core(xv, prepared)
     if scalar:
         return float(y[0]), float(logdet[0])
     return y, logdet
@@ -426,8 +594,11 @@ class Family:
       forward        (y, log dy/dx) of a flat (B,) x under a (B, width)
                      block, recording a graph iff the block is a Value;
       inverse        x with forward(x, block) = y (numpy path).
-    decode(block) reads the block into the arguments of core(x, p); the
-    inverse solves that same guarded core with invert_batch.
+    decode(block) reads the block into the arguments of core(x, p), and
+    forward is core(x, decode(block)); the inverse decodes once and solves
+    that same guarded core with invert_batch, so what is fixed during the
+    solve is computed once per dimension. dsf and ddsf decode arrays only;
+    their forward runs the same kernel, or records it as one graph node.
     The static random_params / evaluate work on activated parameter
     containers (AffineParams, DsfParams, a list of DdsfLayerParams).
     """
@@ -508,11 +679,15 @@ class Dsf(Family):
 
     @staticmethod
     def decode(block):
-        return block  # the dsf op reads the whole block
+        return _dsf_activate(block)
 
     @staticmethod
     def core(x, p):
-        return dsf_from_preact(x, p)
+        return _dsf_core(x, *p)[:2]
+
+    @staticmethod
+    def forward(x, block):
+        return dsf_from_preact(x, block)
 
     @staticmethod
     def random_params(rng, d, dims):
@@ -529,8 +704,9 @@ class Ddsf(Family):
 
     Per layer the block holds (eta, a_pre, b) with d_in, d_out, d_out
     columns. CWN modulates the trainable vu{li} (d_out, d_in) by eta
-    into the row-stochastic u; vw{li} (d_out, d_out) row-normalizes into
-    the mixing matrix w shared by every dimension.
+    into the row-stochastic u = softmax(vu + eta), which the kernel keeps
+    factored; vw{li} (d_out, d_out) row-normalizes into the mixing matrix
+    w shared by every dimension.
     """
 
     def __init__(self, d=DSF_DEFAULT_D, dims=None, name="layer"):
@@ -554,24 +730,16 @@ class Ddsf(Family):
         self.params = [*self.v_u, *self.v_w]
 
     def decode(self, block):
-        graph = dg.is_value(block)
-        rows = slice(None)
-        layers = []
-        for (eta, a_pre, b), vu, vw in zip(self.slices, self.v_u, self.v_w):
-            log_u = apply_cwn(vu if graph else vu.data, dg.take(block, (rows, eta)))
-            a = dg.softplus(dg.take(block, (rows, a_pre)))
-            layers.append({
-                "u": dg.exp(log_u),
-                "w": dg.exp(dg.logsoftmax(vw if graph else vw.data, axis=-1)),
-                "a": a,
-                "log_a": dg.log(a),
-                "b": dg.take(block, (rows, b)),
-            })
-        return layers
+        """Every array an inverse solve holds fixed, once per block (numpy)."""
+        return _ddsf_decode(block, self.slices, [v.data for v in self.v_u],
+                            [v.data for v in self.v_w])
 
     @staticmethod
     def core(x, p):
-        return _ddsf_core(x, p)
+        return _ddsf_core(x, p)[:2]
+
+    def forward(self, x, block):
+        return ddsf_from_preact(x, block, self.slices, self.v_u, self.v_w)
 
     @staticmethod
     def random_params(rng, d, dims):

@@ -3,10 +3,10 @@ import pytest
 
 from nafkit import diffgraph as dg
 from nafkit import stablemath as sm
+from nafkit import transformer as tf
 from nafkit.conditioner import (
     MadeConditioner,
     SOFTNESS_IDENTITY_OFFSET,
-    apply_cwn,
     build_masks,
     identity_init,
 )
@@ -124,45 +124,67 @@ class TestConditionerForward:
                                    atol=1e-15)
 
 
+def cwn_weights(vu, eta):
+    """CWN's (B, rows, cols) weights softmax(vu + eta) as the ddsf kernel forms
+    them, from its factors exp(vu - rowmax) and exp(eta - rowmax): u @ h for
+    each unit vector h."""
+    vu, eta = np.atleast_2d(vu), np.atleast_2d(eta)
+    V = vu - np.max(vu, axis=1, keepdims=True)
+    E = np.exp(V)
+    cz = tf._cwn_product(V, E, eta)
+    unit = np.eye(vu.shape[1])
+    return np.stack([tf._cwn_mix(np.broadcast_to(e, eta.shape), E, cz) for e in unit], axis=-1)
+
+
+def composite_cwn(vu, eta):
+    """The same weights spelled out: a row-logsoftmax over a (B, rows, cols) tensor."""
+    eta = np.atleast_2d(eta)
+    return np.exp(dg.logsoftmax(vu + eta[:, None, :], axis=-1))
+
+
 class TestApplyCwn:
-    """apply_cwn returns the entrywise log of a row-stochastic matrix."""
+    """The ddsf kernel's factored CWN weights form a row-stochastic matrix."""
 
     def test_uniform_when_all_zero(self):
-        out = apply_cwn(np.zeros((2, 2)), np.zeros(2))
-        np.testing.assert_allclose(np.exp(out), 0.25 + np.zeros((2, 2)) + 0.25, atol=1e-12)
+        out = cwn_weights(np.zeros((2, 2)), np.zeros(2))
+        np.testing.assert_allclose(out, np.full((1, 2, 2), 0.5), atol=1e-12)
 
     def test_softmax_oracle(self):
         # softmax(ln 3, 0) = (0.75, 0.25)
-        out = apply_cwn(np.zeros((1, 2)), np.array([np.log(3.0), 0.0]))
-        np.testing.assert_allclose(np.exp(out), [[0.75, 0.25]], atol=1e-12)
+        out = cwn_weights(np.zeros((1, 2)), np.array([np.log(3.0), 0.0]))
+        np.testing.assert_allclose(out, [[[0.75, 0.25]]], atol=1e-12)
 
     def test_constant_eta_shift_invariance(self):
         rng = np.random.default_rng(0)
         v = rng.normal(size=(3, 4))
-        base = apply_cwn(v, np.zeros(4))
-        shifted = apply_cwn(v, np.full(4, 2.7))
+        base = cwn_weights(v, np.zeros(4))
+        shifted = cwn_weights(v, np.full(4, 2.7))
         np.testing.assert_allclose(base, shifted, atol=1e-12)
 
     def test_rows_sum_to_one_extreme_entries(self):
         rng = np.random.default_rng(1)
         for _ in range(200):
             v = rng.uniform(-50, 50, size=(3, 5))
-            eta = rng.uniform(-50, 50, size=5)
-            out = apply_cwn(v, eta)
-            np.testing.assert_allclose(np.exp(out).sum(axis=1), 1.0, atol=1e-12)
+            eta = rng.uniform(-50, 50, size=(4, 5))
+            out = cwn_weights(v, eta)
+            np.testing.assert_allclose(out.sum(axis=-1), 1.0, atol=1e-12)
+            np.testing.assert_allclose(out, composite_cwn(v, eta), atol=1e-12)
 
     def test_equivalent_to_exp_rescaling(self):
         rng = np.random.default_rng(2)
         v = rng.normal(size=(2, 3))
-        eta = rng.normal(size=3)
-        direct = np.exp(apply_cwn(v, eta))
-        scaled = np.exp(v) * np.exp(eta)
-        want = scaled / scaled.sum(axis=1, keepdims=True)
-        np.testing.assert_allclose(direct, want, rtol=1e-12)
+        eta = rng.normal(size=(5, 3))
+        scaled = np.exp(v) * np.exp(eta)[:, None, :]
+        want = scaled / scaled.sum(axis=-1, keepdims=True)
+        np.testing.assert_allclose(cwn_weights(v, eta), want, rtol=1e-12)
+        np.testing.assert_allclose(composite_cwn(v, eta), want, rtol=1e-12)
 
     def test_length_mismatch(self):
+        # dims (1, 2, 1): layer 1 reads 2 eta columns, so a 3-column vu1 is refused
+        slices = tf.Ddsf(dims=(1, 2, 1)).slices
         with pytest.raises(DomainError):
-            apply_cwn(np.zeros((2, 3)), np.zeros(2))
+            tf.ddsf_from_preact(np.zeros(2), np.zeros((2, 9)), slices,
+                                [np.ones((2, 1)), np.zeros((1, 3))], [np.eye(2), np.ones((1, 1))])
 
 
 class TestIdentityInit:

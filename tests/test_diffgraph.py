@@ -43,7 +43,7 @@ class TestRecord:
                 dg.exp(a), dg.log(a), dg.sigmoid(a), dg.tanh(a), dg.matmul(a, a),
                 dg.vsum(a), dg.vmean(a), dg.logsumexp(a, axis=0), dg.softplus(a),
                 dg.reshape(a, (4,)), dg.take(a, (slice(None), 0)),
-                dg.log_dot_exp(dg.exp(a), a), dg.matvec(a, a)]
+                dg.log_dot_exp(dg.exp(a), a)]
         assert all(isinstance(out, dg.Value) for out in outs)
 
     # Each guard runs on both paths: recorded Values and plain arrays.
@@ -75,6 +75,8 @@ class TestRecord:
                 dg.exp(np.array([1000.0]))
 
 
+DDSF_121 = tf.Ddsf(dims=(1, 2, 1))  # block columns: layer 0 (1, 2, 2), layer 1 (2, 1, 1)
+
 OWN_OUTPUT_OPS = [
     ("exp", dg.exp),
     ("sigmoid", dg.sigmoid),
@@ -84,6 +86,11 @@ OWN_OUTPUT_OPS = [
     # the dsf node itself, (2, 4), not the takes that read y and logdet
     ("dsf", lambda a: tf.dsf_from_preact(
         dg.reshape(a, (4,)), dg.reshape(a, (4, 1)) * np.array([[1.0, 0.5, -1.0]]))[0].parents[0]),
+    # the ddsf node, dims (1, 2, 1), with vu1 and the block read from a
+    ("ddsf", lambda a: tf.ddsf_from_preact(
+        dg.reshape(a, (4,)), dg.reshape(a, (4, 1)) * np.linspace(-1.0, 1.0, 9),
+        DDSF_121.slices, [np.ones((2, 1)), dg.reshape(a, (1, 4))[:, 1:3]],
+        [np.eye(2), np.zeros((1, 1))])[0].parents[0]),
 ]
 
 
@@ -197,15 +204,17 @@ OPS_FD_CASES = [
     ("slice", lambda a: a[(slice(0, 2),)], 1),
     ("log_dot_exp", lambda a, b: dg.log_dot_exp(
         dg.exp(dg.reshape(a, (1, 3)) + np.array([[0.0], [0.5]])), dg.reshape(b, (1, 3))), 2),
-    ("log_dot_exp-3d", lambda a, b: dg.log_dot_exp(
-        dg.exp(dg.reshape(a, (1, 1, 3))), dg.reshape(b, (1, 3))), 2),
-    ("matvec", lambda a, b: dg.matvec(
-        dg.reshape(a, (1, 3)) + np.array([[0.0], [0.5]]), dg.reshape(b, (1, 3))), 2),
-    ("matvec-3d", lambda a, b: dg.matvec(
-        dg.reshape(a, (1, 1, 3)), dg.reshape(b, (1, 3))), 2),
     # x = a at three points; a d = 2 block (w_pre, a_pre, b) mixed from b
     ("dsf", lambda a, b: dg.add(*tf.dsf_from_preact(
         a, dg.reshape(b, (1, 3)) @ np.tile(np.eye(3), 2) + np.array([[0.0], [0.5], [-0.5]]))), 2),
+    # x = a at three points; a dims (1, 2, 1) block, vu1 and vw0 mixed from b
+    ("ddsf", lambda a, b: dg.add(*tf.ddsf_from_preact(
+        a, dg.reshape(b, (1, 3)) @ np.tile(np.eye(3), 3) + np.array([[0.0], [0.5], [-0.5]]),
+        DDSF_121.slices,
+        [np.ones((2, 1)), dg.reshape(b, (1, 3)) @ np.array([[1.0, 0.0], [0.0, 1.0], [0.5, -0.5]])],
+        [dg.reshape(dg.reshape(b, (1, 3)) @ np.array([[1.0, 0, 0, 0.5], [0, 1.0, 0.5, 0],
+                                                      [0, 0, 1.0, -1.0]]), (2, 2)),
+         np.zeros((1, 1))])), 2),
 ]
 
 
@@ -294,6 +303,13 @@ class TestStructure:
         stack = FlowStack.build(m=2, kind="dsf", d=16, hidden=(64,))
         batch = np.random.default_rng(0).normal(size=(32, 2))
         assert len(_graph(mle_loss(batch, stack))) <= 30
+
+    def test_ddsf_records_one_node_per_call(self):
+        stack = FlowStack.build(m=2, kind="ddsf", ddsf_dims=(1, 16, 16, 1), hidden=(64,))
+        batch = np.random.default_rng(0).normal(size=(32, 2))
+        nodes = _graph(mle_loss(batch, stack))
+        assert [n.op for n in nodes].count("ddsf") == 1
+        assert len(nodes) <= 36  # the dsf loss's 30, plus the six vu and vw leaves
 
 
 def _graph(root):

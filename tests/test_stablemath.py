@@ -5,6 +5,7 @@ import pytest
 
 from nafkit import diffgraph as dg
 from nafkit import stablemath as sm
+from nafkit import transformer as tf
 from nafkit.errors import DomainError, NumericError
 
 LN2 = math.log(2.0)
@@ -172,8 +173,9 @@ class TestLogMatrix:
             v = rng.uniform(1e-3, 10.0, size=(2, 4))
             want = np.log(v @ a.T)
             np.testing.assert_allclose(dg.log_dot_exp(a, np.log(v)), want, rtol=1e-9)
-            batched = np.stack([a, a])  # one matrix per row of v
-            np.testing.assert_allclose(dg.log_dot_exp(batched, np.log(v)), want, rtol=1e-9)
+            # the same product in the ddsf kernel's CWN form, log(exp(X) @ exp(V).T)
+            got = tf._cwn_product(np.log(a), a, np.log(v))[0]
+            np.testing.assert_allclose(got, want, rtol=1e-9)
 
     def test_matches_logsumexp_reference(self):
         # entries of M spread over 300 decades and v over +-700
@@ -181,10 +183,14 @@ class TestLogMatrix:
         for _ in range(200):
             mat = rng.uniform(0.0, 1.0, size=(5, 3, 4)) * 10.0 ** rng.uniform(-300, 0, (5, 3, 4))
             v = rng.uniform(-700, 700, size=(5, 4)) * rng.uniform(0, 1, size=(5, 1))
-            want = sm.logsumexp_over_axis(np.log(mat) + v[:, None, :], -1)
-            np.testing.assert_allclose(dg.log_dot_exp(mat, v), want, rtol=1e-13, atol=1e-13)
             want = sm.logsumexp_over_axis(np.log(mat[0]) + v[:, None, :], -1)
             np.testing.assert_allclose(dg.log_dot_exp(mat[0], v), want, rtol=1e-13, atol=1e-13)
+            # the ddsf kernel's CWN form takes a per-row matrix M_b = E * F_b:
+            # here E = mat[0] and F_b = mat[b, 0], both spread over 300 decades
+            x = v + np.log(mat[:, 0])
+            want = sm.logsumexp_over_axis(np.log(mat[0]) + x[:, None, :], -1)
+            got = tf._cwn_product(np.log(mat[0]), mat[0], x)[0]
+            np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-13)
 
     def test_underflowed_rows_keep_their_value(self):
         # M is ~0 where v peaks, so the shifted product of rows 0 and 1 is
@@ -196,7 +202,9 @@ class TestLogMatrix:
         out = dg.log_dot_exp(mat, v)
         assert np.all(np.isfinite(out)) and out[0, 0] == -800.0
         np.testing.assert_allclose(out, want, rtol=1e-13)
-        np.testing.assert_allclose(dg.log_dot_exp(mat[None], v), want, rtol=1e-13)
+        with np.errstate(divide="ignore"):
+            got = tf._cwn_product(np.log(mat), mat, v)[0]
+        np.testing.assert_allclose(got, want, rtol=1e-13)
         # d out / d M there is exp(v_j - out) > 1e308: a typed error, not inf
         v_leaf = dg.Value(np.array([[0.0, -800.0], [0.0, -1.0]]))
         with pytest.raises(NumericError) as exc:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from nafkit import diffgraph as dg
+from nafkit import stablemath as sm
 from nafkit import transformer as tf
 from nafkit.errors import DomainError, NumericError, RangeError, SaturationError
 from nafkit.flow import FlowStack
@@ -194,6 +195,137 @@ class TestDdsf:
         assert exc.value.layer == 0
 
 
+def composite_ddsf(x, block, fam):
+    """The ddsf transformer spelled out in diffgraph ops, one node per step.
+
+    CWN's u is formed in full as the (B, d_out, d_in) row-logsoftmax of
+    vu + eta, u @ h as a sum over that tensor, and log(u @ exp r) as a
+    logsumexp over it; each w product is a shared log_dot_exp.
+    """
+    B, rows = x.shape[0], slice(None)
+    h, r = dg.reshape(x, (B, 1)), np.zeros((B, 1))
+    for li, ((eta, a_pre, b), vu, vw) in enumerate(zip(fam.slices, fam.v_u, fam.v_w)):
+        d_in = vu.shape[1]
+        log_u = dg.logsoftmax(vu + dg.reshape(block[rows, eta], (B, 1, d_in)), axis=-1)
+        w = dg.exp(dg.logsoftmax(vw, axis=-1))
+        a = dg.softplus(block[rows, a_pre])
+        C = a * dg.vsum(dg.exp(log_u) * dg.reshape(h, (B, 1, d_in)), axis=-1) + block[rows, b]
+        ls_pos, ls_neg = dg.logsigmoid(C), dg.logsigmoid(-C)
+        log_num, log_den = dg.log_dot_exp(w, ls_pos), dg.log_dot_exp(w, ls_neg)
+        tf._check_saturation(log_num, log_den, x, layer=li)
+        h = log_num - log_den
+        s = dg.logsumexp(log_u + dg.reshape(r, (B, 1, d_in)), axis=-1)
+        r = dg.log_dot_exp(w, ls_pos + ls_neg + dg.log(a) + s) - (log_num + log_den)
+    return h[rows, 0], r[rows, 0]
+
+
+def random_ddsf(rng, dims, B, scale=1.0):
+    """A Ddsf family with N(0, scale) vu and vw, and a block at random_params scale."""
+    fam = tf.Ddsf(dims=dims)
+    for p in fam.params:
+        p.data = rng.normal(size=p.data.shape) * scale
+    block = rng.normal(size=(B, fam.width)) + fam.offset
+    for eta, _, b in fam.slices:
+        block[:, eta] *= scale
+        block[:, b] *= 2.0
+    return fam, block
+
+
+def op_results(fn, fam, xs, block, g_y, g_ld):
+    """y, logdet and the gradients of x, the block and each of fam's parameters."""
+    dg.zero_grad(fam.params)
+    x, blk = dg.Value(xs), dg.Value(block)
+    y, ld = fn(x, blk)
+    dg.backward(dg.vsum(y * g_y) + dg.vsum(ld * g_ld))
+    return [y.data, ld.data, x.grad, blk.grad, *(p.grad for p in fam.params)]
+
+
+class TestDdsfOp:
+    """The one-node ddsf op against the same transformer built from ops."""
+
+    def test_gradients_match_composite(self):
+        rng = np.random.default_rng(22)
+        B = 256
+        fam, block = random_ddsf(rng, (1, 16, 16, 1), B)
+        xs = rng.uniform(-3.0, 3.0, size=B)
+        g_y, g_ld = rng.normal(size=B), rng.normal(size=B)
+        ref = op_results(lambda x, blk: composite_ddsf(x, blk, fam), fam, xs, block, g_y, g_ld)
+        got = op_results(fam.forward, fam, xs, block, g_y, g_ld)
+        names = ["y", "logdet", "x", "block", *(p.name for p in fam.params)]
+        worst = {}
+        for name, want, have in zip(names, ref, got):
+            floor = 1e-12 * np.max(np.abs(want))
+            np.testing.assert_allclose(have, want, rtol=1e-9, atol=floor, err_msg=name)
+            worst[name] = float(np.max(np.abs(have - want)))
+        print("largest differences:", worst)
+        assert not np.any(ref[names.index("layer.vu0")])  # a one-column u gets no gradient
+        assert not np.any(got[names.index("layer.vu0")])
+
+    def test_numpy_path_matches_graph_values(self):
+        rng = np.random.default_rng(4)
+        fam, block = random_ddsf(rng, (1, 6, 5, 1), 32)
+        xs = rng.normal(size=32)
+        y, ld = fam.forward(xs, block)
+        gy, gld = fam.forward(dg.Value(xs), dg.Value(block))
+        assert y.tobytes() == gy.data.tobytes() and ld.tobytes() == gld.data.tobytes()
+        assert y.tobytes() == fam.core(xs, fam.decode(block))[0].tobytes()
+
+    def test_graph_saturation_names_layer_dimension_and_point(self):
+        stack = FlowStack.build(m=2, kind="ddsf", ddsf_dims=(1, 8, 8, 1), seed=0)
+        batch = np.array([[0.0, 0.0], [0.1, -0.2], [0.3, 0.1], [0.0, 1e4]])
+        with pytest.raises(SaturationError) as exc:
+            mle_loss(batch, stack)
+        assert str(exc.value).startswith("layer0, dimension 1, batch point 3: ")
+        assert str(exc.value).endswith("in layer 0 (|x| up to 10000)")
+        assert (exc.value.layer, exc.value.dim, exc.value.index) == (0, 1, 7)
+
+    def test_normalizer_underflow_rows_in_log_space(self):
+        # vu and eta spread over +-800 nats: the shifted normalizers Z and Q
+        # of some rows fall below the smallest normal float
+        rng = np.random.default_rng(23)
+        B, d_out, d_in = 64, 6, 5
+        vu = rng.uniform(-800.0, 800.0, size=(d_out, d_in))
+        eta = rng.uniform(-800.0, 800.0, size=(B, d_in))
+        h, r = rng.normal(size=(B, d_in)) * 3.0, rng.normal(size=(B, d_in)) * 3.0
+        V = vu - np.max(vu, axis=1, keepdims=True)
+        E = np.exp(V)
+        cz, cq = tf._cwn_product(V, E, eta), tf._cwn_product(V, E, eta + r)
+        assert len(cz[3][0]) >= 10 and len(cq[3][0]) >= 10  # rows recomputed in log space
+        log_u = sm.logsoftmax_over_axis(vu + eta[:, None, :], -1)
+        want_s = sm.logsumexp_over_axis(log_u + r[:, None, :], -1)
+        want_uh = np.sum(np.exp(log_u) * h[:, None, :], axis=-1)
+        np.testing.assert_allclose(cq[0] - cz[0], want_s, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(tf._cwn_mix(h, E, cz), want_uh, rtol=1e-12, atol=1e-12)
+
+    def test_normalizer_underflow_end_to_end(self):
+        # the whole op in that regime: values match the composite to 1e-12,
+        # and every gradient is finite (warnings fail the suite)
+        rng = np.random.default_rng(24)
+        fam, block = random_ddsf(rng, (1, 8, 8, 1), 64, scale=800.0 / 1.7)
+        xs = rng.uniform(-3.0, 3.0, size=64)
+        g_y, g_ld = rng.normal(size=64), rng.normal(size=64)
+        ref = op_results(lambda x, blk: composite_ddsf(x, blk, fam), fam, xs, block, g_y, g_ld)
+        got = op_results(fam.forward, fam, xs, block, g_y, g_ld)
+        for want, have in zip(ref[:2], got[:2]):
+            np.testing.assert_allclose(have, want, rtol=1e-12, atol=1e-12)
+        assert all(np.all(np.isfinite(g)) for g in got[2:])
+
+    def test_log_space_rows_match_composite(self, monkeypatch):
+        # with no product counted normal, every row takes the log-space
+        # path, forward and adjoint, and still matches the composite
+        monkeypatch.setattr(dg, "_TINY", np.inf)
+        rng = np.random.default_rng(25)
+        fam, block = random_ddsf(rng, (1, 6, 5, 1), 48)
+        xs = rng.uniform(-3.0, 3.0, size=48)
+        g_y, g_ld = rng.normal(size=48), rng.normal(size=48)
+        got = op_results(fam.forward, fam, xs, block, g_y, g_ld)
+        assert len(fam.decode(block)[1]["Z"][3][0]) == 48 * 5  # every (point, unit) row
+        monkeypatch.undo()
+        ref = op_results(lambda x, blk: composite_ddsf(x, blk, fam), fam, xs, block, g_y, g_ld)
+        for want, have in zip(ref, got):
+            np.testing.assert_allclose(have, want, rtol=1e-9, atol=1e-12 * np.max(np.abs(want)))
+
+
 class TestInvert:
     def test_identity_dsf(self):
         p = tf.DsfParams(w=[1.0], a=[1.0], b=[0.0])
@@ -276,6 +408,19 @@ class TestInvert:
         fn, calls = counted(tf.forward_closure("affine-exp", tf.AffineParams(0.0, 0.0)))
         assert tf.invert_batch([5e5], fn)[0] == 5e5
         assert calls[0] <= 60
+
+    def test_dsf_activates_once_per_inverse(self, monkeypatch):
+        calls = []
+        activate = tf._dsf_activate
+        monkeypatch.setattr(tf, "_dsf_activate", lambda block: calls.append(1) or activate(block))
+        rng = np.random.default_rng(5)
+        fam, block = tf.Dsf(d=4), rng.normal(size=(50, 12))
+        xs = rng.uniform(-3.0, 3.0, size=50)
+        ys, _ = fam.forward(xs, block)
+        calls.clear()
+        back = fam.inverse(ys, block)
+        assert len(calls) == 1
+        assert np.max(np.abs(back - xs)) <= 1e-8
 
     def test_iteration_cap_raises(self, monkeypatch):
         monkeypatch.setattr(tf, "SOLVER_ITERATIONS", 2)
