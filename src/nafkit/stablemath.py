@@ -76,6 +76,15 @@ def sigmoid(x):
     return float(out) if out.ndim == 0 else out
 
 
+def sigmoid_pair(x):
+    """(sigmoid(x), sigmoid(-x)) from one exp(-|x|): the bits of two sigmoid calls."""
+    x = np.asarray(x, dtype=np.float64)
+    e = np.exp(-np.abs(x))
+    d = 1.0 + e
+    hi, lo = 1.0 / d, e / d
+    return np.where(x >= 0, hi, lo), np.where(x <= 0, hi, lo)
+
+
 def logit(p):
     """Inverse sigmoid on (0, 1)."""
     p = np.asarray(p, dtype=np.float64)

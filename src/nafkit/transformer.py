@@ -7,6 +7,10 @@ row-stochastic mixing matrices (ddsf). Every forward returns both y and
 log(dy/dx), with the log-derivative assembled entirely in log space so
 stacked Jacobian chains neither vanish nor overflow.
 
+A family is parameterized only by the (B, width) block of
+pseudo-parameters a conditioner emits (plus ddsf's trainable vu and vw);
+softmax, softplus and conditional weight normalization (CWN) apply inside.
+
 The affine cores are written against the diffgraph dispatch layer: fed
 Values they record a differentiable graph, fed ndarrays they run plain
 numpy. dsf and ddsf each have one numpy kernel, _dsf_core and
@@ -27,8 +31,6 @@ dozen forward evaluations per dimension.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -53,70 +55,6 @@ SOLVER_ITERATIONS = 200
 
 DSF_DEFAULT_D = 16
 DDSF_DEFAULT_DIMS = (1, 16, 1)
-
-
-# -- parameter containers ------------------------------------------------
-
-
-@dataclass
-class AffineParams:
-    mu: float
-    sigma_pre: float
-
-
-@dataclass
-class DsfParams:
-    """Activated sigmoid-mixture parameters: simplex w, positive a."""
-
-    w: np.ndarray
-    a: np.ndarray
-    b: np.ndarray
-
-    def __post_init__(self):
-        self.w = np.asarray(self.w, dtype=np.float64)
-        self.a = np.asarray(self.a, dtype=np.float64)
-        self.b = np.asarray(self.b, dtype=np.float64)
-        if not (self.w.shape == self.a.shape == self.b.shape):
-            raise DomainError("w, a, b must share one length")
-        if np.any(self.w <= 0) or abs(self.w.sum() - 1.0) > 1e-9:
-            raise DomainError("w must be strictly positive and sum to 1")
-        if np.any(self.a <= 0):
-            raise DomainError("a must be strictly positive")
-
-
-@dataclass
-class DdsfLayerParams:
-    """One dense layer: row-stochastic u and w, positive a, free b."""
-
-    u: np.ndarray
-    w: np.ndarray
-    a: np.ndarray
-    b: np.ndarray
-
-    def __post_init__(self):
-        self.u = np.asarray(self.u, dtype=np.float64)
-        self.w = np.asarray(self.w, dtype=np.float64)
-        self.a = np.asarray(self.a, dtype=np.float64)
-        self.b = np.asarray(self.b, dtype=np.float64)
-        d_out, d_in = self.u.shape
-        if self.w.shape != (d_out, d_out):
-            raise DomainError(f"w must be {d_out}x{d_out}, got {self.w.shape}")
-        if self.a.shape != (d_out,) or self.b.shape != (d_out,):
-            raise DomainError("a and b must have the layer's output length")
-        if np.any(self.u < 0) or np.any(np.abs(self.u.sum(axis=1) - 1.0) > 1e-9):
-            raise DomainError("u rows must be nonnegative and sum to 1")
-        if np.any(self.w < 0) or np.any(np.abs(self.w.sum(axis=1) - 1.0) > 1e-9):
-            raise DomainError("w rows must be nonnegative and sum to 1")
-        if np.any(self.a <= 0):
-            raise DomainError("a must be strictly positive")
-
-    @property
-    def d_in(self):
-        return self.u.shape[1]
-
-    @property
-    def d_out(self):
-        return self.u.shape[0]
 
 
 # -- shared plumbing -------------------------------------------------------
@@ -212,7 +150,8 @@ def _dsf_adjoint(g, out, x, block):
     gq = (-g_y - g_ld) * np.exp(t_den - log_den[:, None])
     gr = g_ld * np.exp(t_r - log_r[:, None])
     g_log_w = gp + gq + gr
-    g_c = (gp + gr) * sm.sigmoid(-C) - (gq + gr) * sm.sigmoid(C)
+    s_pos, s_neg = sm.sigmoid_pair(C)
+    g_c = (gp + gr) * s_neg - (gq + gr) * s_pos
     g_w_pre = g_log_w - np.exp(log_w) * np.sum(g_log_w, axis=-1, keepdims=True)
     _, a_pre, _ = np.split(block, 3, axis=-1)
     g_a_pre = (g_c * x[:, None] + gr / a) * sm.sigmoid(a_pre)
@@ -229,23 +168,6 @@ def dsf_from_preact(x, block):
         return _dsf_core(x, *_dsf_activate(block))[:2]
     node = dg._op("dsf", _dsf_forward, _dsf_adjoint, x, block)
     return dg.take(node, 0), dg.take(node, 1)
-
-
-def dsf_forward(x, p: DsfParams):
-    """y and log(dy/dx) from activated DsfParams (numpy path)."""
-    x = np.asarray(x, dtype=np.float64)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        log_w, log_a = np.log(p.w), np.log(p.a)
-    y, logdet, _ = _dsf_core(x, log_w, p.a, log_a, p.b)
-    if x.ndim == 0:
-        return float(y), float(logdet)
-    return y, logdet
-
-
-def dsf_prelogit(x, p: DsfParams):
-    """The (0,1)-valued convex sigmoid combination before the logit."""
-    x = np.asarray(x, dtype=np.float64)
-    return sm.sigmoid(p.a * x[..., None] + p.b) @ p.w
 
 
 # -- ddsf ------------------------------------------------------------------
@@ -321,17 +243,12 @@ def _cwn_adjoint(g_uh, g_s, h, uh, E, cz, cq):
     return g_v, g_eta, g_h, g_r
 
 
-def _ddsf_layer(V, E, eta, a, b, w):
-    """One layer's arrays, fixed while x varies: u's factors and log Z.
-
-    A one-column u is 1 once normalized, so it gets no CWN product.
-    """
-    return {"V": V, "E": E, "eta": eta, "a": a, "log_a": np.log(a), "b": b, "w": w,
-            "Z": None if V.shape[1] == 1 else _cwn_product(V, E, eta)}
-
-
 def _ddsf_decode(block, slices, v_u, v_w):
-    """Per-layer arrays from a (B, width) block and the trainable vu, vw."""
+    """Per-layer arrays from a (B, width) block and the trainable vu, vw.
+
+    They are fixed while x varies: a, log a, b, w, and u's factors and
+    log Z. A one-column u is 1 once normalized, so it gets no CWN product.
+    """
     layers = []
     for (eta, a_pre, b), vu, vw in zip(slices, v_u, v_w):
         eta, a_pre, b = block[:, eta], block[:, a_pre], block[:, b]
@@ -339,15 +256,17 @@ def _ddsf_decode(block, slices, v_u, v_w):
             raise DomainError(f"vu {vu.shape} and vw {vw.shape} do not fit a layer "
                               f"with {eta.shape[1]} inputs and {b.shape[1]} outputs")
         V = vu - np.max(vu, axis=1, keepdims=True)
-        w = np.exp(sm.logsoftmax_over_axis(vw, 1))
-        layers.append(_ddsf_layer(V, np.exp(V), eta, sm.softplus(a_pre), b, w))
+        E, a = np.exp(V), sm.softplus(a_pre)
+        layers.append({"V": V, "E": E, "eta": eta, "a": a, "log_a": np.log(a), "b": b,
+                       "w": np.exp(sm.logsoftmax_over_axis(vw, 1)),
+                       "Z": None if V.shape[1] == 1 else _cwn_product(V, E, eta)})
     return layers
 
 
 def _ddsf_core(x, layers):
     """The ddsf kernel: y, log(dy/dx) and the intermediates its adjoint reads.
 
-    Plain numpy; x (B,), layers from _ddsf_layer. Per layer, CWN's
+    Plain numpy; x (B,), layers from _ddsf_decode. Per layer, CWN's
     row-stochastic u = softmax_j(vu_ij + eta_bj) is never formed: with
     E = exp(vu - rowmax), F = exp(eta - rowmax) and Z = F @ E.T,
     u @ h = ((F h) @ E.T) / Z, and the chain link log(u @ exp r) =
@@ -376,8 +295,6 @@ def _ddsf_core(x, layers):
         col = dg._log_dot_exp(w, ls_pos + ls_neg + lay["log_a"] + s)
         saved.append((h, uh, C, cq, num, den, col))
         h, r = num[0] - den[0], col[0] - (num[0] + den[0])
-    if h.shape[1] != 1:
-        raise DomainError("ddsf layer chain must end with output size 1")
     return h[:, 0], r[:, 0], saved
 
 
@@ -404,7 +321,8 @@ def _ddsf_adjoint(g, layers, saved, block, slices):
         gw_col, g_col = dg._log_dot_exp_grads(g_r, *col, w)
         g_w = gw_num + gw_den + gw_col
         g_vw.append(w * (g_w - np.sum(g_w * w, axis=1, keepdims=True)))
-        g_c = (g_pos + g_col) * sm.sigmoid(-C) - (g_neg + g_col) * sm.sigmoid(C)
+        s_pos, s_neg = sm.sigmoid_pair(C)
+        g_c = (g_pos + g_col) * s_neg - (g_neg + g_col) * s_pos
         g_block[:, a_pre] = (g_c * uh + g_col / a) * sm.sigmoid(block[:, a_pre])
         g_block[:, b] = g_c
         if cq is None:  # u = 1: u @ h = h and s = r
@@ -443,29 +361,6 @@ def ddsf_from_preact(x, block, slices, v_u, v_w):
 
     node = dg._op("ddsf", forward, adjoint, x, block, *v_u, *v_w)
     return dg.take(node, 0), dg.take(node, 1)
-
-
-def ddsf_forward(x, layers):
-    """y and log(dy/dx) for a list of activated DdsfLayerParams.
-
-    Each activated u enters the kernel as its own factor E = u, with F = 1.
-    """
-    if not layers:
-        raise DomainError("ddsf needs at least one layer")
-    if layers[0].d_in != 1 or layers[-1].d_out != 1:
-        raise DomainError("layer dimensions must chain from 1 to 1")
-    for prev, nxt in zip(layers[:-1], layers[1:]):
-        if prev.d_out != nxt.d_in:
-            raise DomainError("layer dimensions do not chain")
-    scalar = np.ndim(x) == 0
-    xv = np.atleast_1d(np.asarray(x, dtype=np.float64))
-    with np.errstate(divide="ignore"):
-        prepared = [_ddsf_layer(np.log(p.u), p.u, np.zeros((len(xv), p.d_in)), p.a, p.b, p.w)
-                    for p in layers]
-    y, logdet, _ = _ddsf_core(xv, prepared)
-    if scalar:
-        return float(y[0]), float(logdet[0])
-    return y, logdet
 
 
 # -- inversion -------------------------------------------------------------
@@ -599,8 +494,8 @@ class Family:
     that same guarded core with invert_batch, so what is fixed during the
     solve is computed once per dimension. dsf and ddsf decode arrays only;
     their forward runs the same kernel, or records it as one graph node.
-    The static random_params / evaluate work on activated parameter
-    containers (AffineParams, DsfParams, a list of DdsfLayerParams).
+    random_row(rng) draws one (width,) block row for property checks (ddsf
+    also redraws vu and vw); random_params pairs it with a fresh family.
     """
 
     dims = None
@@ -636,16 +531,8 @@ class AffineExp(Family):
         mu, s = self.decode(block)
         return _within_reach(y, (y - mu) * np.exp(-s))
 
-    @staticmethod
-    def random_params(rng, d, dims):
-        return AffineParams(mu=float(rng.normal()), sigma_pre=float(rng.normal()))
-
-    @classmethod
-    def evaluate(cls, x, p):
-        y, logdet = cls.core(np.asarray(x, dtype=np.float64), (p.mu, p.sigma_pre))
-        if np.ndim(x) == 0:
-            return float(y), float(logdet)
-        return y, logdet
+    def random_row(self, rng):
+        return rng.normal(size=2)
 
 
 class AffineGate(AffineExp):
@@ -689,14 +576,10 @@ class Dsf(Family):
     def forward(x, block):
         return dsf_from_preact(x, block)
 
-    @staticmethod
-    def random_params(rng, d, dims):
-        w = np.exp(sm.logsoftmax(rng.normal(size=d)))
-        a = sm.softplus(rng.normal(size=d) + 0.5)
-        b = rng.normal(size=d) * 2.0
-        return DsfParams(w=w, a=a, b=b)
-
-    evaluate = staticmethod(dsf_forward)
+    def random_row(self, rng):
+        d = self.d
+        return np.concatenate([rng.normal(size=d), rng.normal(size=d) + 0.5,
+                               rng.normal(size=d) * 2.0])
 
 
 class Ddsf(Family):
@@ -741,18 +624,13 @@ class Ddsf(Family):
     def forward(self, x, block):
         return ddsf_from_preact(x, block, self.slices, self.v_u, self.v_w)
 
-    @staticmethod
-    def random_params(rng, d, dims):
-        layers = []
-        for d_in, d_out in zip(dims[:-1], dims[1:]):
-            u = np.exp(sm.logsoftmax_over_axis(rng.normal(size=(d_out, d_in)), 1))
-            w = np.exp(sm.logsoftmax_over_axis(rng.normal(size=(d_out, d_out)), 1))
-            a = sm.softplus(rng.normal(size=d_out) + 0.5)
-            b = rng.normal(size=d_out) * 2.0
-            layers.append(DdsfLayerParams(u=u, w=w, a=a, b=b))
-        return layers
-
-    evaluate = staticmethod(ddsf_forward)
+    def random_row(self, rng):
+        row = []
+        for vu, vw in zip(self.v_u, self.v_w):
+            vu.data, vw.data = rng.normal(size=vu.shape), rng.normal(size=vw.shape)
+            d_out, d_in = vu.shape
+            row += [np.zeros(d_in), rng.normal(size=d_out) + 0.5, rng.normal(size=d_out) * 2.0]
+        return np.concatenate(row)
 
 
 FAMILIES = {"affine-exp": AffineExp, "affine-gate": AffineGate, "dsf": Dsf, "ddsf": Ddsf}
@@ -770,16 +648,15 @@ def family(kind) -> type:
 
 def random_params(kind: str, rng: np.random.Generator, d: int = DSF_DEFAULT_D,
                   dims=DDSF_DEFAULT_DIMS):
-    """Draw parameters satisfying each family's validity invariants."""
-    return family(kind).random_params(rng, d, dims)
+    """A fresh family of the kind and one random (width,) block row for it."""
+    fam = family(kind)(d=d, dims=dims)
+    return fam, fam.random_row(rng)
 
 
-def forward_closure(kind: str, params):
-    """y(x) under activated parameters, for scalar or (n,) x."""
-    evaluate = family(kind).evaluate
-    return lambda x: evaluate(x, params)[0]
-
-
-def affine_forward(x, p: AffineParams, kind: str = "exp"):
-    """y and log(dy/dx) for the affine transformer; kind "exp" or "gate"."""
-    return family(f"affine-{kind}").evaluate(x, p)
+def forward_closure(fam: Family, row):
+    """y(x) for scalar or (n,) x, with the block row broadcast over x."""
+    def fn(x):
+        xs = np.atleast_1d(np.asarray(x, dtype=np.float64))
+        y, _ = fam.forward(xs, np.broadcast_to(row, (xs.size, len(row))))
+        return float(y[0]) if np.ndim(x) == 0 else y
+    return fn

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import stablemath as sm
 from .errors import DomainError
-from .transformer import DsfParams, dsf_prelogit, invert_batch
+from .transformer import invert_batch
 
 
 @dataclass
@@ -108,14 +108,19 @@ def step_eval(x, w: np.ndarray, b: np.ndarray):
     return (x[..., None] >= b) @ w
 
 
-def build_sigmoid_approx(target: MonotoneTarget, n: int,
-                         eps0: Optional[float] = None) -> DsfParams:
+def _sigmoid_sum(x, w, a, b):
+    """The (0,1)-valued convex sigmoid combination sum_j w_j sigmoid(a_j x + b_j)."""
+    x = np.asarray(x, dtype=np.float64)
+    return sm.sigmoid(a * x[..., None] + b) @ w
+
+
+def build_sigmoid_approx(target: MonotoneTarget, n: int, eps0: Optional[float] = None):
     """Sigmoid superposition sharing the step construction's w and b.
 
     The common softness tau = kappa / logit(1 - eps0), with kappa the
     minimum bias gap, makes each sigmoid pass within eps0 of its step at
-    every other bias point. Returned in slope-intercept form: component j
-    evaluates sigmoid(a_j x + b'_j) with a = 1/tau, b' = -b/tau.
+    every other bias point. Returned in slope-intercept form as (w, a, b'):
+    component j evaluates sigmoid(a_j x + b'_j) with a = 1/tau, b' = -b/tau.
     """
     if n < 2:
         raise DomainError("the sigmoid construction needs n >= 2")
@@ -128,27 +133,22 @@ def build_sigmoid_approx(target: MonotoneTarget, n: int,
     if kappa <= 0.0:
         raise DomainError("duplicate biases: minimum gap is zero")
     tau = kappa / sm.logit(1.0 - eps0)
-    return DsfParams(w=w, a=np.full(n, 1.0 / tau), b=-b / tau)
+    return w, np.full(n, 1.0 / tau), -b / tau
 
 
 def certify(target: MonotoneTarget, approx, grid_size: int = 10001) -> float:
-    """Sup-norm error of a step pair (w, b) or DsfParams over a dense grid."""
+    """Sup-norm error of a step pair (w, b) or sigmoid sum (w, a, b) on a dense grid."""
     if grid_size < 101:
         raise DomainError("grid_size must be >= 101")
     xs = np.linspace(target.r0, target.r1, grid_size)
     truth = np.array([target.fn(float(x)) for x in xs])
-    if isinstance(approx, DsfParams):
-        vals = dsf_prelogit(xs, approx)
-    else:
-        w, b = approx
-        vals = step_eval(xs, w, b)
+    vals = _sigmoid_sum(xs, *approx) if len(approx) == 3 else step_eval(xs, *approx)
     return float(np.max(np.abs(vals - truth)))
 
 
 def dsf_prelogit_curve(xs, target: MonotoneTarget, n: int) -> np.ndarray:
     """Sigmoid-superposition values along xs for the target's n-term build."""
-    params = build_sigmoid_approx(target, n)
-    return dsf_prelogit(np.asarray(xs, dtype=np.float64), params)
+    return _sigmoid_sum(xs, *build_sigmoid_approx(target, n))
 
 
 def inverse_transform_demo(n: int, n_samples: int = 20000, seed: int = 0) -> dict:
@@ -167,11 +167,10 @@ def inverse_transform_demo(n: int, n_samples: int = 20000, seed: int = 0) -> dic
     kappa = float(np.min(np.diff(np.sort(b))))
     eps0 = 1.0 / (2.0 * (n + 1))
     tau = kappa / sm.logit(1.0 - eps0)
-    params = DsfParams(w=w, a=np.full(n, 1.0 / tau), b=-b / tau)
 
     rng = np.random.default_rng(seed)
     u = rng.random(n_samples)
-    pre = np.clip(dsf_prelogit(u, params), 1e-15, 1.0 - 1e-15)
+    pre = np.clip(_sigmoid_sum(u, w, np.full(n, 1.0 / tau), -b / tau), 1e-15, 1.0 - 1e-15)
     samples = np.sort(sm.logit(pre))
     cdf = np.array([phi(s) for s in samples])
     i = np.arange(1, n_samples + 1)

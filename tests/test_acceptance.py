@@ -32,10 +32,6 @@ def report(num, ok, detail, budget_s=None, elapsed=None):
         assert elapsed < budget_s, f"criterion {num} exceeded {budget_s}s ({elapsed:.1f}s)"
 
 
-def _closure(kind, params):
-    return tf.forward_closure(kind, params)
-
-
 @pytest.fixture(scope="module")
 def grid_runs(tmp_path_factory):
     """Criterion 7 training runs (DSF and affine baseline), via the CLI."""
@@ -78,8 +74,7 @@ def test_criterion_1_monotonicity():
     violations = 0
     for kind in ALL_KINDS:
         for s in range(1000):
-            params = tf.random_params(kind, np.random.default_rng(s))
-            ys = _closure(kind, params)(grid)
+            ys = tf.forward_closure(*tf.random_params(kind, np.random.default_rng(s)))(grid)
             if np.any(np.diff(ys) <= 0):
                 violations += 1
     report(1, violations == 0,
@@ -93,17 +88,10 @@ def test_criterion_2_logdet_exactness():
     worst = 0.0
     for kind in ALL_KINDS:
         for s in range(100):
-            params = tf.random_params(kind, np.random.default_rng(40_000 + s))
+            fam, row = tf.random_params(kind, np.random.default_rng(40_000 + s))
             x = float(np.random.default_rng(50_000 + s).uniform(-3, 3))
-            if kind == "affine-exp":
-                _, ld = tf.affine_forward(x, params, "exp")
-            elif kind == "affine-gate":
-                _, ld = tf.affine_forward(x, params, "gate")
-            elif kind == "dsf":
-                _, ld = tf.dsf_forward(x, params)
-            else:
-                _, ld = tf.ddsf_forward(x, params)
-            fn = _closure(kind, params)
+            _, (ld,) = fam.forward(np.array([x]), row[None])
+            fn = tf.forward_closure(fam, row)
             fd = (fn(x + h) - fn(x - h)) / (2 * h)
             worst = max(worst, abs(math.exp(ld) - fd) / max(abs(fd), 1e-12))
     report(2, worst <= 1e-4,
@@ -134,10 +122,10 @@ def test_criterion_4_invertibility():
     for kind in ALL_KINDS:
         rng = np.random.default_rng(7)
         xs = rng.uniform(-4, 4, size=1000)
-        params = tf.random_params(kind, np.random.default_rng(13))
-        fn = _closure(kind, params)
-        ys = fn(xs)
-        back = tf.invert_batch(ys, fn)
+        fam, row = tf.random_params(kind, np.random.default_rng(13))
+        block = np.broadcast_to(row, (xs.size, row.size))
+        ys, _ = fam.forward(xs, block)
+        back = fam.inverse(ys, block)
         worst = max(worst, float(np.max(np.abs(back - xs))))
     stack = FlowStack.build(m=2, kind="dsf", d=16, seed=0)
     samples = stack.sample(10000, seed=9)

@@ -32,17 +32,11 @@ class TestLayerForward:
         a_pre_raw = np.array([0.4, 0.0, -0.3, 0.2])
         b_vec = np.array([0.5, -1.0, 0.0, 2.0])
         layer.conditioner.biases[-1].data = np.concatenate([w_pre, a_pre_raw, b_vec])
-        from nafkit import stablemath as sm
-        from nafkit.conditioner import SOFTNESS_IDENTITY_OFFSET
-
-        params = tf.DsfParams(
-            w=np.exp(sm.logsoftmax(w_pre)),
-            a=sm.softplus(a_pre_raw + SOFTNESS_IDENTITY_OFFSET),
-            b=b_vec,
-        )
+        fam = tf.Dsf(4)
+        block = np.concatenate([w_pre, a_pre_raw, b_vec]) + fam.offset
         xs = np.array([[0.7], [-2.1], [0.0]])
         y_layer, ld_layer = FlowStack([layer]).forward(xs)
-        y_ref, ld_ref = tf.dsf_forward(xs[:, 0], params)
+        y_ref, ld_ref = fam.forward(xs[:, 0], np.broadcast_to(block, (3, fam.width)))
         np.testing.assert_allclose(y_layer[:, 0], y_ref, atol=1e-12)
         np.testing.assert_allclose(ld_layer, ld_ref, atol=1e-12)
 

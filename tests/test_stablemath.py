@@ -87,6 +87,9 @@ class TestSigmoid:
         ex = np.exp(xs[~pos])
         split[~pos] = ex / (1.0 + ex)
         assert sm.sigmoid(xs).tobytes() == split.tobytes()
+        pos, neg = sm.sigmoid_pair(xs)
+        assert pos.tobytes() == split.tobytes()
+        assert neg.tobytes() == sm.sigmoid(-xs).tobytes()
 
     def test_scalar_returns_float(self):
         assert type(sm.sigmoid(0.0)) is float

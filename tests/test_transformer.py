@@ -17,62 +17,83 @@ def fd_slope(fn, x, h=1e-6):
     return (fn(x + h) - fn(x - h)) / (2 * h)
 
 
+def a_pre(a):
+    """The a_pre entries that softplus decodes to the activated slopes a."""
+    return [sm.softplus_inv(v - sm.DELTA) for v in np.atleast_1d(a)]
+
+
+def affine(kind, mu, s):
+    """An affine family of the kind ("exp" or "gate") and its block row (mu, s)."""
+    return tf.family(f"affine-{kind}")(), np.array([mu, s])
+
+
+def dsf(w, a, b):
+    """A Dsf family and the block row decoding to simplex w, slopes a, biases b."""
+    return tf.Dsf(len(w)), np.concatenate([np.log(w), a_pre(a), b])
+
+
+def ddsf(layers):
+    """A Ddsf family and block row decoding to activated (u, w, a, b) per layer.
+
+    vu = log u and vw = log w, with eta = 0 in the block.
+    """
+    fam = tf.Ddsf(dims=(1, *(len(a) for _, _, a, _ in layers)))
+    row = []
+    for (u, w, a, b), vu, vw in zip(layers, fam.v_u, fam.v_w):
+        vu.data, vw.data = np.log(u), np.log(w)
+        row += [np.zeros(vu.shape[1]), a_pre(a), b]
+    return fam, np.concatenate(row)
+
+
+def scalar_forward(fam, row, x):
+    """(y, log dy/dx) as floats at one scalar x."""
+    (y,), (ld,) = fam.forward(np.array([float(x)]), np.asarray(row)[None])
+    return float(y), float(ld)
+
+
 class TestAffine:
     def test_exp_identity(self):
-        p = tf.AffineParams(mu=0.0, sigma_pre=0.0)
-        assert tf.affine_forward(7.0, p, "exp") == (7.0, 0.0)
+        assert scalar_forward(*affine("exp", 0.0, 0.0), 7.0) == (7.0, 0.0)
 
     def test_gate_saturates_to_identity(self):
-        p = tf.AffineParams(mu=3.0, sigma_pre=50.0)
-        y, ld = tf.affine_forward(2.0, p, "gate")
+        y, ld = scalar_forward(*affine("gate", 3.0, 50.0), 2.0)
         assert y == pytest.approx(2.0, abs=1e-12)
         assert ld == pytest.approx(0.0, abs=1e-5)
 
     def test_gate_hand_evaluation(self):
         # 0.5*2 + 0.5*4 = 3; slope sigmoid(0) = 0.5
-        p = tf.AffineParams(mu=4.0, sigma_pre=0.0)
-        y, ld = tf.affine_forward(2.0, p, "gate")
+        fam, row = affine("gate", 4.0, 0.0)
+        y, ld = scalar_forward(fam, row, 2.0)
         assert y == pytest.approx(3.0, abs=1e-12)
         assert ld == pytest.approx(-LN2, abs=2e-6)
-        fn = tf.forward_closure("affine-gate", p)
+        fn = tf.forward_closure(fam, row)
         assert math.exp(ld) == pytest.approx(fd_slope(fn, 2.0), rel=1e-5)
 
     def test_unknown_kind(self):
         with pytest.raises(DomainError):
-            tf.affine_forward(0.0, tf.AffineParams(0.0, 0.0), "cube")
-
-
-class TestDsfParams:
-    def test_invariants_enforced(self):
-        with pytest.raises(DomainError):
-            tf.DsfParams(w=[0.5, 0.6], a=[1.0, 1.0], b=[0.0, 0.0])
-        with pytest.raises(DomainError):
-            tf.DsfParams(w=[0.5, 0.5], a=[1.0, -1.0], b=[0.0, 0.0])
-        with pytest.raises(DomainError):
-            tf.DsfParams(w=[0.5, 0.5], a=[1.0, 1.0], b=[0.0])
+            tf.family("affine-cube")
 
 
 class TestDsfForward:
     def test_single_unit_is_identity(self):
-        p = tf.DsfParams(w=[1.0], a=[1.0], b=[0.0])
+        fam, row = dsf([1.0], [1.0], [0.0])
         for x in (-3.0, 0.0, 2.5):
-            y, ld = tf.dsf_forward(x, p)
+            y, ld = scalar_forward(fam, row, x)
             assert y == pytest.approx(x, abs=1e-12)
             assert ld == pytest.approx(0.0, abs=1e-12)
 
     def test_identical_units_collapse(self):
-        p = tf.DsfParams(w=[0.5, 0.5], a=[1.0, 1.0], b=[0.0, 0.0])
-        y, ld = tf.dsf_forward(1.7, p)
+        y, ld = scalar_forward(*dsf([0.5, 0.5], [1.0, 1.0], [0.0, 0.0]), 1.7)
         assert y == pytest.approx(1.7, abs=1e-12)
         assert ld == pytest.approx(0.0, abs=1e-12)
 
     def test_hand_derived_slope(self):
         # D = 0.5, dy/dx = (0.5*2*0.25 + 0.5*1*0.25) / (0.5*0.5) = 1.5
-        p = tf.DsfParams(w=[0.5, 0.5], a=[2.0, 1.0], b=[0.0, 0.0])
-        y, ld = tf.dsf_forward(0.0, p)
+        fam, row = dsf([0.5, 0.5], [2.0, 1.0], [0.0, 0.0])
+        y, ld = scalar_forward(fam, row, 0.0)
         assert y == pytest.approx(0.0, abs=1e-12)
         assert ld == pytest.approx(0.4054651081081644, abs=1e-12)
-        fn = tf.forward_closure("dsf", p)
+        fn = tf.forward_closure(fam, row)
         assert math.exp(ld) == pytest.approx(fd_slope(fn, 0.0), rel=1e-7)
 
     def test_prelogit_stays_open_in_nominal_regime(self):
@@ -82,15 +103,14 @@ class TestDsfForward:
             w = rng.dirichlet(np.ones(d))
             w = np.maximum(w, 1e-12)
             w /= w.sum()
-            p = tf.DsfParams(w=w, a=rng.uniform(0.1, 10.0, d), b=rng.uniform(-10, 10, d))
-            xs = np.linspace(-30, 30, 41)
-            y, ld = tf.dsf_forward(xs, p)  # must not raise
+            fam, row = dsf(w, rng.uniform(0.1, 10.0, d), rng.uniform(-10, 10, d))
+            y = tf.forward_closure(fam, row)(np.linspace(-30, 30, 41))  # must not raise
             assert np.all(np.isfinite(y))
 
     def test_saturation_error_names_magnitude(self):
-        p = tf.DsfParams(w=[0.5, 0.5], a=[5.0, 5.0], b=[0.0, 0.0])
+        fn = tf.forward_closure(*dsf([0.5, 0.5], [5.0, 5.0], [0.0, 0.0]))
         with pytest.raises(SaturationError) as exc:
-            tf.dsf_forward(1e4, p)
+            fn(1e4)
         assert exc.value.magnitude == pytest.approx(1e4)
 
 
@@ -148,50 +168,43 @@ class TestDsfOp:
         assert (exc.value.dim, exc.value.index) == (1, 7)
 
 
-class TestDdsf:
-    def _identity_layers(self, d=2):
-        l1 = tf.DdsfLayerParams(u=np.ones((d, 1)), w=np.full((d, d), 1.0 / d),
-                                a=np.ones(d), b=np.zeros(d))
-        l2 = tf.DdsfLayerParams(u=np.full((1, d), 1.0 / d), w=np.ones((1, 1)),
-                                a=np.ones(1), b=np.zeros(1))
-        return [l1, l2]
+def identity_ddsf_layers(d):
+    """(u, w, a, b) per layer of a (1, d, 1) ddsf that is the identity map."""
+    return [(np.ones((d, 1)), np.full((d, d), 1.0 / d), np.ones(d), np.zeros(d)),
+            (np.full((1, d), 1.0 / d), np.ones((1, 1)), np.ones(1), np.zeros(1))]
 
+
+class TestDdsf:
     def test_single_layer_identity(self):
-        lay = tf.DdsfLayerParams(u=np.ones((1, 1)), w=np.ones((1, 1)),
-                                 a=np.ones(1), b=np.zeros(1))
-        y, ld = tf.ddsf_forward(0.85, [lay])
+        fam, row = ddsf([(np.ones((1, 1)), np.ones((1, 1)), np.ones(1), np.zeros(1))])
+        y, ld = scalar_forward(fam, row, 0.85)
         assert y == pytest.approx(0.85, abs=1e-12)
         assert ld == pytest.approx(0.0, abs=1e-12)
 
     def test_two_layer_identity_composition(self):
+        fam, row = ddsf(identity_ddsf_layers(2))
         for x in (-2.0, 0.0, 1.3):
-            y, ld = tf.ddsf_forward(x, self._identity_layers())
+            y, ld = scalar_forward(fam, row, x)
             assert y == pytest.approx(x, abs=1e-10)
             assert ld == pytest.approx(0.0, abs=1e-10)
 
     def test_seeded_random_logdet_matches_fd(self):
         # dims (1, 2, 1), fixed seed, x = 0.3
-        layers = tf.random_params("ddsf", np.random.default_rng(7), dims=(1, 2, 1))
-        y, ld = tf.ddsf_forward(0.3, layers)
-        fn = tf.forward_closure("ddsf", layers)
-        fd = fd_slope(fn, 0.3)
+        fam, row = tf.random_params("ddsf", np.random.default_rng(7), dims=(1, 2, 1))
+        _, ld = scalar_forward(fam, row, 0.3)
+        fd = fd_slope(tf.forward_closure(fam, row), 0.3)
         assert math.exp(ld) == pytest.approx(fd, rel=1e-5)
 
     def test_dims_must_chain(self):
-        l1 = tf.DdsfLayerParams(u=np.ones((2, 1)), w=np.full((2, 2), 0.5),
-                                a=np.ones(2), b=np.zeros(2))
-        bad = tf.DdsfLayerParams(u=np.full((1, 3), 1 / 3), w=np.ones((1, 1)),
-                                 a=np.ones(1), b=np.zeros(1))
-        with pytest.raises(DomainError):
-            tf.ddsf_forward(0.0, [l1, bad])
+        for dims in ((2, 1), (1, 2), (1,), (1, 0, 1)):
+            with pytest.raises(DomainError):
+                tf.Ddsf(dims=dims)
 
     def test_saturation_error_carries_layer_index(self):
-        l1 = tf.DdsfLayerParams(u=np.ones((2, 1)), w=np.full((2, 2), 0.5),
-                                a=np.full(2, 10.0), b=np.zeros(2))
-        l2 = tf.DdsfLayerParams(u=np.full((1, 2), 0.5), w=np.ones((1, 1)),
-                                a=np.ones(1), b=np.zeros(1))
+        fam, row = ddsf([(np.ones((2, 1)), np.full((2, 2), 0.5), np.full(2, 10.0), np.zeros(2)),
+                         (np.full((1, 2), 0.5), np.ones((1, 1)), np.ones(1), np.zeros(1))])
         with pytest.raises(SaturationError) as exc:
-            tf.ddsf_forward(500.0, [l1, l2])
+            scalar_forward(fam, row, 500.0)
         assert exc.value.layer == 0
 
 
@@ -328,18 +341,15 @@ class TestDdsfOp:
 
 class TestInvert:
     def test_identity_dsf(self):
-        p = tf.DsfParams(w=[1.0], a=[1.0], b=[0.0])
-        fn = tf.forward_closure("dsf", p)
+        fn = tf.forward_closure(*dsf([1.0], [1.0], [0.0]))
         assert tf.invert_batch([0.37], fn)[0] == pytest.approx(0.37, abs=1e-10)
 
     def test_affine_exp_closed_form(self):
-        p = tf.AffineParams(mu=1.0, sigma_pre=math.log(2.0))
-        fn = tf.forward_closure("affine-exp", p)
+        fn = tf.forward_closure(*affine("exp", 1.0, math.log(2.0)))
         assert tf.invert_batch([5.0], fn)[0] == pytest.approx(2.0, abs=1e-10)
 
     def test_round_trip_thousand_points(self):
-        p = tf.DsfParams(w=[0.5, 0.5], a=[2.0, 1.0], b=[0.0, 0.0])
-        fn = tf.forward_closure("dsf", p)
+        fn = tf.forward_closure(*dsf([0.5, 0.5], [2.0, 1.0], [0.0, 0.0]))
         assert tf.invert_batch([0.0], fn)[0] == pytest.approx(0.0, abs=1e-10)
         rng = np.random.default_rng(0)
         xs = rng.uniform(-4, 4, size=1000)
@@ -348,13 +358,11 @@ class TestInvert:
         assert np.max(np.abs(back - xs)) <= 1e-8
 
     def test_bracket_expansion_beyond_hint(self):
-        p = tf.AffineParams(mu=100.0, sigma_pre=0.0)
-        fn = tf.forward_closure("affine-exp", p)
+        fn = tf.forward_closure(*affine("exp", 100.0, 0.0))
         assert tf.invert_batch([250.0], fn, -1.0, 1.0)[0] == pytest.approx(150.0, abs=1e-8)
 
     def test_range_error_when_unreachable(self):
-        p = tf.DsfParams(w=[0.5, 0.5], a=[1.0, 1.0], b=[0.0, 0.0])
-        fn = tf.forward_closure("dsf", p)
+        fn = tf.forward_closure(*dsf([0.5, 0.5], [1.0, 1.0], [0.0, 0.0]))
         # identical units make the identity; inversion solves the same
         # guarded forward, which reaches far past 100
         assert tf.invert_batch([100.0], fn)[0] == pytest.approx(100.0, abs=1e-8)
@@ -366,8 +374,7 @@ class TestInvert:
     def test_reach_is_the_guarded_forward(self):
         # the identity dsf maps |x| up to the guard (about 708) onto itself;
         # a bracket probe past the guard is pulled back, not raised
-        p = tf.DsfParams(w=[0.5, 0.5], a=[1.0, 1.0], b=[0.0, 0.0])
-        fn = tf.forward_closure("dsf", p)
+        fn = tf.forward_closure(*dsf([0.5, 0.5], [1.0, 1.0], [0.0, 0.0]))
         ys = np.array([-600.0, 3.0, 700.0])
         assert np.max(np.abs(tf.invert_batch(ys, fn) - ys)) <= 1e-8
         with pytest.raises(SaturationError):
@@ -376,16 +383,14 @@ class TestInvert:
     def test_target_past_guard_raises_within_budget(self):
         # a probe that trips the guard also shortens the next step, so
         # the ends close on the guard instead of re-tripping it each time
-        p = tf.DsfParams(w=[0.5, 0.5], a=[1.0, 1.0], b=[0.0, 0.0])
-        fn, calls = counted(tf.forward_closure("dsf", p))
+        fn, calls = counted(tf.forward_closure(*dsf([0.5, 0.5], [1.0, 1.0], [0.0, 0.0])))
         with pytest.raises(SaturationError):
             tf.invert_batch([1e4], fn)
         assert calls[0] <= 150
 
     @pytest.mark.parametrize("kind", ["dsf", "ddsf"])
     def test_forward_evals_per_call(self, kind):
-        params = tf.random_params(kind, np.random.default_rng(13))
-        fn = tf.forward_closure(kind, params)
+        fn = tf.forward_closure(*tf.random_params(kind, np.random.default_rng(13)))
         xs = np.random.default_rng(0).uniform(-4, 4, size=1000)
         ys = fn(xs)
         counting, calls = counted(fn)
@@ -405,7 +410,7 @@ class TestInvert:
 
     def test_large_x_ends_at_ulp_width(self):
         # 1e-12 is below the spacing of floats near 5e5
-        fn, calls = counted(tf.forward_closure("affine-exp", tf.AffineParams(0.0, 0.0)))
+        fn, calls = counted(tf.forward_closure(*affine("exp", 0.0, 0.0)))
         assert tf.invert_batch([5e5], fn)[0] == 5e5
         assert calls[0] <= 60
 
@@ -424,9 +429,9 @@ class TestInvert:
 
     def test_iteration_cap_raises(self, monkeypatch):
         monkeypatch.setattr(tf, "SOLVER_ITERATIONS", 2)
-        p = tf.DsfParams(w=[0.5, 0.5], a=[2.0, 1.0], b=[0.0, 0.0])
+        fn = tf.forward_closure(*dsf([0.5, 0.5], [2.0, 1.0], [0.0, 0.0]))
         with pytest.raises(NumericError) as exc:
-            tf.invert_batch([0.1, 0.7], tf.forward_closure("dsf", p))
+            tf.invert_batch([0.1, 0.7], fn)
         assert "entry 0" in str(exc.value)
         assert exc.value.index == 0
 
@@ -451,53 +456,39 @@ class TestCheckMonotone:
     """Strict increase along a grid, evaluated point by point."""
 
     def test_identity_true(self):
-        p = tf.DsfParams(w=[1.0], a=[1.0], b=[0.0])
-        assert increasing(tf.forward_closure("dsf", p), (-3.0, 0.0, 3.0))
+        assert increasing(tf.forward_closure(*dsf([1.0], [1.0], [0.0])), (-3.0, 0.0, 3.0))
 
     def test_random_dsf_seeds(self):
         grid = np.linspace(-5, 5, 201)
         for s in range(200):
-            p = tf.random_params("dsf", np.random.default_rng(s))
-            assert increasing(tf.forward_closure("dsf", p), grid)
+            assert increasing(tf.forward_closure(*tf.random_params("dsf", np.random.default_rng(s))),
+                              grid)
 
     def test_corrupted_slope_detected(self):
-        p = tf.DsfParams(w=[0.5, 0.5], a=[1.0, 1.0], b=[-2.0, 2.0])
-        p.a[1] = -3.0  # violate positivity after construction
+        # a negative slope, which softplus never decodes, fed to the kernel
+        log_w, a, b = np.log([0.5, 0.5]), np.array([1.0, -3.0]), np.array([-2.0, 2.0])
+        fn = lambda x: float(tf._dsf_core(np.array([x]), log_w, a, np.zeros(2), b)[0][0])
         grid = np.linspace(-5, 5, 801)
-        assert not increasing(tf.forward_closure("dsf", p), grid)
+        assert not increasing(fn, grid)
 
 
 class TestLogdetProperty:
     @pytest.mark.parametrize("kind", ["affine-exp", "affine-gate", "dsf", "ddsf"])
     def test_logdet_matches_fd_100_seeds(self, kind):
         for s in range(100):
-            params = tf.random_params(kind, np.random.default_rng(s))
-            fn = tf.forward_closure(kind, params)
+            fam, row = tf.random_params(kind, np.random.default_rng(s))
             x = float(np.random.default_rng(1000 + s).uniform(-3, 3))
-            if kind == "affine-exp":
-                _, ld = tf.affine_forward(x, params, "exp")
-            elif kind == "affine-gate":
-                _, ld = tf.affine_forward(x, params, "gate")
-            elif kind == "dsf":
-                _, ld = tf.dsf_forward(x, params)
-            else:
-                _, ld = tf.ddsf_forward(x, params)
-            fd = fd_slope(fn, x, h=1e-5)
+            _, ld = scalar_forward(fam, row, x)
+            fd = fd_slope(tf.forward_closure(fam, row), x, h=1e-5)
             assert abs(math.exp(ld) - fd) / max(abs(fd), 1e-12) < 1e-4, (kind, s)
 
-    @pytest.mark.parametrize("kind", ["dsf", "ddsf"])
-    def test_identity_parameters_give_identity(self, kind):
-        if kind == "dsf":
-            p = tf.DsfParams(w=np.full(16, 1 / 16), a=np.ones(16), b=np.zeros(16))
-            fwd = lambda x: tf.dsf_forward(x, p)
-        else:
-            d = 16
-            l1 = tf.DdsfLayerParams(u=np.ones((d, 1)), w=np.full((d, d), 1 / d),
-                                    a=np.ones(d), b=np.zeros(d))
-            l2 = tf.DdsfLayerParams(u=np.full((1, d), 1 / d), w=np.ones((1, 1)),
-                                    a=np.ones(1), b=np.zeros(1))
-            fwd = lambda x: tf.ddsf_forward(x, [l1, l2])
+    @pytest.mark.parametrize("make", [
+        lambda: dsf(np.full(16, 1 / 16), np.ones(16), np.zeros(16)),
+        lambda: ddsf(identity_ddsf_layers(16)),
+    ], ids=["dsf", "ddsf"])
+    def test_identity_parameters_give_identity(self, make):
+        fam, row = make()
         for x in np.linspace(-3, 3, 13):
-            y, ld = fwd(float(x))
+            y, ld = scalar_forward(fam, row, x)
             assert y == pytest.approx(float(x), abs=1e-5)
             assert ld == pytest.approx(0.0, abs=1e-5)

@@ -6,9 +6,9 @@ import pytest
 from scipy import stats
 
 from nafkit.errors import DomainError
-from nafkit.transformer import DsfParams, dsf_prelogit
 from nafkit.universal import (
     MonotoneTarget,
+    _sigmoid_sum,
     build_sigmoid_approx,
     build_step_approx,
     certify,
@@ -100,7 +100,7 @@ class TestSigmoidApprox:
         kappa = float(np.min(np.diff(np.sort(b))))
         xs = np.linspace(0, 1, 5001)
         far = np.min(np.abs(xs[:, None] - b), axis=1) > kappa
-        gap = np.abs(dsf_prelogit(xs[far], params) - step_eval(xs[far], w, b))
+        gap = np.abs(_sigmoid_sum(xs[far], *params) - step_eval(xs[far], w, b))
         assert np.max(gap) <= 2e-5
 
     def test_identity_n6_proof_choice_bound(self):
@@ -115,18 +115,18 @@ class TestSigmoidApprox:
         tgt = identity_target()
         a = build_sigmoid_approx(tgt, 6)
         b = build_sigmoid_approx(tgt, 6, eps0=1.0 / 14.0)
-        np.testing.assert_array_equal(a.a, b.a)
+        np.testing.assert_array_equal(a[1], b[1])
 
     def test_params_satisfy_dsf_invariants(self):
-        params = build_sigmoid_approx(normal_cdf_target(), 9)
-        assert isinstance(params, DsfParams)  # construction validates
-        assert abs(params.w.sum() - 1.0) <= 1e-12
-        assert np.all(params.a > 0)
+        w, a, _ = build_sigmoid_approx(normal_cdf_target(), 9)
+        assert np.all(w > 0)
+        assert abs(w.sum() - 1.0) <= 1e-12
+        assert np.all(a > 0)
 
     def test_prelogit_strictly_monotone(self):
         params = build_sigmoid_approx(normal_cdf_target(), 9)
         grid = np.linspace(-4, 4, 501)
-        ys = [float(dsf_prelogit(x, params)) for x in grid]
+        ys = [float(_sigmoid_sum(x, *params)) for x in grid]
         assert np.all(np.diff(ys) > 0)
 
     def test_error_decreases_with_n(self):
@@ -156,7 +156,7 @@ class TestCertify:
         # a target that IS a one-term sigmoid sum certifies at 0
         tgt = MonotoneTarget(fn=lambda x: 1.0 / (1.0 + math.exp(-x)),
                              r0=-30.0, r1=30.0)
-        params = DsfParams(w=[1.0], a=[1.0], b=[0.0])
+        params = (np.ones(1), np.ones(1), np.zeros(1))
         assert certify(tgt, params, grid_size=10001) <= 1e-9
 
     def test_grid_size_floor(self):
