@@ -56,6 +56,8 @@ def write_csv(path: str, rows, header=None):
 
 def write_density_grid(path: str, stack, window, points: int):
     """x,y,logp rows of a 2-D stack's log-density on a points x points grid."""
+    if points < 0:
+        raise DomainError(f"grid points must be >= 0, got {points}")
     lo, hi = window
     axis = np.linspace(lo, hi, points)
     gx, gy = np.meshgrid(axis, axis, indexing="ij")

@@ -202,6 +202,8 @@ class FlowStack:
         return y
 
     def sample(self, n: int, seed=0) -> np.ndarray:
+        if n < 0:
+            raise DomainError(f"sample count must be >= 0, got {n}")
         rng = np.random.default_rng(seed)
         z = self.base.sample(n, rng)
         return self.inverse(z)

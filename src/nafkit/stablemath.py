@@ -64,6 +64,17 @@ def logsigmoid(x):
     return -softplus(-x)
 
 
+def logsigmoid_pair(x):
+    """(logsigmoid(x), logsigmoid(-x)) from one log1p(exp(-|x|)): the bits of two calls.
+
+    With lp = log1p(exp(-|x|)), they are -(max(-x, 0) + lp + DELTA) and
+    -(max(x, 0) + lp + DELTA), added in softplus's order.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    lp = np.log1p(np.exp(-np.abs(x)))
+    return -(np.maximum(-x, 0.0) + lp + DELTA), -(np.maximum(x, 0.0) + lp + DELTA)
+
+
 def sigmoid(x):
     """Logistic function from exp(-|x|), which cannot overflow.
 

@@ -41,6 +41,8 @@ class TrainConfig:
             raise DomainError("lr must be nonnegative")
         if not (0 <= self.beta1 < 1 and 0 <= self.beta2 < 1):
             raise DomainError("betas must lie in [0, 1)")
+        if self.steps < 1:
+            raise DomainError("steps must be >= 1")
         if self.batch < 1:
             raise DomainError("batch must be >= 1")
 

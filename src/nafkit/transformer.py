@@ -14,17 +14,19 @@ softmax, softplus and conditional weight normalization (CWN) apply inside.
 The affine cores are written against the diffgraph dispatch layer: fed
 Values they record a differentiable graph, fed ndarrays they run plain
 numpy. dsf and ddsf each have one numpy kernel, _dsf_core and
-_ddsf_core: densities and inversion call it directly, and training
-records it as a single "dsf" or "ddsf" node over the whole conditioner
-block (and, for ddsf, its trainable vu and vw), whose adjoint is derived
-by hand and reads the intermediates the kernel saved. The ddsf kernel
+_ddsf_core: densities call it directly, inversion calls it in its y-only
+mode (logdet=False), and training records it as a single "dsf" or "ddsf"
+node over the whole conditioner block (and, for ddsf, its trainable vu
+and vw), whose adjoint is derived by hand and reads the intermediates
+the kernel saved. The ddsf kernel
 never forms CWN's (B, d_out, d_in) weights: it keeps them factored as
 a (d_out, d_in) and a (B, d_in) exponential and works by matrix
 products, forward and backward. Each family is one Family
 subclass in the FAMILIES registry; it owns its conditioner block layout,
 any extra parameters, its forward on a conditioner block and its
-inverse. Densities and inversion evaluate the same guarded forward, so
-every x an inverse returns is one the density path can score. dsf and
+inverse. Inversion runs the same guarded kernel as densities without
+its log-det chain: the same y bits and the same guard, so every x an
+inverse returns is one the density path can score. dsf and
 ddsf have no closed-form inverse: invert_batch brackets each target and
 refines it with Chandrupatla's derivative-free interpolation, about a
 dozen forward evaluations per dimension.
@@ -94,7 +96,7 @@ def _check_saturation(log_num, log_den, x, layer=None):
 # -- dsf -------------------------------------------------------------------
 
 
-def _dsf_core(x, log_w, a, log_a, b):
+def _dsf_core(x, log_w, a, log_a, b, logdet=True):
     """The dsf kernel: y, log(dy/dx) and the intermediates its adjoint reads.
 
     Plain numpy on activated logs: x (...,); log_w/a/log_a/b (..., d).
@@ -106,14 +108,17 @@ def _dsf_core(x, log_w, a, log_a, b):
     deltas inside logsigmoid cancel exactly in both y and logdet. The
     third return value holds C, the three LSE arguments and their results;
     the numpy path drops it, the graph path saves it for _dsf_adjoint.
+    With logdet=False (the inversion solver) it returns y alone once the
+    guard has passed, without log R.
     """
     C = a * x[..., None] + b
-    ls_pos = sm.logsigmoid(C)
-    ls_neg = sm.logsigmoid(-C)
+    ls_pos, ls_neg = sm.logsigmoid_pair(C)
     t_num, t_den = log_w + ls_pos, log_w + ls_neg
     log_num = sm.logsumexp_over_axis(t_num, -1)
     log_den = sm.logsumexp_over_axis(t_den, -1)
     _check_saturation(log_num, log_den, x)
+    if not logdet:
+        return log_num - log_den
     t_r = log_w + log_a + ls_pos + ls_neg
     log_r = sm.logsumexp_over_axis(t_r, -1)
     saved = (C, t_num, t_den, t_r, log_num, log_den, log_r)
@@ -263,7 +268,7 @@ def _ddsf_decode(block, slices, v_u, v_w):
     return layers
 
 
-def _ddsf_core(x, layers):
+def _ddsf_core(x, layers, logdet=True):
     """The ddsf kernel: y, log(dy/dx) and the intermediates its adjoint reads.
 
     Plain numpy; x (B,), layers from _ddsf_decode. Per layer, CWN's
@@ -275,7 +280,9 @@ def _ddsf_core(x, layers):
     h' = log D - log(1-D) and r' = log(w @ exp(log s(C) + log s(-C) +
     log a + log(u @ exp r))) - log D - log(1-D) = log(dh'/dx), each w
     product a max-shifted log_dot_exp. r stays a (B, d) vector because the
-    chain starts from a scalar.
+    chain starts from a scalar. With logdet=False (the inversion solver)
+    every layer stops at h' once its guard has passed, and y comes back
+    alone: no Q, link, r or saved arrays.
     """
     B = x.shape[0]
     h, r = x[:, None], np.zeros((B, 1))  # log(dh0/dx) = log 1
@@ -284,9 +291,12 @@ def _ddsf_core(x, layers):
         w, cz = lay["w"], lay["Z"]
         uh = h if cz is None else _cwn_mix(h, lay["E"], cz)
         C = lay["a"] * uh + lay["b"]
-        ls_pos, ls_neg = sm.logsigmoid(C), sm.logsigmoid(-C)
+        ls_pos, ls_neg = sm.logsigmoid_pair(C)
         num, den = dg._log_dot_exp(w, ls_pos), dg._log_dot_exp(w, ls_neg)
         _check_saturation(num[0], den[0], x, layer=li)
+        if not logdet:
+            h = num[0] - den[0]
+            continue
         if cz is None:
             s, cq = r, None
         else:
@@ -295,7 +305,7 @@ def _ddsf_core(x, layers):
         col = dg._log_dot_exp(w, ls_pos + ls_neg + lay["log_a"] + s)
         saved.append((h, uh, C, cq, num, den, col))
         h, r = num[0] - den[0], col[0] - (num[0] + den[0])
-    return h[:, 0], r[:, 0], saved
+    return (h[:, 0], r[:, 0], saved) if logdet else h[:, 0]
 
 
 def _ddsf_adjoint(g, layers, saved, block, slices):
@@ -492,7 +502,9 @@ class Family:
     decode(block) reads the block into the arguments of core(x, p), and
     forward is core(x, decode(block)); the inverse decodes once and solves
     that same guarded core with invert_batch, so what is fixed during the
-    solve is computed once per dimension. dsf and ddsf decode arrays only;
+    solve is computed once per dimension. It asks core for y alone
+    (logdet=False): the kernel skips its log-det chain but gives the same
+    y bits and trips the same guard. dsf and ddsf decode arrays only;
     their forward runs the same kernel, or records it as one graph node.
     random_row(rng) draws one (width,) block row for property checks (ddsf
     also redraws vu and vw); random_params pairs it with a fresh family.
@@ -509,7 +521,7 @@ class Family:
 
     def inverse(self, y, block):
         p = self.decode(block)  # once, not per solver evaluation
-        return invert_batch(y, lambda t: self.core(t, p)[0])
+        return invert_batch(y, lambda t: self.core(t, p, logdet=False))
 
 
 class AffineExp(Family):
@@ -569,8 +581,9 @@ class Dsf(Family):
         return _dsf_activate(block)
 
     @staticmethod
-    def core(x, p):
-        return _dsf_core(x, *p)[:2]
+    def core(x, p, logdet=True):
+        out = _dsf_core(x, *p, logdet=logdet)
+        return out[:2] if logdet else out
 
     @staticmethod
     def forward(x, block):
@@ -618,8 +631,9 @@ class Ddsf(Family):
                             [v.data for v in self.v_w])
 
     @staticmethod
-    def core(x, p):
-        return _ddsf_core(x, p)[:2]
+    def core(x, p, logdet=True):
+        out = _ddsf_core(x, p, logdet=logdet)
+        return out[:2] if logdet else out
 
     def forward(self, x, block):
         return ddsf_from_preact(x, block, self.slices, self.v_u, self.v_w)

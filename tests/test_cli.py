@@ -107,6 +107,13 @@ class TestFitDensityCommand:
         assert code == 3
         assert "line 18" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("steps", [0, -1])
+    def test_nonpositive_steps_exit_3(self, tmp_path, capsys, steps):
+        code = run(["fit-density", "--target", "grid-k2", "--steps", steps,
+                    "--out", tmp_path / "o"])
+        assert code == 3
+        assert "error: steps must be >= 1" in capsys.readouterr().err
+
     def test_explicit_flag_at_default_beats_config(self, tmp_path):
         cfg = tmp_path / "c.json"
         cfg.write_text(json.dumps({"lr": 0.5, "seed": 4}))
@@ -158,6 +165,13 @@ class TestFitEnergyCommand:
         assert code == 3
         assert "registry" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("steps", [0, -1])
+    def test_nonpositive_steps_exit_3(self, tmp_path, capsys, steps):
+        code = run(["fit-energy", "--target", "four-mode", "--steps", steps,
+                    "--out", tmp_path / "o"])
+        assert code == 3
+        assert "error: steps must be >= 1" in capsys.readouterr().err
+
 
 class TestSampleAndLogpdf:
     @pytest.fixture
@@ -203,6 +217,24 @@ class TestSampleAndLogpdf:
                     "-4", "4", "--points", 9, "--out", out]) == 0
         rows = read_data_csv(str(out), expect_header=True)
         assert rows.shape == (81, 3)
+
+    def test_negative_sample_count_exits_3(self, tmp_path, checkpoint, capsys):
+        out = tmp_path / "s.csv"
+        assert run(["sample", "--checkpoint", checkpoint, "--n", -5, "--out", out]) == 3
+        assert "error: sample count must be >= 0" in capsys.readouterr().err
+        assert not out.exists()
+        assert run(["sample", "--checkpoint", checkpoint, "--n", 0, "--out", out]) == 0
+        assert read_lines(out) == b"x1,x2\n"
+
+    def test_negative_grid_points_exit_3(self, tmp_path, checkpoint, capsys):
+        out = tmp_path / "grid.csv"
+        assert run(["grid-export", "--checkpoint", checkpoint, "--points", -3,
+                    "--out", out]) == 3
+        assert "error: grid points must be >= 0" in capsys.readouterr().err
+        assert not out.exists()
+        assert run(["grid-export", "--checkpoint", checkpoint, "--points", 0,
+                    "--out", out]) == 0
+        assert read_lines(out) == b"x,y,logp\n"
 
 
 def _drop_layers(doc):

@@ -90,6 +90,11 @@ class TestSigmoid:
         pos, neg = sm.sigmoid_pair(xs)
         assert pos.tobytes() == split.tobytes()
         assert neg.tobytes() == sm.sigmoid(-xs).tobytes()
+        # the listed points and a spread where the order of the additions shows
+        xs = np.concatenate([xs, np.random.default_rng(3).uniform(-40.0, 40.0, 1000)])
+        ls_pos, ls_neg = sm.logsigmoid_pair(xs)
+        assert ls_pos.tobytes() == sm.logsigmoid(xs).tobytes()
+        assert ls_neg.tobytes() == sm.logsigmoid(-xs).tobytes()
 
     def test_scalar_returns_float(self):
         assert type(sm.sigmoid(0.0)) is float

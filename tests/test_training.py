@@ -160,6 +160,8 @@ class TestTrainConfig:
             TrainConfig(beta1=1.0)
         with pytest.raises(DomainError):
             TrainConfig(batch=0)
+        with pytest.raises(DomainError):
+            TrainConfig(steps=0)
 
     def test_as_dict_round_trips_every_field(self):
         cfg = TrainConfig(loss="energy", steps=7, batch=3, lr=0.5, beta1=0.8, beta2=0.99,

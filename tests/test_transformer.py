@@ -339,6 +339,61 @@ class TestDdsfOp:
             np.testing.assert_allclose(have, want, rtol=1e-9, atol=1e-12 * np.max(np.abs(want)))
 
 
+class TestYOnlyMode:
+    """The kernels' y-only mode (logdet=False), which the inversion solver runs."""
+
+    @staticmethod
+    def assert_same_y(fam, xs, block):
+        y = fam.core(xs, fam.decode(block), logdet=False)
+        assert y.tobytes() == fam.forward(xs, block)[0].tobytes()
+
+    def test_dsf_y_bits_match_forward(self):
+        rng = np.random.default_rng(31)
+        fam = tf.Dsf(d=8)
+        block = np.stack([fam.random_row(rng) for _ in range(256)])
+        self.assert_same_y(fam, rng.uniform(-6.0, 6.0, size=256), block)
+
+    def test_ddsf_y_bits_match_forward(self):
+        rng = np.random.default_rng(32)
+        fam, block = random_ddsf(rng, (1, 16, 16, 1), 256)
+        self.assert_same_y(fam, rng.uniform(-6.0, 6.0, size=256), block)
+
+    def test_ddsf_normalizer_underflow(self):
+        # the +-800-nat block of TestDdsfOp, whose Z and Q underflow
+        rng = np.random.default_rng(24)
+        fam, block = random_ddsf(rng, (1, 8, 8, 1), 64, scale=800.0 / 1.7)
+        assert any(lay["Z"] is not None and lay["Z"][3] is not None
+                   for lay in fam.decode(block))
+        self.assert_same_y(fam, rng.uniform(-3.0, 3.0, size=64), block)
+
+    def test_ddsf_log_space_rows(self, monkeypatch):
+        monkeypatch.setattr(dg, "_TINY", np.inf)  # every row in log space
+        rng = np.random.default_rng(25)
+        fam, block = random_ddsf(rng, (1, 6, 5, 1), 48)
+        self.assert_same_y(fam, rng.uniform(-3.0, 3.0, size=48), block)
+
+    @pytest.mark.parametrize("make, layer", [
+        (lambda: dsf([0.5, 0.5], [5.0, 5.0], [0.0, 0.0]), None),
+        # layer 0 maps x near onto itself; layer 1's slope 10 saturates first
+        (lambda: ddsf([(np.ones((2, 1)), np.full((2, 2), 0.5), np.ones(2), np.zeros(2)),
+                       (np.full((1, 2), 0.5), np.ones((1, 1)), np.full(1, 10.0),
+                        np.zeros(1))]), 1),
+    ], ids=["dsf", "ddsf"])
+    def test_same_saturation_error(self, make, layer):
+        fam, row = make()
+        xs = np.array([0.0, 1.0, 200.0, -3.0, -300.0])
+        p = fam.decode(np.broadcast_to(row, (5, len(row))))
+        errors = []
+        for logdet in (True, False):
+            with pytest.raises(SaturationError) as exc:
+                fam.core(xs, p, logdet=logdet)
+            errors.append(exc.value)
+        full, y_only = errors
+        assert (full.layer, full.index, full.magnitude) == (layer, 2, 300.0)
+        assert (y_only.layer, y_only.index, y_only.magnitude) == (layer, 2, 300.0)
+        assert str(y_only) == str(full)
+
+
 class TestInvert:
     def test_identity_dsf(self):
         fn = tf.forward_closure(*dsf([1.0], [1.0], [0.0]))
@@ -425,6 +480,20 @@ class TestInvert:
         calls.clear()
         back = fam.inverse(ys, block)
         assert len(calls) == 1
+        assert np.max(np.abs(back - xs)) <= 1e-8
+
+    def test_ddsf_decodes_once_per_inverse(self, monkeypatch):
+        rng = np.random.default_rng(6)
+        fam, block = random_ddsf(rng, (1, 16, 16, 1), 50)
+        xs = rng.uniform(-3.0, 3.0, size=50)
+        ys, _ = fam.forward(xs, block)
+        decodes, products = [], []
+        decode, product = tf._ddsf_decode, tf._cwn_product
+        monkeypatch.setattr(tf, "_ddsf_decode", lambda *a: decodes.append(1) or decode(*a))
+        monkeypatch.setattr(tf, "_cwn_product", lambda *a: products.append(1) or product(*a))
+        back = fam.inverse(ys, block)
+        assert len(decodes) == 1
+        assert len(products) == 2  # once per CWN layer; layer 0's one-column u has none
         assert np.max(np.abs(back - xs)) <= 1e-8
 
     def test_iteration_cap_raises(self, monkeypatch):
