@@ -56,8 +56,6 @@ def write_csv(path: str, rows, header=None):
 
 def write_density_grid(path: str, stack, window, points: int):
     """x,y,logp rows of a 2-D stack's log-density on a points x points grid."""
-    if points < 0:
-        raise DomainError(f"grid points must be >= 0, got {points}")
     lo, hi = window
     axis = np.linspace(lo, hi, points)
     gx, gy = np.meshgrid(axis, axis, indexing="ij")
@@ -66,7 +64,12 @@ def write_density_grid(path: str, stack, window, points: int):
 
 
 def write_json(path: str, payload: dict):
-    write_atomic(path, json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    """payload as JSON; a NaN or infinity in it is a NumericError and writes nothing."""
+    try:
+        text = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False)
+    except ValueError as err:
+        raise NumericError(f"{path}: {err}") from None
+    write_atomic(path, text + "\n")
 
 
 def read_data_csv(path: str, expect_header: bool) -> np.ndarray:
@@ -147,14 +150,29 @@ def _apply_config_file(args, argv):
     return args
 
 
+# Each integer size flag: the name its error gives and its smallest value.
+# certify-universal's --n is a comma list, which its own parser reads.
+_SIZES = {"samples": ("--samples", 1), "train_n": ("--train-n", 1), "val_n": ("--val-n", 1),
+          "steps": ("steps", 1), "batch": ("--batch", 1), "d": ("--d", 1), "L": ("--L", 1),
+          "stack": ("--stack", 1), "hidden": ("--hidden", 1), "n": ("sample count", 0),
+          "grid_points": ("grid points", 0), "points": ("grid points", 0),
+          "curve_points": ("--curve-points", 0)}
+
+
+def _check_sizes(args):
+    """DomainError for the first size flag below its minimum, before any work."""
+    for attr, (name, least) in _SIZES.items():
+        value = getattr(args, attr, None)
+        if isinstance(value, int) and value < least:
+            raise DomainError(f"{name} must be >= {least}, got {value}")
+
+
 def _build_stack(args, m: int) -> FlowStack:
     kind = args.model
     if kind == "affine":
         kind = "affine-exp"
     ddsf_dims = None
     if kind == "ddsf":
-        if args.L < 1:
-            raise DataError("--L must be >= 1")
         ddsf_dims = (1,) + (args.d,) * (args.L - 1) + (1,)
     return FlowStack.build(
         m, kind, n_layers=args.stack, d=args.d, ddsf_dims=ddsf_dims,
@@ -448,6 +466,7 @@ def main(argv=None) -> int:
     try:
         _threads_cap()
         args = _apply_config_file(args, argv)
+        _check_sizes(args)
         return args.func(args)
     except (DataError, DomainError) as err:
         print(f"error: {err}", file=sys.stderr)

@@ -116,24 +116,36 @@ class MadeConditioner:
         return [*self.weights, *self.biases]
 
     def forward(self, x):
-        """x: (n, m) array or Value -> (n, m, out_per_dim) blocks."""
-        graph = dg.is_value(x)
-        if not graph:
-            x = np.asarray(x, dtype=np.float64)
-            if x.ndim != 2 or x.shape[1] != self.m:
-                raise DomainError(f"expected (n, {self.m}) input, got {x.shape}")
-            if not np.all(np.isfinite(x)):
-                raise DomainError("conditioner input must be finite")
-        h = x
-        n_layers = len(self.weights)
-        for i, (w, b, mask) in enumerate(zip(self.weights, self.biases, self.masks)):
-            wm = (w if graph else w.data) * mask
-            h = dg.matmul(h, wm) + (b if graph else b.data)
-            if i < n_layers - 1:
-                h = dg.tanh(h)
-        n = h.shape[0]
-        h = dg.reshape(h, (n, self.m, self.out_per_dim))
-        return h + self.out_offset
+        """x: (n, m) array -> (n, m, out_per_dim) blocks."""
+        x = np.asarray(x, dtype=np.float64)
+        if x.ndim != 2 or x.shape[1] != self.m:
+            raise DomainError(f"expected (n, {self.m}) input, got {x.shape}")
+        if not np.all(np.isfinite(x)):
+            raise DomainError("conditioner input must be finite")
+        out = self.activations(x)[1]  # the hidden layers are freed before this add
+        return out.reshape(x.shape[0], self.m, self.out_per_dim) + self.out_offset
+
+    def activations(self, x):
+        """([x, h_1, ..., h_k], out): input, tanh layers' outputs, readout before out_offset."""
+        hs = [x]
+        for w, b, mask in zip(self.weights[:-1], self.biases[:-1], self.masks):
+            hs.append(np.tanh(hs[-1] @ (w.data * mask) + b.data))
+        return hs, hs[-1] @ (self.weights[-1].data * self.masks[-1]) + self.biases[-1].data
+
+    def backward(self, g, hs):
+        """(g_x, gradients of parameters()) for blocks' gradient g, (n, m * out_per_dim).
+
+        Back to front, for each layer's input h in hs: g_W = (h.T @ g) * mask,
+        g_b = g.sum(axis=0), and g @ (W * mask).T times tanh' = 1 - h^2 (unless h is x).
+        """
+        g_w, g_b = [], []
+        for i in reversed(range(len(self.weights))):
+            g_w.append((hs[i].T @ g) * self.masks[i])
+            g_b.append(g.sum(axis=0))
+            g = g @ (self.weights[i].data * self.masks[i]).T
+            if i > 0:
+                g = g * (1.0 - hs[i] * hs[i])
+        return g, [*reversed(g_w), *reversed(g_b)]
 
 
 def identity_init(made: MadeConditioner, seed: int = 0) -> MadeConditioner:

@@ -6,9 +6,11 @@ reverse accumulation needs; graphs are recorded dynamically, one per loss.
 Every primitive is one _op call with two functions of arrays: a forward,
 which holds the op's domain guard, and a pure adjoint(g, out, *inputs)
 returning one gradient per input. Fed only ndarrays/floats, an op returns
-the forward's array; fed any Value, it records one node. Model code is
-thus written once for the training path (Values) and the evaluation and
-inversion path (arrays), which raise the same typed errors. logsumexp
+the forward's array; fed any Value, it records one node, whose forward
+raises the same typed errors as on arrays. A flow layer is one such op:
+its forward is the numpy conditioner and transformer, its adjoint their
+hand-derived gradients, so the model itself is numpy code; the graph
+records the layers, the targets and the losses around them. logsumexp
 mirrors stablemath bit for bit; log_dot_exp forms log(M @ exp(v)) as a
 max-shifted product, as accurate as the logsumexp of log M + v but not
 bit-identical to it.
@@ -120,9 +122,6 @@ class Value:
     def __neg__(self):
         return neg(self)
 
-    def __matmul__(self, other):
-        return matmul(self, other)
-
     def __getitem__(self, idx):
         return take(self, idx)
 
@@ -206,14 +205,6 @@ def _finite_exp(a):
     return out
 
 
-def _matmul2d(a, b):
-    if a.ndim != 2 or b.ndim != 2:
-        raise DomainError("matmul supports 2-D operands only")
-    if a.shape[1] != b.shape[0]:
-        raise DomainError(f"matmul inner dimensions differ: {a.shape} @ {b.shape}")
-    return a @ b
-
-
 # -- elementwise ops -----------------------------------------------------
 
 
@@ -246,14 +237,6 @@ def log(a):
     return _op("log", lambda a: np.log(_positive(a)), lambda g, out, a: (g / a,), a)
 
 
-def sigmoid(a):
-    return _op("sigmoid", sm.sigmoid, lambda g, out, a: (g * out * (1.0 - out),), a)
-
-
-def tanh(a):
-    return _op("tanh", np.tanh, lambda g, out, a: (g * (1.0 - out * out),), a)
-
-
 def softplus(a):
     """Stable log(1+exp(x)) + delta; gradient is sigmoid(x)."""
     return _op("softplus", sm.softplus, lambda g, out, a: (g * sm.sigmoid(a),), a)
@@ -270,10 +253,6 @@ def sin(a):
 def logsigmoid(a):
     """-softplus(-x); inherits the softplus delta."""
     return neg(softplus(neg(a))) if _any_value(a) else sm.logsigmoid(a)
-
-
-def matmul(a, b):
-    return _op("matmul", _matmul2d, lambda g, out, a, b: (g @ b.T, a.T @ g), a, b)
 
 
 # -- reductions ----------------------------------------------------------

@@ -84,19 +84,44 @@ class FlowLayer:
     # -- forward ---------------------------------------------------------
 
     def forward(self, x):
-        """x: (n, m) -> (y (n, m), logdet (n,)); graph iff x is a Value."""
-        blocks = self.conditioner.forward(x)  # (n, m, width)
-        n = x.shape[0]
-        B = n * self.m
-        blocks = dg.reshape(blocks, (B, self.family.width))
+        """x: (n, m) -> (y (n, m), logdet (n,)); numpy, and recorded iff x is a Value."""
         try:
-            y, ld = self.family.forward(dg.reshape(x, (B,)), blocks)
+            if dg.is_value(x):
+                return self._record(x)
+            blocks = self.conditioner.forward(x).reshape(-1, self.family.width)
+            y, ld = self.family.forward(x.reshape(-1), blocks)
         except NumericError as err:
             if err.index is None:
                 raise
             # the flat layout is (batch point, dimension) row-major
             raise self._located(err, *divmod(err.index, self.m)) from None
-        return dg.reshape(y, (n, self.m)), dg.vsum(dg.reshape(ld, (n, self.m)), axis=1)
+        return y.reshape(x.shape), ld.reshape(x.shape).sum(axis=1)
+
+    def _record(self, x):
+        """y and logdet as takes of one "layer" node, [y | logdet], over x and parameters().
+
+        Its forward is the numpy path; its adjoint chains the family's into the conditioner's.
+        """
+        n, m = x.shape
+        cond, fam = self.conditioner, self.family
+
+        def forward(x, *_):
+            hs, readout = cond.activations(x)
+            block = readout.reshape(n * m, fam.width) + cond.out_offset
+            p = fam.decode(block)
+            y, ld, saved = fam.core(x.reshape(-1), p)
+            out = np.column_stack([y.reshape(n, m), ld.reshape(n, m).sum(axis=1)])
+            return out, hs, block, p, saved
+
+        def adjoint(g, out, x, *_):
+            _, hs, block, p, saved = out
+            g_y, g_ld = g[:, :m].reshape(-1), np.repeat(g[:, m], m)
+            g_x, g_block, *g_fam = fam.adjoint(g_y, g_ld, x.reshape(-1), block, p, saved)
+            g_xc, g_cond = cond.backward(g_block.reshape(n, -1), hs)
+            return (g_xc + g_x.reshape(n, m), *g_cond, *g_fam)
+
+        node = dg._op("layer", forward, adjoint, x, *self.parameters())
+        return node[:, :m], node[:, m]
 
     # -- inverse ---------------------------------------------------------
 

@@ -11,22 +11,19 @@ A family is parameterized only by the (B, width) block of
 pseudo-parameters a conditioner emits (plus ddsf's trainable vu and vw);
 softmax, softplus and conditional weight normalization (CWN) apply inside.
 
-The affine cores are written against the diffgraph dispatch layer: fed
-Values they record a differentiable graph, fed ndarrays they run plain
-numpy. dsf and ddsf each have one numpy kernel, _dsf_core and
-_ddsf_core: densities call it directly, inversion calls it in its y-only
-mode (logdet=False), and training records it as a single "dsf" or "ddsf"
-node over the whole conditioner block (and, for ddsf, its trainable vu
-and vw), whose adjoint is derived by hand and reads the intermediates
-the kernel saved. The ddsf kernel
-never forms CWN's (B, d_out, d_in) weights: it keeps them factored as
-a (d_out, d_in) and a (B, d_in) exponential and works by matrix
-products, forward and backward. Each family is one Family
-subclass in the FAMILIES registry; it owns its conditioner block layout,
-any extra parameters, its forward on a conditioner block and its
-inverse. Inversion runs the same guarded kernel as densities without
-its log-det chain: the same y bits and the same guard, so every x an
-inverse returns is one the density path can score. dsf and
+Everything here is plain numpy. Each family is one Family subclass in
+the FAMILIES registry; it owns its conditioner block layout, any extra
+parameters, a kernel (core) that returns y, log(dy/dx) and the
+intermediates its hand-derived adjoint reads, that adjoint, and its
+inverse. Densities run the kernel, and training records it, with the
+conditioner, as one graph node per flow layer (see flow.FlowLayer) whose
+backward calls the family's adjoint. dsf and ddsf each have one kernel,
+_dsf_core and _ddsf_core. The ddsf kernel never forms CWN's
+(B, d_out, d_in) weights: it keeps them factored as a (d_out, d_in) and
+a (B, d_in) exponential and works by matrix products, forward and
+backward. Inversion runs the same guarded kernel as densities without
+its log-det chain (logdet=False): the same y bits and the same guard, so
+every x an inverse returns is one the density path can score. dsf and
 ddsf have no closed-form inverse: invert_batch brackets each target and
 refines it with Chandrupatla's derivative-free interpolation, about a
 dozen forward evaluations per dimension.
@@ -62,10 +59,6 @@ DDSF_DEFAULT_DIMS = (1, 16, 1)
 # -- shared plumbing -------------------------------------------------------
 
 
-def _raw(x):
-    return x.data if dg.is_value(x) else np.asarray(x, dtype=np.float64)
-
-
 def _check_saturation(log_num, log_den, x, layer=None):
     """Raise once log(D) or log(1-D) underflows float64 (pre-logit 0 or 1).
 
@@ -75,10 +68,10 @@ def _check_saturation(log_num, log_den, x, layer=None):
     """
     if not SATURATION_GUARD:
         return
-    bad = (_raw(log_num) < LOG_UNDERFLOW) | (_raw(log_den) < LOG_UNDERFLOW)
+    bad = (log_num < LOG_UNDERFLOW) | (log_den < LOG_UNDERFLOW)
     if not np.any(bad):
         return
-    xarr = np.atleast_1d(_raw(x))
+    xarr = np.atleast_1d(x)
     bad = np.atleast_1d(bad)
     if bad.ndim > xarr.ndim:  # per-unit flags: collapse trailing axes
         bad = bad.any(axis=tuple(range(xarr.ndim, bad.ndim)))
@@ -96,21 +89,22 @@ def _check_saturation(log_num, log_den, x, layer=None):
 # -- dsf -------------------------------------------------------------------
 
 
-def _dsf_core(x, log_w, a, log_a, b, logdet=True):
+def _dsf_core(x, p, logdet=True):
     """The dsf kernel: y, log(dy/dx) and the intermediates its adjoint reads.
 
-    Plain numpy on activated logs: x (...,); log_w/a/log_a/b (..., d).
+    Plain numpy on activated logs: x (...,); p = (log_w, a, log_a, b), (..., d) each.
     With C = a*x + b, ls_pos = log s(C) and ls_neg = log s(-C),
     y = log D - log(1-D) where log D = LSE_j(log w_j + ls_pos_j) and
     log(1-D) = LSE_j(log w_j + ls_neg_j) (exact because w lies on the
     simplex), and log(dy/dx) = log R - log D - log(1-D) where
     log R = LSE_j[log w_j + log a_j + ls_pos_j + ls_neg_j]. The softplus
     deltas inside logsigmoid cancel exactly in both y and logdet. The
-    third return value holds C, the three LSE arguments and their results;
-    the numpy path drops it, the graph path saves it for _dsf_adjoint.
+    third return value holds C, the three LSE arguments and their results,
+    which _dsf_adjoint reads.
     With logdet=False (the inversion solver) it returns y alone once the
     guard has passed, without log R.
     """
+    log_w, a, log_a, b = p
     C = a * x[..., None] + b
     ls_pos, ls_neg = sm.logsigmoid_pair(C)
     t_num, t_den = log_w + ls_pos, log_w + ls_neg
@@ -133,24 +127,18 @@ def _dsf_activate(block):
     return log_w, a, np.log(a), b
 
 
-def _dsf_forward(x, block):
-    """The "dsf" op's forward: (y, logdet) stacked as (2, B), then saved arrays."""
-    log_w, a, log_a, b = _dsf_activate(block)
-    y, logdet, saved = _dsf_core(x, log_w, a, log_a, b)
-    return (np.stack([y, logdet]), log_w, a, *saved)
+def _dsf_adjoint(g_y, g_ld, x, block, p, saved):
+    """Gradients of y and logdet for x and the block, by hand.
 
-
-def _dsf_adjoint(g, out, x, block):
-    """Gradients of the stacked (y, logdet) for x and the block, by hand.
-
-    g is (2, B). With p, q and r the softmax weights of the three LSE
-    arguments, d/d log w = g_num p + g_den q + g_ld r, where g_num and
-    g_den are the upstream gradients of log D and log(1-D); C collects
+    With p, q and r the softmax weights of the three LSE arguments,
+    d/d log w = g_num p + g_den q + g_ld r, where g_num and g_den are the
+    upstream gradients of log D and log(1-D); C collects
     (g_num p + g_ld r) s(-C) - (g_den q + g_ld r) s(C), and log a gets
     g_ld r. w_pre goes back through log-softmax, a_pre through softplus.
     """
-    _, log_w, a, C, t_num, t_den, t_r, log_num, log_den, log_r = out
-    g_y, g_ld = g[0][:, None], g[1][:, None]
+    log_w, a, _, _ = p
+    C, t_num, t_den, t_r, log_num, log_den, log_r = saved
+    g_y, g_ld = g_y[:, None], g_ld[:, None]
     gp = (g_y - g_ld) * np.exp(t_num - log_num[:, None])
     gq = (-g_y - g_ld) * np.exp(t_den - log_den[:, None])
     gr = g_ld * np.exp(t_r - log_r[:, None])
@@ -164,15 +152,8 @@ def _dsf_adjoint(g, out, x, block):
 
 
 def dsf_from_preact(x, block):
-    """dsf on a (B, 3d) block of conditioner pre-activations, x (B,).
-
-    Fed arrays it runs the kernel; fed a Value it records one "dsf" node
-    holding (y, logdet), which the two returned takes read.
-    """
-    if not (dg.is_value(x) or dg.is_value(block)):
-        return _dsf_core(x, *_dsf_activate(block))[:2]
-    node = dg._op("dsf", _dsf_forward, _dsf_adjoint, x, block)
-    return dg.take(node, 0), dg.take(node, 1)
+    """dsf's (y, logdet) on a (B, 3d) block of conditioner pre-activations, x (B,)."""
+    return _dsf_core(x, _dsf_activate(block))[:2]
 
 
 # -- ddsf ------------------------------------------------------------------
@@ -308,8 +289,8 @@ def _ddsf_core(x, layers, logdet=True):
     return (h[:, 0], r[:, 0], saved) if logdet else h[:, 0]
 
 
-def _ddsf_adjoint(g, layers, saved, block, slices):
-    """Gradients of the stacked (y, logdet) for x, the block, vu and vw, by hand.
+def _ddsf_adjoint(g_y, g_ld, block, slices, layers, saved):
+    """Gradients of y and logdet for x, the block, vu and vw, by hand.
 
     Per layer, back to front, with g_h and g_r the upstream gradients of h'
     and r': the w products log D, log(1-D) and the chain link get
@@ -320,7 +301,7 @@ def _ddsf_adjoint(g, layers, saved, block, slices):
     gets a g_C and log(u @ exp r) the link's, which _cwn_adjoint takes on
     to vu, eta, h and r.
     """
-    g_h, g_r = g[0][:, None], g[1][:, None]
+    g_h, g_r = g_y[:, None], g_ld[:, None]
     g_block = np.empty_like(block)  # every column is written below
     g_vu, g_vw = [], []
     for lay, (eta, a_pre, b), (h, uh, C, cq, num, den, col) in zip(
@@ -345,32 +326,6 @@ def _ddsf_adjoint(g, layers, saved, block, slices):
                 g_c * a, g_col, h, uh, lay["E"], lay["Z"], cq)
             g_vu.append(g_v)
     return (g_h[:, 0], g_block, *reversed(g_vu), *reversed(g_vw))
-
-
-def ddsf_from_preact(x, block, slices, v_u, v_w):
-    """ddsf on a (B, width) block of conditioner pre-activations, x (B,).
-
-    slices holds each layer's (eta, a_pre, b) column slices; v_u and v_w
-    the trainable (d_out, d_in) and (d_out, d_out) matrices. With x and
-    block arrays it runs the kernel on the matrices' data; with either a
-    Value it records one "ddsf" node holding (y, logdet), which the two
-    returned takes read.
-    """
-    if not (dg.is_value(x) or dg.is_value(block)):
-        layers = _ddsf_decode(block, slices, [_raw(v) for v in v_u], [_raw(v) for v in v_w])
-        return _ddsf_core(x, layers)[:2]
-    n = len(slices)
-
-    def forward(x, block, *vs):
-        layers = _ddsf_decode(block, slices, vs[:n], vs[n:])
-        y, logdet, saved = _ddsf_core(x, layers)
-        return np.stack([y, logdet]), layers, saved
-
-    def adjoint(g, out, x, block, *vs):
-        return _ddsf_adjoint(g, out[1], out[2], block, slices)
-
-    node = dg._op("ddsf", forward, adjoint, x, block, *v_u, *v_w)
-    return dg.take(node, 0), dg.take(node, 1)
 
 
 # -- inversion -------------------------------------------------------------
@@ -491,21 +446,18 @@ def _within_reach(y, x):
 class Family:
     """One transformer family, sized by (d, dims), behind a conditioner.
 
-    An instance owns:
+    An instance owns, all in numpy:
       width, offset  the per-dimension conditioner output count, and the
-                     constants added to it so a fresh flow starts near
-                     the identity map;
+                     constants added so a fresh flow starts near identity;
       params         trainable leaves outside the conditioner;
-      forward        (y, log dy/dx) of a flat (B,) x under a (B, width)
-                     block, recording a graph iff the block is a Value;
-      inverse        x with forward(x, block) = y (numpy path).
-    decode(block) reads the block into the arguments of core(x, p), and
-    forward is core(x, decode(block)); the inverse decodes once and solves
-    that same guarded core with invert_batch, so what is fixed during the
-    solve is computed once per dimension. It asks core for y alone
-    (logdet=False): the kernel skips its log-det chain but gives the same
-    y bits and trips the same guard. dsf and ddsf decode arrays only;
-    their forward runs the same kernel, or records it as one graph node.
+      decode(block)  core's arguments p, from a (B, width) block and params;
+      core(x, p)     (y, log dy/dx, saved) of a flat (B,) x, or y alone
+                     with logdet=False, for the solver;
+      adjoint(g_y, g_ld, x, block, p, saved)
+                     (g_x, g_block, *g_params), by hand from saved;
+      forward        (y, log dy/dx): core on decode(block);
+      inverse        x with forward(x, block) = y: decode once, then solve
+                     core's y with invert_batch (the same bits and guard).
     random_row(rng) draws one (width,) block row for property checks (ddsf
     also redraws vu and vw); random_params pairs it with a fresh family.
     """
@@ -517,7 +469,7 @@ class Family:
         pass
 
     def forward(self, x, block):
-        return self.core(x, self.decode(block))
+        return self.core(x, self.decode(block))[:2]
 
     def inverse(self, y, block):
         p = self.decode(block)  # once, not per solver evaluation
@@ -532,12 +484,18 @@ class AffineExp(Family):
 
     @staticmethod
     def decode(block):
-        return dg.take(block, (slice(None), 0)), dg.take(block, (slice(None), 1))
+        return block[:, 0], block[:, 1]
 
     @staticmethod
-    def core(x, p):
+    def core(x, p, logdet=True):
         mu, s = p
-        return mu + dg.exp(s) * x, s + dg.mul(x, 0.0)  # broadcast s to y's shape
+        scale = dg._finite_exp(s)
+        y = mu + scale * x
+        return (y, s, scale) if logdet else y
+
+    @staticmethod
+    def adjoint(g_y, g_ld, x, block, p, scale):
+        return g_y * scale, np.stack([g_y, g_y * x * scale + g_ld], axis=1)
 
     def inverse(self, y, block):
         mu, s = self.decode(block)
@@ -553,10 +511,17 @@ class AffineGate(AffineExp):
     offset = np.array([0.0, GATE_IDENTITY_OFFSET])
 
     @staticmethod
-    def core(x, p):
+    def core(x, p, logdet=True):
         mu, s = p
-        g = dg.sigmoid(s)
-        return g * x + (1.0 - g) * mu, dg.logsigmoid(s) + dg.mul(x, 0.0)
+        gate = sm.sigmoid(s)
+        y = gate * x + (1.0 - gate) * mu
+        return (y, sm.logsigmoid(s), gate) if logdet else y
+
+    @staticmethod
+    def adjoint(g_y, g_ld, x, block, p, gate):
+        mu, s = p
+        g_s = (g_y * x - g_y * mu) * gate * (1.0 - gate) + g_ld * sm.sigmoid(-s)
+        return g_y * gate, np.stack([g_y * (1.0 - gate), g_s], axis=1)
 
     def inverse(self, y, block):
         mu, s = self.decode(block)
@@ -566,6 +531,9 @@ class AffineGate(AffineExp):
 
 class Dsf(Family):
     """d softmax-weighted sigmoids; block columns (w_pre, a_pre, b), d each."""
+
+    core = staticmethod(_dsf_core)
+    adjoint = staticmethod(_dsf_adjoint)
 
     def __init__(self, d=DSF_DEFAULT_D, dims=None, name="layer"):
         self.d = int(d)
@@ -581,13 +549,8 @@ class Dsf(Family):
         return _dsf_activate(block)
 
     @staticmethod
-    def core(x, p, logdet=True):
-        out = _dsf_core(x, *p, logdet=logdet)
-        return out[:2] if logdet else out
-
-    @staticmethod
     def forward(x, block):
-        return dsf_from_preact(x, block)
+        return dsf_from_preact(x, block)  # looked up per call, so it can be wrapped
 
     def random_row(self, rng):
         d = self.d
@@ -604,6 +567,8 @@ class Ddsf(Family):
     factored; vw{li} (d_out, d_out) row-normalizes into the mixing matrix
     w shared by every dimension.
     """
+
+    core = staticmethod(_ddsf_core)
 
     def __init__(self, d=DSF_DEFAULT_D, dims=None, name="layer"):
         dims = tuple(int(v) for v in (dims or DDSF_DEFAULT_DIMS))
@@ -626,17 +591,12 @@ class Ddsf(Family):
         self.params = [*self.v_u, *self.v_w]
 
     def decode(self, block):
-        """Every array an inverse solve holds fixed, once per block (numpy)."""
+        """Every array an inverse solve holds fixed, once per block."""
         return _ddsf_decode(block, self.slices, [v.data for v in self.v_u],
                             [v.data for v in self.v_w])
 
-    @staticmethod
-    def core(x, p, logdet=True):
-        out = _ddsf_core(x, p, logdet=logdet)
-        return out[:2] if logdet else out
-
-    def forward(self, x, block):
-        return ddsf_from_preact(x, block, self.slices, self.v_u, self.v_w)
+    def adjoint(self, g_y, g_ld, x, block, p, saved):
+        return _ddsf_adjoint(g_y, g_ld, block, self.slices, p, saved)
 
     def random_row(self, rng):
         row = []

@@ -5,8 +5,8 @@ import os
 import numpy as np
 import pytest
 
-from nafkit.cli import main, read_data_csv, write_csv
-from nafkit.errors import DataError
+from nafkit.cli import main, read_data_csv, write_csv, write_json
+from nafkit.errors import DataError, NumericError
 from nafkit.flow import FlowStack
 
 
@@ -380,3 +380,49 @@ class TestThreadCap:
                     "--out", out]) == 0
         config = json.loads((out / "config.json").read_text())
         assert config["threads_cap"] == 2
+
+
+_TRAIN_SIZES = [("--steps", 1), ("--batch", 1), ("--d", 1), ("--L", 1), ("--stack", 1),
+                ("--hidden", 1)]
+SIZE_FLAGS = (
+    [("fit-density", flag, least) for flag, least in
+     [("--train-n", 1), ("--val-n", 1), *_TRAIN_SIZES, ("--grid-points", 0)]]
+    + [("fit-energy", flag, least) for flag, least in [("--samples", 1), *_TRAIN_SIZES]]
+    + [("sample", "--n", 0), ("grid-export", "--points", 0),
+       ("certify-universal", "--curve-points", 0)]
+)
+
+
+class TestSizeFlags:
+    """Every integer size flag below its minimum is refused before any work."""
+
+    BASE = {
+        "fit-density": ["--target", "grid-k2", "--steps", 1, "--train-n", 64, "--val-n", 16,
+                        "--batch", 16, "--d", 2, "--hidden", 4, "--density-grid"],
+        "fit-energy": ["--target", "four-mode", "--steps", 1, "--batch", 16, "--d", 2,
+                       "--hidden", 4, "--samples", 16],
+        "sample": ["--n", 5],
+        "grid-export": ["--points", 3],
+        "certify-universal": ["--n", "1,4", "--grid", 2001],
+    }
+
+    @pytest.mark.parametrize("command,flag,least", SIZE_FLAGS,
+                             ids=[f"{c}{f}" for c, f, _ in SIZE_FLAGS])
+    def test_below_minimum_exits_3_and_writes_nothing(self, tmp_path, capsys,
+                                                      command, flag, least):
+        argv = [command, *self.BASE[command]]
+        if command in ("sample", "grid-export"):
+            checkpoint = tmp_path / "ckpt.json"
+            FlowStack.build(m=2, kind="dsf", d=2, hidden=(4,), seed=0).save(str(checkpoint))
+            argv += ["--checkpoint", checkpoint]
+        out = tmp_path / "out"
+        assert run(argv + [flag, least - 1, "--out", out]) == 3
+        err = capsys.readouterr().err
+        assert "error:" in err and "Traceback" not in err
+        assert not out.exists() or (out.is_dir() and not any(out.iterdir()))
+
+    def test_nan_metric_is_a_numeric_error_and_writes_nothing(self, tmp_path):
+        path = tmp_path / "metrics.json"
+        with pytest.raises(NumericError, match="metrics.json"):
+            write_json(str(path), {"val_nll": float("nan")})
+        assert list(tmp_path.iterdir()) == []

@@ -114,15 +114,6 @@ class TestConditionerForward:
         with pytest.raises(DomainError):
             made.forward(np.array([[np.nan, 0.0]]))
 
-    def test_graph_and_numpy_paths_agree(self):
-        made = MadeConditioner(3, 4, hidden_sizes=(8,), seed=5)
-        rng = np.random.default_rng(2)
-        for w in made.weights:
-            w.data = rng.normal(scale=0.4, size=w.data.shape)
-        x = rng.normal(size=(6, 3))
-        np.testing.assert_allclose(made.forward(x), made.forward(dg.Value(x)).data,
-                                   atol=1e-15)
-
 
 def cwn_weights(vu, eta):
     """CWN's (B, rows, cols) weights softmax(vu + eta) as the ddsf kernel forms
@@ -181,10 +172,10 @@ class TestApplyCwn:
 
     def test_length_mismatch(self):
         # dims (1, 2, 1): layer 1 reads 2 eta columns, so a 3-column vu1 is refused
-        slices = tf.Ddsf(dims=(1, 2, 1)).slices
+        fam = tf.Ddsf(dims=(1, 2, 1))
+        fam.v_u[1].data = np.zeros((1, 3))
         with pytest.raises(DomainError):
-            tf.ddsf_from_preact(np.zeros(2), np.zeros((2, 9)), slices,
-                                [np.ones((2, 1)), np.zeros((1, 3))], [np.eye(2), np.ones((1, 1))])
+            fam.forward(np.zeros(2), np.zeros((2, 9)))
 
 
 class TestIdentityInit:

@@ -11,7 +11,7 @@ from nafkit import diffgraph as dg
 from nafkit import stablemath as sm
 from nafkit import transformer as tf
 from nafkit.errors import DomainError, InconsistencyError, NumericError
-from nafkit.flow import FlowStack
+from nafkit.flow import FlowLayer, FlowStack
 from nafkit.training import mle_loss
 
 
@@ -28,10 +28,6 @@ class TestRecord:
         out = dg.add(dg.Value(2.0), dg.Value(3.0))
         assert float(out.data) == 5.0
 
-    def test_sigmoid(self):
-        out = dg.sigmoid(dg.Value(0.0))
-        assert float(out.data) == pytest.approx(0.5)
-
     def test_logsumexp_matches_stablemath(self):
         v = np.array([[0.0, math.log(3.0)]])
         out = dg.logsumexp(dg.Value(v), axis=1)
@@ -40,19 +36,13 @@ class TestRecord:
     def test_every_spec_kind_is_recordable(self):
         a = dg.Value(np.array([[1.0, 2.0], [3.0, 4.0]]))
         outs = [dg.add(a, a), dg.sub(a, a), dg.mul(a, a), dg.div(a, a), dg.neg(a),
-                dg.exp(a), dg.log(a), dg.sigmoid(a), dg.tanh(a), dg.matmul(a, a),
+                dg.exp(a), dg.log(a),
                 dg.vsum(a), dg.vmean(a), dg.logsumexp(a, axis=0), dg.softplus(a),
                 dg.reshape(a, (4,)), dg.take(a, (slice(None), 0)),
                 dg.log_dot_exp(dg.exp(a), a)]
         assert all(isinstance(out, dg.Value) for out in outs)
 
     # Each guard runs on both paths: recorded Values and plain arrays.
-
-    def test_shape_mismatch_rejected(self):
-        with pytest.raises(DomainError):
-            dg.matmul(dg.Value(np.ones((2, 3))), dg.Value(np.ones((2, 2))))
-        with pytest.raises(DomainError):
-            dg.matmul(np.ones((2, 3)), np.ones((2, 2)))
 
     def test_log_pole_rejected(self):
         with pytest.raises(NumericError):
@@ -75,22 +65,81 @@ class TestRecord:
                 dg.exp(np.array([1000.0]))
 
 
-DDSF_121 = tf.Ddsf(dims=(1, 2, 1))  # block columns: layer 0 (1, 2, 2), layer 1 (2, 1, 1)
+def family_op(fam, x, block):
+    """fam's kernel and hand adjoint as one graph node over x, block and
+    fam.params, holding (y, logdet) stacked as (2, B)."""
+    def forward(x, block, *_):
+        p = fam.decode(block)
+        y, ld, saved = fam.core(x, p)
+        return np.stack([y, ld]), p, saved
+
+    def adjoint(g, out, x, block, *_):
+        return fam.adjoint(g[0], g[1], x, block, out[1], out[2])
+
+    return dg._op(type(fam).__name__.lower(), forward, adjoint, x, block, *fam.params)
+
+
+def tiled(b, k):
+    """The (1, 3k) row [b, b, ..., b] of a (3,) b, as recorded ops."""
+    return dg.reshape(dg.reshape(b, (1, 1, 3)) * np.ones((1, k, 1)), (1, 3 * k))
+
+
+def mixed(b, mix):
+    """b @ mix for a (3,) b and a (3, k) constant, as a (1, k) row of recorded ops."""
+    return dg.vsum(dg.reshape(b, (3, 1)) * mix, axis=0, keepdims=True)
+
+
+def ddsf_121(v_u, v_w):
+    """A dims (1, 2, 1) Ddsf with the given vu and vw, Values or arrays.
+
+    Block columns: layer 0 (1, 2, 2), layer 1 (2, 1, 1).
+    """
+    fam = tf.Ddsf(dims=(1, 2, 1))
+    fam.v_u = [v if dg.is_value(v) else dg.Value(v) for v in v_u]
+    fam.v_w = [v if dg.is_value(v) else dg.Value(v) for v in v_w]
+    fam.params = [*fam.v_u, *fam.v_w]
+    return fam
+
+
+def layer_case(m, kind, hidden=(4,)):
+    """fn(a, b): y and logdet of one FlowLayer, summed per point, at x = a
+    mixed into (3, m); each parameter is a fixed random array plus a fixed
+    random mix of b, so b's gradient passes through every parameter's."""
+    layer = FlowLayer(m, kind, d=2, ddsf_dims=(1, 2, 1), hidden=hidden, seed=0)
+    cond, fam = layer.conditioner, layer.family
+    rng = np.random.default_rng(zlib.crc32(f"{m} {kind} {hidden}".encode()))
+    shapes = [p.shape for p in layer.parameters()]
+    bases = [rng.normal(scale=0.5, size=shape) for shape in shapes]
+    mixes = [rng.normal(scale=0.5, size=(3, int(np.prod(shape)))) for shape in shapes]
+    k = len(cond.weights)
+
+    def fn(a, b):
+        vals = [dg.reshape(mixed(b, mix), shape) + base
+                for shape, base, mix in zip(shapes, bases, mixes)]
+        vals = [v if dg.is_value(v) else dg.Value(v) for v in vals]
+        cond.weights, cond.biases, fam.params = vals[:k], vals[k:2 * k], vals[2 * k:]
+        if kind == "ddsf":
+            half = len(fam.params) // 2
+            fam.v_u, fam.v_w = fam.params[:half], fam.params[half:]
+        y, ld = layer.forward(dg.reshape(a, (3, 1)) * np.linspace(1.0, -0.5, m))
+        return dg.vsum(y, axis=1) + ld
+
+    return fn
+
+
+def layer_node(m, kind):
+    """fn(a): the "layer" node of a fresh FlowLayer at x = a, (n, m) in, (n, m + 1) out."""
+    layer = FlowLayer(m, kind, d=2, ddsf_dims=(1, 2, 1), hidden=(4,), seed=0)
+    return lambda a: layer.forward(a)[0].parents[0]
+
 
 OWN_OUTPUT_OPS = [
     ("exp", dg.exp),
-    ("sigmoid", dg.sigmoid),
-    ("tanh", dg.tanh),
     ("logsumexp", lambda a: dg.logsumexp(a, axis=0)),
     ("log_dot_exp", lambda a: dg.log_dot_exp(dg.exp(a), a)),
-    # the dsf node itself, (2, 4), not the takes that read y and logdet
-    ("dsf", lambda a: tf.dsf_from_preact(
-        dg.reshape(a, (4,)), dg.reshape(a, (4, 1)) * np.array([[1.0, 0.5, -1.0]]))[0].parents[0]),
-    # the ddsf node, dims (1, 2, 1), with vu1 and the block read from a
-    ("ddsf", lambda a: tf.ddsf_from_preact(
-        dg.reshape(a, (4,)), dg.reshape(a, (4, 1)) * np.linspace(-1.0, 1.0, 9),
-        DDSF_121.slices, [np.ones((2, 1)), dg.reshape(a, (1, 4))[:, 1:3]],
-        [np.eye(2), np.zeros((1, 1))])[0].parents[0]),
+    # the layer node of a dsf and of a ddsf layer, not the takes that read y and logdet
+    ("dsf", layer_node(2, "dsf")),
+    ("ddsf", layer_node(2, "ddsf")),
 ]
 
 
@@ -119,10 +168,6 @@ class TestBackward:
     def test_power_rule(self):
         (g,) = grad_of(lambda p: p * p, 3.0)
         assert float(g) == pytest.approx(6.0)
-
-    def test_sigmoid_slope_at_zero(self):
-        (g,) = grad_of(dg.sigmoid, 0.0)
-        assert float(g) == pytest.approx(0.25)
 
     def test_logsumexp_softmax_gradient(self):
         # analytic softmax of (0, ln 3) is (0.25, 0.75)
@@ -156,14 +201,14 @@ class TestBackward:
     def test_sum_of_losses_is_linear(self):
         p = dg.Parameter(np.array([1.0, -2.0, 0.5]), "p")
         l1 = dg.vsum(p * p)
-        l2 = dg.vsum(dg.sigmoid(p))
+        l2 = dg.vsum(dg.softplus(p))
         dg.backward(dg.add(l1, l2))
         combined = p.grad.copy()
         p.zero_grad()
         dg.backward(dg.vsum(p * p))
         g1 = p.grad.copy()
         p.zero_grad()
-        dg.backward(dg.vsum(dg.sigmoid(p)))
+        dg.backward(dg.vsum(dg.softplus(p)))
         g2 = p.grad.copy()
         np.testing.assert_allclose(combined, g1 + g2, atol=1e-12)
 
@@ -173,7 +218,8 @@ class TestBackward:
         x = rng.normal(size=(2, 3))
 
         def loss():
-            return dg.vmean(dg.tanh(dg.matmul(dg.Value(x), p)))
+            # softplus(x @ p), the product as a broadcast sum
+            return dg.vmean(dg.softplus(dg.vsum(dg.reshape(dg.Value(x), (2, 3, 1)) * p, axis=1)))
 
         dg.zero_grad([p])
         dg.backward(loss())
@@ -191,30 +237,34 @@ OPS_FD_CASES = [
     ("neg", lambda a: -a, 1),
     ("exp", dg.exp, 1),
     ("log", lambda a: dg.log(a + 4.0), 1),
-    ("sigmoid", dg.sigmoid, 1),
-    ("tanh", dg.tanh, 1),
     ("softplus", dg.softplus, 1),
     ("relu", lambda a: dg.relu(a + 0.1), 1),
     ("sin", dg.sin, 1),
     ("logsumexp", lambda a: dg.logsumexp(a, axis=0, keepdims=True), 1),
     ("logsoftmax", lambda a: dg.logsoftmax(a, axis=0), 1),
     ("mean", lambda a: dg.vmean(a, axis=0, keepdims=True), 1),
-    ("matmul", lambda a, b: dg.matmul(dg.reshape(a, (1, 3)), dg.reshape(b, (3, 1))), 2),
     ("reshape", lambda a: dg.reshape(a, (3, 1)), 1),
     ("slice", lambda a: a[(slice(0, 2),)], 1),
     ("log_dot_exp", lambda a, b: dg.log_dot_exp(
         dg.exp(dg.reshape(a, (1, 3)) + np.array([[0.0], [0.5]])), dg.reshape(b, (1, 3))), 2),
-    # x = a at three points; a d = 2 block (w_pre, a_pre, b) mixed from b
-    ("dsf", lambda a, b: dg.add(*tf.dsf_from_preact(
-        a, dg.reshape(b, (1, 3)) @ np.tile(np.eye(3), 2) + np.array([[0.0], [0.5], [-0.5]]))), 2),
+    # each family's kernel and adjoint recorded as one node of y and logdet,
+    # summed: x = a at three points; a d = 2 block (w_pre, a_pre, b) mixed from b
+    ("dsf", lambda a, b: dg.vsum(family_op(
+        tf.Dsf(d=2), a, tiled(b, 2) + np.array([[0.0], [0.5], [-0.5]])), axis=0), 2),
     # x = a at three points; a dims (1, 2, 1) block, vu1 and vw0 mixed from b
-    ("ddsf", lambda a, b: dg.add(*tf.ddsf_from_preact(
-        a, dg.reshape(b, (1, 3)) @ np.tile(np.eye(3), 3) + np.array([[0.0], [0.5], [-0.5]]),
-        DDSF_121.slices,
-        [np.ones((2, 1)), dg.reshape(b, (1, 3)) @ np.array([[1.0, 0.0], [0.0, 1.0], [0.5, -0.5]])],
-        [dg.reshape(dg.reshape(b, (1, 3)) @ np.array([[1.0, 0, 0, 0.5], [0, 1.0, 0.5, 0],
-                                                      [0, 0, 1.0, -1.0]]), (2, 2)),
-         np.zeros((1, 1))])), 2),
+    ("ddsf", lambda a, b: dg.vsum(family_op(
+        ddsf_121([np.ones((2, 1)), mixed(b, np.array([[1.0, 0.0], [0.0, 1.0], [0.5, -0.5]]))],
+                 [dg.reshape(mixed(b, np.array([[1.0, 0, 0, 0.5], [0, 1.0, 0.5, 0],
+                                                 [0, 0, 1.0, -1.0]])), (2, 2)),
+                  np.zeros((1, 1))]),
+        a, tiled(b, 3) + np.array([[0.0], [0.5], [-0.5]])), axis=0), 2),
+    # whole flow layers: the conditioner's adjoint chained to each family's
+    ("layer-affine-exp", layer_case(2, "affine-exp"), 2),
+    ("layer-affine-gate", layer_case(2, "affine-gate"), 2),
+    ("layer-dsf", layer_case(2, "dsf"), 2),
+    ("layer-ddsf", layer_case(2, "ddsf"), 2),
+    ("layer-hidden-8-8", layer_case(2, "dsf", hidden=(8, 8)), 2),
+    ("layer-m1", layer_case(1, "dsf"), 2),
 ]
 
 
@@ -240,16 +290,6 @@ class TestFiniteDifferencesPerOp:
 
 
 class TestMatmulShapes:
-    def test_matmul_gradients(self):
-        rng = np.random.default_rng(9)
-        a = dg.Value(rng.normal(size=(2, 3)))
-        b = dg.Value(rng.normal(size=(3, 4)))
-        w = rng.normal(size=(2, 4))
-        out = dg.vsum(dg.mul(dg.matmul(a, b), w))
-        dg.backward(out)
-        np.testing.assert_allclose(a.grad, w @ b.data.T, atol=1e-12)
-        np.testing.assert_allclose(b.grad, a.data.T @ w, atol=1e-12)
-
     def test_slice_scatter(self):
         a = dg.Value(np.arange(6.0).reshape(2, 3))
         out = dg.vsum(a[(slice(None), 1)])
@@ -302,14 +342,14 @@ class TestStructure:
     def test_dsf_mle_loss_node_count(self):
         stack = FlowStack.build(m=2, kind="dsf", d=16, hidden=(64,))
         batch = np.random.default_rng(0).normal(size=(32, 2))
-        assert len(_graph(mle_loss(batch, stack))) <= 30
+        assert len(_graph(mle_loss(batch, stack))) <= 16
 
     def test_ddsf_records_one_node_per_call(self):
         stack = FlowStack.build(m=2, kind="ddsf", ddsf_dims=(1, 16, 16, 1), hidden=(64,))
         batch = np.random.default_rng(0).normal(size=(32, 2))
         nodes = _graph(mle_loss(batch, stack))
-        assert [n.op for n in nodes].count("ddsf") == 1
-        assert len(nodes) <= 36  # the dsf loss's 30, plus the six vu and vw leaves
+        assert [n.op for n in nodes].count("layer") == 1
+        assert len(nodes) <= 22  # the dsf loss's 16, plus the six vu and vw leaves
 
 
 def _graph(root):

@@ -7,7 +7,7 @@ from nafkit import diffgraph as dg
 from nafkit import stablemath as sm
 from nafkit import transformer as tf
 from nafkit.errors import DomainError, NumericError, RangeError, SaturationError
-from nafkit.flow import FlowStack
+from nafkit.flow import FlowLayer, FlowStack
 from nafkit.training import mle_loss
 
 LN2 = math.log(2.0)
@@ -128,8 +128,34 @@ def composite_dsf(x, block, d):
     return log_num - log_den, logdet
 
 
+def op_results(fn, fam, xs, block, g_y, g_ld):
+    """y, logdet and the gradients of x, the block and each of fam's parameters."""
+    dg.zero_grad(fam.params)
+    x, blk = dg.Value(xs), dg.Value(block)
+    y, ld = fn(x, blk)
+    dg.backward(dg.vsum(y * g_y) + dg.vsum(ld * g_ld))
+    return [y.data, ld.data, x.grad, blk.grad, *(p.grad for p in fam.params)]
+
+
+def adjoint_results(fam, xs, block, g_y, g_ld):
+    """op_results' list from fam's kernel and hand adjoint."""
+    p = fam.decode(block)
+    y, ld, saved = fam.core(xs, p)
+    return [y, ld, *fam.adjoint(g_y, g_ld, xs, block, p, saved)]
+
+
+def assert_layer_paths_agree(layer, x):
+    """A layer's numpy forward and its recorded layer node give the same bytes."""
+    rng = np.random.default_rng(5)
+    for p in layer.parameters():
+        p.data = p.data + rng.normal(scale=0.4, size=p.shape)
+    y, ld = layer.forward(x)
+    gy, gld = layer.forward(dg.Value(x))
+    assert y.tobytes() == gy.data.tobytes() and ld.tobytes() == gld.data.tobytes()
+
+
 class TestDsfOp:
-    """The one-node dsf op against the same transformer built from ops."""
+    """The dsf kernel and its hand adjoint against the same transformer built from ops."""
 
     def test_gradients_match_composite(self):
         rng = np.random.default_rng(21)
@@ -140,24 +166,17 @@ class TestDsfOp:
         block[: B // 2, 2 * d] = 30.0 * rng.choice([-1.0, 1.0], size=B // 2)
         xs = rng.uniform(-3.0, 3.0, size=B)
         g_y, g_ld = rng.normal(size=B), rng.normal(size=B)
-        results = []
-        for fn in (lambda x, blk: composite_dsf(x, blk, d), tf.dsf_from_preact):
-            x, blk = dg.Value(xs), dg.Value(block)
-            y, ld = fn(x, blk)
-            dg.backward(dg.vsum(y * g_y) + dg.vsum(ld * g_ld))
-            results.append((y.data, ld.data, x.grad, blk.grad))
-        (y0, ld0, gx0, gb0), (y1, ld1, gx1, gb1) = results
+        fam = tf.Dsf(d)
+        y0, ld0, gx0, gb0 = op_results(lambda x, blk: composite_dsf(x, blk, d), fam, xs, block,
+                                       g_y, g_ld)
+        y1, ld1, gx1, gb1 = adjoint_results(fam, xs, block, g_y, g_ld)
         assert y0.tobytes() == y1.tobytes() and ld0.tobytes() == ld1.tobytes()
         for ref, got in ((gx0, gx1), (gb0, gb1)):
             np.testing.assert_allclose(got, ref, rtol=1e-12, atol=0.0)
 
     def test_numpy_path_matches_graph_values(self):
-        rng = np.random.default_rng(3)
-        block = rng.normal(size=(8, 12))
-        xs = rng.normal(size=8)
-        y, ld = tf.dsf_from_preact(xs, block)
-        gy, gld = tf.dsf_from_preact(dg.Value(xs), dg.Value(block))
-        assert y.tobytes() == gy.data.tobytes() and ld.tobytes() == gld.data.tobytes()
+        x = np.random.default_rng(3).normal(size=(8, 2))
+        assert_layer_paths_agree(FlowLayer(2, "dsf", d=4, hidden=(8,)), x)
 
     def test_graph_saturation_names_layer_dimension_and_point(self):
         stack = FlowStack.build(m=2, kind="dsf", d=16, seed=0)
@@ -225,7 +244,7 @@ def composite_ddsf(x, block, fam):
         C = a * dg.vsum(dg.exp(log_u) * dg.reshape(h, (B, 1, d_in)), axis=-1) + block[rows, b]
         ls_pos, ls_neg = dg.logsigmoid(C), dg.logsigmoid(-C)
         log_num, log_den = dg.log_dot_exp(w, ls_pos), dg.log_dot_exp(w, ls_neg)
-        tf._check_saturation(log_num, log_den, x, layer=li)
+        tf._check_saturation(log_num.data, log_den.data, x.data, layer=li)
         h = log_num - log_den
         s = dg.logsumexp(log_u + dg.reshape(r, (B, 1, d_in)), axis=-1)
         r = dg.log_dot_exp(w, ls_pos + ls_neg + dg.log(a) + s) - (log_num + log_den)
@@ -244,17 +263,8 @@ def random_ddsf(rng, dims, B, scale=1.0):
     return fam, block
 
 
-def op_results(fn, fam, xs, block, g_y, g_ld):
-    """y, logdet and the gradients of x, the block and each of fam's parameters."""
-    dg.zero_grad(fam.params)
-    x, blk = dg.Value(xs), dg.Value(block)
-    y, ld = fn(x, blk)
-    dg.backward(dg.vsum(y * g_y) + dg.vsum(ld * g_ld))
-    return [y.data, ld.data, x.grad, blk.grad, *(p.grad for p in fam.params)]
-
-
 class TestDdsfOp:
-    """The one-node ddsf op against the same transformer built from ops."""
+    """The ddsf kernel and its hand adjoint against the same transformer built from ops."""
 
     def test_gradients_match_composite(self):
         rng = np.random.default_rng(22)
@@ -263,7 +273,7 @@ class TestDdsfOp:
         xs = rng.uniform(-3.0, 3.0, size=B)
         g_y, g_ld = rng.normal(size=B), rng.normal(size=B)
         ref = op_results(lambda x, blk: composite_ddsf(x, blk, fam), fam, xs, block, g_y, g_ld)
-        got = op_results(fam.forward, fam, xs, block, g_y, g_ld)
+        got = adjoint_results(fam, xs, block, g_y, g_ld)
         names = ["y", "logdet", "x", "block", *(p.name for p in fam.params)]
         worst = {}
         for name, want, have in zip(names, ref, got):
@@ -278,10 +288,10 @@ class TestDdsfOp:
         rng = np.random.default_rng(4)
         fam, block = random_ddsf(rng, (1, 6, 5, 1), 32)
         xs = rng.normal(size=32)
-        y, ld = fam.forward(xs, block)
-        gy, gld = fam.forward(dg.Value(xs), dg.Value(block))
-        assert y.tobytes() == gy.data.tobytes() and ld.tobytes() == gld.data.tobytes()
+        y, _ = fam.forward(xs, block)
         assert y.tobytes() == fam.core(xs, fam.decode(block))[0].tobytes()
+        layer = FlowLayer(2, "ddsf", ddsf_dims=(1, 6, 5, 1), hidden=(8,))
+        assert_layer_paths_agree(layer, rng.normal(size=(16, 2)))
 
     def test_graph_saturation_names_layer_dimension_and_point(self):
         stack = FlowStack.build(m=2, kind="ddsf", ddsf_dims=(1, 8, 8, 1), seed=0)
@@ -318,7 +328,7 @@ class TestDdsfOp:
         xs = rng.uniform(-3.0, 3.0, size=64)
         g_y, g_ld = rng.normal(size=64), rng.normal(size=64)
         ref = op_results(lambda x, blk: composite_ddsf(x, blk, fam), fam, xs, block, g_y, g_ld)
-        got = op_results(fam.forward, fam, xs, block, g_y, g_ld)
+        got = adjoint_results(fam, xs, block, g_y, g_ld)
         for want, have in zip(ref[:2], got[:2]):
             np.testing.assert_allclose(have, want, rtol=1e-12, atol=1e-12)
         assert all(np.all(np.isfinite(g)) for g in got[2:])
@@ -331,7 +341,7 @@ class TestDdsfOp:
         fam, block = random_ddsf(rng, (1, 6, 5, 1), 48)
         xs = rng.uniform(-3.0, 3.0, size=48)
         g_y, g_ld = rng.normal(size=48), rng.normal(size=48)
-        got = op_results(fam.forward, fam, xs, block, g_y, g_ld)
+        got = adjoint_results(fam, xs, block, g_y, g_ld)
         assert len(fam.decode(block)[1]["Z"][3][0]) == 48 * 5  # every (point, unit) row
         monkeypatch.undo()
         ref = op_results(lambda x, blk: composite_ddsf(x, blk, fam), fam, xs, block, g_y, g_ld)
@@ -536,7 +546,7 @@ class TestCheckMonotone:
     def test_corrupted_slope_detected(self):
         # a negative slope, which softplus never decodes, fed to the kernel
         log_w, a, b = np.log([0.5, 0.5]), np.array([1.0, -3.0]), np.array([-2.0, 2.0])
-        fn = lambda x: float(tf._dsf_core(np.array([x]), log_w, a, np.zeros(2), b)[0][0])
+        fn = lambda x: float(tf._dsf_core(np.array([x]), (log_w, a, np.zeros(2), b))[0][0])
         grid = np.linspace(-5, 5, 801)
         assert not increasing(fn, grid)
 
