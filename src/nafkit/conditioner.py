@@ -4,6 +4,11 @@ One dense forward pass produces, for every dimension t, the block of
 pre-activation transformer parameters allowed to depend only on the
 coordinates preceding t in the layer's variable order. Masks are built
 deterministically (degrees cycle, never sampled) so runs reproduce.
+
+The pass runs batch-last, on x.T: units lead and points trail, so each
+layer is h_T = tanh((W * M).T @ h_T + b) and the readout is an
+(m * width, n) array whose (width, n) slabs are the transformers'
+blocks, the layout every transformer kernel takes.
 """
 
 from __future__ import annotations
@@ -79,10 +84,11 @@ def build_masks(m: int, hidden_sizes, order=None) -> MaskSet:
 class MadeConditioner:
     """Masked MLP mapping x to m blocks of out_per_dim pseudo-parameters.
 
-    Weights are stored unmasked; the mask is applied in every forward
-    pass, so masked connections carry exact structural zeros and get zero
-    gradient. out_offset (length out_per_dim) is added to every block
-    after the readout; it carries the identity-flow constants.
+    Weights are stored unmasked, (fan_in, fan_out); the mask is applied in
+    every forward pass, so masked connections carry exact structural zeros
+    and get zero gradient. out_offset (length out_per_dim) is added to
+    every block: folded into the readout bias, it carries the
+    identity-flow constants.
     """
 
     def __init__(self, m, out_per_dim, hidden_sizes=(64,), order=None,
@@ -116,33 +122,35 @@ class MadeConditioner:
         return [*self.weights, *self.biases]
 
     def forward(self, x):
-        """x: (n, m) array -> (n, m, out_per_dim) blocks."""
+        """x: (n, m) array -> (m, out_per_dim, n) blocks, out_offset added."""
         x = np.asarray(x, dtype=np.float64)
         if x.ndim != 2 or x.shape[1] != self.m:
             raise DomainError(f"expected (n, {self.m}) input, got {x.shape}")
         if not np.all(np.isfinite(x)):
             raise DomainError("conditioner input must be finite")
-        out = self.activations(x)[1]  # the hidden layers are freed before this add
-        return out.reshape(x.shape[0], self.m, self.out_per_dim) + self.out_offset
+        return self.activations(x.T)[1].reshape(self.m, self.out_per_dim, x.shape[0])
 
-    def activations(self, x):
-        """([x, h_1, ..., h_k], out): input, tanh layers' outputs, readout before out_offset."""
-        hs = [x]
+    def activations(self, x_t):
+        """([x_t, h_1, ..., h_k], out) for x_t = x.T (m, n): the input, each tanh
+        layer's (units, n) output, and the (m * out_per_dim, n) readout with
+        out_offset in its bias."""
+        hs = [x_t]
         for w, b, mask in zip(self.weights[:-1], self.biases[:-1], self.masks):
-            hs.append(np.tanh(hs[-1] @ (w.data * mask) + b.data))
-        return hs, hs[-1] @ (self.weights[-1].data * self.masks[-1]) + self.biases[-1].data
+            hs.append(np.tanh((w.data * mask).T @ hs[-1] + b.data[:, None]))
+        bias = self.biases[-1].data + np.tile(self.out_offset, self.m)
+        return hs, (self.weights[-1].data * self.masks[-1]).T @ hs[-1] + bias[:, None]
 
     def backward(self, g, hs):
-        """(g_x, gradients of parameters()) for blocks' gradient g, (n, m * out_per_dim).
+        """(g_x.T, gradients of parameters()) for the readout's gradient g, (m * out_per_dim, n).
 
-        Back to front, for each layer's input h in hs: g_W = (h.T @ g) * mask,
-        g_b = g.sum(axis=0), and g @ (W * mask).T times tanh' = 1 - h^2 (unless h is x).
+        Back to front, for each layer's input h in hs: g_W = (h @ g.T) * mask,
+        g_b = g.sum(axis=1), and (W * mask) @ g times tanh' = 1 - h^2 (unless h is x.T).
         """
         g_w, g_b = [], []
         for i in reversed(range(len(self.weights))):
-            g_w.append((hs[i].T @ g) * self.masks[i])
-            g_b.append(g.sum(axis=0))
-            g = g @ (self.weights[i].data * self.masks[i]).T
+            g_w.append((hs[i] @ g.T) * self.masks[i])
+            g_b.append(g.sum(axis=1))
+            g = (self.weights[i].data * self.masks[i]) @ g
             if i > 0:
                 g = g * (1.0 - hs[i] * hs[i])
         return g, [*reversed(g_w), *reversed(g_b)]

@@ -295,24 +295,41 @@ def logsoftmax(a, axis: int = -1):
 
 
 def _shifted_exp(v):
-    """exp(v - m) and the row max m, with non-finite maxima taken as 0."""
-    m = np.max(v, axis=-1, keepdims=True)
+    """exp(v - m) and m, v's max over its component axis (-2), non-finite maxima as 0."""
+    m = np.max(v, axis=-2, keepdims=True)
     m = np.where(np.isfinite(m), m, 0.0)
     return np.exp(v - m), m
 
 
+def _points_last(v, idx):
+    """The (k, components) rows of v (..., components, n) at the flagged
+    entries idx = (*lead, unit, point) of an (..., units, n) array."""
+    return np.moveaxis(v, -2, -1)[(*idx[:-2], idx[-1])]
+
+
+def _outer_sum(a, b):
+    """a @ b.T summed over the leading axes of a (..., rows, n) and b (..., cols, n)."""
+    out = a @ np.swapaxes(b, -1, -2)
+    return out.reshape(-1, *out.shape[-2:]).sum(axis=0)
+
+
+def _first_point(bad):
+    """Point-major flat index of the first flagged point of bad (..., n)."""
+    return int(np.argmax(np.moveaxis(bad, -1, 0)))
+
+
 def _log_dot_exp(mat, v):
-    """log_dot_exp's forward: (out, e, m) with e = exp(v - m), m v's row max."""
+    """log_dot_exp's forward: (out, e, m) with e = exp(v - m), m v's component max."""
     if np.any(mat < 0.0):
         raise NumericError("log_dot_exp of a negative matrix entry")
     e, m = _shifted_exp(v)
-    p = e @ mat.T
+    p = mat @ e
     low = ~(p >= _TINY)
     with np.errstate(divide="ignore"):
         out = np.log(p) + m
         if low.any():
-            n, i = np.nonzero(low)
-            out[low] = sm.logsumexp_over_axis(np.log(mat[i]) + v[n], -1)
+            idx = np.nonzero(low)
+            out[idx] = sm.logsumexp_over_axis(np.log(mat[idx[-2]]) + _points_last(v, idx), -1)
     return out, e, m
 
 
@@ -322,20 +339,26 @@ def _log_dot_exp_grads(g, out, e, m, mat):
         s = g * np.exp(m - out)
     bad = ~np.isfinite(s)
     if bad.any():
-        n = int(np.argmax(bad.any(axis=-1)))
-        raise NumericError(f"log_dot_exp gradient overflows at row {n}", index=n)
-    return s.T @ e, e * (s @ mat)
+        # index is point-major over the leading axes, which a flow layer's
+        # node holds as its dimensions
+        lead = bad.any(axis=-2)
+        n = _first_point(lead)
+        point, *dims = np.unravel_index(n, (lead.shape[-1], *lead.shape[:-1]))
+        at = "".join(f", dimension {i}" for i in dims)
+        raise NumericError(f"log_dot_exp gradient overflows at point {point}{at}", index=n)
+    return _outer_sum(s, e), e * (mat.T @ s)
 
 
 def log_dot_exp(mat, v):
-    """log(mat @ exp(v)) per row of v (n, cols) for a nonnegative mat (rows, cols).
+    """log(mat @ exp(v)) per column of v (cols, n) for a nonnegative mat (rows, cols).
 
-    The max-shifted product log(exp(v - m) @ mat.T) + m is one BLAS
-    product. A row whose shifted product falls below the smallest normal
-    float (mat ~0 where v peaks) is recomputed as the logsumexp of
-    log(mat) + v, so it keeps full precision, and only a structural zero
-    comes back as -inf. The gradient is exp(v_j - out_i) for mat and
-    mat_ij exp(v_j - out_i) for v; one that overflows is a NumericError.
+    Components lead and points trail, as in every kernel. The max-shifted
+    product log(mat @ exp(v - m)) + m is one BLAS product. A column entry
+    whose shifted product falls below the smallest normal float (mat ~0
+    where v peaks) is recomputed as the logsumexp of log(mat) + v, so it
+    keeps full precision, and only a structural zero comes back as -inf.
+    The gradient is exp(v_j - out_i) for mat and mat_ij exp(v_j - out_i)
+    for v; one that overflows is a NumericError.
     """
     return _op("log_dot_exp", _log_dot_exp,
                lambda g, out, mat, v: _log_dot_exp_grads(g, *out, mat), mat, v)

@@ -23,6 +23,18 @@ from .errors import DataError, DomainError, NumericError
 
 LOG_2PI = float(np.log(2.0 * np.pi))
 
+# Points per row block of FlowLayer.forward on arrays: about the fastest
+# block size for a 16384-point dsf density at m = 1 and 2 (see CHANGES.md
+# for the sweep). FlowLayer.inverse runs the whole batch.
+_ROW_BLOCK = 1024
+
+
+def _row_blocks(a):
+    """(first row, index) of each row block of an (n, m) array a: all of a in
+    one block when it has no rows, or no (n, m) shape for the conditioner to accept."""
+    n = a.shape[0] if a.ndim == 2 else 0
+    return [(s, slice(s, s + _ROW_BLOCK)) for s in range(0, n, _ROW_BLOCK)] or [(0, ...)]
+
 
 class StandardNormal:
     """Isotropic unit Gaussian base distribution."""
@@ -84,41 +96,53 @@ class FlowLayer:
     # -- forward ---------------------------------------------------------
 
     def forward(self, x):
-        """x: (n, m) -> (y (n, m), logdet (n,)); numpy, and recorded iff x is a Value."""
-        try:
-            if dg.is_value(x):
+        """x: (n, m) -> (y (n, m), logdet (n,)); numpy, and recorded iff x is a Value.
+
+        On arrays it runs over row blocks of at most _ROW_BLOCK points, whose
+        temporaries stay in cache; each block's outputs are the bits of
+        evaluating that block alone.
+        """
+        if dg.is_value(x):
+            try:
                 return self._record(x)
-            blocks = self.conditioner.forward(x).reshape(-1, self.family.width)
-            y, ld = self.family.forward(x.reshape(-1), blocks)
-        except NumericError as err:
-            if err.index is None:
-                raise
-            # the flat layout is (batch point, dimension) row-major
-            raise self._located(err, *divmod(err.index, self.m)) from None
-        return y.reshape(x.shape), ld.reshape(x.shape).sum(axis=1)
+            except NumericError as err:
+                raise self._located(err) from None
+        x = np.asarray(x, dtype=np.float64)
+        ys, lds = [], []
+        for start, rows in _row_blocks(x):
+            xb = x[rows]
+            try:
+                blocks = self.conditioner.forward(xb)
+                y, ld = self.family.forward(xb.T, blocks)
+            except NumericError as err:
+                raise self._located(err, start) from None
+            ys.append(y)
+            lds.append(ld.sum(axis=0))
+        return np.concatenate(ys, axis=1).T, np.concatenate(lds)
 
     def _record(self, x):
         """y and logdet as takes of one "layer" node, [y | logdet], over x and parameters().
 
-        Its forward is the numpy path; its adjoint chains the family's into the conditioner's.
+        Its forward is the numpy path on the whole batch; its adjoint chains
+        the family's into the conditioner's.
         """
         n, m = x.shape
         cond, fam = self.conditioner, self.family
 
         def forward(x, *_):
-            hs, readout = cond.activations(x)
-            block = readout.reshape(n * m, fam.width) + cond.out_offset
+            hs, readout = cond.activations(x.T)
+            block = readout.reshape(m, fam.width, n)
             p = fam.decode(block)
-            y, ld, saved = fam.core(x.reshape(-1), p)
-            out = np.column_stack([y.reshape(n, m), ld.reshape(n, m).sum(axis=1)])
+            y, ld, saved = fam.core(x.T, p)
+            out = np.column_stack([y.T, ld.sum(axis=0)])
             return out, hs, block, p, saved
 
         def adjoint(g, out, x, *_):
             _, hs, block, p, saved = out
-            g_y, g_ld = g[:, :m].reshape(-1), np.repeat(g[:, m], m)
-            g_x, g_block, *g_fam = fam.adjoint(g_y, g_ld, x.reshape(-1), block, p, saved)
-            g_xc, g_cond = cond.backward(g_block.reshape(n, -1), hs)
-            return (g_xc + g_x.reshape(n, m), *g_cond, *g_fam)
+            g_y, g_ld = g[:, :m].T, np.broadcast_to(g[:, m], (m, n))
+            g_x, g_block, *g_fam = fam.adjoint(g_y, g_ld, x.T, block, p, saved)
+            g_xc, g_cond = cond.backward(g_block.reshape(m * fam.width, n), hs)
+            return ((g_xc + g_x).T, *g_cond, *g_fam)
 
         node = dg._op("layer", forward, adjoint, x, *self.parameters())
         return node[:, :m], node[:, m]
@@ -137,15 +161,23 @@ class FlowLayer:
             i = self.order.index(deg)
             blocks = self.conditioner.forward(x)
             try:
-                x[:, i] = self.family.inverse(y[:, i], blocks[:, i, :])
+                x[:, i] = self.family.inverse(y[:, i], blocks[i])
             except NumericError as err:
-                if err.index is None:
-                    raise
-                raise self._located(err, err.index, i) from None
+                raise self._located(err, dim=i) from None
         return x
 
-    def _located(self, err, point, dim):
-        """err, its message prefixed with this layer, dimension and batch point."""
+    def _located(self, err, start=0, dim=None):
+        """err, its message prefixed with this layer, dimension and batch point.
+
+        err.index counts from the row block at start: a flat (point, dimension)
+        index, or a point of dimension dim. An error without an index is err.
+        """
+        if err.index is None:
+            return err
+        point = err.index
+        if dim is None:
+            point, dim = divmod(point, self.m)
+        point += start
         err.args = (f"{self.name}, dimension {dim}, batch point {point}: {err}",)
         err.dim, err.index = dim, point * self.m + dim
         return err

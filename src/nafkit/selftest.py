@@ -39,9 +39,9 @@ def suite_stablemath(rng: np.random.Generator):
             return False, "logsoftmax exponentials do not sum to 1"
     for _ in range(100):
         a = rng.uniform(0.1, 10.0, size=(3, 4))
-        v = rng.uniform(0.1, 10.0, size=(2, 4))
+        v = rng.uniform(0.1, 10.0, size=(4, 2))
         got = dg.log_dot_exp(a, np.log(v))
-        want = np.log(v @ a.T)
+        want = np.log(a @ v)
         if np.max(np.abs(got - want) / np.abs(want)) > 1e-9:
             return False, "log_dot_exp disagrees with the dense product"
     for _ in range(200):
@@ -70,7 +70,7 @@ def suite_logdet(rng: np.random.Generator, seeds: int = 100):
             fam, row = tf.random_params(kind, np.random.default_rng(10_000 + s))
             fwd = tf.forward_closure(fam, row)
             x = float(np.random.default_rng(20_000 + s).uniform(-3, 3))
-            _, (ld,) = fam.forward(np.array([x]), row[None])
+            _, (ld,) = fam.forward(np.array([x]), row[:, None])
             fd = (fwd(x + h) - fwd(x - h)) / (2 * h)
             if abs(np.exp(ld) - fd) / max(abs(fd), 1e-12) > 1e-4:
                 return False, f"{kind} logdet off at seed {s}, x={x:.3f}"
@@ -119,7 +119,7 @@ def suite_roundtrip(rng: np.random.Generator, n: int = 300):
     for kind in tf.FAMILIES:
         fam, row = tf.random_params(kind, np.random.default_rng(3))
         xs = rng.uniform(-4, 4, size=n)
-        block = np.broadcast_to(row, (n, row.size))
+        block = np.broadcast_to(row[:, None], (row.size, n))
         ys, _ = fam.forward(xs, block)
         back = fam.inverse(ys, block)
         err = float(np.max(np.abs(back - xs)))

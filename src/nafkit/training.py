@@ -45,6 +45,12 @@ class TrainConfig:
             raise DomainError("steps must be >= 1")
         if self.batch < 1:
             raise DomainError("batch must be >= 1")
+        # clip_global_norm scales by grad_clip / norm: a clip <= 0 flips or zeroes
+        # every gradient. None switches clipping off.
+        if self.grad_clip is not None and not 0 < self.grad_clip < np.inf:
+            raise DomainError(f"grad_clip must be finite and > 0, got {self.grad_clip}")
+        if self.polyak is not None and not 0 <= self.polyak < 1:
+            raise DomainError(f"polyak must lie in [0, 1), got {self.polyak}")
 
     def as_dict(self) -> dict:
         return asdict(self)

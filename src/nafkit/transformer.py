@@ -7,26 +7,30 @@ row-stochastic mixing matrices (ddsf). Every forward returns both y and
 log(dy/dx), with the log-derivative assembled entirely in log space so
 stacked Jacobian chains neither vanish nor overflow.
 
-A family is parameterized only by the (B, width) block of
-pseudo-parameters a conditioner emits (plus ddsf's trainable vu and vw);
-softmax, softplus and conditional weight normalization (CWN) apply inside.
+A family is parameterized only by the block of pseudo-parameters a
+conditioner emits (plus ddsf's trainable vu and vw); softmax, softplus
+and conditional weight normalization (CWN) apply inside.
 
-Everything here is plain numpy. Each family is one Family subclass in
-the FAMILIES registry; it owns its conditioner block layout, any extra
-parameters, a kernel (core) that returns y, log(dy/dx) and the
-intermediates its hand-derived adjoint reads, that adjoint, and its
-inverse. Densities run the kernel, and training records it, with the
-conditioner, as one graph node per flow layer (see flow.FlowLayer) whose
-backward calls the family's adjoint. dsf and ddsf each have one kernel,
-_dsf_core and _ddsf_core. The ddsf kernel never forms CWN's
-(B, d_out, d_in) weights: it keeps them factored as a (d_out, d_in) and
-a (B, d_in) exponential and works by matrix products, forward and
-backward. Inversion runs the same guarded kernel as densities without
-its log-det chain (logdet=False): the same y bits and the same guard, so
-every x an inverse returns is one the density path can score. dsf and
-ddsf have no closed-form inverse: invert_batch brackets each target and
-refines it with Chandrupatla's derivative-free interpolation, about a
-dozen forward evaluations per dimension.
+Everything here is plain numpy, batch-last: x is (..., n) and a block
+(..., width, n), components leading and points trailing, so every
+reduction over the d components runs over a leading axis and every
+product over them is a matrix times a (d, n) slab. Each family is one
+Family subclass in the FAMILIES registry; it owns its conditioner block
+layout, any extra parameters, a kernel (core) that returns y,
+log(dy/dx) and the intermediates its hand-derived adjoint reads, that
+adjoint, and its inverse. Densities run the kernel, and training records
+it, with the conditioner, as one graph node per flow layer (see
+flow.FlowLayer) whose backward calls the family's adjoint. dsf and ddsf
+each have one kernel, _dsf_core and _ddsf_core. The ddsf kernel never
+forms CWN's (d_out, d_in) weights per point: it keeps them factored as
+a (d_out, d_in) and a (d_in, n) exponential and works by matrix
+products, forward and backward. Inversion runs the same guarded kernel
+as densities without its log-det chain (logdet=False): the same y bits
+and the same guard, so every x an inverse returns is one the density
+path can score. dsf and ddsf have no closed-form inverse: invert_batch
+brackets each target and refines it with Chandrupatla's
+derivative-free interpolation, about a dozen forward evaluations per
+dimension.
 """
 
 from __future__ import annotations
@@ -62,9 +66,10 @@ DDSF_DEFAULT_DIMS = (1, 16, 1)
 def _check_saturation(log_num, log_den, x, layer=None):
     """Raise once log(D) or log(1-D) underflows float64 (pre-logit 0 or 1).
 
-    The error names the largest offending input magnitude and the flat
-    index of the first offending input. SATURATION_GUARD = False skips
-    the check, for fault injection.
+    x is (..., n); per-unit flags (..., units, n) collapse over their
+    unit axis. The error names the largest offending input magnitude and
+    the first offending entry of x, point-major (the index of x.T's flat
+    layout). SATURATION_GUARD = False skips the check, for fault injection.
     """
     if not SATURATION_GUARD:
         return
@@ -73,16 +78,15 @@ def _check_saturation(log_num, log_den, x, layer=None):
         return
     xarr = np.atleast_1d(x)
     bad = np.atleast_1d(bad)
-    if bad.ndim > xarr.ndim:  # per-unit flags: collapse trailing axes
-        bad = bad.any(axis=tuple(range(xarr.ndim, bad.ndim)))
+    if bad.ndim > xarr.ndim:
+        bad = bad.any(axis=-2)
     mag = float(np.max(np.abs(xarr[bad])))
-    index = int(np.argmax(bad))
     where = "" if layer is None else f" in layer {layer}"
     raise SaturationError(
         f"pre-logit saturated{where} (|x| up to {mag:.6g})",
         magnitude=mag,
         layer=layer,
-        index=index,
+        index=dg._first_point(bad),
     )
 
 
@@ -92,11 +96,12 @@ def _check_saturation(log_num, log_den, x, layer=None):
 def _dsf_core(x, p, logdet=True):
     """The dsf kernel: y, log(dy/dx) and the intermediates its adjoint reads.
 
-    Plain numpy on activated logs: x (...,); p = (log_w, a, log_a, b), (..., d) each.
-    With C = a*x + b, ls_pos = log s(C) and ls_neg = log s(-C),
-    y = log D - log(1-D) where log D = LSE_j(log w_j + ls_pos_j) and
-    log(1-D) = LSE_j(log w_j + ls_neg_j) (exact because w lies on the
-    simplex), and log(dy/dx) = log R - log D - log(1-D) where
+    Plain numpy on activated logs: x (..., n); p = (log_w, a, log_a, b),
+    (..., d, n) each, so every sum over the d components runs over the
+    leading axis of a (d, n) slab. With C = a*x + b, ls_pos = log s(C) and
+    ls_neg = log s(-C), y = log D - log(1-D) where log D = LSE_j(log w_j +
+    ls_pos_j) and log(1-D) = LSE_j(log w_j + ls_neg_j) (exact because w
+    lies on the simplex), and log(dy/dx) = log R - log D - log(1-D) where
     log R = LSE_j[log w_j + log a_j + ls_pos_j + ls_neg_j]. The softplus
     deltas inside logsigmoid cancel exactly in both y and logdet. The
     third return value holds C, the three LSE arguments and their results,
@@ -105,24 +110,24 @@ def _dsf_core(x, p, logdet=True):
     guard has passed, without log R.
     """
     log_w, a, log_a, b = p
-    C = a * x[..., None] + b
+    C = a * x[..., None, :] + b
     ls_pos, ls_neg = sm.logsigmoid_pair(C)
     t_num, t_den = log_w + ls_pos, log_w + ls_neg
-    log_num = sm.logsumexp_over_axis(t_num, -1)
-    log_den = sm.logsumexp_over_axis(t_den, -1)
+    log_num = sm.logsumexp_over_axis(t_num, -2)
+    log_den = sm.logsumexp_over_axis(t_den, -2)
     _check_saturation(log_num, log_den, x)
     if not logdet:
         return log_num - log_den
     t_r = log_w + log_a + ls_pos + ls_neg
-    log_r = sm.logsumexp_over_axis(t_r, -1)
+    log_r = sm.logsumexp_over_axis(t_r, -2)
     saved = (C, t_num, t_den, t_r, log_num, log_den, log_r)
     return log_num - log_den, log_r - (log_num + log_den), saved
 
 
 def _dsf_activate(block):
-    """(log w, a, log a, b) from a (B, 3d) block of (w_pre, a_pre, b)."""
-    w_pre, a_pre, b = np.split(block, 3, axis=-1)
-    log_w = w_pre - sm.logsumexp_over_axis(w_pre, -1)[..., None]
+    """(log w, a, log a, b) from a (..., 3d, n) block of (w_pre, a_pre, b)."""
+    w_pre, a_pre, b = np.split(block, 3, axis=-2)
+    log_w = w_pre - sm.logsumexp_over_axis(w_pre, -2)[..., None, :]
     a = sm.softplus(a_pre)
     return log_w, a, np.log(a), b
 
@@ -138,21 +143,21 @@ def _dsf_adjoint(g_y, g_ld, x, block, p, saved):
     """
     log_w, a, _, _ = p
     C, t_num, t_den, t_r, log_num, log_den, log_r = saved
-    g_y, g_ld = g_y[:, None], g_ld[:, None]
-    gp = (g_y - g_ld) * np.exp(t_num - log_num[:, None])
-    gq = (-g_y - g_ld) * np.exp(t_den - log_den[:, None])
-    gr = g_ld * np.exp(t_r - log_r[:, None])
+    g_y, g_ld = g_y[..., None, :], g_ld[..., None, :]
+    gp = (g_y - g_ld) * np.exp(t_num - log_num[..., None, :])
+    gq = (-g_y - g_ld) * np.exp(t_den - log_den[..., None, :])
+    gr = g_ld * np.exp(t_r - log_r[..., None, :])
     g_log_w = gp + gq + gr
     s_pos, s_neg = sm.sigmoid_pair(C)
     g_c = (gp + gr) * s_neg - (gq + gr) * s_pos
-    g_w_pre = g_log_w - np.exp(log_w) * np.sum(g_log_w, axis=-1, keepdims=True)
-    _, a_pre, _ = np.split(block, 3, axis=-1)
-    g_a_pre = (g_c * x[:, None] + gr / a) * sm.sigmoid(a_pre)
-    return np.sum(g_c * a, axis=-1), np.concatenate([g_w_pre, g_a_pre, g_c], axis=-1)
+    g_w_pre = g_log_w - np.exp(log_w) * np.sum(g_log_w, axis=-2, keepdims=True)
+    _, a_pre, _ = np.split(block, 3, axis=-2)
+    g_a_pre = (g_c * x[..., None, :] + gr / a) * sm.sigmoid(a_pre)
+    return np.sum(g_c * a, axis=-2), np.concatenate([g_w_pre, g_a_pre, g_c], axis=-2)
 
 
 def dsf_from_preact(x, block):
-    """dsf's (y, logdet) on a (B, 3d) block of conditioner pre-activations, x (B,)."""
+    """dsf's (y, logdet) on a (..., 3d, n) block of conditioner pre-activations, x (..., n)."""
     return _dsf_core(x, _dsf_activate(block))[:2]
 
 
@@ -160,39 +165,40 @@ def dsf_from_preact(x, block):
 
 
 def _cwn_product(V, E, X):
-    """log sum_j exp(V_ij + X_bj) as one max-shifted product, and its pieces.
+    """log sum_j exp(V_ij + X_jn) as one max-shifted product, and its pieces.
 
-    V (rows, n) with E = exp(V), X (B, n). With m the row max of X and
-    G = exp(X - m), P = G @ E.T. Returns log P + m, 1/P (0 on low rows),
-    G, and the low rows: where P falls below the smallest normal float (V
-    and X peak in different columns, about 700 nats apart), the log is
-    recomputed as the logsumexp of V + X, and the rows' weights
-    exp(V_ij + X_bj - log) come back as (batch, row, weights); else None.
-    The CWN weights are u_bij = E_ij G_bj / P_bi on every other row.
+    V (rows, cols) with E = exp(V), X (..., cols, n). With m the column
+    max of X and G = exp(X - m), P = E @ G. Returns log P + m, 1/P (0 on
+    low entries), G, and the low entries: where P falls below the smallest
+    normal float (V and X peak in different columns, about 700 nats
+    apart), the log is recomputed as the logsumexp of V + X, and the
+    entries' weights exp(V_ij + X_jn - log) come back as (index, weights)
+    with index np.nonzero's tuple and weights (k, cols); else None.
+    The CWN weights are u_ijn = E_ij G_jn / P_in on every other entry.
     """
     G, m = dg._shifted_exp(X)
-    P = G @ E.T
+    P = E @ G
     low = ~(P >= dg._TINY)
     with np.errstate(divide="ignore", over="ignore"):
         inv = 1.0 / P
         log_p = np.log(P) + m
-    rows = None
+    entries = None
     if low.any():
         inv[low] = 0.0
-        n, i = np.nonzero(low)
-        t = V[i] + X[n]
-        log_p[n, i] = sm.logsumexp_over_axis(t, -1)
-        rows = (n, i, np.exp(t - log_p[n, i][:, None]))
-    return log_p, inv, G, rows
+        idx = np.nonzero(low)
+        t = V[idx[-2]] + dg._points_last(X, idx)
+        log_p[idx] = sm.logsumexp_over_axis(t, -1)
+        entries = (idx, np.exp(t - log_p[idx][:, None]))
+    return log_p, inv, G, entries
 
 
 def _cwn_mix(h, E, cwn):
-    """u @ h per row for the CWN weights u of a _cwn_product."""
+    """u @ h per point for the CWN weights u of a _cwn_product; h (..., cols, n)."""
     _, inv, G, low = cwn
-    out = ((G * h) @ E.T) * inv
+    out = (E @ (G * h)) * inv
     if low is not None:
-        n, i, u = low
-        out[n, i] = np.sum(u * h[n], axis=-1)
+        idx, u = low
+        out[idx] = np.sum(u * dg._points_last(h, idx), axis=-1)
     return out
 
 
@@ -200,73 +206,77 @@ def _cwn_adjoint(g_uh, g_s, h, uh, E, cz, cq):
     """Gradients of uh = u @ h and s = log(u @ exp r) for V, eta, h and r.
 
     u = E F / Z and q = E G / Q are the weights of the two CWN products
-    cz (over eta) and cq (over eta + r); s = log Q - log Z. Per row,
+    cz (over eta) and cq (over eta + r); s = log Q - log Z. Per point,
     duh/dV_ij = u_ij (h_j - uh), ds/dV_ij = q_ij - u_ij, and eta gets the
-    same per column, so every term is a (B, n) x (n, rows) product:
-    g_V = E * [(g_uh/Z)' (F h) - ((g_uh uh + g_s)/Z)' F + (g_s/Q)' G].
-    Low rows, whose 1/Z or 1/Q is 0, add their terms from their weights.
+    same per column, so every term is a (rows, n) x (n, cols) product:
+    g_V = E * [(g_uh/Z) (F h)' - ((g_uh uh + g_s)/Z) F' + (g_s/Q) G'].
+    Low entries, whose 1/Z or 1/Q is 0, add their terms from their weights.
     """
     _, inv_z, F, low_z = cz
     _, inv_q, G, low_q = cq
     k = g_uh * uh + g_s
     a, b, c = g_uh * inv_z, k * inv_z, g_s * inv_q
-    g_v = E * (a.T @ (F * h) - b.T @ F + c.T @ G)
-    aE, bE, cE = a @ E, b @ E, c @ E
-    g_h, g_r = F * aE, G * cE
-    g_eta = h * g_h - F * bE + g_r
+    g_v = E * (dg._outer_sum(a, F * h) - dg._outer_sum(b, F) + dg._outer_sum(c, G))
+    Et = E.T
+    g_h, g_r = F * (Et @ a), G * (Et @ c)
+    g_eta = h * g_h - F * (Et @ b) + g_r
     if low_z is not None:
-        n, i, u = low_z
-        t = u * (g_uh[n, i][:, None] * h[n] - k[n, i][:, None])
-        np.add.at(g_v, i, t)
-        np.add.at(g_eta, n, t)
-        np.add.at(g_h, n, g_uh[n, i][:, None] * u)
+        idx, u = low_z
+        pts = (*idx[:-2], idx[-1])
+        t = u * (g_uh[idx][:, None] * dg._points_last(h, idx) - k[idx][:, None])
+        np.add.at(g_v, idx[-2], t)
+        np.add.at(np.moveaxis(g_eta, -2, -1), pts, t)
+        np.add.at(np.moveaxis(g_h, -2, -1), pts, g_uh[idx][:, None] * u)
     if low_q is not None:
-        n, i, q = low_q
-        t = g_s[n, i][:, None] * q
-        np.add.at(g_v, i, t)
-        np.add.at(g_eta, n, t)
-        np.add.at(g_r, n, t)
+        idx, q = low_q
+        pts = (*idx[:-2], idx[-1])
+        t = g_s[idx][:, None] * q
+        np.add.at(g_v, idx[-2], t)
+        np.add.at(np.moveaxis(g_eta, -2, -1), pts, t)
+        np.add.at(np.moveaxis(g_r, -2, -1), pts, t)
     return g_v, g_eta, g_h, g_r
 
 
 def _ddsf_decode(block, slices, v_u, v_w):
-    """Per-layer arrays from a (B, width) block and the trainable vu, vw.
+    """Per-layer arrays from a (..., width, n) block and the trainable vu, vw.
 
     They are fixed while x varies: a, log a, b, w, and u's factors and
     log Z. A one-column u is 1 once normalized, so it gets no CWN product.
     """
     layers = []
     for (eta, a_pre, b), vu, vw in zip(slices, v_u, v_w):
-        eta, a_pre, b = block[:, eta], block[:, a_pre], block[:, b]
-        if vu.shape != (b.shape[1], eta.shape[1]) or vw.shape != (b.shape[1],) * 2:
+        eta, a_pre, b = block[..., eta, :], block[..., a_pre, :], block[..., b, :]
+        d_in, d_out = eta.shape[-2], b.shape[-2]
+        if vu.shape != (d_out, d_in) or vw.shape != (d_out, d_out):
             raise DomainError(f"vu {vu.shape} and vw {vw.shape} do not fit a layer "
-                              f"with {eta.shape[1]} inputs and {b.shape[1]} outputs")
+                              f"with {d_in} inputs and {d_out} outputs")
         V = vu - np.max(vu, axis=1, keepdims=True)
         E, a = np.exp(V), sm.softplus(a_pre)
         layers.append({"V": V, "E": E, "eta": eta, "a": a, "log_a": np.log(a), "b": b,
                        "w": np.exp(sm.logsoftmax_over_axis(vw, 1)),
-                       "Z": None if V.shape[1] == 1 else _cwn_product(V, E, eta)})
+                       "Z": None if d_in == 1 else _cwn_product(V, E, eta)})
     return layers
 
 
 def _ddsf_core(x, layers, logdet=True):
     """The ddsf kernel: y, log(dy/dx) and the intermediates its adjoint reads.
 
-    Plain numpy; x (B,), layers from _ddsf_decode. Per layer, CWN's
-    row-stochastic u = softmax_j(vu_ij + eta_bj) is never formed: with
-    E = exp(vu - rowmax), F = exp(eta - rowmax) and Z = F @ E.T,
-    u @ h = ((F h) @ E.T) / Z, and the chain link log(u @ exp r) =
-    log Q - log Z with Q the same product over eta + r. Then
-    C = a (u @ h) + b, log D = log(w @ s(C)), log(1-D) = log(w @ s(-C)),
-    h' = log D - log(1-D) and r' = log(w @ exp(log s(C) + log s(-C) +
-    log a + log(u @ exp r))) - log D - log(1-D) = log(dh'/dx), each w
-    product a max-shifted log_dot_exp. r stays a (B, d) vector because the
-    chain starts from a scalar. With logdet=False (the inversion solver)
-    every layer stops at h' once its guard has passed, and y comes back
-    alone: no Q, link, r or saved arrays.
+    Plain numpy; x (..., n), layers from _ddsf_decode, every per-unit
+    array (..., units, n). Per layer, CWN's row-stochastic u =
+    softmax_j(vu_ij + eta_jn) is never formed: with E = exp(vu - rowmax),
+    F = exp(eta - column max) and Z = E @ F, u @ h = (E @ (F h)) / Z, and
+    the chain link log(u @ exp r) = log Q - log Z with Q the same product
+    over eta + r. Then C = a (u @ h) + b, log D = log(w @ s(C)),
+    log(1-D) = log(w @ s(-C)), h' = log D - log(1-D) and r' =
+    log(w @ exp(log s(C) + log s(-C) + log a + log(u @ exp r))) - log D -
+    log(1-D) = log(dh'/dx), each w product a max-shifted log_dot_exp. r
+    stays a (units, n) vector per point because the chain starts from a
+    scalar. With logdet=False (the inversion solver) every layer stops at
+    h' once its guard has passed, and y comes back alone: no Q, link, r
+    or saved arrays.
     """
-    B = x.shape[0]
-    h, r = x[:, None], np.zeros((B, 1))  # log(dh0/dx) = log 1
+    h = x[..., None, :]
+    r = np.zeros_like(h)  # log(dh0/dx) = log 1
     saved = []
     for li, lay in enumerate(layers):
         w, cz = lay["w"], lay["Z"]
@@ -286,7 +296,7 @@ def _ddsf_core(x, layers, logdet=True):
         col = dg._log_dot_exp(w, ls_pos + ls_neg + lay["log_a"] + s)
         saved.append((h, uh, C, cq, num, den, col))
         h, r = num[0] - den[0], col[0] - (num[0] + den[0])
-    return (h[:, 0], r[:, 0], saved) if logdet else h[:, 0]
+    return (h[..., 0, :], r[..., 0, :], saved) if logdet else h[..., 0, :]
 
 
 def _ddsf_adjoint(g_y, g_ld, block, slices, layers, saved):
@@ -301,8 +311,8 @@ def _ddsf_adjoint(g_y, g_ld, block, slices, layers, saved):
     gets a g_C and log(u @ exp r) the link's, which _cwn_adjoint takes on
     to vu, eta, h and r.
     """
-    g_h, g_r = g_y[:, None], g_ld[:, None]
-    g_block = np.empty_like(block)  # every column is written below
+    g_h, g_r = g_y[..., None, :], g_ld[..., None, :]
+    g_block = np.empty_like(block)  # every row is written below
     g_vu, g_vw = [], []
     for lay, (eta, a_pre, b), (h, uh, C, cq, num, den, col) in zip(
             reversed(layers), reversed(slices), reversed(saved)):
@@ -314,18 +324,18 @@ def _ddsf_adjoint(g_y, g_ld, block, slices, layers, saved):
         g_vw.append(w * (g_w - np.sum(g_w * w, axis=1, keepdims=True)))
         s_pos, s_neg = sm.sigmoid_pair(C)
         g_c = (g_pos + g_col) * s_neg - (g_neg + g_col) * s_pos
-        g_block[:, a_pre] = (g_c * uh + g_col / a) * sm.sigmoid(block[:, a_pre])
-        g_block[:, b] = g_c
+        g_block[..., a_pre, :] = (g_c * uh + g_col / a) * sm.sigmoid(block[..., a_pre, :])
+        g_block[..., b, :] = g_c
         if cq is None:  # u = 1: u @ h = h and s = r
-            g_h = np.sum(g_c * a, axis=1, keepdims=True)
-            g_r = np.sum(g_col, axis=1, keepdims=True)
-            g_block[:, eta] = 0.0
+            g_h = np.sum(g_c * a, axis=-2, keepdims=True)
+            g_r = np.sum(g_col, axis=-2, keepdims=True)
+            g_block[..., eta, :] = 0.0
             g_vu.append(np.zeros_like(lay["V"]))
         else:
-            g_v, g_block[:, eta], g_h, g_r = _cwn_adjoint(
+            g_v, g_block[..., eta, :], g_h, g_r = _cwn_adjoint(
                 g_c * a, g_col, h, uh, lay["E"], lay["Z"], cq)
             g_vu.append(g_v)
-    return (g_h[:, 0], g_block, *reversed(g_vu), *reversed(g_vw))
+    return (g_h[..., 0, :], g_block, *reversed(g_vu), *reversed(g_vw))
 
 
 # -- inversion -------------------------------------------------------------
@@ -446,19 +456,21 @@ def _within_reach(y, x):
 class Family:
     """One transformer family, sized by (d, dims), behind a conditioner.
 
-    An instance owns, all in numpy:
+    Batch-last throughout: x is (..., n) and a block (..., width, n), one
+    column per point, so reductions over components run over a leading
+    axis. An instance owns, all in numpy:
       width, offset  the per-dimension conditioner output count, and the
                      constants added so a fresh flow starts near identity;
       params         trainable leaves outside the conditioner;
-      decode(block)  core's arguments p, from a (B, width) block and params;
-      core(x, p)     (y, log dy/dx, saved) of a flat (B,) x, or y alone
+      decode(block)  core's arguments p, from a (..., width, n) block and params;
+      core(x, p)     (y, log dy/dx, saved) of an (..., n) x, or y alone
                      with logdet=False, for the solver;
       adjoint(g_y, g_ld, x, block, p, saved)
                      (g_x, g_block, *g_params), by hand from saved;
       forward        (y, log dy/dx): core on decode(block);
       inverse        x with forward(x, block) = y: decode once, then solve
                      core's y with invert_batch (the same bits and guard).
-    random_row(rng) draws one (width,) block row for property checks (ddsf
+    random_row(rng) draws one (width,) block column for property checks (ddsf
     also redraws vu and vw); random_params pairs it with a fresh family.
     """
 
@@ -484,7 +496,7 @@ class AffineExp(Family):
 
     @staticmethod
     def decode(block):
-        return block[:, 0], block[:, 1]
+        return block[..., 0, :], block[..., 1, :]
 
     @staticmethod
     def core(x, p, logdet=True):
@@ -495,7 +507,7 @@ class AffineExp(Family):
 
     @staticmethod
     def adjoint(g_y, g_ld, x, block, p, scale):
-        return g_y * scale, np.stack([g_y, g_y * x * scale + g_ld], axis=1)
+        return g_y * scale, np.stack([g_y, g_y * x * scale + g_ld], axis=-2)
 
     def inverse(self, y, block):
         mu, s = self.decode(block)
@@ -521,7 +533,7 @@ class AffineGate(AffineExp):
     def adjoint(g_y, g_ld, x, block, p, gate):
         mu, s = p
         g_s = (g_y * x - g_y * mu) * gate * (1.0 - gate) + g_ld * sm.sigmoid(-s)
-        return g_y * gate, np.stack([g_y * (1.0 - gate), g_s], axis=1)
+        return g_y * gate, np.stack([g_y * (1.0 - gate), g_s], axis=-2)
 
     def inverse(self, y, block):
         mu, s = self.decode(block)
@@ -622,15 +634,15 @@ def family(kind) -> type:
 
 def random_params(kind: str, rng: np.random.Generator, d: int = DSF_DEFAULT_D,
                   dims=DDSF_DEFAULT_DIMS):
-    """A fresh family of the kind and one random (width,) block row for it."""
+    """A fresh family of the kind and one random (width,) block column for it."""
     fam = family(kind)(d=d, dims=dims)
     return fam, fam.random_row(rng)
 
 
 def forward_closure(fam: Family, row):
-    """y(x) for scalar or (n,) x, with the block row broadcast over x."""
+    """y(x) for scalar or (n,) x, with the block column broadcast over x."""
     def fn(x):
         xs = np.atleast_1d(np.asarray(x, dtype=np.float64))
-        y, _ = fam.forward(xs, np.broadcast_to(row, (xs.size, len(row))))
+        y, _ = fam.forward(xs, np.broadcast_to(np.asarray(row)[:, None], (len(row), xs.size)))
         return float(y[0]) if np.ndim(x) == 0 else y
     return fn

@@ -90,7 +90,7 @@ def test_criterion_2_logdet_exactness():
         for s in range(100):
             fam, row = tf.random_params(kind, np.random.default_rng(40_000 + s))
             x = float(np.random.default_rng(50_000 + s).uniform(-3, 3))
-            _, (ld,) = fam.forward(np.array([x]), row[None])
+            _, (ld,) = fam.forward(np.array([x]), row[:, None])
             fn = tf.forward_closure(fam, row)
             fd = (fn(x + h) - fn(x - h)) / (2 * h)
             worst = max(worst, abs(math.exp(ld) - fd) / max(abs(fd), 1e-12))
@@ -123,7 +123,7 @@ def test_criterion_4_invertibility():
         rng = np.random.default_rng(7)
         xs = rng.uniform(-4, 4, size=1000)
         fam, row = tf.random_params(kind, np.random.default_rng(13))
-        block = np.broadcast_to(row, (xs.size, row.size))
+        block = np.broadcast_to(row[:, None], (row.size, xs.size))
         ys, _ = fam.forward(xs, block)
         back = fam.inverse(ys, block)
         worst = max(worst, float(np.max(np.abs(back - xs))))

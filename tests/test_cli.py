@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from nafkit.cli import main, read_data_csv, write_csv, write_json
-from nafkit.errors import DataError, NumericError
-from nafkit.flow import FlowStack
+from nafkit.errors import DataError, NumericError, SaturationError
+from nafkit.flow import _ROW_BLOCK, FlowStack
 
 
 def run(argv):
@@ -202,6 +202,20 @@ class TestSampleAndLogpdf:
                     "--out", tmp_path / "o.csv"])
         assert code == 3
         assert "dimension" in capsys.readouterr().err
+
+    def test_saturating_point_past_first_row_block_exits_4(self, tmp_path, checkpoint,
+                                                           capsys, rng):
+        # the message names the point in the whole file, not in its row block
+        x = rng.normal(size=(2 * _ROW_BLOCK, 2))
+        x[_ROW_BLOCK + 3, 1] = 1e4
+        with pytest.raises(SaturationError) as exc:
+            FlowStack.load(checkpoint).log_density(x)
+        assert str(exc.value).startswith(f"layer0, dimension 1, batch point {_ROW_BLOCK + 3}: ")
+        data, out = tmp_path / "data.csv", tmp_path / "scored.csv"
+        write_csv(str(data), x)
+        assert run(["logpdf", "--checkpoint", checkpoint, "--data", data, "--out", out]) == 4
+        assert f"numeric error: {exc.value}\n" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_sampling_byte_identical(self, tmp_path, checkpoint):
         p1, p2 = tmp_path / "s1.csv", tmp_path / "s2.csv"
@@ -420,6 +434,17 @@ class TestSizeFlags:
         err = capsys.readouterr().err
         assert "error:" in err and "Traceback" not in err
         assert not out.exists() or (out.is_dir() and not any(out.iterdir()))
+
+    @pytest.mark.parametrize("command", ["fit-density", "fit-energy"])
+    @pytest.mark.parametrize("clip", ["0", "-1", "nan"])
+    def test_nonpositive_grad_clip_exits_3_and_writes_nothing(self, tmp_path, capsys,
+                                                             command, clip):
+        # a clip <= 0 would flip or zero every gradient step
+        out = tmp_path / "out"
+        assert run([command, *self.BASE[command], "--grad-clip", clip, "--out", out]) == 3
+        err = capsys.readouterr().err
+        assert "error: grad_clip must be finite and > 0" in err and "Traceback" not in err
+        assert not out.exists()
 
     def test_nan_metric_is_a_numeric_error_and_writes_nothing(self, tmp_path):
         path = tmp_path / "metrics.json"

@@ -77,8 +77,8 @@ class TestConditionerForward:
         x2 = np.array([[0.5, 0.0]])  # perturb x2 by +1
         b1 = made.forward(x)
         b2 = made.forward(x2)
-        np.testing.assert_array_equal(b1[:, 0, :], b2[:, 0, :])
-        np.testing.assert_array_equal(b1[:, 1, :], b2[:, 1, :])
+        np.testing.assert_array_equal(b1[0], b2[0])
+        np.testing.assert_array_equal(b1[1], b2[1])
 
     def test_zero_weight_conditioner_outputs_biases(self):
         made = MadeConditioner(3, 2, hidden_sizes=(8,), seed=0)
@@ -89,7 +89,7 @@ class TestConditionerForward:
         out = made.forward(np.random.default_rng(0).normal(size=(4, 3)))
         want = beta.reshape(3, 2) + made.out_offset
         for i in range(4):
-            np.testing.assert_allclose(out[i], want, atol=1e-15)
+            np.testing.assert_allclose(out[..., i], want, atol=1e-15)
 
     def test_pseudo_jacobian_block_lower_triangular(self):
         # finite-difference Jacobian of blocks wrt x is strictly block
@@ -107,7 +107,7 @@ class TestConditionerForward:
             diff = (made.forward(xp) - made.forward(xm)) / (2 * h)
             for t in range(4):
                 if s >= t:  # natural order: block t may depend on coords < t only
-                    assert np.max(np.abs(diff[0, t])) <= 1e-9, (s, t)
+                    assert np.max(np.abs(diff[t, :, 0])) <= 1e-9, (s, t)
 
     def test_nonfinite_input_rejected(self):
         made = MadeConditioner(2, 2, hidden_sizes=(4,), seed=0)
@@ -117,14 +117,15 @@ class TestConditionerForward:
 
 def cwn_weights(vu, eta):
     """CWN's (B, rows, cols) weights softmax(vu + eta) as the ddsf kernel forms
-    them, from its factors exp(vu - rowmax) and exp(eta - rowmax): u @ h for
-    each unit vector h."""
+    them, from its factors exp(vu - rowmax) and exp(eta.T - column max): u @ h
+    for each unit vector h, a column broadcast over the B points."""
     vu, eta = np.atleast_2d(vu), np.atleast_2d(eta)
     V = vu - np.max(vu, axis=1, keepdims=True)
     E = np.exp(V)
-    cz = tf._cwn_product(V, E, eta)
+    cz = tf._cwn_product(V, E, eta.T)
     unit = np.eye(vu.shape[1])
-    return np.stack([tf._cwn_mix(np.broadcast_to(e, eta.shape), E, cz) for e in unit], axis=-1)
+    cols = [tf._cwn_mix(np.broadcast_to(e[:, None], eta.T.shape), E, cz).T for e in unit]
+    return np.stack(cols, axis=-1)
 
 
 def composite_cwn(vu, eta):
@@ -175,7 +176,7 @@ class TestApplyCwn:
         fam = tf.Ddsf(dims=(1, 2, 1))
         fam.v_u[1].data = np.zeros((1, 3))
         with pytest.raises(DomainError):
-            fam.forward(np.zeros(2), np.zeros((2, 9)))
+            fam.forward(np.zeros(2), np.zeros((9, 2)))
 
 
 class TestIdentityInit:
@@ -191,8 +192,8 @@ class TestIdentityInit:
         for b in made.biases:
             b.data[:] = 0.0
         out = made.forward(np.zeros((1, 2)))
-        assert out[0, 0, 1] == pytest.approx(0.5413, abs=1e-4)
-        assert sm.softplus(out[0, 0, 1]) == pytest.approx(1.000001, abs=1e-6)
+        assert out[0, 1, 0] == pytest.approx(0.5413, abs=1e-4)
+        assert sm.softplus(out[0, 1, 0]) == pytest.approx(1.000001, abs=1e-6)
 
     def test_weights_in_band_biases_small(self):
         made = MadeConditioner(3, 2, hidden_sizes=(16,), seed=7)
@@ -238,8 +239,8 @@ class TestDsfPseudoInvariants:
             p.data = p.data + rng.normal(scale=0.5, size=p.data.shape)
         blocks = stack.layers[0].conditioner.forward(rng.normal(size=(5, 3)))
         d = 8
-        w = np.exp(sm.logsoftmax_over_axis(blocks[..., :d], -1))
-        a = sm.softplus(blocks[..., d: 2 * d])
-        np.testing.assert_allclose(w.sum(axis=-1), 1.0, atol=1e-12)
+        w = np.exp(sm.logsoftmax_over_axis(blocks[:, :d], 1))
+        a = sm.softplus(blocks[:, d: 2 * d])
+        np.testing.assert_allclose(w.sum(axis=1), 1.0, atol=1e-12)
         assert np.all(w > 0)
         assert np.all(a > 0)

@@ -66,8 +66,8 @@ class TestRecord:
 
 
 def family_op(fam, x, block):
-    """fam's kernel and hand adjoint as one graph node over x, block and
-    fam.params, holding (y, logdet) stacked as (2, B)."""
+    """fam's kernel and hand adjoint as one graph node over x (B,), block
+    (width, B) and fam.params, holding (y, logdet) stacked as (2, B)."""
     def forward(x, block, *_):
         p = fam.decode(block)
         y, ld, saved = fam.core(x, p)
@@ -80,8 +80,8 @@ def family_op(fam, x, block):
 
 
 def tiled(b, k):
-    """The (1, 3k) row [b, b, ..., b] of a (3,) b, as recorded ops."""
-    return dg.reshape(dg.reshape(b, (1, 1, 3)) * np.ones((1, k, 1)), (1, 3 * k))
+    """The (3k, 1) column [b, b, ..., b] of a (3,) b, as recorded ops."""
+    return dg.reshape(dg.reshape(b, (1, 1, 3)) * np.ones((1, k, 1)), (3 * k, 1))
 
 
 def mixed(b, mix):
@@ -246,18 +246,18 @@ OPS_FD_CASES = [
     ("reshape", lambda a: dg.reshape(a, (3, 1)), 1),
     ("slice", lambda a: a[(slice(0, 2),)], 1),
     ("log_dot_exp", lambda a, b: dg.log_dot_exp(
-        dg.exp(dg.reshape(a, (1, 3)) + np.array([[0.0], [0.5]])), dg.reshape(b, (1, 3))), 2),
+        dg.exp(dg.reshape(a, (1, 3)) + np.array([[0.0], [0.5]])), dg.reshape(b, (3, 1))), 2),
     # each family's kernel and adjoint recorded as one node of y and logdet,
     # summed: x = a at three points; a d = 2 block (w_pre, a_pre, b) mixed from b
     ("dsf", lambda a, b: dg.vsum(family_op(
-        tf.Dsf(d=2), a, tiled(b, 2) + np.array([[0.0], [0.5], [-0.5]])), axis=0), 2),
+        tf.Dsf(d=2), a, tiled(b, 2) + np.array([[0.0, 0.5, -0.5]])), axis=0), 2),
     # x = a at three points; a dims (1, 2, 1) block, vu1 and vw0 mixed from b
     ("ddsf", lambda a, b: dg.vsum(family_op(
         ddsf_121([np.ones((2, 1)), mixed(b, np.array([[1.0, 0.0], [0.0, 1.0], [0.5, -0.5]]))],
                  [dg.reshape(mixed(b, np.array([[1.0, 0, 0, 0.5], [0, 1.0, 0.5, 0],
                                                  [0, 0, 1.0, -1.0]])), (2, 2)),
                   np.zeros((1, 1))]),
-        a, tiled(b, 3) + np.array([[0.0], [0.5], [-0.5]])), axis=0), 2),
+        a, tiled(b, 3) + np.array([[0.0, 0.5, -0.5]])), axis=0), 2),
     # whole flow layers: the conditioner's adjoint chained to each family's
     ("layer-affine-exp", layer_case(2, "affine-exp"), 2),
     ("layer-affine-gate", layer_case(2, "affine-gate"), 2),

@@ -6,6 +6,7 @@ import pytest
 
 from conftest import constant_affine_stack, exact_identity_dsf_stack
 from nafkit import diffgraph as dg
+from nafkit import flow
 from nafkit import transformer as tf
 from nafkit.errors import DataError, DomainError, NumericError, RangeError, SaturationError
 from nafkit.flow import FlowLayer, FlowStack, StandardNormal, UniformBase
@@ -36,7 +37,7 @@ class TestLayerForward:
         block = np.concatenate([w_pre, a_pre_raw, b_vec]) + fam.offset
         xs = np.array([[0.7], [-2.1], [0.0]])
         y_layer, ld_layer = FlowStack([layer]).forward(xs)
-        y_ref, ld_ref = fam.forward(xs[:, 0], np.broadcast_to(block, (3, fam.width)))
+        y_ref, ld_ref = fam.forward(xs[:, 0], np.broadcast_to(block[:, None], (fam.width, 3)))
         np.testing.assert_allclose(y_layer[:, 0], y_ref, atol=1e-12)
         np.testing.assert_allclose(ld_layer, ld_ref, atol=1e-12)
 
@@ -305,3 +306,52 @@ class TestCheckpoint:
     def test_unknown_kind_rejected(self):
         with pytest.raises(DomainError):
             FlowLayer(2, "spline", seed=0)
+
+
+R = flow._ROW_BLOCK
+
+
+def perturbed_stack(kind, seed=0):
+    """A 2-layer m = 2 stack of the kind, its parameters moved off the identity."""
+    stack = FlowStack.build(m=2, kind=kind, n_layers=2, d=4, ddsf_dims=(1, 4, 4, 1),
+                            hidden=(8,), seed=seed)
+    rng = np.random.default_rng(seed + 100)
+    for p in stack.parameters():
+        p.data = p.data + rng.normal(scale=0.2, size=p.shape)
+    return stack
+
+
+class TestRowBlocks:
+    """Arrays run through each layer in row blocks of R points."""
+
+    @pytest.mark.parametrize("n", [0, 1, R - 1, R, R + 1, int(2.5 * R)])
+    @pytest.mark.parametrize("kind", ["affine-exp", "dsf", "ddsf"])
+    def test_same_bytes_as_each_block_alone(self, kind, n):
+        stack = perturbed_stack(kind)
+        x = np.random.default_rng(n).normal(size=(n, 2))
+        y, _ = stack.forward(x)
+        calls = {
+            "log_density": lambda a: (stack.log_density(a),),
+            "transform_noise": stack.transform_noise,
+        }
+        for name, call in calls.items():
+            whole = call(x)
+            parts = [call(x[s:s + R]) for s in range(0, max(n, 1), R)]
+            for got, *pieces in zip(whole, *parts):
+                assert got.shape == ((n,) if got.ndim == 1 else (n, 2)), name
+                assert got.tobytes() == np.concatenate(pieces).tobytes(), name
+        assert np.max(np.abs(stack.inverse(y) - x), initial=0.0) <= 1e-8
+
+    @pytest.mark.parametrize("kind", ["dsf", "ddsf"])
+    def test_errors_name_the_global_point(self, kind):
+        stack = FlowStack.build(m=2, kind=kind, ddsf_dims=(1, 8, 8, 1), seed=0)
+        x = np.random.default_rng(1).normal(size=(2 * R, 2))
+        x[R + 3, 1] = 1e4
+        y = x.copy()
+        y[R + 3, 1] = 1e7
+        # inverse runs the whole batch, and names the same point
+        for call, arg in ((stack.log_density, x), (stack.inverse, y)):
+            with pytest.raises(NumericError) as exc:
+                call(arg)
+            assert f"dimension 1, batch point {R + 3}: " in str(exc.value)
+            assert (exc.value.dim, exc.value.index) == (1, (R + 3) * 2 + 1)

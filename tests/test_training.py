@@ -163,6 +163,20 @@ class TestTrainConfig:
         with pytest.raises(DomainError):
             TrainConfig(steps=0)
 
+    @pytest.mark.parametrize("clip", [0.0, -1.0, float("nan"), float("inf")])
+    def test_grad_clip_must_be_finite_and_positive(self, clip):
+        with pytest.raises(DomainError, match="grad_clip"):
+            TrainConfig(grad_clip=clip)
+        assert TrainConfig(grad_clip=None).grad_clip is None  # clipping off
+        assert TrainConfig(grad_clip=1e-3).grad_clip == 1e-3
+
+    @pytest.mark.parametrize("polyak", [-0.1, 1.0, 1.5, float("nan")])
+    def test_polyak_must_lie_in_unit_interval(self, polyak):
+        with pytest.raises(DomainError, match="polyak"):
+            TrainConfig(polyak=polyak)
+        assert TrainConfig(polyak=0.0).polyak == 0.0
+        assert TrainConfig(polyak=None).polyak is None
+
     def test_as_dict_round_trips_every_field(self):
         cfg = TrainConfig(loss="energy", steps=7, batch=3, lr=0.5, beta1=0.8, beta2=0.99,
                           eps=1e-6, seed=9, grad_clip=None, polyak=0.95)

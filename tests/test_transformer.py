@@ -46,8 +46,8 @@ def ddsf(layers):
 
 
 def scalar_forward(fam, row, x):
-    """(y, log dy/dx) as floats at one scalar x."""
-    (y,), (ld,) = fam.forward(np.array([float(x)]), np.asarray(row)[None])
+    """(y, log dy/dx) as floats at one scalar x; the block row is its one column."""
+    (y,), (ld,) = fam.forward(np.array([float(x)]), np.asarray(row)[:, None])
     return float(y), float(ld)
 
 
@@ -115,16 +115,17 @@ class TestDsfForward:
 
 
 def composite_dsf(x, block, d):
-    """The dsf transformer spelled out in diffgraph ops, one node per step."""
-    w_pre, a_pre, b = (dg.take(block, (slice(None), slice(k * d, (k + 1) * d)))
+    """The dsf transformer spelled out in diffgraph ops, one node per step;
+    x (B,) and the block (3d, B), components leading as in the kernel."""
+    w_pre, a_pre, b = (dg.take(block, (slice(k * d, (k + 1) * d), slice(None)))
                        for k in range(3))
-    log_w = dg.logsoftmax(w_pre, axis=-1)
+    log_w = dg.logsoftmax(w_pre, axis=0)
     a = dg.softplus(a_pre)
-    C = a * dg.reshape(x, (x.shape[0], 1)) + b
+    C = a * dg.reshape(x, (1, x.shape[0])) + b
     ls_pos, ls_neg = dg.logsigmoid(C), dg.logsigmoid(-C)
-    log_num = dg.logsumexp(log_w + ls_pos, axis=-1)
-    log_den = dg.logsumexp(log_w + ls_neg, axis=-1)
-    logdet = dg.logsumexp(log_w + dg.log(a) + ls_pos + ls_neg, axis=-1) - (log_num + log_den)
+    log_num = dg.logsumexp(log_w + ls_pos, axis=0)
+    log_den = dg.logsumexp(log_w + ls_neg, axis=0)
+    logdet = dg.logsumexp(log_w + dg.log(a) + ls_pos + ls_neg, axis=0) - (log_num + log_den)
     return log_num - log_den, logdet
 
 
@@ -164,6 +165,7 @@ class TestDsfOp:
         block = np.concatenate([rng.normal(size=(B, d)), rng.normal(size=(B, d)) + 0.5,
                                 rng.normal(size=(B, d)) * 2.0], axis=1)
         block[: B // 2, 2 * d] = 30.0 * rng.choice([-1.0, 1.0], size=B // 2)
+        block = block.T  # (3d, B): one column per point
         xs = rng.uniform(-3.0, 3.0, size=B)
         g_y, g_ld = rng.normal(size=B), rng.normal(size=B)
         fam = tf.Dsf(d)
@@ -228,31 +230,35 @@ class TestDdsf:
 
 
 def composite_ddsf(x, block, fam):
-    """The ddsf transformer spelled out in diffgraph ops, one node per step.
+    """The ddsf transformer spelled out in diffgraph ops, one node per step;
+    x (B,) and the block (width, B), components leading as in the kernel.
 
-    CWN's u is formed in full as the (B, d_out, d_in) row-logsoftmax of
-    vu + eta, u @ h as a sum over that tensor, and log(u @ exp r) as a
-    logsumexp over it; each w product is a shared log_dot_exp.
+    CWN's u is formed in full as the (d_out, d_in, B) logsoftmax of
+    vu + eta over d_in, u @ h as a sum over that tensor, and
+    log(u @ exp r) as a logsumexp over it; each w product is a shared
+    log_dot_exp.
     """
-    B, rows = x.shape[0], slice(None)
-    h, r = dg.reshape(x, (B, 1)), np.zeros((B, 1))
+    B, cols = x.shape[0], slice(None)
+    h, r = dg.reshape(x, (1, B)), np.zeros((1, B))
     for li, ((eta, a_pre, b), vu, vw) in enumerate(zip(fam.slices, fam.v_u, fam.v_w)):
-        d_in = vu.shape[1]
-        log_u = dg.logsoftmax(vu + dg.reshape(block[rows, eta], (B, 1, d_in)), axis=-1)
+        d_out, d_in = vu.shape
+        log_u = dg.logsoftmax(dg.reshape(vu, (d_out, d_in, 1))
+                              + dg.reshape(block[eta, cols], (1, d_in, B)), axis=1)
         w = dg.exp(dg.logsoftmax(vw, axis=-1))
-        a = dg.softplus(block[rows, a_pre])
-        C = a * dg.vsum(dg.exp(log_u) * dg.reshape(h, (B, 1, d_in)), axis=-1) + block[rows, b]
+        a = dg.softplus(block[a_pre, cols])
+        C = a * dg.vsum(dg.exp(log_u) * dg.reshape(h, (1, d_in, B)), axis=1) + block[b, cols]
         ls_pos, ls_neg = dg.logsigmoid(C), dg.logsigmoid(-C)
         log_num, log_den = dg.log_dot_exp(w, ls_pos), dg.log_dot_exp(w, ls_neg)
         tf._check_saturation(log_num.data, log_den.data, x.data, layer=li)
         h = log_num - log_den
-        s = dg.logsumexp(log_u + dg.reshape(r, (B, 1, d_in)), axis=-1)
+        s = dg.logsumexp(log_u + dg.reshape(r, (1, d_in, B)), axis=1)
         r = dg.log_dot_exp(w, ls_pos + ls_neg + dg.log(a) + s) - (log_num + log_den)
-    return h[rows, 0], r[rows, 0]
+    return h[0, cols], r[0, cols]
 
 
 def random_ddsf(rng, dims, B, scale=1.0):
-    """A Ddsf family with N(0, scale) vu and vw, and a block at random_params scale."""
+    """A Ddsf family with N(0, scale) vu and vw, and a (width, B) block at
+    random_params scale."""
     fam = tf.Ddsf(dims=dims)
     for p in fam.params:
         p.data = rng.normal(size=p.data.shape) * scale
@@ -260,7 +266,7 @@ def random_ddsf(rng, dims, B, scale=1.0):
     for eta, _, b in fam.slices:
         block[:, eta] *= scale
         block[:, b] *= 2.0
-    return fam, block
+    return fam, block.T
 
 
 class TestDdsfOp:
@@ -312,13 +318,14 @@ class TestDdsfOp:
         h, r = rng.normal(size=(B, d_in)) * 3.0, rng.normal(size=(B, d_in)) * 3.0
         V = vu - np.max(vu, axis=1, keepdims=True)
         E = np.exp(V)
-        cz, cq = tf._cwn_product(V, E, eta), tf._cwn_product(V, E, eta + r)
-        assert len(cz[3][0]) >= 10 and len(cq[3][0]) >= 10  # rows recomputed in log space
+        cz, cq = tf._cwn_product(V, E, eta.T), tf._cwn_product(V, E, (eta + r).T)
+        # (unit, point) entries recomputed in log space
+        assert len(cz[3][0][0]) >= 10 and len(cq[3][0][0]) >= 10
         log_u = sm.logsoftmax_over_axis(vu + eta[:, None, :], -1)
         want_s = sm.logsumexp_over_axis(log_u + r[:, None, :], -1)
         want_uh = np.sum(np.exp(log_u) * h[:, None, :], axis=-1)
-        np.testing.assert_allclose(cq[0] - cz[0], want_s, rtol=1e-12, atol=1e-12)
-        np.testing.assert_allclose(tf._cwn_mix(h, E, cz), want_uh, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(cq[0] - cz[0], want_s.T, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(tf._cwn_mix(h.T, E, cz), want_uh.T, rtol=1e-12, atol=1e-12)
 
     def test_normalizer_underflow_end_to_end(self):
         # the whole op in that regime: values match the composite to 1e-12,
@@ -333,6 +340,26 @@ class TestDdsfOp:
             np.testing.assert_allclose(have, want, rtol=1e-12, atol=1e-12)
         assert all(np.all(np.isfinite(g)) for g in got[2:])
 
+    @pytest.mark.parametrize("scale", [1.0, 800.0 / 1.7], ids=["normal", "underflow"])
+    def test_leading_axis_matches_each_slab(self, scale):
+        # a flow layer runs its m dimensions as a leading axis: (m, width, B)
+        # blocks give each slab's values, and parameter gradients summed over slabs
+        rng = np.random.default_rng(26)
+        fam, block = random_ddsf(rng, (1, 8, 8, 1), 64, scale=scale)
+        block = np.stack([block[:, :32], block[:, 32:]])
+        xs = rng.uniform(-3.0, 3.0, size=(2, 32))
+        g_y, g_ld = rng.normal(size=(2, 32)), rng.normal(size=(2, 32))
+        got = adjoint_results(fam, xs, block, g_y, g_ld)
+        slabs = [adjoint_results(fam, xs[k], block[k], g_y[k], g_ld[k]) for k in range(2)]
+        for i, have in enumerate(got):
+            if i < 4:  # y, logdet, x and block: one slab each
+                assert have.tobytes() == np.stack([s[i] for s in slabs]).tobytes()
+            else:
+                # summed in another order: entries that cancel to ~0 keep a residue
+                # of a few ulps of the largest terms
+                want = slabs[0][i] + slabs[1][i]
+                np.testing.assert_allclose(have, want, rtol=1e-9, atol=1e-11 * np.max(np.abs(want)))
+
     def test_log_space_rows_match_composite(self, monkeypatch):
         # with no product counted normal, every row takes the log-space
         # path, forward and adjoint, and still matches the composite
@@ -342,7 +369,7 @@ class TestDdsfOp:
         xs = rng.uniform(-3.0, 3.0, size=48)
         g_y, g_ld = rng.normal(size=48), rng.normal(size=48)
         got = adjoint_results(fam, xs, block, g_y, g_ld)
-        assert len(fam.decode(block)[1]["Z"][3][0]) == 48 * 5  # every (point, unit) row
+        assert len(fam.decode(block)[1]["Z"][3][0][0]) == 48 * 5  # every (unit, point) entry
         monkeypatch.undo()
         ref = op_results(lambda x, blk: composite_ddsf(x, blk, fam), fam, xs, block, g_y, g_ld)
         for want, have in zip(ref, got):
@@ -360,7 +387,7 @@ class TestYOnlyMode:
     def test_dsf_y_bits_match_forward(self):
         rng = np.random.default_rng(31)
         fam = tf.Dsf(d=8)
-        block = np.stack([fam.random_row(rng) for _ in range(256)])
+        block = np.stack([fam.random_row(rng) for _ in range(256)], axis=1)
         self.assert_same_y(fam, rng.uniform(-6.0, 6.0, size=256), block)
 
     def test_ddsf_y_bits_match_forward(self):
@@ -392,7 +419,7 @@ class TestYOnlyMode:
     def test_same_saturation_error(self, make, layer):
         fam, row = make()
         xs = np.array([0.0, 1.0, 200.0, -3.0, -300.0])
-        p = fam.decode(np.broadcast_to(row, (5, len(row))))
+        p = fam.decode(np.broadcast_to(row[:, None], (len(row), 5)))
         errors = []
         for logdet in (True, False):
             with pytest.raises(SaturationError) as exc:
@@ -484,7 +511,7 @@ class TestInvert:
         activate = tf._dsf_activate
         monkeypatch.setattr(tf, "_dsf_activate", lambda block: calls.append(1) or activate(block))
         rng = np.random.default_rng(5)
-        fam, block = tf.Dsf(d=4), rng.normal(size=(50, 12))
+        fam, block = tf.Dsf(d=4), rng.normal(size=(50, 12)).T
         xs = rng.uniform(-3.0, 3.0, size=50)
         ys, _ = fam.forward(xs, block)
         calls.clear()
@@ -545,8 +572,8 @@ class TestCheckMonotone:
 
     def test_corrupted_slope_detected(self):
         # a negative slope, which softplus never decodes, fed to the kernel
-        log_w, a, b = np.log([0.5, 0.5]), np.array([1.0, -3.0]), np.array([-2.0, 2.0])
-        fn = lambda x: float(tf._dsf_core(np.array([x]), (log_w, a, np.zeros(2), b))[0][0])
+        log_w, a, b = np.log([[0.5], [0.5]]), np.array([[1.0], [-3.0]]), np.array([[-2.0], [2.0]])
+        fn = lambda x: float(tf._dsf_core(np.array([x]), (log_w, a, np.zeros((2, 1)), b))[0][0])
         grid = np.linspace(-5, 5, 801)
         assert not increasing(fn, grid)
 
