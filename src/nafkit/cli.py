@@ -159,12 +159,26 @@ _SIZES = {"samples": ("--samples", 1), "train_n": ("--train-n", 1), "val_n": ("-
           "curve_points": ("--curve-points", 0)}
 
 
+# Each float flag: the name its error gives, its rule, and the test of the rule
+# (which NaN fails). A window's test runs on both ends.
+_FLOATS = {"lr": ("--lr", "finite and >= 0", lambda v: 0 <= v < math.inf),
+           "val_frac": ("--val-frac", "in [0, 1)", lambda v: 0 <= v < 1),
+           "mode_radius": ("--mode-radius", "finite and > 0", lambda v: 0 < v < math.inf),
+           "grid_window": ("--grid-window", "finite", math.isfinite),
+           "window": ("--window", "finite", math.isfinite)}
+
+
 def _check_sizes(args):
-    """DomainError for the first size flag below its minimum, before any work."""
+    """DomainError for the first size or float flag out of its range, before any work."""
     for attr, (name, least) in _SIZES.items():
         value = getattr(args, attr, None)
         if isinstance(value, int) and value < least:
             raise DomainError(f"{name} must be >= {least}, got {value}")
+    for attr, (name, rule, ok) in _FLOATS.items():
+        value = getattr(args, attr, None)
+        ends = value if isinstance(value, (list, tuple)) else [value]
+        if any(isinstance(v, (int, float)) and not ok(v) for v in ends):
+            raise DomainError(f"{name} must be {rule}, got {value}")
 
 
 def _build_stack(args, m: int) -> FlowStack:

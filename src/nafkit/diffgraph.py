@@ -191,12 +191,6 @@ def _nonzero(b):
     return b
 
 
-def _positive(a):
-    if np.any(a <= 0.0):
-        raise NumericError("log of a nonpositive value")
-    return a
-
-
 def _finite_exp(a):
     with np.errstate(over="ignore"):  # overflow is raised below, typed
         out = np.exp(a)
@@ -229,30 +223,12 @@ def neg(a):
     return _op("neg", np.negative, lambda g, out, a: (-g,), a)
 
 
-def exp(a):
-    return _op("exp", _finite_exp, lambda g, out, a: (g * out,), a)
-
-
-def log(a):
-    return _op("log", lambda a: np.log(_positive(a)), lambda g, out, a: (g / a,), a)
-
-
-def softplus(a):
-    """Stable log(1+exp(x)) + delta; gradient is sigmoid(x)."""
-    return _op("softplus", sm.softplus, lambda g, out, a: (g * sm.sigmoid(a),), a)
-
-
 def relu(a):
     return _op("relu", lambda a: np.maximum(a, 0.0), lambda g, out, a: (g * (a > 0.0),), a)
 
 
 def sin(a):
     return _op("sin", np.sin, lambda g, out, a: (g * np.cos(a),), a)
-
-
-def logsigmoid(a):
-    """-softplus(-x); inherits the softplus delta."""
-    return neg(softplus(neg(a))) if _any_value(a) else sm.logsigmoid(a)
 
 
 # -- reductions ----------------------------------------------------------
@@ -288,10 +264,6 @@ def logsumexp(a, axis: int = -1, keepdims=False):
         return (_keep(g, axis, keepdims) * np.exp(a - _keep(out, axis, keepdims)),)
 
     return _op("logsumexp", forward, adjoint, a)
-
-
-def logsoftmax(a, axis: int = -1):
-    return sub(a, logsumexp(a, axis=axis, keepdims=True))
 
 
 def _shifted_exp(v):

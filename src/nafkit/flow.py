@@ -23,17 +23,30 @@ from .errors import DataError, DomainError, NumericError
 
 LOG_2PI = float(np.log(2.0 * np.pi))
 
-# Points per row block of FlowLayer.forward on arrays: about the fastest
-# block size for a 16384-point dsf density at m = 1 and 2 (see CHANGES.md
-# for the sweep). FlowLayer.inverse runs the whole batch.
-_ROW_BLOCK = 1024
+# Bytes per row block of FlowLayer.forward on arrays. A layer's block holds
+# about sum(hidden) + m * width floats per point (its hidden units and its
+# readout), so its rows are this budget over that, in whole 16-point tiles,
+# kept within the 496 to 1024 rows that were timed: 1024 for dsf at m = 2,
+# hidden 64 (about the fastest for a 16384-point dsf density), 624 for ddsf
+# (1, 16, 16, 1), 1024 for affine, and 496 from m = 6 up. A BLAS product
+# runs the columns past its kernel's last full tile through edge code that
+# may sum in another order, so rows that are not a multiple of the tile
+# change the last bit of some points (625 rows did, against 1024). See
+# CHANGES.md for the sweeps. FlowLayer.inverse runs the whole batch.
+_BLOCK_BYTES = 8 * 1024 * (64 + 2 * 48)
 
 
-def _row_blocks(a):
-    """(first row, index) of each row block of an (n, m) array a: all of a in
-    one block when it has no rows, or no (n, m) shape for the conditioner to accept."""
+def _block_rows(layer):
+    """Points per row block of the layer's forward on arrays."""
+    floats = sum(layer.conditioner.hidden_sizes) + layer.m * layer.family.width
+    return min(1024, max(496, 16 * (_BLOCK_BYTES // (8 * floats * 16))))
+
+
+def _row_blocks(a, rows):
+    """(first row, index) of each block of at most rows rows of an (n, m) array a:
+    all of a in one block when it has no rows, or no (n, m) shape for the conditioner."""
     n = a.shape[0] if a.ndim == 2 else 0
-    return [(s, slice(s, s + _ROW_BLOCK)) for s in range(0, n, _ROW_BLOCK)] or [(0, ...)]
+    return [(s, slice(s, s + rows)) for s in range(0, n, rows)] or [(0, ...)]
 
 
 class StandardNormal:
@@ -98,7 +111,7 @@ class FlowLayer:
     def forward(self, x):
         """x: (n, m) -> (y (n, m), logdet (n,)); numpy, and recorded iff x is a Value.
 
-        On arrays it runs over row blocks of at most _ROW_BLOCK points, whose
+        On arrays it runs over row blocks of _block_rows(self) points, whose
         temporaries stay in cache; each block's outputs are the bits of
         evaluating that block alone.
         """
@@ -109,7 +122,7 @@ class FlowLayer:
                 raise self._located(err) from None
         x = np.asarray(x, dtype=np.float64)
         ys, lds = [], []
-        for start, rows in _row_blocks(x):
+        for start, rows in _row_blocks(x, _block_rows(self)):
             xb = x[rows]
             try:
                 blocks = self.conditioner.forward(xb)

@@ -37,8 +37,8 @@ class TrainConfig:
         if self.loss not in ("mle", "energy"):
             raise DomainError(f"unknown loss {self.loss!r}")
         # lr = 0 is admitted so frozen-run traces stay expressible.
-        if self.lr < 0:
-            raise DomainError("lr must be nonnegative")
+        if not 0 <= self.lr < np.inf:
+            raise DomainError(f"lr must be finite and >= 0, got {self.lr}")
         if not (0 <= self.beta1 < 1 and 0 <= self.beta2 < 1):
             raise DomainError("betas must lie in [0, 1)")
         if self.steps < 1:

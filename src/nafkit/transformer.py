@@ -164,7 +164,7 @@ def dsf_from_preact(x, block):
 # -- ddsf ------------------------------------------------------------------
 
 
-def _cwn_product(V, E, X):
+def _cwn_product(V, E, X, pieces=True):
     """log sum_j exp(V_ij + X_jn) as one max-shifted product, and its pieces.
 
     V (rows, cols) with E = exp(V), X (..., cols, n). With m the column
@@ -175,21 +175,24 @@ def _cwn_product(V, E, X):
     entries' weights exp(V_ij + X_jn - log) come back as (index, weights)
     with index np.nonzero's tuple and weights (k, cols); else None.
     The CWN weights are u_ijn = E_ij G_jn / P_in on every other entry.
+    With pieces=False the pieces come back None, and 1/P and the low
+    weights are never built: the log is all a kernel without adjoint reads.
     """
     G, m = dg._shifted_exp(X)
     P = E @ G
     low = ~(P >= dg._TINY)
     with np.errstate(divide="ignore", over="ignore"):
-        inv = 1.0 / P
+        inv = 1.0 / P if pieces else None
         log_p = np.log(P) + m
     entries = None
     if low.any():
-        inv[low] = 0.0
         idx = np.nonzero(low)
         t = V[idx[-2]] + dg._points_last(X, idx)
         log_p[idx] = sm.logsumexp_over_axis(t, -1)
-        entries = (idx, np.exp(t - log_p[idx][:, None]))
-    return log_p, inv, G, entries
+        if pieces:
+            inv[low] = 0.0
+            entries = (idx, np.exp(t - log_p[idx][:, None]))
+    return log_p, inv, G if pieces else None, entries
 
 
 def _cwn_mix(h, E, cwn):
@@ -258,7 +261,7 @@ def _ddsf_decode(block, slices, v_u, v_w):
     return layers
 
 
-def _ddsf_core(x, layers, logdet=True):
+def _ddsf_core(x, layers, logdet=True, adjoint=True):
     """The ddsf kernel: y, log(dy/dx) and the intermediates its adjoint reads.
 
     Plain numpy; x (..., n), layers from _ddsf_decode, every per-unit
@@ -271,13 +274,17 @@ def _ddsf_core(x, layers, logdet=True):
     log(w @ exp(log s(C) + log s(-C) + log a + log(u @ exp r))) - log D -
     log(1-D) = log(dh'/dx), each w product a max-shifted log_dot_exp. r
     stays a (units, n) vector per point because the chain starts from a
-    scalar. With logdet=False (the inversion solver) every layer stops at
-    h' once its guard has passed, and y comes back alone: no Q, link, r
-    or saved arrays.
+    scalar. Only the training layer node (flow.FlowLayer) keeps adjoint
+    state: with adjoint=False (the density path, Ddsf.forward) saved is
+    None and Q's pieces are never built, so each sublayer's temporaries
+    are freed as the next one runs.
+    With logdet=False (the inversion solver) every layer stops at h' once
+    its guard has passed, and y comes back alone: no Q, link, r or saved
+    arrays.
     """
     h = x[..., None, :]
     r = np.zeros_like(h)  # log(dh0/dx) = log 1
-    saved = []
+    saved = [] if adjoint else None
     for li, lay in enumerate(layers):
         w, cz = lay["w"], lay["Z"]
         uh = h if cz is None else _cwn_mix(h, lay["E"], cz)
@@ -291,10 +298,11 @@ def _ddsf_core(x, layers, logdet=True):
         if cz is None:
             s, cq = r, None
         else:
-            cq = _cwn_product(lay["V"], lay["E"], lay["eta"] + r)
+            cq = _cwn_product(lay["V"], lay["E"], lay["eta"] + r, pieces=adjoint)
             s = cq[0] - cz[0]
         col = dg._log_dot_exp(w, ls_pos + ls_neg + lay["log_a"] + s)
-        saved.append((h, uh, C, cq, num, den, col))
+        if adjoint:
+            saved.append((h, uh, C, cq, num, den, col))
         h, r = num[0] - den[0], col[0] - (num[0] + den[0])
     return (h[..., 0, :], r[..., 0, :], saved) if logdet else h[..., 0, :]
 
@@ -601,6 +609,9 @@ class Ddsf(Family):
         self.v_w = [dg.Parameter(np.zeros((d_out, d_out)), f"{name}.vw{li}")
                     for li, (_, d_out) in enumerate(pairs)]
         self.params = [*self.v_u, *self.v_w]
+
+    def forward(self, x, block):
+        return self.core(x, self.decode(block), adjoint=False)[:2]
 
     def decode(self, block):
         """Every array an inverse solve holds fixed, once per block."""

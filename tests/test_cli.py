@@ -7,7 +7,7 @@ import pytest
 
 from nafkit.cli import main, read_data_csv, write_csv, write_json
 from nafkit.errors import DataError, NumericError, SaturationError
-from nafkit.flow import _ROW_BLOCK, FlowStack
+from nafkit.flow import FlowStack, _block_rows
 
 
 def run(argv):
@@ -206,11 +206,13 @@ class TestSampleAndLogpdf:
     def test_saturating_point_past_first_row_block_exits_4(self, tmp_path, checkpoint,
                                                            capsys, rng):
         # the message names the point in the whole file, not in its row block
-        x = rng.normal(size=(2 * _ROW_BLOCK, 2))
-        x[_ROW_BLOCK + 3, 1] = 1e4
+        stack = FlowStack.load(checkpoint)
+        rows = _block_rows(stack.layers[0])
+        x = rng.normal(size=(2 * rows, 2))
+        x[rows + 3, 1] = 1e4
         with pytest.raises(SaturationError) as exc:
-            FlowStack.load(checkpoint).log_density(x)
-        assert str(exc.value).startswith(f"layer0, dimension 1, batch point {_ROW_BLOCK + 3}: ")
+            stack.log_density(x)
+        assert str(exc.value).startswith(f"layer0, dimension 1, batch point {rows + 3}: ")
         data, out = tmp_path / "data.csv", tmp_path / "scored.csv"
         write_csv(str(data), x)
         assert run(["logpdf", "--checkpoint", checkpoint, "--data", data, "--out", out]) == 4
@@ -407,6 +409,15 @@ SIZE_FLAGS = (
 )
 
 
+# A float flag out of its range: nan, inf and each side of the rule.
+FLOAT_FLAGS = (
+    [(c, "--lr", [v]) for c in ("fit-density", "fit-energy") for v in ("nan", "inf", "-1")]
+    + [("fit-density", "--val-frac", [v]) for v in ("nan", "1", "-0.1")]
+    + [("fit-energy", "--mode-radius", [v]) for v in ("nan", "-1", "0")]
+    + [("fit-density", "--grid-window", ["nan", "1"]), ("grid-export", "--window", ["0", "inf"])]
+)
+
+
 class TestSizeFlags:
     """Every integer size flag below its minimum is refused before any work."""
 
@@ -445,6 +456,25 @@ class TestSizeFlags:
         err = capsys.readouterr().err
         assert "error: grad_clip must be finite and > 0" in err and "Traceback" not in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("command,flag,values", FLOAT_FLAGS,
+                             ids=[f"{c}{f}={'_'.join(v)}" for c, f, v in FLOAT_FLAGS])
+    def test_bad_float_exits_3_and_writes_nothing(self, tmp_path, capsys, rng,
+                                                   command, flag, values):
+        argv = [command, *self.BASE[command]]
+        if flag == "--val-frac":  # read only with --data
+            data = tmp_path / "data.csv"
+            write_csv(str(data), rng.normal(size=(64, 2)))
+            argv[1:3] = ["--data", data]
+        if command == "grid-export":
+            checkpoint = tmp_path / "ckpt.json"
+            FlowStack.build(m=2, kind="dsf", d=2, hidden=(4,), seed=0).save(str(checkpoint))
+            argv += ["--checkpoint", checkpoint]
+        out = tmp_path / "out"
+        assert run(argv + [flag, *values, "--out", out]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert not out.exists() or (out.is_dir() and not any(out.iterdir()))
 
     def test_nan_metric_is_a_numeric_error_and_writes_nothing(self, tmp_path):
         path = tmp_path / "metrics.json"

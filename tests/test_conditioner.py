@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import graph_ops as go
 from nafkit import diffgraph as dg
 from nafkit import stablemath as sm
 from nafkit import transformer as tf
@@ -131,7 +132,7 @@ def cwn_weights(vu, eta):
 def composite_cwn(vu, eta):
     """The same weights spelled out: a row-logsoftmax over a (B, rows, cols) tensor."""
     eta = np.atleast_2d(eta)
-    return np.exp(dg.logsoftmax(vu + eta[:, None, :], axis=-1))
+    return np.exp(go.logsoftmax(vu + eta[:, None, :], axis=-1))
 
 
 class TestApplyCwn:

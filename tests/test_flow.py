@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -308,21 +309,52 @@ class TestCheckpoint:
             FlowLayer(2, "spline", seed=0)
 
 
-R = flow._ROW_BLOCK
+R = 1024  # rows per block of each layer of perturbed_stack
 
 
 def perturbed_stack(kind, seed=0):
-    """A 2-layer m = 2 stack of the kind, its parameters moved off the identity."""
+    """A 2-layer m = 2 stack of the kind, its parameters moved off the identity.
+
+    Its hidden layer is sized so that a layer holds 160 floats per point, as
+    dsf's at m = 2, hidden 64 does: every kind then runs in blocks of R rows.
+    """
+    width = tf.family(kind)(d=4, dims=(1, 4, 4, 1)).width
     stack = FlowStack.build(m=2, kind=kind, n_layers=2, d=4, ddsf_dims=(1, 4, 4, 1),
-                            hidden=(8,), seed=seed)
+                            hidden=(160 - 2 * width,), seed=seed)
+    assert [flow._block_rows(layer) for layer in stack.layers] == [R, R]
     rng = np.random.default_rng(seed + 100)
     for p in stack.parameters():
         p.data = p.data + rng.normal(scale=0.2, size=p.shape)
     return stack
 
 
+def traced_peak(call, *args, **kwargs):
+    """Peak bytes that tracemalloc sees allocated during call(*args, **kwargs)."""
+    tracemalloc.start()
+    try:
+        call(*args, **kwargs)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 class TestRowBlocks:
-    """Arrays run through each layer in row blocks of R points."""
+    """Arrays run through each layer in row blocks of flow._block_rows points."""
+
+    def test_rows_follow_the_byte_budget(self):
+        rows = {}
+        for kind, m, hidden in (("affine-exp", 2, 64), ("dsf", 1, 64), ("dsf", 2, 64),
+                                ("ddsf", 2, 64), ("ddsf", 2, 512), ("dsf", 43, 64)):
+            layer = FlowLayer(m, kind, ddsf_dims=(1, 16, 16, 1), hidden=(hidden,))
+            floats = hidden + m * layer.family.width
+            rows[kind, m, hidden] = n = flow._block_rows(layer)
+            assert n % 16 == 0 and 496 <= n <= 1024
+            assert n * floats * 8 <= flow._BLOCK_BYTES or n == 496
+        # dsf at m = 2, hidden 64 keeps 1024 rows; the hidden units count too,
+        # and blocks stay within the timed 496 to 1024 rows
+        assert rows == {("affine-exp", 2, 64): 1024, ("dsf", 1, 64): 1024,
+                        ("dsf", 2, 64): 1024, ("ddsf", 2, 64): 624,
+                        ("ddsf", 2, 512): 496, ("dsf", 43, 64): 496}
 
     @pytest.mark.parametrize("n", [0, 1, R - 1, R, R + 1, int(2.5 * R)])
     @pytest.mark.parametrize("kind", ["affine-exp", "dsf", "ddsf"])
@@ -342,16 +374,58 @@ class TestRowBlocks:
                 assert got.tobytes() == np.concatenate(pieces).tobytes(), name
         assert np.max(np.abs(stack.inverse(y) - x), initial=0.0) <= 1e-8
 
+    @pytest.mark.parametrize("call", ["transform_noise", "log_density"])
+    def test_peak_memory_holds_one_block(self, call):
+        # Blocks free their temporaries: past two blocks the peak grows only by
+        # the extra points' outputs, 2 (m + 1) floats per point per layer (each
+        # block's y and logdet, and their concatenation), plus 64 KiB of slack.
+        m, layers = 2, 2
+        stack = FlowStack.build(m=m, kind="ddsf", n_layers=layers, ddsf_dims=(1, 16, 16, 1),
+                                seed=0)
+        rows = flow._block_rows(stack.layers[0])
+        fn = getattr(stack, call)
+        peaks = {}
+        for blocks in (2, 8):
+            x = np.random.default_rng(blocks).normal(size=(blocks * rows, m))
+            fn(x)
+            peaks[blocks] = traced_peak(fn, x)
+        extra = 6 * rows * layers * 2 * (m + 1) * 8
+        assert peaks[8] - peaks[2] <= extra + 65536, (peaks, extra)
+
+    def test_density_kernel_keeps_no_adjoint_state(self):
+        # the kernel without adjoint keeps no saved list and builds no CWN
+        # pieces (0.74x of the saved-state peak; 0.81x if it built them)
+        layer = FlowLayer(2, "ddsf", ddsf_dims=(1, 16, 16, 1), seed=0)
+        x = np.random.default_rng(0).normal(size=(flow._block_rows(layer), 2))
+        fam, p = layer.family, layer.family.decode(layer.conditioner.forward(x))
+        y, ld, saved = fam.core(x.T, p, adjoint=False)
+        assert saved is None
+        with_state = traced_peak(fam.core, x.T, p)
+        assert traced_peak(fam.core, x.T, p, adjoint=False) <= 0.77 * with_state
+        y_node, ld_node, _ = fam.core(x.T, p)
+        assert y.tobytes() == y_node.tobytes() and ld.tobytes() == ld_node.tobytes()
+
+    def test_cwn_product_without_pieces_builds_no_reciprocal(self):
+        # pieces=False skips 1/P: its peak is lower by about P's bytes
+        rng = np.random.default_rng(0)
+        V = rng.normal(size=(16, 16))
+        V -= V.max(axis=1, keepdims=True)
+        X = rng.normal(size=(2, 16, 624))
+        with_pieces = traced_peak(tf._cwn_product, V, np.exp(V), X)
+        log_only = traced_peak(tf._cwn_product, V, np.exp(V), X, pieces=False)
+        assert log_only <= with_pieces - 0.9 * X.nbytes, (log_only, with_pieces)
+
     @pytest.mark.parametrize("kind", ["dsf", "ddsf"])
     def test_errors_name_the_global_point(self, kind):
         stack = FlowStack.build(m=2, kind=kind, ddsf_dims=(1, 8, 8, 1), seed=0)
-        x = np.random.default_rng(1).normal(size=(2 * R, 2))
-        x[R + 3, 1] = 1e4
+        rows = flow._block_rows(stack.layers[0])
+        x = np.random.default_rng(1).normal(size=(2 * rows, 2))
+        x[rows + 3, 1] = 1e4
         y = x.copy()
-        y[R + 3, 1] = 1e7
+        y[rows + 3, 1] = 1e7
         # inverse runs the whole batch, and names the same point
         for call, arg in ((stack.log_density, x), (stack.inverse, y)):
             with pytest.raises(NumericError) as exc:
                 call(arg)
-            assert f"dimension 1, batch point {R + 3}: " in str(exc.value)
-            assert (exc.value.dim, exc.value.index) == (1, (R + 3) * 2 + 1)
+            assert f"dimension 1, batch point {rows + 3}: " in str(exc.value)
+            assert (exc.value.dim, exc.value.index) == (1, (rows + 3) * 2 + 1)

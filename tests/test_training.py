@@ -170,6 +170,12 @@ class TestTrainConfig:
         assert TrainConfig(grad_clip=None).grad_clip is None  # clipping off
         assert TrainConfig(grad_clip=1e-3).grad_clip == 1e-3
 
+    @pytest.mark.parametrize("lr", [-1.0, float("nan"), float("inf")])
+    def test_lr_must_be_finite_and_nonnegative(self, lr):
+        with pytest.raises(DomainError, match="lr must be finite and >= 0"):
+            TrainConfig(lr=lr)
+        assert TrainConfig(lr=0.0).lr == 0.0  # frozen runs stay expressible
+
     @pytest.mark.parametrize("polyak", [-0.1, 1.0, 1.5, float("nan")])
     def test_polyak_must_lie_in_unit_interval(self, polyak):
         with pytest.raises(DomainError, match="polyak"):

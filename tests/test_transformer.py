@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import graph_ops as go
 from nafkit import diffgraph as dg
 from nafkit import stablemath as sm
 from nafkit import transformer as tf
@@ -119,13 +120,13 @@ def composite_dsf(x, block, d):
     x (B,) and the block (3d, B), components leading as in the kernel."""
     w_pre, a_pre, b = (dg.take(block, (slice(k * d, (k + 1) * d), slice(None)))
                        for k in range(3))
-    log_w = dg.logsoftmax(w_pre, axis=0)
-    a = dg.softplus(a_pre)
+    log_w = go.logsoftmax(w_pre, axis=0)
+    a = go.softplus(a_pre)
     C = a * dg.reshape(x, (1, x.shape[0])) + b
-    ls_pos, ls_neg = dg.logsigmoid(C), dg.logsigmoid(-C)
+    ls_pos, ls_neg = go.logsigmoid(C), go.logsigmoid(-C)
     log_num = dg.logsumexp(log_w + ls_pos, axis=0)
     log_den = dg.logsumexp(log_w + ls_neg, axis=0)
-    logdet = dg.logsumexp(log_w + dg.log(a) + ls_pos + ls_neg, axis=0) - (log_num + log_den)
+    logdet = dg.logsumexp(log_w + go.log(a) + ls_pos + ls_neg, axis=0) - (log_num + log_den)
     return log_num - log_den, logdet
 
 
@@ -242,17 +243,17 @@ def composite_ddsf(x, block, fam):
     h, r = dg.reshape(x, (1, B)), np.zeros((1, B))
     for li, ((eta, a_pre, b), vu, vw) in enumerate(zip(fam.slices, fam.v_u, fam.v_w)):
         d_out, d_in = vu.shape
-        log_u = dg.logsoftmax(dg.reshape(vu, (d_out, d_in, 1))
+        log_u = go.logsoftmax(dg.reshape(vu, (d_out, d_in, 1))
                               + dg.reshape(block[eta, cols], (1, d_in, B)), axis=1)
-        w = dg.exp(dg.logsoftmax(vw, axis=-1))
-        a = dg.softplus(block[a_pre, cols])
-        C = a * dg.vsum(dg.exp(log_u) * dg.reshape(h, (1, d_in, B)), axis=1) + block[b, cols]
-        ls_pos, ls_neg = dg.logsigmoid(C), dg.logsigmoid(-C)
+        w = go.exp(go.logsoftmax(vw, axis=-1))
+        a = go.softplus(block[a_pre, cols])
+        C = a * dg.vsum(go.exp(log_u) * dg.reshape(h, (1, d_in, B)), axis=1) + block[b, cols]
+        ls_pos, ls_neg = go.logsigmoid(C), go.logsigmoid(-C)
         log_num, log_den = dg.log_dot_exp(w, ls_pos), dg.log_dot_exp(w, ls_neg)
         tf._check_saturation(log_num.data, log_den.data, x.data, layer=li)
         h = log_num - log_den
         s = dg.logsumexp(log_u + dg.reshape(r, (1, d_in, B)), axis=1)
-        r = dg.log_dot_exp(w, ls_pos + ls_neg + dg.log(a) + s) - (log_num + log_den)
+        r = dg.log_dot_exp(w, ls_pos + ls_neg + go.log(a) + s) - (log_num + log_den)
     return h[0, cols], r[0, cols]
 
 
@@ -325,6 +326,9 @@ class TestDdsfOp:
         want_s = sm.logsumexp_over_axis(log_u + r[:, None, :], -1)
         want_uh = np.sum(np.exp(log_u) * h[:, None, :], axis=-1)
         np.testing.assert_allclose(cq[0] - cz[0], want_s.T, rtol=1e-12, atol=1e-12)
+        # without pieces: the same log, bytes and all, and nothing else
+        log_q, *pieces = tf._cwn_product(V, E, (eta + r).T, pieces=False)
+        assert log_q.tobytes() == cq[0].tobytes() and pieces == [None, None, None]
         np.testing.assert_allclose(tf._cwn_mix(h.T, E, cz), want_uh.T, rtol=1e-12, atol=1e-12)
 
     def test_normalizer_underflow_end_to_end(self):
