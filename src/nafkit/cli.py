@@ -41,16 +41,12 @@ EXIT_DATA = 3
 EXIT_NUMERIC = 4
 
 
-def _fmt(v: float) -> str:
-    return format(float(v), ".17g")
-
-
 def write_csv(path: str, rows, header=None):
-    lines = []
-    if header:
-        lines.append(",".join(header))
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
+    """Rows of numbers as CSV, each cell %.17g (the bits of format(float(v), ".17g"))."""
+    lines = [",".join(header)] if header else []
+    for row in rows.tolist() if isinstance(rows, np.ndarray) else rows:
+        row = tuple(row)
+        lines.append(",".join(["%.17g"] * len(row)) % row)
     write_atomic(path, "\n".join(lines) + "\n")
 
 
@@ -132,7 +128,11 @@ def _given_flags(argv) -> set:
 
 
 def _apply_config_file(args, argv):
-    """Fill args not given in argv from --config JSON, if given."""
+    """Fill args not given in argv from --config JSON, if given.
+
+    A value adopted for a flag must have the type that flag parses to (a
+    list flag's elements each); a DataError names the first key that does not.
+    """
     if not getattr(args, "config", None):
         return args
     if not os.path.exists(args.config):
@@ -143,11 +143,46 @@ def _apply_config_file(args, argv):
         except json.JSONDecodeError as err:
             raise DataError(f"unreadable config {args.config}: {err}") from None
     given = _given_flags(argv)
+    actions = {a.dest: a for a in build_parser()[1][args.command]._actions}
     for key, value in doc.items():
         attr = key.replace("-", "_")
         if hasattr(args, attr) and attr not in given:
+            action = actions.get(attr)
+            if action is not None and not _fits(action, value):
+                raise DataError(f"config {args.config}: {key!r} must be "
+                                f"{_kind(action)}, got {value!r}")
             setattr(args, attr, value)
     return args
+
+
+# The JSON types a flag's parser type admits in --config (bool is never a number).
+_JSON_TYPES = {int: int, float: (int, float), None: str}
+
+
+def _fits(action, value) -> bool:
+    """Whether a --config value has the type of the flag that would have parsed it."""
+    if action.nargs == 0:  # store_true
+        return isinstance(value, bool)
+    if isinstance(action.nargs, int):
+        return (isinstance(value, list) and len(value) == action.nargs
+                and all(_is_type(v, action.type) for v in value))
+    if value is None:
+        return action.default is None
+    return _is_type(value, action.type) and (action.choices is None or value in action.choices)
+
+
+def _is_type(value, parser_type) -> bool:
+    return isinstance(value, _JSON_TYPES[parser_type]) and not isinstance(value, bool)
+
+
+def _kind(action) -> str:
+    """What _fits asks of a --config value for the flag, in words."""
+    one = {int: "an integer", float: "a number"}.get(action.type, "a string")
+    if action.nargs == 0:
+        return "true or false"
+    if isinstance(action.nargs, int):
+        return f"a list of {action.nargs} values, each {one}"
+    return f"one of {list(action.choices)}" if action.choices else one
 
 
 # Each integer size flag: the name its error gives and its smallest value.

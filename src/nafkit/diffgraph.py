@@ -270,7 +270,8 @@ def _shifted_exp(v):
     """exp(v - m) and m, v's max over its component axis (-2), non-finite maxima as 0."""
     m = np.max(v, axis=-2, keepdims=True)
     m = np.where(np.isfinite(m), m, 0.0)
-    return np.exp(v - m), m
+    e = v - m
+    return np.exp(e, out=e), m  # in place: one temporary of v's size, not two
 
 
 def _points_last(v, idx):
@@ -279,10 +280,11 @@ def _points_last(v, idx):
     return np.moveaxis(v, -2, -1)[(*idx[:-2], idx[-1])]
 
 
-def _outer_sum(a, b):
-    """a @ b.T summed over the leading axes of a (..., rows, n) and b (..., cols, n)."""
+def _outer_sum(a, b, keep=0):
+    """a @ b.T summed over the leading axes of a (..., rows, n) and b (..., cols, n)
+    but the first keep."""
     out = a @ np.swapaxes(b, -1, -2)
-    return out.reshape(-1, *out.shape[-2:]).sum(axis=0)
+    return out.reshape(*out.shape[:keep], -1, *out.shape[-2:]).sum(axis=keep)
 
 
 def _first_point(bad):
@@ -291,34 +293,35 @@ def _first_point(bad):
 
 
 def _log_dot_exp(mat, v):
-    """log_dot_exp's forward: (out, e, m) with e = exp(v - m), m v's component max."""
-    if np.any(mat < 0.0):
-        raise NumericError("log_dot_exp of a negative matrix entry")
+    """log_dot_exp's forward: (out, e, m) with e = exp(v - m), m v's component max.
+    Unchecked: the kernels pass a row softmax; the log_dot_exp op checks mat."""
     e, m = _shifted_exp(v)
-    p = mat @ e
-    low = ~(p >= _TINY)
+    out = mat @ e
+    low = ~(out >= _TINY)
     with np.errstate(divide="ignore"):
-        out = np.log(p) + m
+        np.log(out, out=out)
+        out += m
         if low.any():
             idx = np.nonzero(low)
             out[idx] = sm.logsumexp_over_axis(np.log(mat[idx[-2]]) + _points_last(v, idx), -1)
     return out, e, m
 
 
-def _log_dot_exp_grads(g, out, e, m, mat):
-    """Gradients of _log_dot_exp's out for mat and v, from its saved e and m."""
+def _log_dot_exp_grads(g, out, e, m, mat, keep=0):
+    """Gradients of _log_dot_exp's out for mat and v, from its saved e and m;
+    mat's keeps v's first keep leading axes (a stacked pair's) unsummed."""
     with np.errstate(over="ignore", invalid="ignore"):
         s = g * np.exp(m - out)
     bad = ~np.isfinite(s)
     if bad.any():
-        # index is point-major over the leading axes, which a flow layer's
-        # node holds as its dimensions
-        lead = bad.any(axis=-2)
+        # index is point-major over the leading axes after the kept ones,
+        # which a flow layer's node holds as its dimensions
+        lead = bad.reshape(-1, *bad.shape[keep:]).any(axis=(0, -2))
         n = _first_point(lead)
         point, *dims = np.unravel_index(n, (lead.shape[-1], *lead.shape[:-1]))
         at = "".join(f", dimension {i}" for i in dims)
         raise NumericError(f"log_dot_exp gradient overflows at point {point}{at}", index=n)
-    return _outer_sum(s, e), e * (mat.T @ s)
+    return _outer_sum(s, e, keep), e * (mat.T @ s)
 
 
 def log_dot_exp(mat, v):
@@ -332,7 +335,12 @@ def log_dot_exp(mat, v):
     The gradient is exp(v_j - out_i) for mat and mat_ij exp(v_j - out_i)
     for v; one that overflows is a NumericError.
     """
-    return _op("log_dot_exp", _log_dot_exp,
+    def forward(mat, v):
+        if np.any(mat < 0.0):
+            raise NumericError("log_dot_exp of a negative matrix entry")
+        return _log_dot_exp(mat, v)
+
+    return _op("log_dot_exp", forward,
                lambda g, out, mat, v: _log_dot_exp_grads(g, *out, mat), mat, v)
 
 

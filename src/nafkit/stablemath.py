@@ -64,15 +64,29 @@ def logsigmoid(x):
     return -softplus(-x)
 
 
-def logsigmoid_pair(x):
-    """(logsigmoid(x), logsigmoid(-x)) from one log1p(exp(-|x|)): the bits of two calls.
+def _empty_pair(x):
+    """An empty (2, *x.shape) array whose halves have x's memory order, which
+    numpy's reductions over them read to pick their order of summation."""
+    if x.flags.c_contiguous:
+        return np.empty((2, *x.shape))
+    order = sorted(range(x.ndim), key=lambda i: -abs(x.strides[i]))
+    out = np.empty((2, *(x.shape[i] for i in order)))
+    return out.transpose(0, *(1 + np.argsort(order)))
 
-    With lp = log1p(exp(-|x|)), they are -(max(-x, 0) + lp + DELTA) and
-    -(max(x, 0) + lp + DELTA), added in softplus's order.
+
+def logsigmoid_pair(x):
+    """[logsigmoid(x); logsigmoid(-x)], (2, *x.shape), in place from one log1p.
+
+    With lp = log1p(exp(-|x|)), the halves are -(max(-x, 0) + lp + DELTA)
+    and -(max(x, 0) + lp + DELTA), added in softplus's order: the bits of two calls.
     """
     x = np.asarray(x, dtype=np.float64)
-    lp = np.log1p(np.exp(-np.abs(x)))
-    return -(np.maximum(-x, 0.0) + lp + DELTA), -(np.maximum(x, 0.0) + lp + DELTA)
+    out = _empty_pair(x)
+    np.maximum(-x, 0.0, out=out[0])
+    np.maximum(x, 0.0, out=out[1])
+    out += np.log1p(np.exp(-np.abs(x)))
+    out += DELTA
+    return np.negative(out, out=out)
 
 
 def sigmoid(x):
@@ -88,12 +102,20 @@ def sigmoid(x):
 
 
 def sigmoid_pair(x):
-    """(sigmoid(x), sigmoid(-x)) from one exp(-|x|): the bits of two sigmoid calls."""
+    """[sigmoid(x); sigmoid(-x)], (2, *x.shape), in place from one exp(-|x|).
+
+    Each half is sigmoid's split, 1/(1+e) or e/(1+e) with e = exp(-|x|),
+    taken without a mask: its numerator max(e, [side]) is 1 on the side
+    where the split divides 1 (e never exceeds 1) and e elsewhere. The
+    bits of two sigmoid calls.
+    """
     x = np.asarray(x, dtype=np.float64)
     e = np.exp(-np.abs(x))
-    d = 1.0 + e
-    hi, lo = 1.0 / d, e / d
-    return np.where(x >= 0, hi, lo), np.where(x <= 0, hi, lo)
+    out = _empty_pair(x)
+    np.maximum(e, x >= 0, out=out[0])
+    np.maximum(e, x <= 0, out=out[1])
+    out /= 1.0 + e
+    return out
 
 
 def logit(p):

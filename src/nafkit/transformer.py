@@ -63,24 +63,19 @@ DDSF_DEFAULT_DIMS = (1, 16, 1)
 # -- shared plumbing -------------------------------------------------------
 
 
-def _check_saturation(log_num, log_den, x, layer=None):
+def _check_saturation(pair, x, layer=None):
     """Raise once log(D) or log(1-D) underflows float64 (pre-logit 0 or 1).
 
-    x is (..., n); per-unit flags (..., units, n) collapse over their
-    unit axis. The error names the largest offending input magnitude and
-    the first offending entry of x, point-major (the index of x.T's flat
-    layout). SATURATION_GUARD = False skips the check, for fault injection.
+    pair is the stacked [log D; log(1-D)], (2, ..., n) or per unit
+    (2, ..., units, n), and x (..., n); passing takes one min. The error
+    names the largest offending input magnitude and the first offending
+    entry of x, point-major (the index of x.T's flat layout).
+    SATURATION_GUARD = False skips the check, for fault injection.
     """
-    if not SATURATION_GUARD:
+    if not SATURATION_GUARD or not np.min(pair, initial=np.inf) < LOG_UNDERFLOW:  # NaN passes
         return
-    bad = (log_num < LOG_UNDERFLOW) | (log_den < LOG_UNDERFLOW)
-    if not np.any(bad):
-        return
-    xarr = np.atleast_1d(x)
-    bad = np.atleast_1d(bad)
-    if bad.ndim > xarr.ndim:
-        bad = bad.any(axis=-2)
-    mag = float(np.max(np.abs(xarr[bad])))
+    bad = np.any(pair < LOG_UNDERFLOW, axis=(0, -2) if pair.ndim > x.ndim + 1 else 0)
+    mag = float(np.max(np.abs(x[bad])))
     where = "" if layer is None else f" in layer {layer}"
     raise SaturationError(
         f"pre-logit saturated{where} (|x| up to {mag:.6g})",
@@ -98,30 +93,29 @@ def _dsf_core(x, p, logdet=True):
 
     Plain numpy on activated logs: x (..., n); p = (log_w, a, log_a, b),
     (..., d, n) each, so every sum over the d components runs over the
-    leading axis of a (d, n) slab. With C = a*x + b, ls_pos = log s(C) and
-    ls_neg = log s(-C), y = log D - log(1-D) where log D = LSE_j(log w_j +
-    ls_pos_j) and log(1-D) = LSE_j(log w_j + ls_neg_j) (exact because w
-    lies on the simplex), and log(dy/dx) = log R - log D - log(1-D) where
-    log R = LSE_j[log w_j + log a_j + ls_pos_j + ls_neg_j]. The softplus
-    deltas inside logsigmoid cancel exactly in both y and logdet. The
-    third return value holds C, the three LSE arguments and their results,
-    which _dsf_adjoint reads.
+    leading axis of a (d, n) slab. With C = a*x + b and the stacked pair
+    ls = [log s(C); log s(-C)], (2, ..., d, n), y = log D - log(1-D) where
+    [log D; log(1-D)] = LSE_j(log w_j + ls_j), one logsumexp over the
+    stack (exact because w lies on the simplex), and log(dy/dx) =
+    log R - log D - log(1-D) where log R = LSE_j[log w_j + log a_j +
+    ls_j[0] + ls_j[1]]. The softplus deltas inside logsigmoid cancel
+    exactly in both y and logdet. The third return value holds C, the two
+    LSE arguments and their results, which _dsf_adjoint reads.
     With logdet=False (the inversion solver) it returns y alone once the
     guard has passed, without log R.
     """
     log_w, a, log_a, b = p
     C = a * x[..., None, :] + b
-    ls_pos, ls_neg = sm.logsigmoid_pair(C)
-    t_num, t_den = log_w + ls_pos, log_w + ls_neg
-    log_num = sm.logsumexp_over_axis(t_num, -2)
-    log_den = sm.logsumexp_over_axis(t_den, -2)
-    _check_saturation(log_num, log_den, x)
+    t = sm.logsigmoid_pair(C)
+    t_r = log_w + log_a + t[0] + t[1] if logdet else None
+    t += log_w
+    lse = sm.logsumexp_over_axis(t, -2)
+    _check_saturation(lse, x)
+    y = lse[0] - lse[1]
     if not logdet:
-        return log_num - log_den
-    t_r = log_w + log_a + ls_pos + ls_neg
+        return y
     log_r = sm.logsumexp_over_axis(t_r, -2)
-    saved = (C, t_num, t_den, t_r, log_num, log_den, log_r)
-    return log_num - log_den, log_r - (log_num + log_den), saved
+    return y, log_r - (lse[0] + lse[1]), (C, t, t_r, lse, log_r)
 
 
 def _dsf_activate(block):
@@ -142,10 +136,11 @@ def _dsf_adjoint(g_y, g_ld, x, block, p, saved):
     g_ld r. w_pre goes back through log-softmax, a_pre through softplus.
     """
     log_w, a, _, _ = p
-    C, t_num, t_den, t_r, log_num, log_den, log_r = saved
+    C, t, t_r, lse, log_r = saved
     g_y, g_ld = g_y[..., None, :], g_ld[..., None, :]
-    gp = (g_y - g_ld) * np.exp(t_num - log_num[..., None, :])
-    gq = (-g_y - g_ld) * np.exp(t_den - log_den[..., None, :])
+    gp, gq = pq = t - lse[..., None, :]  # in place below: the stack's temporaries
+    np.exp(pq, out=pq)                  # stay as few as the twin arrays' were
+    pq *= np.stack([g_y - g_ld, -g_y - g_ld])
     gr = g_ld * np.exp(t_r - log_r[..., None, :])
     g_log_w = gp + gq + gr
     s_pos, s_neg = sm.sigmoid_pair(C)
@@ -269,8 +264,9 @@ def _ddsf_core(x, layers, logdet=True, adjoint=True):
     softmax_j(vu_ij + eta_jn) is never formed: with E = exp(vu - rowmax),
     F = exp(eta - column max) and Z = E @ F, u @ h = (E @ (F h)) / Z, and
     the chain link log(u @ exp r) = log Q - log Z with Q the same product
-    over eta + r. Then C = a (u @ h) + b, log D = log(w @ s(C)),
-    log(1-D) = log(w @ s(-C)), h' = log D - log(1-D) and r' =
+    over eta + r. Then C = a (u @ h) + b, [log D; log(1-D)] =
+    log(w @ [s(C); s(-C)]), one product over the stacked pair
+    [log s(C); log s(-C)], h' = log D - log(1-D) and r' =
     log(w @ exp(log s(C) + log s(-C) + log a + log(u @ exp r))) - log D -
     log(1-D) = log(dh'/dx), each w product a max-shifted log_dot_exp. r
     stays a (units, n) vector per point because the chain starts from a
@@ -289,21 +285,22 @@ def _ddsf_core(x, layers, logdet=True, adjoint=True):
         w, cz = lay["w"], lay["Z"]
         uh = h if cz is None else _cwn_mix(h, lay["E"], cz)
         C = lay["a"] * uh + lay["b"]
-        ls_pos, ls_neg = sm.logsigmoid_pair(C)
-        num, den = dg._log_dot_exp(w, ls_pos), dg._log_dot_exp(w, ls_neg)
-        _check_saturation(num[0], den[0], x, layer=li)
+        ls = sm.logsigmoid_pair(C)
+        nd = dg._log_dot_exp(w, ls)  # [log D; log(1-D)] and the adjoint's e, m
+        pair = nd[0]
+        _check_saturation(pair, x, layer=li)
         if not logdet:
-            h = num[0] - den[0]
+            h = pair[0] - pair[1]
             continue
         if cz is None:
             s, cq = r, None
         else:
             cq = _cwn_product(lay["V"], lay["E"], lay["eta"] + r, pieces=adjoint)
             s = cq[0] - cz[0]
-        col = dg._log_dot_exp(w, ls_pos + ls_neg + lay["log_a"] + s)
+        col = dg._log_dot_exp(w, ls[0] + ls[1] + lay["log_a"] + s)
         if adjoint:
-            saved.append((h, uh, C, cq, num, den, col))
-        h, r = num[0] - den[0], col[0] - (num[0] + den[0])
+            saved.append((h, uh, C, cq, nd, col))
+        h, r = pair[0] - pair[1], col[0] - (pair[0] + pair[1])
     return (h[..., 0, :], r[..., 0, :], saved) if logdet else h[..., 0, :]
 
 
@@ -322,13 +319,13 @@ def _ddsf_adjoint(g_y, g_ld, block, slices, layers, saved):
     g_h, g_r = g_y[..., None, :], g_ld[..., None, :]
     g_block = np.empty_like(block)  # every row is written below
     g_vu, g_vw = [], []
-    for lay, (eta, a_pre, b), (h, uh, C, cq, num, den, col) in zip(
+    for lay, (eta, a_pre, b), (h, uh, C, cq, nd, col) in zip(
             reversed(layers), reversed(slices), reversed(saved)):
         w, a = lay["w"], lay["a"]
-        gw_num, g_pos = dg._log_dot_exp_grads(g_h - g_r, *num, w)
-        gw_den, g_neg = dg._log_dot_exp_grads(-g_h - g_r, *den, w)
+        gw_nd, (g_pos, g_neg) = dg._log_dot_exp_grads(
+            np.stack([g_h - g_r, -g_h - g_r]), *nd, w, keep=1)
         gw_col, g_col = dg._log_dot_exp_grads(g_r, *col, w)
-        g_w = gw_num + gw_den + gw_col
+        g_w = gw_nd[0] + gw_nd[1] + gw_col
         g_vw.append(w * (g_w - np.sum(g_w * w, axis=1, keepdims=True)))
         s_pos, s_neg = sm.sigmoid_pair(C)
         g_c = (g_pos + g_col) * s_neg - (g_neg + g_col) * s_pos
@@ -353,10 +350,14 @@ def invert_batch(y, forward, lo0: float = -1.0, hi0: float = 1.0) -> np.ndarray:
     """Vectorized root-finding: forward maps (n,) -> (n,), increasing per entry.
 
     Each bracket doubles outward from [lo0, hi0] until it straddles its y
-    (up to |x| = 1e6, else RangeError naming the first such entry). Then
-    all entries refine together by Chandrupatla's (1997) safeguarded
-    inverse quadratic interpolation, which falls back to the midpoint
-    whenever interpolation is not trusted and always shrinks the bracket.
+    (up to |x| = 1e6, else RangeError naming the first such entry). An
+    expansion round takes one forward evaluation: an entry whose f(lo) is
+    above y moves lo down, one whose f(hi) is below y moves hi up, and for
+    an increasing forward no entry needs both, so one probe at each
+    entry's own moving end serves the whole batch. Then all entries
+    refine together by Chandrupatla's (1997) safeguarded inverse
+    quadratic interpolation, which falls back to the midpoint whenever
+    interpolation is not trusted and always shrinks the bracket.
     An entry is done when its bracket is at most 1e-12 (or four ulps of
     |x|) wide or forward hits y exactly; the bracket end nearer y is
     returned. A non-finite forward value, or an entry that does not
@@ -372,16 +373,20 @@ def invert_batch(y, forward, lo0: float = -1.0, hi0: float = 1.0) -> np.ndarray:
     for _ in range(64):
         need_lo = flo > y
         need_hi = fhi < y
-        if not (need_lo.any() or need_hi.any()):
+        moving = need_lo | need_hi
+        if not moving.any():
             break
         stuck = (need_lo & (lo <= -BRACKET_CAP)) | (need_hi & (hi >= BRACKET_CAP))
         if stuck.any():
             raise _unreachable(y, stuck)
         w = w * 2.0
-        lo, flo, w = _probe(forward, lo, flo, np.maximum(lo - w, -BRACKET_CAP), need_lo, w)
-        hi, fhi, w = _probe(forward, hi, fhi, np.minimum(hi + w, BRACKET_CAP), need_hi, w)
+        end, f_end = np.where(need_lo, lo, hi), np.where(need_lo, flo, fhi)
+        to = np.where(need_lo, np.maximum(lo - w, -BRACKET_CAP), np.minimum(hi + w, BRACKET_CAP))
+        end, f_end, w = _probe(forward, end, f_end, to, moving, w)
+        lo, flo = np.where(need_lo, end, lo), np.where(need_lo, f_end, flo)
+        hi, fhi = np.where(need_hi, end, hi), np.where(need_hi, f_end, fhi)
     else:
-        raise _unreachable(y, need_lo | need_hi)
+        raise _unreachable(y, moving)
     # a: newest point, b: the bracket's other end, c: the end replaced
     # last (first a itself, which makes the first step the midpoint).
     a, fa = hi, _finite(fhi, hi) - y
@@ -423,15 +428,16 @@ def _finite(f, x):
 def _probe(forward, end, f_end, to, moving, w):
     """Move the flagged ends to `to`; return the ends, forward there and w.
 
-    A probe that trips the saturation guard pulls the moving ends halfway
-    back, and their w shrinks so that the next (doubled) step is a quarter
-    of the one that tripped: midway between the new end and the tripping
-    point. An end that cannot move without saturating re-raises the
-    guard's error: no x the guarded forward accepts reaches its target.
-    A call with no moving end evaluates nothing.
+    Every argument is per entry: an entry moving down passes its lo end,
+    one moving up its hi end, and an entry that is not moving is evaluated
+    at its end, where the guarded forward already passed. A probe that
+    trips the saturation guard pulls every moving end halfway back toward
+    its own old end, and their w shrinks so that the next (doubled) step
+    is a quarter of the one that tripped: midway between the new end and
+    the tripping point. An end that cannot move without saturating
+    re-raises the guard's error: no x the guarded forward accepts reaches
+    its target.
     """
-    if not moving.any():
-        return end, f_end, w
     new = np.where(moving, to, end)
     while True:
         try:

@@ -27,6 +27,17 @@ class TestCsvIO:
         back = read_data_csv(path, expect_header=True)
         np.testing.assert_array_equal(back, np.array(vals))
 
+    def test_cells_match_the_format_call_byte_for_byte(self, tmp_path):
+        # one %-format per row writes the bytes of format(float(v), ".17g") per cell
+        rng = np.random.default_rng(9)
+        rows = [[0, 7, -3], [-0.0, 0.0, 1e-300], [math.inf, -math.inf, math.nan],
+                [2**60 + 1, 5e-324, -1.7976931348623157e308], *rng.normal(size=(64, 3)).tolist()]
+        for data in (rows, np.array(rows, dtype=np.float64), [tuple(r) for r in rows]):
+            path = tmp_path / "vals.csv"
+            write_csv(str(path), data, header=["a", "b", "c"])
+            want = ["a,b,c"] + [",".join(format(float(v), ".17g") for v in row) for row in data]
+            assert read_lines(path) == ("\n".join(want) + "\n").encode()
+
     def test_lf_endings(self, tmp_path):
         path = str(tmp_path / "vals.csv")
         write_csv(path, [[1.0], [2.0]])
@@ -124,6 +135,34 @@ class TestFitDensityCommand:
         config = json.loads((out / "config.json").read_text())
         assert config["lr"] == 0.01  # given, although equal to the parser default
         assert config["seed"] == 4  # not given: adopted from the file
+
+    @pytest.mark.parametrize("entry", [
+        {"lr": "fast"}, {"steps": "ten"}, {"steps": 2.5}, {"steps": True}, {"seed": None},
+        {"grid_window": [-8.0, "x"]}, {"grid_window": [1.0]}, {"grid-window": 3.0},
+        {"density_grid": "yes"}, {"model": "nope"}, {"data": 7},
+    ], ids=lambda e: json.dumps(e))
+    def test_config_value_of_the_wrong_type_exits_3(self, tmp_path, capsys, entry):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps(entry))
+        out = tmp_path / "o"
+        assert run(["fit-density", "--target", "grid-k2", "--config", cfg, "--out", out]) == 3
+        err = capsys.readouterr().err
+        key = next(iter(entry))
+        assert err.startswith("error: config ") and f"{key!r} must be " in err
+        assert "Traceback" not in err and not out.exists()
+
+    def test_config_values_of_the_flag_types_are_adopted(self, tmp_path):
+        # an integer for a float flag, a list for a window, a bool for a switch
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"lr": 0, "grid_window": [-2, 2.5], "density_grid": True,
+                                   "target": "grid-k2", "data": None}))
+        out = tmp_path / "o"
+        assert run(["fit-density", "--d", 2, "--hidden", 4, "--steps", 2, "--train-n", 64,
+                    "--val-n", 16, "--batch", 16, "--grid-points", 3, "--config", cfg,
+                    "--out", out]) == 0
+        config = json.loads((out / "config.json").read_text())
+        assert (config["lr"], config["grid_window"], config["density_grid"]) == (0, [-2, 2.5], True)
+        assert (out / "density_grid.csv").exists()
 
     def test_rerun_from_emitted_config(self, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"

@@ -394,14 +394,14 @@ class TestRowBlocks:
 
     def test_density_kernel_keeps_no_adjoint_state(self):
         # the kernel without adjoint keeps no saved list and builds no CWN
-        # pieces (0.74x of the saved-state peak; 0.81x if it built them)
+        # pieces (0.68x of the saved-state peak; 0.75x if it built them)
         layer = FlowLayer(2, "ddsf", ddsf_dims=(1, 16, 16, 1), seed=0)
         x = np.random.default_rng(0).normal(size=(flow._block_rows(layer), 2))
         fam, p = layer.family, layer.family.decode(layer.conditioner.forward(x))
         y, ld, saved = fam.core(x.T, p, adjoint=False)
         assert saved is None
         with_state = traced_peak(fam.core, x.T, p)
-        assert traced_peak(fam.core, x.T, p, adjoint=False) <= 0.77 * with_state
+        assert traced_peak(fam.core, x.T, p, adjoint=False) <= 0.71 * with_state
         y_node, ld_node, _ = fam.core(x.T, p)
         assert y.tobytes() == y_node.tobytes() and ld.tobytes() == ld_node.tobytes()
 

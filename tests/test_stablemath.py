@@ -96,6 +96,26 @@ class TestSigmoid:
         assert ls_pos.tobytes() == sm.logsigmoid(xs).tobytes()
         assert ls_neg.tobytes() == sm.logsigmoid(-xs).tobytes()
 
+    @pytest.mark.parametrize("shape, order", [((1010,), "C"), ((2, 16, 64), "C"),
+                                              ((2, 16, 64), "F"), ((16, 0), "C")],
+                             ids=["1-D", "m2-stack", "transposed", "empty"])
+    def test_stacked_pairs_equal_separate_calls(self, shape, order):
+        rng = np.random.default_rng(4)
+        xs = np.asarray(rng.uniform(-40.0, 40.0, size=shape) * 20.0 ** rng.uniform(-1, 1, shape),
+                        order=order)
+        xs.reshape(-1, order="A")[:5] = [0.0, -0.0, 800.0, -800.0, np.nan] if xs.size else []
+        for pair, single in ((sm.logsigmoid_pair(xs), sm.logsigmoid),
+                             (sm.sigmoid_pair(xs), sm.sigmoid)):
+            assert pair.shape == (2, *shape)
+            assert pair[0].tobytes() == np.asarray(single(xs)).tobytes()
+            assert pair[1].tobytes() == np.asarray(single(-xs)).tobytes()
+            # each half has x's memory order, so a reduction over it sums
+            # in the order a single call's result would
+            assert np.argsort(pair[0].strides).tolist() == np.argsort(xs.strides).tolist()
+            if xs.ndim == 3:
+                got = sm.logsumexp_over_axis(pair, -2)[0]
+                assert got.tobytes() == sm.logsumexp_over_axis(single(xs), -2).tobytes()
+
     def test_scalar_returns_float(self):
         assert type(sm.sigmoid(0.0)) is float
         assert sm.sigmoid(0.0) == 0.5
@@ -231,8 +251,28 @@ class TestLogMatrix:
         assert str(exc.value) == "log_dot_exp gradient overflows at point 2, dimension 1"
 
     def test_negative_entry_rejected(self):
-        with pytest.raises(NumericError):
-            dg.log_dot_exp(np.array([[1.0, -0.5]]), np.zeros((2, 1)))
+        for mat in (np.array([[1.0, -0.5]]), dg.Value(np.array([[1.0, -0.5]]))):
+            with pytest.raises(NumericError):
+                dg.log_dot_exp(mat, np.zeros((2, 1)))
+
+    def test_stacked_pair_equals_each_half(self):
+        # one product and one gradient call over a stacked pair (2, m, cols, n)
+        # give each half's bits; kept apart, mat's gradients sum as on their own
+        rng = np.random.default_rng(8)
+        mat = np.exp(sm.logsoftmax_over_axis(rng.normal(size=(6, 6)), 1))
+        mat[0, 0] = 1e-308
+        v = np.log(rng.uniform(1e-3, 1.0, size=(2, 2, 6, 40)))
+        v[1, 0, 1:, :3] = -800.0  # mat ~0 where v peaks: low entries, in log space
+        g = rng.normal(size=(2, 2, 6, 40)) * 1e-3  # exp(m - out) there is ~1e308
+        out = dg._log_dot_exp(mat, v)
+        assert np.sum(mat @ out[1] < dg._TINY) == 3
+        gw, gv = dg._log_dot_exp_grads(g, *out, mat, keep=1)
+        assert gw.shape == (2, 6, 6)
+        for k in range(2):
+            half = dg._log_dot_exp(mat, v[k])
+            assert all(a[k].tobytes() == b.tobytes() for a, b in zip(out, half))
+            gw_k, gv_k = dg._log_dot_exp_grads(g[k], *half, mat)
+            assert gw[k].tobytes() == gw_k.tobytes() and gv[k].tobytes() == gv_k.tobytes()
 
     def test_associativity_property(self):
         # A(Bv) = (AB)v, with AB formed densely

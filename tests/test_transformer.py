@@ -250,7 +250,7 @@ def composite_ddsf(x, block, fam):
         C = a * dg.vsum(go.exp(log_u) * dg.reshape(h, (1, d_in, B)), axis=1) + block[b, cols]
         ls_pos, ls_neg = go.logsigmoid(C), go.logsigmoid(-C)
         log_num, log_den = dg.log_dot_exp(w, ls_pos), dg.log_dot_exp(w, ls_neg)
-        tf._check_saturation(log_num.data, log_den.data, x.data, layer=li)
+        tf._check_saturation(np.stack([log_num.data, log_den.data]), x.data, layer=li)
         h = log_num - log_den
         s = dg.logsumexp(log_u + dg.reshape(r, (1, d_in, B)), axis=1)
         r = dg.log_dot_exp(w, ls_pos + ls_neg + go.log(a) + s) - (log_num + log_den)
@@ -413,6 +413,26 @@ class TestYOnlyMode:
         fam, block = random_ddsf(rng, (1, 6, 5, 1), 48)
         self.assert_same_y(fam, rng.uniform(-3.0, 3.0, size=48), block)
 
+    @pytest.mark.parametrize("kind, scale", [("dsf", 1.0), ("ddsf", 1.0), ("ddsf", 800.0 / 1.7)],
+                             ids=["dsf", "ddsf", "ddsf-underflow"])
+    def test_m2_stack_y_bits_match_density_path(self, kind, scale):
+        # a flow layer's (m, width, n) block: the pair stacks ahead of the m
+        # axis, and y keeps the density path's bits, the +-800-nat block too
+        rng = np.random.default_rng(33)
+        if kind == "dsf":
+            fam = tf.Dsf(d=8)
+            block = np.stack([np.stack([fam.random_row(rng) for _ in range(96)], axis=1)
+                              for _ in range(2)])
+        else:
+            fam, block = random_ddsf(rng, (1, 8, 8, 1), 192, scale=scale)
+            block = np.stack([block[:, :96], block[:, 96:]])
+            low = [lay["Z"][3] is not None for lay in fam.decode(block) if lay["Z"] is not None]
+            assert any(low) == (scale > 1.0)
+        xs = rng.uniform(-3.0, 3.0, size=(2, 96))
+        self.assert_same_y(fam, xs, block)
+        y_node = fam.core(xs, fam.decode(block))[0]
+        assert y_node.tobytes() == fam.forward(xs, block)[0].tobytes()
+
     @pytest.mark.parametrize("make, layer", [
         (lambda: dsf([0.5, 0.5], [5.0, 5.0], [0.0, 0.0]), None),
         # layer 0 maps x near onto itself; layer 1's slope 10 saturates first
@@ -433,6 +453,34 @@ class TestYOnlyMode:
         assert (full.layer, full.index, full.magnitude) == (layer, 2, 300.0)
         assert (y_only.layer, y_only.index, y_only.magnitude) == (layer, 2, 300.0)
         assert str(y_only) == str(full)
+
+    @pytest.mark.parametrize("kind", ["dsf", "ddsf"])
+    def test_m2_stack_same_saturation_error(self, kind):
+        # on an (m, width, n) block the error names the first saturating
+        # entry of x point-major, the same from the training kernel, the
+        # density path and the solver's y-only mode
+        rng = np.random.default_rng(34)
+        if kind == "dsf":
+            fam = tf.Dsf(d=4)
+            block = np.stack([np.stack([fam.random_row(rng) for _ in range(5)], axis=1)
+                              for _ in range(2)])
+        else:
+            fam, block = random_ddsf(rng, (1, 4, 4, 1), 10)
+            block = np.stack([block[:, :5], block[:, 5:]])
+        xs = rng.uniform(-1.0, 1.0, size=(2, 5))
+        xs[1, 1], xs[0, 3] = 1e5, -2e5
+        p = fam.decode(block)
+        calls = [lambda: fam.core(xs, p), lambda: fam.forward(xs, block),
+                 lambda: fam.core(xs, p, logdet=False)]
+        errors = []
+        for call in calls:
+            with pytest.raises(SaturationError) as exc:
+                call()
+            errors.append(exc.value)
+        for err in errors:
+            assert (err.index, err.magnitude, str(err)) == (
+                1 * 2 + 1, 2e5, str(errors[0]))
+            assert err.layer == (None if kind == "dsf" else 0)
 
 
 class TestInvert:
@@ -492,7 +540,18 @@ class TestInvert:
         counting, calls = counted(fn)
         back = tf.invert_batch(ys, counting)
         assert np.max(np.abs(back - xs)) <= 1e-8
-        assert calls[0] <= 20
+        assert calls[0] <= {"dsf": 11, "ddsf": 10}[kind]
+
+    def test_one_evaluation_per_expansion_round(self):
+        # entries move down and up in the same rounds: x = -29 takes three
+        # rounds (lo: -1, -5, -13, -29), -5 one, 13 two and 29 three; each
+        # lands on its target exactly, so no refinement step follows. Two
+        # starting evaluations and one per round: 2 + 3 (2 + 2 * 3 with a
+        # separate probe for each side)
+        fn, calls = counted(lambda t: t)
+        ys = np.array([-29.0, -5.0, 13.0, 29.0])
+        assert tf.invert_batch(ys, fn).tolist() == ys.tolist()
+        assert calls[0] == 2 + 3
 
     @pytest.mark.parametrize("nan_where", [
         lambda t: t > 0.3,  # at the bracket end x = 1
