@@ -9,6 +9,12 @@ The pass runs batch-last, on x.T: units lead and points trail, so each
 layer is h_T = tanh((W * M).T @ h_T + b) and the readout is an
 (m * width, n) array whose (width, n) slabs are the transformers'
 blocks, the layout every transformer kernel takes.
+
+The masks fix, before training, which readout rows any input reaches:
+no hidden unit has degree 0 when m > 1, so the rows of the dimension of
+degree 1 are dead and equal their bias. The readout product, and its
+gradients, run over the live rows only. Sampling fixes one dimension at
+a time and asks for one block (block), not the whole readout.
 """
 
 from __future__ import annotations
@@ -88,7 +94,8 @@ class MadeConditioner:
     every forward pass, so masked connections carry exact structural zeros
     and get zero gradient. out_offset (length out_per_dim) is added to
     every block: folded into the readout bias, it carries the
-    identity-flow constants.
+    identity-flow constants. live[t] says whether any hidden unit feeds
+    dimension t's block; a dead block is its bias plus out_offset.
     """
 
     def __init__(self, m, out_per_dim, hidden_sizes=(64,), order=None,
@@ -104,6 +111,8 @@ class MadeConditioner:
         self.masks = list(mask_set.masks) + [
             np.repeat(mask_set.out_base, self.out_per_dim, axis=1)
         ]
+        self.live = mask_set.out_base.any(axis=0)
+        self._runs = _row_runs(self.live, self.out_per_dim)
         if out_offset is None:
             out_offset = np.zeros(self.out_per_dim)
         self.out_offset = np.asarray(out_offset, dtype=np.float64)
@@ -121,39 +130,102 @@ class MadeConditioner:
     def parameters(self):
         return [*self.weights, *self.biases]
 
-    def forward(self, x):
-        """x: (n, m) array -> (m, out_per_dim, n) blocks, out_offset added."""
+    def forward(self, x, out=None):
+        """x: (n, m) array -> (m, out_per_dim, n) blocks, out_offset added.
+
+        out, if given, is a 1-D float64 buffer of at least m * out_per_dim * n
+        elements that the blocks are written into, so row blocks can share one.
+        A non-finite entry of x is a DomainError whose index is its flat
+        (point, dimension) position.
+        """
         x = np.asarray(x, dtype=np.float64)
         if x.ndim != 2 or x.shape[1] != self.m:
             raise DomainError(f"expected (n, {self.m}) input, got {x.shape}")
-        if not np.all(np.isfinite(x)):
-            raise DomainError("conditioner input must be finite")
-        return self.activations(x.T)[1].reshape(self.m, self.out_per_dim, x.shape[0])
+        bad = ~np.isfinite(x)
+        if bad.any():
+            raise DomainError("conditioner input must be finite", index=int(np.argmax(bad)))
+        return self.activations(x.T, out)[1].reshape(self.m, self.out_per_dim, x.shape[0])
 
-    def activations(self, x_t):
+    def block(self, x, i):
+        """Dimension i's block of forward(x), (out_per_dim, n) for an (n, m) x.
+
+        Only the hidden layers and i's readout rows run. The dimension of
+        degree 1 sees no input, so its block is computed on one column and
+        comes back (out_per_dim, 1), for the family to broadcast.
+        """
+        if self.order[i] == 1:
+            x = np.zeros((1, self.m))
+        h = self._hidden(np.asarray(x, dtype=np.float64).T)[-1]
+        rows = slice(i * self.out_per_dim, (i + 1) * self.out_per_dim)
+        return self._readout(h, rows, self.live[i], np.empty((self.out_per_dim, h.shape[1])))
+
+    def activations(self, x_t, out=None):
         """([x_t, h_1, ..., h_k], out) for x_t = x.T (m, n): the input, each tanh
         layer's (units, n) output, and the (m * out_per_dim, n) readout with
-        out_offset in its bias."""
+        out_offset in its bias, in the buffer out if one is given (see forward)."""
+        shape = (self.m * self.out_per_dim, x_t.shape[1])
+        out = np.empty(shape) if out is None else out[:shape[0] * shape[1]].reshape(shape)
+        hs = self._hidden(x_t)
+        for rows, live in self._runs:
+            self._readout(hs[-1], rows, live, out[rows])
+        return hs, out
+
+    def _hidden(self, x_t):
         hs = [x_t]
         for w, b, mask in zip(self.weights[:-1], self.biases[:-1], self.masks):
-            hs.append(np.tanh((w.data * mask).T @ hs[-1] + b.data[:, None]))
-        bias = self.biases[-1].data + np.tile(self.out_offset, self.m)
-        return hs, (self.weights[-1].data * self.masks[-1]).T @ hs[-1] + bias[:, None]
+            h = (w.data * mask).T @ hs[-1]
+            h += b.data[:, None]  # in place: no second (units, n) temporary
+            hs.append(np.tanh(h, out=h))
+        return hs
+
+    def _readout(self, h, rows, live, out):
+        """out, filled with the readout's rows (a slice) on the last hidden layer h.
+
+        A dead row gets its bias plus out_offset, which is exactly what the
+        full product gives it: its weights are all masked, and 0 * h sums to 0.
+        """
+        bias = (self.biases[-1].data + np.tile(self.out_offset, self.m))[rows, None]
+        if live:
+            np.matmul((self.weights[-1].data[:, rows] * self.masks[-1][:, rows]).T, h, out=out)
+            out += bias
+        else:
+            out[...] = bias
+        return out
 
     def backward(self, g, hs):
         """(g_x.T, gradients of parameters()) for the readout's gradient g, (m * out_per_dim, n).
 
         Back to front, for each layer's input h in hs: g_W = (h @ g.T) * mask,
         g_b = g.sum(axis=1), and (W * mask) @ g times tanh' = 1 - h^2 (unless h is x.T).
+        The readout's g_W and (W * mask) @ g run over its live rows only; a dead
+        row's weights get an exact zero gradient.
         """
         g_w, g_b = [], []
+        last = len(self.weights) - 1
         for i in reversed(range(len(self.weights))):
-            g_w.append((hs[i] @ g.T) * self.masks[i])
+            w, mask, h = self.weights[i].data, self.masks[i], hs[i]
             g_b.append(g.sum(axis=1))
-            g = (self.weights[i].data * self.masks[i]) @ g
+            g_w.append(np.zeros_like(w))
+            g_in = np.zeros_like(h)
+            for rows, live in self._runs if i == last else [(slice(None), True)]:
+                if live:
+                    g_w[-1][:, rows] = (h @ g[rows].T) * mask[:, rows]
+                    g_in += (w[:, rows] * mask[:, rows]) @ g[rows]
+            g = g_in
             if i > 0:
-                g = g * (1.0 - hs[i] * hs[i])
+                g *= 1.0 - h * h
         return g, [*reversed(g_w), *reversed(g_b)]
+
+
+def _row_runs(live, width):
+    """(rows, live) for each run of consecutive dimensions that are all live or
+    all dead, as slices of the (m * width)-row readout."""
+    runs, start = [], 0
+    for t in range(1, len(live) + 1):
+        if t == len(live) or live[t] != live[start]:
+            runs.append((slice(start * width, t * width), bool(live[start])))
+            start = t
+    return runs
 
 
 def identity_init(made: MadeConditioner, seed: int = 0) -> MadeConditioner:

@@ -5,7 +5,16 @@ NumericError and subclasses -> 4.
 """
 
 
-class DomainError(ValueError):
+class _Located:
+    """An error that may name the flat position of the first offending input."""
+
+    def __init__(self, msg, index=None):
+        super().__init__(msg)
+        self.dim = None  # filled in by the flow layer
+        self.index = index  # flat position of the first offending input
+
+
+class DomainError(_Located, ValueError):
     """Input outside an operation's declared domain."""
 
 
@@ -13,13 +22,8 @@ class DataError(ValueError):
     """Malformed external data (CSV rows, checkpoints, registry names)."""
 
 
-class NumericError(ArithmeticError):
+class NumericError(_Located, ArithmeticError):
     """A computation left the representable/valid numeric regime."""
-
-    def __init__(self, msg, index=None):
-        super().__init__(msg)
-        self.dim = None  # filled in by the flow layer
-        self.index = index  # flat position of the first offending input
 
 
 class SaturationError(NumericError):

@@ -32,7 +32,11 @@ LOG_2PI = float(np.log(2.0 * np.pi))
 # runs the columns past its kernel's last full tile through edge code that
 # may sum in another order, so rows that are not a multiple of the tile
 # change the last bit of some points (625 rows did, against 1024). See
-# CHANGES.md for the sweeps. FlowLayer.inverse runs the whole batch.
+# CHANGES.md for the sweeps. The row blocks of one call share a readout
+# buffer, and the family runs one dimension per call: freeing a whole
+# block's family temporaries at once (about 2.4 MB for dsf at m = 2) left
+# glibc a heap top past its trim threshold, so every block gave its pages
+# back and faulted them in again. FlowLayer.inverse runs the whole batch.
 _BLOCK_BYTES = 8 * 1024 * (64 + 2 * 48)
 
 
@@ -113,7 +117,10 @@ class FlowLayer:
 
         On arrays it runs over row blocks of _block_rows(self) points, whose
         temporaries stay in cache; each block's outputs are the bits of
-        evaluating that block alone.
+        evaluating that block alone. The blocks share one readout buffer, and
+        the family runs one dimension at a time (see _BLOCK_BYTES).
+        A non-finite x, or a numeric failure, names this layer, the dimension
+        and the point of the whole x.
         """
         if dg.is_value(x):
             try:
@@ -121,17 +128,22 @@ class FlowLayer:
             except NumericError as err:
                 raise self._located(err) from None
         x = np.asarray(x, dtype=np.float64)
-        ys, lds = [], []
-        for start, rows in _row_blocks(x, _block_rows(self)):
-            xb = x[rows]
+        n = len(x) if x.ndim == 2 else 0  # else the conditioner refuses x
+        rows = _block_rows(self)
+        y, ld = np.empty((self.m, n)), np.empty((self.m, n))
+        readout = np.empty(self.m * self.family.width * min(n, rows))
+        for start, block_rows in _row_blocks(x, rows):
+            xb = x[block_rows]
             try:
-                blocks = self.conditioner.forward(xb)
-                y, ld = self.family.forward(xb.T, blocks)
-            except NumericError as err:
+                blocks = self.conditioner.forward(xb, readout)
+            except DomainError as err:
                 raise self._located(err, start) from None
-            ys.append(y)
-            lds.append(ld.sum(axis=0))
-        return np.concatenate(ys, axis=1).T, np.concatenate(lds)
+            for i in range(self.m):
+                try:
+                    y[i, block_rows], ld[i, block_rows] = self.family.forward(xb[:, i], blocks[i])
+                except (DomainError, NumericError) as err:
+                    raise self._located(err, start, dim=i) from None
+        return y.T, ld.sum(axis=0)
 
     def _record(self, x):
         """y and logdet as takes of one "layer" node, [y | logdet], over x and parameters().
@@ -163,18 +175,20 @@ class FlowLayer:
     # -- inverse ---------------------------------------------------------
 
     def inverse(self, y: np.ndarray) -> np.ndarray:
-        """Recover x with f(x) = y, one dimension per conditioner pass.
+        """Recover x with f(x) = y, one dimension and one conditioner block at a time.
 
         Proceeds in the layer's degree order so each transformer's
         pseudo-parameters are functions of already-recovered coordinates.
         """
         y = np.asarray(y, dtype=np.float64)
+        if y.ndim != 2 or y.shape[1] != self.m:
+            raise DomainError(f"expected (n, {self.m}) input, got {y.shape}")
         x = np.zeros_like(y)
         for deg in range(1, self.m + 1):
             i = self.order.index(deg)
-            blocks = self.conditioner.forward(x)
+            target = np.ascontiguousarray(y[:, i])  # the solver reads it at every step
             try:
-                x[:, i] = self.family.inverse(y[:, i], blocks[i])
+                x[:, i] = self.family.inverse(target, self.conditioner.block(x, i))
             except NumericError as err:
                 raise self._located(err, dim=i) from None
         return x

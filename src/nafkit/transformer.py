@@ -191,11 +191,19 @@ def _cwn_product(V, E, X, pieces=True):
 
 
 def _cwn_mix(h, E, cwn):
-    """u @ h per point for the CWN weights u of a _cwn_product; h (..., cols, n)."""
+    """u @ h per point for the CWN weights u of a _cwn_product; h (..., cols, n).
+
+    A _cwn_product of one column (a block every point shares) serves all n
+    points of h: each of its low entries stands for that row at every point.
+    """
     _, inv, G, low = cwn
     out = (E @ (G * h)) * inv
     if low is not None:
         idx, u = low
+        n = out.shape[-1]
+        if inv.shape[-1] < n:
+            idx = (*(np.repeat(i, n) for i in idx[:-1]), np.tile(np.arange(n), len(u)))
+            u = np.repeat(u, n, axis=0)
         out[idx] = np.sum(u * dg._points_last(h, idx), axis=-1)
     return out
 
@@ -349,12 +357,13 @@ def _ddsf_adjoint(g_y, g_ld, block, slices, layers, saved):
 def invert_batch(y, forward, lo0: float = -1.0, hi0: float = 1.0) -> np.ndarray:
     """Vectorized root-finding: forward maps (n,) -> (n,), increasing per entry.
 
-    Each bracket doubles outward from [lo0, hi0] until it straddles its y
-    (up to |x| = 1e6, else RangeError naming the first such entry). An
-    expansion round takes one forward evaluation: an entry whose f(lo) is
-    above y moves lo down, one whose f(hi) is below y moves hi up, and for
-    an increasing forward no entry needs both, so one probe at each
-    entry's own moving end serves the whole batch. Then all entries
+    A non-finite y is a RangeError naming its entry, before any forward
+    evaluation. Each bracket doubles outward from [lo0, hi0] until it
+    straddles its y (up to |x| = 1e6, else RangeError naming the first such
+    entry). An expansion round takes one forward evaluation: an entry
+    whose f(lo) is above y moves lo down, one whose f(hi) is below y moves
+    hi up, and for an increasing forward no entry needs both, so one probe
+    at each entry's own moving end serves the whole batch. Then all entries
     refine together by Chandrupatla's (1997) safeguarded inverse
     quadratic interpolation, which falls back to the midpoint whenever
     interpolation is not trusted and always shrinks the bracket.
@@ -365,6 +374,8 @@ def invert_batch(y, forward, lo0: float = -1.0, hi0: float = 1.0) -> np.ndarray:
     first such entry.
     """
     y = np.asarray(y, dtype=np.float64)
+    if not np.all(np.isfinite(y)):
+        raise _unreachable(y, ~np.isfinite(y))
     lo = np.full_like(y, lo0)
     hi = np.full_like(y, hi0)
     flo = forward(lo)
@@ -471,8 +482,9 @@ class Family:
     """One transformer family, sized by (d, dims), behind a conditioner.
 
     Batch-last throughout: x is (..., n) and a block (..., width, n), one
-    column per point, so reductions over components run over a leading
-    axis. An instance owns, all in numpy:
+    column per point (or (..., width, 1), one column every point shares),
+    so reductions over components run over a leading axis. An instance
+    owns, all in numpy:
       width, offset  the per-dimension conditioner output count, and the
                      constants added so a fresh flow starts near identity;
       params         trainable leaves outside the conditioner;
@@ -577,6 +589,14 @@ class Dsf(Family):
     @staticmethod
     def forward(x, block):
         return dsf_from_preact(x, block)  # looked up per call, so it can be wrapped
+
+    def inverse(self, y, block):
+        # A one-column block (the dimension of degree 1) is decoded on its one
+        # column, then spread over the points: every solver evaluation reads
+        # (d, n) arrays faster than it broadcasts (d, 1) ones. Same values, same bits.
+        n = np.shape(y)[-1]
+        p = tuple(np.repeat(v, n, axis=-1) if v.shape[-1] < n else v for v in self.decode(block))
+        return invert_batch(y, lambda t: self.core(t, p, logdet=False))
 
     def random_row(self, rng):
         d = self.d

@@ -12,7 +12,8 @@ from nafkit.conditioner import (
     identity_init,
 )
 from nafkit.errors import DomainError
-from nafkit.flow import FlowStack
+from nafkit.flow import FlowLayer, FlowStack
+from nafkit.training import TrainConfig, fit, mle_loss
 
 
 def reachability(mask_set):
@@ -245,3 +246,96 @@ class TestDsfPseudoInvariants:
         np.testing.assert_allclose(w.sum(axis=1), 1.0, atol=1e-12)
         assert np.all(w > 0)
         assert np.all(a > 0)
+
+
+FAMILY_KINDS = ["affine-exp", "affine-gate", "dsf", "ddsf"]
+
+
+def perturbed_layer(m, kind, hidden, order, seed=0):
+    layer = FlowLayer(m, kind, d=3, ddsf_dims=(1, 4, 3, 1), hidden=hidden, order=order, seed=seed)
+    rng = np.random.default_rng(seed)
+    for p in layer.parameters():
+        p.data = p.data + rng.normal(scale=0.5, size=p.shape)
+    return layer
+
+
+class TestLiveRows:
+    """The readout runs over the rows its masks let some hidden unit feed."""
+
+    @pytest.mark.parametrize("kind", FAMILY_KINDS)
+    @pytest.mark.parametrize("m", [1, 2, 3, 5])
+    @pytest.mark.parametrize("reverse", [False, True], ids=["natural", "reversed"])
+    @pytest.mark.parametrize("hidden", [(), (64,), (32, 32)], ids=["h0", "h64", "h32x32"])
+    def test_block_matches_forward(self, kind, m, reverse, hidden):
+        # Equal bits at m = 2, where block and forward run the same product. Elsewhere
+        # the two readout products may sum in another order (the degree-1 block takes
+        # one column, and at m >= 3 forward multiplies several blocks' rows at once),
+        # so they agree within two sums' rounding bound, 2 (K + 1) eps per term.
+        order = tuple(range(m, 0, -1)) if reverse else None
+        cond = perturbed_layer(m, kind, hidden, order, seed=m).conditioner
+        w = np.abs(cond.weights[-1].data * cond.masks[-1])
+        bias = np.abs(cond.biases[-1].data + np.tile(cond.out_offset, m))
+        for n in (1, 37, 777):
+            x = np.random.default_rng(n).normal(size=(n, m))
+            full = cond.forward(x)
+            h = cond.activations(x.T)[0][-1]
+            bound = 2 * (len(h) + 1) * np.finfo(float).eps * (w.T @ np.abs(h) + bias[:, None])
+            for i in range(m):
+                block = cond.block(x, i)
+                assert block.shape == (cond.out_per_dim, 1 if cond.order[i] == 1 else n)
+                want = full[i]
+                got = np.broadcast_to(block, want.shape)
+                if m == 2:
+                    np.testing.assert_array_equal(got, want)
+                else:
+                    rows = slice(i * cond.out_per_dim, (i + 1) * cond.out_per_dim)
+                    assert np.all(np.abs(got - want) <= bound[rows])
+
+    @pytest.mark.parametrize("m,order", [(2, None), (3, (2, 3, 1)), (5, None)])
+    def test_dead_rows_are_bias_plus_offset(self, m, order):
+        cond = perturbed_layer(m, "dsf", (16,), order).conditioner
+        dead = cond.order.index(1)
+        assert list(cond.live) == [t != dead for t in range(m)]
+        out = cond.forward(np.random.default_rng(1).normal(size=(50, m)))
+        p = cond.out_per_dim
+        want = cond.biases[-1].data[dead * p:(dead + 1) * p] + cond.out_offset
+        assert out[dead].tobytes() == np.broadcast_to(want[:, None], (p, 50)).tobytes()
+
+    def test_dead_weights_do_not_change_over_a_fit(self):
+        stack = FlowStack.build(m=3, kind="dsf", d=4, n_layers=2, hidden=(16,), seed=2)
+        before = [layer.conditioner.weights[-1].data.copy() for layer in stack.layers]
+        data = np.random.default_rng(3).normal(size=(512, 3))
+        fit(stack, TrainConfig(steps=5, batch=128, lr=1e-2), data=data)
+        for layer, w0 in zip(stack.layers, before):
+            cond = layer.conditioner
+            p, dead = cond.out_per_dim, cond.order.index(1)
+            rows = slice(dead * p, (dead + 1) * p)
+            w = cond.weights[-1].data
+            assert w[:, rows].tobytes() == w0[:, rows].tobytes()
+            # Adam moves exactly the weights the mask lets through
+            np.testing.assert_array_equal(w != w0, cond.masks[-1] != 0.0)
+
+    def test_m1_readout_and_hidden_bias_train(self):
+        # At m = 1 no readout row is dead: the hidden units take no input, but
+        # tanh(b0) still feeds the readout, so W1 and b0 learn.
+        layer = FlowLayer(1, "dsf", d=4, hidden=(8,), seed=0)
+        cond = layer.conditioner
+        cond.biases[0].data = np.random.default_rng(0).normal(size=8)
+        assert list(cond.live) == [True]
+        params = layer.parameters()
+        dg.zero_grad(params)
+        dg.backward(mle_loss(np.random.default_rng(1).normal(size=(64, 1)), FlowStack([layer])))
+        assert np.all(cond.weights[0].grad == 0.0)
+        assert np.any(cond.weights[1].grad != 0.0) and np.any(cond.biases[0].grad != 0.0)
+
+    @pytest.mark.parametrize("m", [1, 2, 5])
+    def test_backward_matches_finite_differences(self, m):
+        layer = perturbed_layer(m, "dsf", (6,), None, seed=m)
+        x = np.random.default_rng(m).normal(size=(7, m))
+        w = np.random.default_rng(m + 1).normal(size=(7, m))
+
+        def loss():
+            y, ld = layer.forward(dg.Value(x))
+            return dg.vsum(dg.mul(y, w)) + dg.vsum(ld)
+
+        assert dg.check_gradients(loss, layer.conditioner.parameters(), eps=1e-5) < 1e-4

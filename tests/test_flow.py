@@ -203,6 +203,21 @@ class TestSampling:
         assert str(exc.value).startswith("layer1, dimension 1, batch point 0: ")
         assert (exc.value.dim, exc.value.index) == (1, 1)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("kind", ["affine-exp", "affine-gate", "dsf", "ddsf"])
+    def test_nonfinite_target_names_layer_dimension_and_sample(self, kind, bad):
+        # layer1 (reversed order) inverts first, dimension 1 before dimension 0
+        stack = FlowStack.build(m=2, kind=kind, n_layers=2, seed=0)
+        with pytest.raises(RangeError) as exc:
+            stack.inverse(np.array([[0.0, 0.0], [bad, 0.0]]))
+        assert str(exc.value).startswith("layer1, dimension 0, batch point 1: ")
+        assert (exc.value.dim, exc.value.index) == (0, 2)
+
+    @pytest.mark.parametrize("shape", [(3,), (3, 3), (2, 1, 2)])
+    def test_wrong_shaped_target_rejected(self, shape):
+        with pytest.raises(DomainError):
+            FlowStack.build(m=2, kind="dsf", seed=0).inverse(np.zeros(shape))
+
     def test_sample_logdensity_finite(self, rng):
         stack = FlowStack.build(m=2, kind="dsf", d=8, seed=8)
         for p in stack.parameters():
@@ -230,6 +245,19 @@ class TestSampling:
         direct = stack.log_density(x)
         se = direct.std() / np.sqrt(n)
         assert abs(np.mean(direct) - neg_entropy_est) <= 3 * se + 1e-6
+
+
+class TestNonfiniteInput:
+    @pytest.mark.parametrize("call", ["forward", "log_density", "transform_noise"])
+    def test_error_names_layer_dimension_and_point(self, call):
+        # point 1500 lies in the second row block; the error counts from the whole input
+        stack = FlowStack.build(m=2, kind="dsf", n_layers=2, seed=0)
+        x = np.random.default_rng(0).normal(size=(2000, 2))
+        x[1500, 1] = np.nan
+        with pytest.raises(DomainError) as exc:
+            getattr(stack, call)(x)
+        assert str(exc.value).startswith("layer0, dimension 1, batch point 1500: ")
+        assert (exc.value.dim, exc.value.index) == (1, 1500 * 2 + 1)
 
 
 class TestTransformNoise:

@@ -483,6 +483,37 @@ class TestYOnlyMode:
             assert err.layer == (None if kind == "dsf" else 0)
 
 
+class TestOneColumnBlock:
+    """A (width, 1) block, which the conditioner gives the dimension of degree 1,
+    serves every point: the bits of that block broadcast over the points."""
+
+    @staticmethod
+    def assert_same_bits(fam, row, xs):
+        one = np.asarray(row, dtype=float)[:, None]
+        wide = np.broadcast_to(one, (len(row), len(xs)))
+        for got, want in zip(fam.forward(xs, one), fam.forward(xs, wide)):
+            assert np.broadcast_to(got, want.shape).tobytes() == want.tobytes()
+        ys = fam.forward(xs, wide)[0]
+        assert fam.inverse(ys, one).tobytes() == fam.inverse(ys, wide).tobytes()
+
+    @pytest.mark.parametrize("kind", ["affine-exp", "affine-gate", "dsf"])
+    def test_same_bits_as_broadcast(self, kind):
+        rng = np.random.default_rng(41)
+        self.assert_same_bits(*tf.random_params(kind, rng, d=8), rng.uniform(-5, 5, size=300))
+
+    def test_ddsf_low_entries_same_bits_as_broadcast(self):
+        # Layer 1's eta peaks in column 0, 800 nats above the others, and two rows of
+        # vu put -800 there: their CWN products underflow and are recomputed, and the
+        # one-column block's low entries must stand for every point. (Elsewhere a
+        # one-column product may round differently from a wide one.)
+        rng = np.random.default_rng(42)
+        fam, row = tf.random_params("ddsf", rng, dims=(1, 4, 3, 1))
+        row[fam.slices[1][0]] = [800.0, 0.0, 0.0, 0.0]
+        fam.v_u[1].data = np.array([[-800.0, 0, 0, 0], [-800.0, 1, 0, 0], [0.0, 0, 0, 0]])
+        assert fam.decode(row[:, None])[1]["Z"][3] is not None
+        self.assert_same_bits(fam, row, rng.uniform(-5, 5, size=300))
+
+
 class TestInvert:
     def test_identity_dsf(self):
         fn = tf.forward_closure(*dsf([1.0], [1.0], [0.0]))
@@ -514,6 +545,13 @@ class TestInvert:
         with pytest.raises(RangeError) as exc:
             tf.invert_batch([0.5, 2.0], np.tanh)
         assert exc.value.index == 1
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_target_raises_before_any_evaluation(self, bad):
+        fn, calls = counted(np.tanh)
+        with pytest.raises(RangeError) as exc:
+            tf.invert_batch([0.5, bad], fn)
+        assert exc.value.index == 1 and calls[0] == 0
 
     def test_reach_is_the_guarded_forward(self):
         # the identity dsf maps |x| up to the guard (about 708) onto itself;
