@@ -6,6 +6,9 @@ log-determinant is the sum of per-dimension scalar log-derivatives.
 Stacks alternate natural and reversed orders. One forward implementation
 serves both directions: data -> noise for density estimation and
 noise -> sample for energy fitting; only the interpretation differs.
+Training runs each layer once over the whole batch, keeping what its
+adjoint reads (forward_saved), then sweeps the layers' adjoints back to
+front (FlowStack.adjoint); the base distributions supply theirs.
 """
 
 from __future__ import annotations
@@ -16,14 +19,13 @@ import tempfile
 
 import numpy as np
 
-from . import diffgraph as dg
 from . import transformer as tf
 from .conditioner import MadeConditioner
 from .errors import DataError, DomainError, NumericError
 
 LOG_2PI = float(np.log(2.0 * np.pi))
 
-# Bytes per row block of FlowLayer.forward on arrays. A layer's block holds
+# Bytes per row block of FlowLayer.forward. A layer's block holds
 # about sum(hidden) + m * width floats per point (its hidden units and its
 # readout), so its rows are this budget over that, in whole 16-point tiles,
 # kept within the 496 to 1024 rows that were timed: 1024 for dsf at m = 2,
@@ -41,7 +43,7 @@ _BLOCK_BYTES = 8 * 1024 * (64 + 2 * 48)
 
 
 def _block_rows(layer):
-    """Points per row block of the layer's forward on arrays."""
+    """Points per row block of the layer's forward."""
     floats = sum(layer.conditioner.hidden_sizes) + layer.m * layer.family.width
     return min(1024, max(496, 16 * (_BLOCK_BYTES // (8 * floats * 16))))
 
@@ -62,7 +64,14 @@ class StandardNormal:
         self.m = int(m)
 
     def log_prob(self, x):
-        return dg.vsum(dg.mul(x, x), axis=1) * (-0.5) - 0.5 * self.m * LOG_2PI
+        x = np.asarray(x, dtype=np.float64)
+        return np.sum(x * x, axis=1) * (-0.5) - 0.5 * self.m * LOG_2PI
+
+    @staticmethod
+    def adjoint(x, g):
+        """The gradient in x (n, m) of sum(g * log_prob(x)) for g (n,)."""
+        t = (g * -0.5)[:, None] * x
+        return t + t
 
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
         return rng.standard_normal((n, self.m))
@@ -77,12 +86,14 @@ class UniformBase:
         self.m = int(m)
 
     def log_prob(self, x):
-        if dg.is_value(x):
-            return np.zeros(x.shape[0])  # a constant, so no graph node
         x = np.asarray(x, dtype=np.float64)
         out = np.zeros(x.shape[0])
         out[np.any((x <= 0.0) | (x >= 1.0), axis=1)] = -np.inf
         return out
+
+    @staticmethod
+    def adjoint(x, g):
+        return np.zeros_like(x)
 
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
         return rng.random((n, self.m))
@@ -113,20 +124,15 @@ class FlowLayer:
     # -- forward ---------------------------------------------------------
 
     def forward(self, x):
-        """x: (n, m) -> (y (n, m), logdet (n,)); numpy, and recorded iff x is a Value.
+        """x: (n, m) -> (y (n, m), logdet (n,)).
 
-        On arrays it runs over row blocks of _block_rows(self) points, whose
+        It runs over row blocks of _block_rows(self) points, whose
         temporaries stay in cache; each block's outputs are the bits of
         evaluating that block alone. The blocks share one readout buffer, and
         the family runs one dimension at a time (see _BLOCK_BYTES).
         A non-finite x, or a numeric failure, names this layer, the dimension
         and the point of the whole x.
         """
-        if dg.is_value(x):
-            try:
-                return self._record(x)
-            except NumericError as err:
-                raise self._located(err) from None
         x = np.asarray(x, dtype=np.float64)
         n = len(x) if x.ndim == 2 else 0  # else the conditioner refuses x
         rows = _block_rows(self)
@@ -145,32 +151,31 @@ class FlowLayer:
                     raise self._located(err, start, dim=i) from None
         return y.T, ld.sum(axis=0)
 
-    def _record(self, x):
-        """y and logdet as takes of one "layer" node, [y | logdet], over x and parameters().
-
-        Its forward is the numpy path on the whole batch; its adjoint chains
-        the family's into the conditioner's.
+    def forward_saved(self, x):
+        """(out, saved) for an (n, m) x: out = [y | logdet], (n, m + 1), and what
+        adjoint reads. One pass over the whole batch, for training. Unlike
+        forward it does not check x: fit checks its data, and noise is finite.
         """
         n, m = x.shape
         cond, fam = self.conditioner, self.family
-
-        def forward(x, *_):
+        try:
             hs, readout = cond.activations(x.T)
             block = readout.reshape(m, fam.width, n)
             p = fam.decode(block)
-            y, ld, saved = fam.core(x.T, p)
-            out = np.column_stack([y.T, ld.sum(axis=0)])
-            return out, hs, block, p, saved
+            y, ld, kernel = fam.core(x.T, p)
+        except NumericError as err:
+            raise self._located(err) from None
+        return np.column_stack([y.T, ld.sum(axis=0)]), (x, hs, block, p, kernel)
 
-        def adjoint(g, out, x, *_):
-            _, hs, block, p, saved = out
-            g_y, g_ld = g[:, :m].T, np.broadcast_to(g[:, m], (m, n))
-            g_x, g_block, *g_fam = fam.adjoint(g_y, g_ld, x.T, block, p, saved)
-            g_xc, g_cond = cond.backward(g_block.reshape(m * fam.width, n), hs)
-            return ((g_xc + g_x).T, *g_cond, *g_fam)
-
-        node = dg._op("layer", forward, adjoint, x, *self.parameters())
-        return node[:, :m], node[:, m]
+    def adjoint(self, g, saved):
+        """(g_x, gradients of parameters()) for forward_saved's out gradient g,
+        (n, m + 1): the family's adjoint, chained into the conditioner's."""
+        x, hs, block, p, kernel = saved
+        n, m = x.shape
+        g_y, g_ld = g[:, :m].T, np.broadcast_to(g[:, m], (m, n))
+        g_x, g_block, *g_fam = self.family.adjoint(g_y, g_ld, x.T, block, p, kernel)
+        g_xc, g_cond = self.conditioner.backward(g_block.reshape(m * self.family.width, n), hs)
+        return (g_xc + g_x).T, [*g_cond, *g_fam]
 
     # -- inverse ---------------------------------------------------------
 
@@ -269,6 +274,29 @@ class FlowStack:
             x, ld = layer.forward(x)
             total = ld if total is None else total + ld
         return x, total
+
+    def forward_saved(self, x):
+        """forward for training: (y, logdet, saved), with saved what adjoint reads."""
+        total, saved = None, []
+        for layer in self.layers:
+            out = layer.forward_saved(x)
+            saved.append(out)
+            x, ld = out[0][:, :self.m], out[0][:, self.m]
+            total = ld if total is None else total + ld
+        return x, total, saved
+
+    def adjoint(self, g_y, g_ld, saved):
+        """Gradients of parameters() for the gradients g_y (n, m) of forward_saved's
+        y and g_ld (n,) of its logdet: one reverse sweep of the layers' adjoints.
+        """
+        grads = []
+        for layer, (out, state) in zip(reversed(self.layers), reversed(saved)):
+            g = np.zeros_like(out)  # added into zeros: a -0.0 entry is kept as +0.0
+            g[:, :self.m] += g_y
+            g[:, self.m] += g_ld
+            g_y, layer_grads = layer.adjoint(g, state)
+            grads[:0] = layer_grads
+        return grads
 
     def log_density(self, x):
         """Change-of-variables density of x under base + stack."""

@@ -1,9 +1,12 @@
 """Toy target densities, energies, and exact samplers.
 
-Every log-density closure accepts either an (n, dim) ndarray or a graph
-Value, so energy-fitting losses can backpropagate through the target.
-Invented constants (grid component sd, the four-mode surrogate, the
-support barrier) are fixed here and echoed into emitted run configs.
+Every target's log_density maps an (n, dim) array to (n,) log-densities.
+Energy fitting also needs its adjoint: adjoint(y, g) is the gradient in
+y, (n, dim), of sum(g * log_density(y)) for g (n,). Both are numpy, and
+each registered adjoint repeats its log_density's operations in order,
+so a fit's bits do not depend on how the gradient is spelled. Invented
+constants (grid component sd, the four-mode surrogate, the support
+barrier) are fixed here and echoed into emitted run configs.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from . import diffgraph as dg
+from . import stablemath as sm
 from .errors import DomainError
 
 LOG_2PI = float(np.log(2.0 * np.pi))
@@ -30,31 +33,42 @@ SINE_NOISE_VAR = 0.125
 
 @dataclass
 class TargetSpec:
-    """A named target: log-density (maybe unnormalized), optional sampler."""
+    """A named target: log-density (maybe unnormalized), its adjoint, optional sampler."""
 
     name: str
     dim: int
     log_density: Callable
+    adjoint: Optional[Callable] = None
     sampler: Optional[Callable] = None
     modes: Optional[list] = None
     normalized: bool = True
     meta: dict = field(default_factory=dict)
 
 
-def _mixture_log_density(means: np.ndarray, sd: float):
-    """Equal-weight isotropic Gaussian mixture, evaluated via logsumexp."""
+def _mixture(means: np.ndarray, sd: float):
+    """log_density and adjoint of an equal-weight isotropic Gaussian mixture.
+
+    The log-density is a logsumexp over the components; its gradient is
+    each component's responsibility times -(y - mean) / sd^2.
+    """
     k, dim = means.shape
     log_norm = -0.5 * dim * LOG_2PI - dim * np.log(sd) - np.log(k)
     inv2v = 0.5 / (sd * sd)
 
-    def logp(x):
-        n = x.shape[0]
-        xe = dg.reshape(x, (n, 1, dim))
-        diff = dg.sub(xe, means.reshape(1, k, dim))
-        sq = dg.vsum(dg.mul(diff, diff), axis=-1)  # (n, k)
-        return dg.logsumexp(dg.mul(sq, -inv2v), axis=-1) + log_norm
+    def scaled_sq(x):
+        diff = x[:, None, :] - means
+        return diff, np.sum(diff * diff, axis=-1) * -inv2v  # (n, k, dim), (n, k)
 
-    return logp
+    def logp(x):
+        return sm.logsumexp_over_axis(scaled_sq(x)[1], -1) + log_norm
+
+    def adjoint(x, g):
+        diff, a = scaled_sq(x)
+        resp = g[:, None] * np.exp(a - sm.logsumexp_over_axis(a, -1)[:, None])
+        t = (resp * -inv2v)[:, :, None] * diff
+        return np.sum(t + t, axis=1)
+
+    return logp, adjoint
 
 
 def _mixture_sampler(means: np.ndarray, sd: float):
@@ -83,10 +97,12 @@ def gaussian_grid(k: int, sd: float = GRID_COMPONENT_SD) -> TargetSpec:
         axis = -5.0 + 10.0 * np.arange(k) / (k - 1)
     gx, gy = np.meshgrid(axis, axis, indexing="ij")
     means = np.stack([gx.reshape(-1), gy.reshape(-1)], axis=1)
+    logp, adjoint = _mixture(means, sd)
     return TargetSpec(
         name=f"grid-k{k}",
         dim=2,
-        log_density=_mixture_log_density(means, sd),
+        log_density=logp,
+        adjoint=adjoint,
         sampler=_mixture_sampler(means, sd),
         modes=[tuple(m) for m in means],
         normalized=True,
@@ -102,10 +118,12 @@ def four_mode_energy() -> TargetSpec:
     """
     means = np.array([[2.0, 2.0], [2.0, -2.0], [-2.0, 2.0], [-2.0, -2.0]])
     sd = 0.5
+    logp, adjoint = _mixture(means, sd)
     return TargetSpec(
         name="four-mode",
         dim=2,
-        log_density=_mixture_log_density(means, sd),
+        log_density=logp,
+        adjoint=adjoint,
         sampler=_mixture_sampler(means, sd),
         modes=[tuple(m) for m in means],
         normalized=False,
@@ -121,27 +139,33 @@ def sine_posterior() -> TargetSpec:
     Posterior maxima sit at frequencies where every sin(2*pi*f*t_i)
     vanishes: {0.0, 0.6, 1.2, 1.8}.
     """
-    times = np.asarray(SINE_TIMES)
-    obs = np.asarray(SINE_OBS)
+    freq = 2.0 * np.pi * np.asarray(SINE_TIMES).reshape(1, -1)
+    obs = np.asarray(SINE_OBS).reshape(1, -1)
     inv2v = 0.5 / SINE_NOISE_VAR
     log_norm = -0.5 * LOG_2PI - 0.5 * np.log(SINE_NOISE_VAR)
 
     def logp(x):
-        n = x.shape[0]
-        f = dg.reshape(x, (n, 1))
-        pred = dg.sin(dg.mul(f, 2.0 * np.pi * times.reshape(1, -1)))  # (n, 3)
-        resid = dg.sub(obs.reshape(1, -1), pred)
-        ll = dg.vsum(dg.mul(dg.mul(resid, resid), -inv2v), axis=-1) + 3.0 * log_norm
-        f1 = dg.reshape(f, (n,))
-        lo = dg.relu(dg.neg(f1))
-        hi = dg.relu(f1 - 2.0)
-        barrier = dg.mul(dg.mul(lo, lo) + dg.mul(hi, hi), -BARRIER_SCALE)
-        return ll + barrier
+        resid = obs - np.sin(x.reshape(-1, 1) * freq)  # (n, 3)
+        ll = np.sum((resid * resid) * -inv2v, axis=-1) + 3.0 * log_norm
+        f = x.reshape(-1)
+        lo, hi = np.maximum(-f, 0.0), np.maximum(f - 2.0, 0.0)
+        return ll + (lo * lo + hi * hi) * -BARRIER_SCALE
+
+    def adjoint(x, g):
+        arg = x.reshape(-1, 1) * freq
+        t = (g[:, None] * -inv2v) * (obs - np.sin(arg))
+        g_freq = np.sum(-(t + t) * np.cos(arg) * freq, axis=1, keepdims=True)
+        f = x.reshape(-1)
+        g_bar = g * -BARRIER_SCALE
+        lo, hi = g_bar * np.maximum(-f, 0.0), g_bar * np.maximum(f - 2.0, 0.0)
+        g_f = (hi + hi) * (f - 2.0 > 0.0) - (lo + lo) * (-f > 0.0)
+        return g_freq + g_f.reshape(-1, 1)
 
     return TargetSpec(
         name="sine-posterior",
         dim=1,
         log_density=logp,
+        adjoint=adjoint,
         sampler=None,
         modes=[0.0, 0.6, 1.2, 1.8],
         normalized=False,

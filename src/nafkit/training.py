@@ -3,6 +3,8 @@
 Both objectives are Monte-Carlo forms of the same exclusive divergence:
 maximum likelihood scores data under the flow-transported base density,
 energy fitting scores transported base noise under a target log-density.
+Each loss is a root whose backward runs one reverse sweep of the flow's
+layer adjoints (FlowStack.adjoint), seeded by the base's or the target's.
 All randomness flows from one seeded generator per run, so traces are
 bit-reproducible.
 """
@@ -49,6 +51,10 @@ class TrainConfig:
         # every gradient. None switches clipping off.
         if self.grad_clip is not None and not 0 < self.grad_clip < np.inf:
             raise DomainError(f"grad_clip must be finite and > 0, got {self.grad_clip}")
+        # Adam divides by sqrt(v_hat) + eps, and a parameter whose gradient is
+        # exactly 0 (a masked conditioner weight) has v_hat = 0.
+        if not 0 < self.eps < np.inf:
+            raise DomainError(f"eps must be finite and > 0, got {self.eps}")
         if self.polyak is not None and not 0 <= self.polyak < 1:
             raise DomainError(f"polyak must lie in [0, 1), got {self.polyak}")
 
@@ -57,10 +63,17 @@ class TrainConfig:
 
 
 def mle_loss(batch, stack: FlowStack):
-    """Mean negative log-density of the batch (a differentiable scalar)."""
+    """Mean negative log-density of the batch, as a loss root over stack.parameters()."""
     batch = np.asarray(batch, dtype=np.float64)
-    logp = stack.log_density(dg.Value(batch, op="input"))
-    return dg.vmean(logp) * (-1.0)
+    n = len(batch)
+    u, logdet, saved = stack.forward_saved(batch)
+    logp = stack.base.log_prob(u) + logdet
+
+    def grads():
+        g = np.full(n, -1.0 / n)  # of each log-density
+        return stack.adjoint(stack.base.adjoint(u, g), g, saved)
+
+    return dg.Value(np.sum(logp) / n * -1.0, stack.parameters(), grads)
 
 
 def energy_loss(n: int, stack: FlowStack, target: TargetSpec, seed=0):
@@ -68,20 +81,26 @@ def energy_loss(n: int, stack: FlowStack, target: TargetSpec, seed=0):
 
     Draws n base samples x (reparameterized noise), pushes them through
     the stack, and averages log p_base(x) - logdet - log p_target(y).
-    Gradients flow through y and the log-determinant only.
+    Gradients flow through y and the log-determinant only; the root's
+    backward needs target.adjoint.
     """
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     x = stack.base.sample(n, rng)
     log_px = stack.base.log_prob(x)  # constant wrt parameters
-    y, logdet = stack.forward(dg.Value(x, op="noise"))
+    y, logdet, saved = stack.forward_saved(x)
     log_pt = target.log_density(y)
-    bad = ~np.isfinite(log_pt.data)
+    bad = ~np.isfinite(log_pt)
     if np.any(bad):
         idx = int(np.argmax(bad))
         raise NumericError(
-            f"target {target.name!r} non-finite at sample {idx}: y = {y.data[idx]}"
+            f"target {target.name!r} non-finite at sample {idx}: y = {y[idx]}"
         )
-    return dg.vmean(dg.sub(dg.sub(log_px, logdet), log_pt))
+
+    def grads():
+        g = np.full(n, -1.0 / n)  # of each logdet and target log-density
+        return stack.adjoint(target.adjoint(y, g), g, saved)
+
+    return dg.Value(np.sum((log_px - logdet) - log_pt) / n, stack.parameters(), grads)
 
 
 class Adam:
@@ -150,6 +169,9 @@ def fit(stack: FlowStack, config: TrainConfig, data=None, target=None):
             raise DomainError(f"data row {int(np.argmax(bad))} is not finite")
     elif target is None:
         raise DomainError("energy fitting requires a target")
+    elif target.adjoint is None:
+        raise DomainError(f"target {target.name!r} has no adjoint; energy fitting needs "
+                          "the gradient of its log-density")
 
     ema = None
     if config.polyak is not None:

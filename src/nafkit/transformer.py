@@ -18,9 +18,9 @@ product over them is a matrix times a (d, n) slab. Each family is one
 Family subclass in the FAMILIES registry; it owns its conditioner block
 layout, any extra parameters, a kernel (core) that returns y,
 log(dy/dx) and the intermediates its hand-derived adjoint reads, that
-adjoint, and its inverse. Densities run the kernel, and training records
-it, with the conditioner, as one graph node per flow layer (see
-flow.FlowLayer) whose backward calls the family's adjoint. dsf and ddsf
+adjoint, and its inverse. Densities run the kernel; training runs it
+with the conditioner and keeps what the adjoint reads, and its reverse
+sweep calls the family's adjoint (see flow.FlowLayer). dsf and ddsf
 each have one kernel, _dsf_core and _ddsf_core. The ddsf kernel never
 forms CWN's (d_out, d_in) weights per point: it keeps them factored as
 a (d_out, d_in) and a (d_in, n) exponential and works by matrix
@@ -60,6 +60,96 @@ DSF_DEFAULT_D = 16
 DDSF_DEFAULT_DIMS = (1, 16, 1)
 
 
+# -- log-space kernels -----------------------------------------------------
+
+_TINY = np.finfo(np.float64).tiny  # smallest normal float64
+
+
+def _finite_exp(a):
+    with np.errstate(over="ignore"):  # overflow is raised below, typed
+        out = np.exp(a)
+    if not np.all(np.isfinite(out)):
+        raise NumericError("exp overflow")
+    return out
+
+
+def _shifted_exp(v):
+    """exp(v - m) and m, v's max over its component axis (-2), non-finite maxima as 0."""
+    m = np.max(v, axis=-2, keepdims=True)
+    m = np.where(np.isfinite(m), m, 0.0)
+    e = v - m
+    return np.exp(e, out=e), m  # in place: one temporary of v's size, not two
+
+
+def _points_last(v, idx):
+    """The (k, components) rows of v (..., components, n) at the flagged
+    entries idx = (*lead, unit, point) of an (..., units, n) array."""
+    return np.moveaxis(v, -2, -1)[(*idx[:-2], idx[-1])]
+
+
+def _outer_sum(a, b, keep=0):
+    """a @ b.T summed over the leading axes of a (..., rows, n) and b (..., cols, n)
+    but the first keep."""
+    out = a @ np.swapaxes(b, -1, -2)
+    return out.reshape(*out.shape[:keep], -1, *out.shape[-2:]).sum(axis=keep)
+
+
+def _first_point(bad):
+    """Point-major flat index of the first flagged point of bad (..., n)."""
+    return int(np.argmax(np.moveaxis(bad, -1, 0)))
+
+
+def _log_dot_exp(mat, v):
+    """log_dot_exp's value as (out, e, m) with e = exp(v - m), m v's component max.
+    Unchecked: the kernels pass a row softmax."""
+    e, m = _shifted_exp(v)
+    out = mat @ e
+    low = ~(out >= _TINY)
+    with np.errstate(divide="ignore"):
+        np.log(out, out=out)
+        out += m
+        if low.any():
+            idx = np.nonzero(low)
+            out[idx] = sm.logsumexp_over_axis(np.log(mat[idx[-2]]) + _points_last(v, idx), -1)
+    return out, e, m
+
+
+def _log_dot_exp_grads(g, out, e, m, mat, keep=0):
+    """Gradients of _log_dot_exp's out for mat and v, from its saved e and m;
+    mat's keeps v's first keep leading axes (a stacked pair's) unsummed."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        s = g * np.exp(m - out)
+    bad = ~np.isfinite(s)
+    if bad.any():
+        # index is point-major over the leading axes after the kept ones,
+        # which a flow layer holds as its dimensions
+        lead = bad.reshape(-1, *bad.shape[keep:]).any(axis=(0, -2))
+        n = _first_point(lead)
+        point, *dims = np.unravel_index(n, (lead.shape[-1], *lead.shape[:-1]))
+        at = "".join(f", dimension {i}" for i in dims)
+        raise NumericError(f"log_dot_exp gradient overflows at point {point}{at}", index=n)
+    return _outer_sum(s, e, keep), e * (mat.T @ s)
+
+
+def log_dot_exp(mat, v):
+    """log(mat @ exp(v)) per column of v (cols, n) for a nonnegative mat (rows, cols).
+
+    Components lead and points trail, as in every kernel. The max-shifted
+    product log(mat @ exp(v - m)) + m is one BLAS product, as accurate as
+    the logsumexp of log mat + v but not bit-identical to it. A column
+    entry whose shifted product falls below the smallest normal float (mat
+    ~0 where v peaks) is recomputed as that logsumexp, so it keeps full
+    precision, and only a structural zero comes back as -inf. A negative
+    entry of mat is a NumericError. _log_dot_exp_grads gives the gradients:
+    exp(v_j - out_i) for mat and mat_ij exp(v_j - out_i) for v; one that
+    overflows is a NumericError.
+    """
+    mat, v = np.asarray(mat, dtype=np.float64), np.asarray(v, dtype=np.float64)
+    if np.any(mat < 0.0):
+        raise NumericError("log_dot_exp of a negative matrix entry")
+    return _log_dot_exp(mat, v)[0]
+
+
 # -- shared plumbing -------------------------------------------------------
 
 
@@ -81,7 +171,7 @@ def _check_saturation(pair, x, layer=None):
         f"pre-logit saturated{where} (|x| up to {mag:.6g})",
         magnitude=mag,
         layer=layer,
-        index=dg._first_point(bad),
+        index=_first_point(bad),
     )
 
 
@@ -173,16 +263,16 @@ def _cwn_product(V, E, X, pieces=True):
     With pieces=False the pieces come back None, and 1/P and the low
     weights are never built: the log is all a kernel without adjoint reads.
     """
-    G, m = dg._shifted_exp(X)
+    G, m = _shifted_exp(X)
     P = E @ G
-    low = ~(P >= dg._TINY)
+    low = ~(P >= _TINY)
     with np.errstate(divide="ignore", over="ignore"):
         inv = 1.0 / P if pieces else None
         log_p = np.log(P) + m
     entries = None
     if low.any():
         idx = np.nonzero(low)
-        t = V[idx[-2]] + dg._points_last(X, idx)
+        t = V[idx[-2]] + _points_last(X, idx)
         log_p[idx] = sm.logsumexp_over_axis(t, -1)
         if pieces:
             inv[low] = 0.0
@@ -204,7 +294,7 @@ def _cwn_mix(h, E, cwn):
         if inv.shape[-1] < n:
             idx = (*(np.repeat(i, n) for i in idx[:-1]), np.tile(np.arange(n), len(u)))
             u = np.repeat(u, n, axis=0)
-        out[idx] = np.sum(u * dg._points_last(h, idx), axis=-1)
+        out[idx] = np.sum(u * _points_last(h, idx), axis=-1)
     return out
 
 
@@ -222,14 +312,14 @@ def _cwn_adjoint(g_uh, g_s, h, uh, E, cz, cq):
     _, inv_q, G, low_q = cq
     k = g_uh * uh + g_s
     a, b, c = g_uh * inv_z, k * inv_z, g_s * inv_q
-    g_v = E * (dg._outer_sum(a, F * h) - dg._outer_sum(b, F) + dg._outer_sum(c, G))
+    g_v = E * (_outer_sum(a, F * h) - _outer_sum(b, F) + _outer_sum(c, G))
     Et = E.T
     g_h, g_r = F * (Et @ a), G * (Et @ c)
     g_eta = h * g_h - F * (Et @ b) + g_r
     if low_z is not None:
         idx, u = low_z
         pts = (*idx[:-2], idx[-1])
-        t = u * (g_uh[idx][:, None] * dg._points_last(h, idx) - k[idx][:, None])
+        t = u * (g_uh[idx][:, None] * _points_last(h, idx) - k[idx][:, None])
         np.add.at(g_v, idx[-2], t)
         np.add.at(np.moveaxis(g_eta, -2, -1), pts, t)
         np.add.at(np.moveaxis(g_h, -2, -1), pts, g_uh[idx][:, None] * u)
@@ -278,7 +368,7 @@ def _ddsf_core(x, layers, logdet=True, adjoint=True):
     log(w @ exp(log s(C) + log s(-C) + log a + log(u @ exp r))) - log D -
     log(1-D) = log(dh'/dx), each w product a max-shifted log_dot_exp. r
     stays a (units, n) vector per point because the chain starts from a
-    scalar. Only the training layer node (flow.FlowLayer) keeps adjoint
+    scalar. Only training (flow.FlowLayer.forward_saved) keeps adjoint
     state: with adjoint=False (the density path, Ddsf.forward) saved is
     None and Q's pieces are never built, so each sublayer's temporaries
     are freed as the next one runs.
@@ -294,7 +384,7 @@ def _ddsf_core(x, layers, logdet=True, adjoint=True):
         uh = h if cz is None else _cwn_mix(h, lay["E"], cz)
         C = lay["a"] * uh + lay["b"]
         ls = sm.logsigmoid_pair(C)
-        nd = dg._log_dot_exp(w, ls)  # [log D; log(1-D)] and the adjoint's e, m
+        nd = _log_dot_exp(w, ls)  # [log D; log(1-D)] and the adjoint's e, m
         pair = nd[0]
         _check_saturation(pair, x, layer=li)
         if not logdet:
@@ -305,7 +395,7 @@ def _ddsf_core(x, layers, logdet=True, adjoint=True):
         else:
             cq = _cwn_product(lay["V"], lay["E"], lay["eta"] + r, pieces=adjoint)
             s = cq[0] - cz[0]
-        col = dg._log_dot_exp(w, ls[0] + ls[1] + lay["log_a"] + s)
+        col = _log_dot_exp(w, ls[0] + ls[1] + lay["log_a"] + s)
         if adjoint:
             saved.append((h, uh, C, cq, nd, col))
         h, r = pair[0] - pair[1], col[0] - (pair[0] + pair[1])
@@ -330,9 +420,9 @@ def _ddsf_adjoint(g_y, g_ld, block, slices, layers, saved):
     for lay, (eta, a_pre, b), (h, uh, C, cq, nd, col) in zip(
             reversed(layers), reversed(slices), reversed(saved)):
         w, a = lay["w"], lay["a"]
-        gw_nd, (g_pos, g_neg) = dg._log_dot_exp_grads(
+        gw_nd, (g_pos, g_neg) = _log_dot_exp_grads(
             np.stack([g_h - g_r, -g_h - g_r]), *nd, w, keep=1)
-        gw_col, g_col = dg._log_dot_exp_grads(g_r, *col, w)
+        gw_col, g_col = _log_dot_exp_grads(g_r, *col, w)
         g_w = gw_nd[0] + gw_nd[1] + gw_col
         g_vw.append(w * (g_w - np.sum(g_w * w, axis=1, keepdims=True)))
         s_pos, s_neg = sm.sigmoid_pair(C)
@@ -527,7 +617,7 @@ class AffineExp(Family):
     @staticmethod
     def core(x, p, logdet=True):
         mu, s = p
-        scale = dg._finite_exp(s)
+        scale = _finite_exp(s)
         y = mu + scale * x
         return (y, s, scale) if logdet else y
 

@@ -34,3 +34,14 @@ def exact_identity_dsf_stack(m, d=16):
 @pytest.fixture
 def rng():
     return np.random.default_rng(0)
+
+
+def row_gradient_fd(fn, x, g, h=1e-6):
+    """Central differences of sum(g * fn(x)) in x (n, dim), for an fn whose
+    row i depends on x's row i alone: one pair of calls per column."""
+    out = np.empty_like(x)
+    for j in range(x.shape[1]):
+        step = np.zeros_like(x)
+        step[:, j] = h
+        out[:, j] = g * (fn(x + step) - fn(x - step)) / (2.0 * h)
+    return out

@@ -335,7 +335,7 @@ class TestLiveRows:
         w = np.random.default_rng(m + 1).normal(size=(7, m))
 
         def loss():
-            y, ld = layer.forward(dg.Value(x))
-            return dg.vsum(dg.mul(y, w)) + dg.vsum(ld)
+            y, ld = go.layer_op(layer, x)  # the training pass over the layer's own parameters
+            return go.root(go.vsum(go.mul(y, w)) + go.vsum(ld))
 
         assert dg.check_gradients(loss, layer.conditioner.parameters(), eps=1e-5) < 1e-4

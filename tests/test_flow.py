@@ -5,8 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import constant_affine_stack, exact_identity_dsf_stack
-from nafkit import diffgraph as dg
+from conftest import constant_affine_stack, exact_identity_dsf_stack, row_gradient_fd
 from nafkit import flow
 from nafkit import transformer as tf
 from nafkit.errors import DataError, DomainError, NumericError, RangeError, SaturationError
@@ -296,11 +295,13 @@ class TestBases:
         assert out[0] == 0.0
         assert out[1] == -np.inf
 
-    def test_normal_graph_path_matches(self, rng):
+    def test_normal_adjoint_matches_central_differences(self, rng):
         base = StandardNormal(3)
-        x = rng.normal(size=(5, 3))
-        np.testing.assert_allclose(base.log_prob(dg.Value(x)).data, base.log_prob(x),
-                                   atol=1e-15)
+        x, g = rng.normal(size=(5, 3)) * 2.0, rng.normal(size=5)
+        np.testing.assert_allclose(base.adjoint(x, g), row_gradient_fd(base.log_prob, x, g),
+                                   rtol=1e-7, atol=1e-9)
+        inside = rng.uniform(0.1, 0.9, size=(5, 3))
+        assert not np.any(UniformBase(3).adjoint(inside, g))
 
 
 class TestCheckpoint:

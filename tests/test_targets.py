@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from nafkit import diffgraph as dg
+from conftest import row_gradient_fd
+from nafkit import stablemath as sm
 from nafkit.errors import DomainError
 from nafkit.targets import (
     count_modes,
@@ -84,11 +85,21 @@ class TestGaussianGrid:
         with pytest.raises(DomainError):
             gaussian_grid(0)
 
-    def test_graph_path_matches_numpy(self):
-        tgt = gaussian_grid(2, sd=0.5)
-        x = np.random.default_rng(2).normal(size=(7, 2)) * 3
-        np.testing.assert_allclose(tgt.log_density(dg.Value(x)).data,
-                                   tgt.log_density(x), atol=1e-12)
+    @pytest.mark.parametrize("name", ["grid-k2", "grid-k5", "four-mode"])
+    def test_adjoint_matches_central_differences(self, name):
+        tgt = get_target(name)
+        rng = np.random.default_rng(2)
+        means = np.asarray(tgt.meta["means"])
+        near = means[rng.integers(0, len(means), size=40)] + rng.normal(size=(40, 2)) * 0.5
+        far = rng.uniform(15.0, 40.0, size=(40, 2)) * rng.choice([-1.0, 1.0], size=(40, 2))
+        # far out, some components' responsibilities underflow to exactly 0
+        a = -np.sum((far[:, None, :] - means) ** 2, axis=-1) / (2 * tgt.meta["sd"] ** 2)
+        assert np.any(np.exp(a - sm.logsumexp_over_axis(a, -1)[:, None]) == 0.0)
+        for x in (near, far):
+            g = rng.normal(size=len(x))
+            want = row_gradient_fd(tgt.log_density, x, g)
+            np.testing.assert_allclose(tgt.adjoint(x, g), want, rtol=1e-6,
+                                       atol=1e-7 * np.max(np.abs(want)))
 
 
 class TestFourMode:
@@ -157,11 +168,16 @@ class TestSinePosterior:
         assert np.isfinite(outside)
         assert outside < inside - 1e4  # quadratic barrier dominates
 
-    def test_graph_path_matches_numpy(self):
+    @pytest.mark.parametrize("lo,hi", [(-0.5, -0.01), (0.01, 1.99), (2.01, 2.5)],
+                             ids=["below-support", "inside", "above-support"])
+    def test_adjoint_matches_central_differences(self, lo, hi):
+        # the barrier's quadratic pieces on either side, the likelihood inside
         tgt = sine_posterior()
-        x = np.random.default_rng(0).uniform(-0.5, 2.5, size=(9, 1))
-        np.testing.assert_allclose(tgt.log_density(dg.Value(x)).data,
-                                   tgt.log_density(x), atol=1e-12)
+        rng = np.random.default_rng(0)
+        x, g = rng.uniform(lo, hi, size=(50, 1)), rng.normal(size=50)
+        want = row_gradient_fd(tgt.log_density, x, g)
+        np.testing.assert_allclose(tgt.adjoint(x, g), want, rtol=1e-6,
+                                   atol=1e-7 * np.max(np.abs(want)))
 
 
 class TestCountModes:

@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -16,10 +17,12 @@ STD_NORMAL_ENTROPY = 0.5 * math.log(2.0 * math.pi * math.e)  # ~1.4189385332
 
 def normal_target(m, mu=0.0):
     def logp(y):
-        sq = dg.vsum(dg.mul(dg.sub(y, mu), dg.sub(y, mu)), axis=1)
-        return dg.mul(sq, -0.5) - 0.5 * m * LOG_2PI
+        return np.sum((y - mu) * (y - mu), axis=1) * -0.5 - 0.5 * m * LOG_2PI
 
-    return TargetSpec(name=f"normal-{mu}", dim=m, log_density=logp)
+    def adjoint(y, g):
+        return g[:, None] * (mu - y)
+
+    return TargetSpec(name=f"normal-{mu}", dim=m, log_density=logp, adjoint=adjoint)
 
 
 class TestMleLoss:
@@ -82,11 +85,10 @@ class TestEnergyLoss:
         stack = constant_affine_stack(1, 0.0, 0.0)
 
         def bad_logp(y):
-            data = y.data if dg.is_value(y) else y
-            out = np.where(data[:, 0] > 0, -np.inf, -1.0)
-            return dg.Value(out) if dg.is_value(y) else out
+            return np.where(y[:, 0] > 0, -np.inf, -1.0)
 
-        tgt = TargetSpec(name="bad", dim=1, log_density=bad_logp)
+        tgt = TargetSpec(name="bad", dim=1, log_density=bad_logp,
+                         adjoint=lambda y, g: np.zeros_like(y))
         with pytest.raises(NumericError) as exc:
             energy_loss(64, stack, tgt, seed=0)
         assert "sample" in str(exc.value)
@@ -132,7 +134,7 @@ class TestAdam:
         losses = []
         for _ in range(50):
             dg.zero_grad([p])
-            loss = dg.vsum(p * p)
+            loss = dg.Value(np.sum(p.data * p.data), [p], lambda: [2.0 * p.data])
             losses.append(float(loss.data))
             dg.backward(loss)
             opt.step()
@@ -141,9 +143,11 @@ class TestAdam:
 
 class TestClipGlobalNorm:
     def test_shared_gradient_array_scaled_once(self):
-        # add gives p and q one gradient array; each is scaled exactly once
+        # a root may give p and q one gradient array; each is scaled exactly once
         p, q = dg.Parameter(np.zeros(2), "p"), dg.Parameter(np.zeros(2), "q")
-        dg.backward(dg.vsum((p + q) * 3.0))
+        shared = np.full(2, 3.0)
+        dg.backward(dg.Value(0.0, [p, q], lambda: [shared, shared]))
+        assert p.grad is q.grad
         norm = clip_global_norm([p, q], 1.0)
         assert norm == pytest.approx(6.0)
         np.testing.assert_allclose(p.grad, [0.5, 0.5])
@@ -175,6 +179,14 @@ class TestTrainConfig:
         with pytest.raises(DomainError, match="lr must be finite and >= 0"):
             TrainConfig(lr=lr)
         assert TrainConfig(lr=0.0).lr == 0.0  # frozen runs stay expressible
+
+    @pytest.mark.parametrize("eps", [0.0, -1e-8, float("nan"), float("inf")])
+    def test_eps_must_be_finite_and_positive(self, eps):
+        # eps = 0 divides 0 by 0 in the first step for every parameter whose
+        # gradient is exactly 0, such as a masked conditioner weight
+        with pytest.raises(DomainError, match="eps must be finite and > 0"):
+            TrainConfig(eps=eps)
+        assert TrainConfig(eps=1e-12).eps == 1e-12
 
     @pytest.mark.parametrize("polyak", [-0.1, 1.0, 1.5, float("nan")])
     def test_polyak_must_lie_in_unit_interval(self, polyak):
@@ -273,3 +285,86 @@ class TestFit:
         diffs = [float(np.max(np.abs(a.data - b.data)))
                  for a, b in zip(live.parameters(), avg.parameters())]
         assert max(diffs) > 0  # averaging actually changed the endpoint
+
+
+SWEEP_CASES = [
+    # (id, kind, layers, m, loss, target)
+    ("mle-affine-exp-x2", "affine-exp", 2, 2, "mle", None),
+    ("mle-dsf", "dsf", 1, 2, "mle", None),
+    ("mle-ddsf", "ddsf", 1, 2, "mle", None),
+    ("energy-ddsf-four-mode", "ddsf", 1, 2, "energy", "four-mode"),
+    ("energy-dsf-sine-posterior", "dsf", 1, 1, "energy", "sine-posterior"),
+]
+
+
+def counted(fn, calls, key):
+    def wrapper(*args, **kwargs):
+        calls[key] += 1
+        return fn(*args, **kwargs)
+
+    return wrapper
+
+
+class TestSweep:
+    """A training step is one forward pass and one reverse sweep of the layers' adjoints."""
+
+    @pytest.mark.parametrize("kind,layers,m,loss,target", [c[1:] for c in SWEEP_CASES],
+                             ids=[c[0] for c in SWEEP_CASES])
+    def test_one_step_runs_each_adjoint_once(self, monkeypatch, kind, layers, m, loss, target):
+        stack = FlowStack.build(m=m, kind=kind, n_layers=layers, d=4, ddsf_dims=(1, 4, 4, 1),
+                                hidden=(8,), seed=0)
+        calls, sets = Counter(), Counter()
+        for i, layer in enumerate(stack.layers):
+            for owner, attr in ((layer.family, "adjoint"), (layer.conditioner, "backward"),
+                                (layer.conditioner, "forward")):
+                setattr(owner, attr, counted(getattr(owner, attr), calls, (i, attr)))
+        # count the gradient arrays that backward sets, per parameter
+        slot, in_backward = dg.Value.grad, [False]
+
+        def set_grad(node, g):
+            if in_backward[0] and isinstance(node, dg.Parameter):
+                sets[node.name] += 1
+            slot.__set__(node, g)
+
+        def traced_backward(root, run=dg.backward):
+            in_backward[0] = True
+            try:
+                run(root)
+            finally:
+                in_backward[0] = False
+
+        monkeypatch.setattr(dg.Value, "grad", property(slot.__get__, set_grad))
+        monkeypatch.setattr(dg, "backward", traced_backward)
+        data = np.random.default_rng(0).normal(size=(64, m))
+        fit(stack, TrainConfig(loss=loss, steps=1, batch=64, seed=0),
+            data=data if loss == "mle" else None,
+            target=get_target(target) if target else None)
+        for i in range(layers):
+            assert calls[(i, "adjoint")] == 1 and calls[(i, "backward")] == 1
+            assert calls[(i, "forward")] == 0
+        assert sets == Counter({p.name: 1 for p in stack.parameters()})
+
+    def test_target_without_adjoint_fails_before_any_step(self):
+        stack = FlowStack.build(m=2, kind="dsf", d=4, seed=0)
+        before = [p.data.copy() for p in stack.parameters()]
+        calls = Counter()
+        tgt = TargetSpec(name="no-gradient", dim=2,
+                         log_density=counted(get_target("four-mode").log_density, calls, "logp"))
+        with pytest.raises(DomainError, match="'no-gradient'"):
+            fit(stack, TrainConfig(loss="energy", steps=3), target=tgt)
+        assert calls["logp"] == 0
+        assert all(np.array_equal(a, p.data) for a, p in zip(before, stack.parameters()))
+
+    @pytest.mark.parametrize("kind,layers", [("affine-exp", 3), ("dsf", 2), ("ddsf", 2)])
+    def test_stacked_gradients_match_central_differences(self, kind, layers):
+        # the sweep chains each layer's x gradient into the layer before it
+        stack = FlowStack.build(m=2, kind=kind, n_layers=layers, d=3, ddsf_dims=(1, 3, 1),
+                                hidden=(6,), seed=1)
+        rng = np.random.default_rng(layers)
+        for p in stack.parameters():
+            p.data = p.data + rng.normal(scale=0.3, size=p.shape)
+        batch, params = rng.normal(size=(6, 2)), stack.parameters()
+        assert dg.check_gradients(lambda: mle_loss(batch, stack), params, eps=1e-5) < 1e-4
+        target = get_target("four-mode")
+        assert dg.check_gradients(lambda: energy_loss(6, stack, target, seed=3), params,
+                                  eps=1e-5) < 1e-4

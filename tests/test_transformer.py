@@ -116,26 +116,26 @@ class TestDsfForward:
 
 
 def composite_dsf(x, block, d):
-    """The dsf transformer spelled out in diffgraph ops, one node per step;
+    """The dsf transformer spelled out in oracle ops (graph_ops), one node per step;
     x (B,) and the block (3d, B), components leading as in the kernel."""
-    w_pre, a_pre, b = (dg.take(block, (slice(k * d, (k + 1) * d), slice(None)))
+    w_pre, a_pre, b = (go.take(block, (slice(k * d, (k + 1) * d), slice(None)))
                        for k in range(3))
     log_w = go.logsoftmax(w_pre, axis=0)
     a = go.softplus(a_pre)
-    C = a * dg.reshape(x, (1, x.shape[0])) + b
+    C = a * go.reshape(x, (1, x.shape[0])) + b
     ls_pos, ls_neg = go.logsigmoid(C), go.logsigmoid(-C)
-    log_num = dg.logsumexp(log_w + ls_pos, axis=0)
-    log_den = dg.logsumexp(log_w + ls_neg, axis=0)
-    logdet = dg.logsumexp(log_w + go.log(a) + ls_pos + ls_neg, axis=0) - (log_num + log_den)
+    log_num = go.logsumexp(log_w + ls_pos, axis=0)
+    log_den = go.logsumexp(log_w + ls_neg, axis=0)
+    logdet = go.logsumexp(log_w + go.log(a) + ls_pos + ls_neg, axis=0) - (log_num + log_den)
     return log_num - log_den, logdet
 
 
 def op_results(fn, fam, xs, block, g_y, g_ld):
     """y, logdet and the gradients of x, the block and each of fam's parameters."""
     dg.zero_grad(fam.params)
-    x, blk = dg.Value(xs), dg.Value(block)
+    x, blk = go.Node(xs), go.Node(block)
     y, ld = fn(x, blk)
-    dg.backward(dg.vsum(y * g_y) + dg.vsum(ld * g_ld))
+    go.backward(go.vsum(y * g_y) + go.vsum(ld * g_ld))
     return [y.data, ld.data, x.grad, blk.grad, *(p.grad for p in fam.params)]
 
 
@@ -147,13 +147,14 @@ def adjoint_results(fam, xs, block, g_y, g_ld):
 
 
 def assert_layer_paths_agree(layer, x):
-    """A layer's numpy forward and its recorded layer node give the same bytes."""
+    """A layer's forward (row blocks) and its training pass (the whole batch at
+    once) give the same bytes."""
     rng = np.random.default_rng(5)
     for p in layer.parameters():
         p.data = p.data + rng.normal(scale=0.4, size=p.shape)
     y, ld = layer.forward(x)
-    gy, gld = layer.forward(dg.Value(x))
-    assert y.tobytes() == gy.data.tobytes() and ld.tobytes() == gld.data.tobytes()
+    out, _ = layer.forward_saved(x)
+    assert y.tobytes() == out[:, :layer.m].tobytes() and ld.tobytes() == out[:, -1].tobytes()
 
 
 class TestDsfOp:
@@ -231,7 +232,7 @@ class TestDdsf:
 
 
 def composite_ddsf(x, block, fam):
-    """The ddsf transformer spelled out in diffgraph ops, one node per step;
+    """The ddsf transformer spelled out in oracle ops (graph_ops), one node per step;
     x (B,) and the block (width, B), components leading as in the kernel.
 
     CWN's u is formed in full as the (d_out, d_in, B) logsoftmax of
@@ -240,20 +241,20 @@ def composite_ddsf(x, block, fam):
     log_dot_exp.
     """
     B, cols = x.shape[0], slice(None)
-    h, r = dg.reshape(x, (1, B)), np.zeros((1, B))
+    h, r = go.reshape(x, (1, B)), np.zeros((1, B))
     for li, ((eta, a_pre, b), vu, vw) in enumerate(zip(fam.slices, fam.v_u, fam.v_w)):
         d_out, d_in = vu.shape
-        log_u = go.logsoftmax(dg.reshape(vu, (d_out, d_in, 1))
-                              + dg.reshape(block[eta, cols], (1, d_in, B)), axis=1)
+        log_u = go.logsoftmax(go.reshape(vu, (d_out, d_in, 1))
+                              + go.reshape(block[eta, cols], (1, d_in, B)), axis=1)
         w = go.exp(go.logsoftmax(vw, axis=-1))
         a = go.softplus(block[a_pre, cols])
-        C = a * dg.vsum(go.exp(log_u) * dg.reshape(h, (1, d_in, B)), axis=1) + block[b, cols]
+        C = a * go.vsum(go.exp(log_u) * go.reshape(h, (1, d_in, B)), axis=1) + block[b, cols]
         ls_pos, ls_neg = go.logsigmoid(C), go.logsigmoid(-C)
-        log_num, log_den = dg.log_dot_exp(w, ls_pos), dg.log_dot_exp(w, ls_neg)
+        log_num, log_den = go.log_dot_exp(w, ls_pos), go.log_dot_exp(w, ls_neg)
         tf._check_saturation(np.stack([log_num.data, log_den.data]), x.data, layer=li)
         h = log_num - log_den
-        s = dg.logsumexp(log_u + dg.reshape(r, (1, d_in, B)), axis=1)
-        r = dg.log_dot_exp(w, ls_pos + ls_neg + go.log(a) + s) - (log_num + log_den)
+        s = go.logsumexp(log_u + go.reshape(r, (1, d_in, B)), axis=1)
+        r = go.log_dot_exp(w, ls_pos + ls_neg + go.log(a) + s) - (log_num + log_den)
     return h[0, cols], r[0, cols]
 
 
@@ -367,7 +368,7 @@ class TestDdsfOp:
     def test_log_space_rows_match_composite(self, monkeypatch):
         # with no product counted normal, every row takes the log-space
         # path, forward and adjoint, and still matches the composite
-        monkeypatch.setattr(dg, "_TINY", np.inf)
+        monkeypatch.setattr(tf, "_TINY", np.inf)
         rng = np.random.default_rng(25)
         fam, block = random_ddsf(rng, (1, 6, 5, 1), 48)
         xs = rng.uniform(-3.0, 3.0, size=48)
@@ -408,7 +409,7 @@ class TestYOnlyMode:
         self.assert_same_y(fam, rng.uniform(-3.0, 3.0, size=64), block)
 
     def test_ddsf_log_space_rows(self, monkeypatch):
-        monkeypatch.setattr(dg, "_TINY", np.inf)  # every row in log space
+        monkeypatch.setattr(tf, "_TINY", np.inf)  # every row in log space
         rng = np.random.default_rng(25)
         fam, block = random_ddsf(rng, (1, 6, 5, 1), 48)
         self.assert_same_y(fam, rng.uniform(-3.0, 3.0, size=48), block)
