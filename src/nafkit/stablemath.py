@@ -1,10 +1,16 @@
-"""Numerically stable log-space primitives.
+"""Numerically stable log-space primitives, and the linear sigmoid pair.
 
-Everything downstream (transformers, log-det chains, mixture densities)
-computes in natural logarithms with these kernels. All arithmetic is
+Log-det chains, softmaxes and mixture densities downstream compute in
+natural logarithms with these kernels. The transformers' sigmoid
+mixtures are the exception: their terms lie in (0, 1], so they are
+summed in linear space from sigmoid_pair, one exp(-|x|) per entry, and
+only each sum takes a log; a sum too small to keep its precision there
+(below a floor that sits above the saturation guard) is recomputed from
+logsigmoid in log space (see transformer._log_sum). All arithmetic is
 64-bit. The softplus delta keeps later log() calls strictly away from
-zero; it lives inside softplus only, so logsigmoid inherits it and
-logsumexp/logsoftmax stay exact.
+zero; it lives inside softplus only, so logsigmoid inherits it (the
+linear sums subtract it after their log) and logsumexp/logsoftmax stay
+exact.
 """
 
 from __future__ import annotations
@@ -74,21 +80,6 @@ def _empty_pair(x):
     return out.transpose(0, *(1 + np.argsort(order)))
 
 
-def logsigmoid_pair(x):
-    """[logsigmoid(x); logsigmoid(-x)], (2, *x.shape), in place from one log1p.
-
-    With lp = log1p(exp(-|x|)), the halves are -(max(-x, 0) + lp + DELTA)
-    and -(max(x, 0) + lp + DELTA), added in softplus's order: the bits of two calls.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    out = _empty_pair(x)
-    np.maximum(-x, 0.0, out=out[0])
-    np.maximum(x, 0.0, out=out[1])
-    out += np.log1p(np.exp(-np.abs(x)))
-    out += DELTA
-    return np.negative(out, out=out)
-
-
 def sigmoid(x):
     """Logistic function from exp(-|x|), which cannot overflow.
 
@@ -101,20 +92,27 @@ def sigmoid(x):
     return float(out) if out.ndim == 0 else out
 
 
-def sigmoid_pair(x):
-    """[sigmoid(x); sigmoid(-x)], (2, *x.shape), in place from one exp(-|x|).
+def sigmoid_pair(x, e=None, scale=None):
+    """[sigmoid(x); sigmoid(-x)], (2, *x.shape), in place from one e = exp(-|x|),
+    taken here unless the caller already holds it; or, given a scale that
+    broadcasts to x, scale times that pair.
 
-    Each half is sigmoid's split, 1/(1+e) or e/(1+e) with e = exp(-|x|),
-    taken without a mask: its numerator max(e, [side]) is 1 on the side
-    where the split divides 1 (e never exceeds 1) and e elsewhere. The
-    bits of two sigmoid calls.
+    Each half is sigmoid's split, 1/(1+e) or e/(1+e), taken without a mask:
+    its numerator max(e, sign(+-x)) is 1 on the side where the split divides
+    1 (e never exceeds 1, and is 1 at x = 0) and e elsewhere. Unscaled, the
+    bits of two sigmoid calls; scaled, the numerators times scale/(1+e).
     """
     x = np.asarray(x, dtype=np.float64)
-    e = np.exp(-np.abs(x))
+    if e is None:
+        e = np.exp(-np.abs(x))
     out = _empty_pair(x)
-    np.maximum(e, x >= 0, out=out[0])
-    np.maximum(e, x <= 0, out=out[1])
-    out /= 1.0 + e
+    np.sign(x, out=out[0])
+    np.negative(out[0], out=out[1])
+    np.maximum(e, out, out=out)
+    if scale is None:
+        out /= 1.0 + e
+    else:
+        out *= np.divide(scale, 1.0 + e)
     return out
 
 

@@ -201,6 +201,7 @@ def fit(stack: FlowStack, config: TrainConfig, data=None, target=None):
                 buf *= a
                 buf += (1.0 - a) * p.data
         trace.append((step, float(loss.data)))
+        del loss  # its backward holds every layer's saved state: free it before the next forward
 
     if ema is not None:
         for buf, p in zip(ema, params):

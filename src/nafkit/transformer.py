@@ -4,8 +4,14 @@ Three families: affine (exp- or gate-parameterized scale), a single
 hidden layer of softmax-weighted sigmoids behind an inverse-sigmoid
 readout (dsf), and its multi-layer dense generalization with
 row-stochastic mixing matrices (ddsf). Every forward returns both y and
-log(dy/dx), with the log-derivative assembled entirely in log space so
-stacked Jacobian chains neither vanish nor overflow.
+log(dy/dx), with the log-derivative chain assembled in log space so
+stacked Jacobian chains neither vanish nor overflow. The sigmoid
+mixtures themselves, [D; 1-D] = w [s(C); s(-C)], lie in (0, 1] and are
+summed in linear space from one exp(-|C|) per unit, with one log per sum
+(see _log_sum): a sum below _FLOOR = 2**-960 falls back, for that entry,
+to the logsumexp of its log-space terms. The floor sits above the
+saturation guard's e**-708, so the guard decides every entry it can
+reject on log-space values.
 
 A family is parameterized only by the block of pseudo-parameters a
 conditioner emits (plus ddsf's trainable vu and vw); softmax, softplus
@@ -62,7 +68,13 @@ DDSF_DEFAULT_DIMS = (1, 16, 1)
 
 # -- log-space kernels -----------------------------------------------------
 
-_TINY = np.finfo(np.float64).tiny  # smallest normal float64
+# A sum taken in linear space keeps its log only at or above this floor;
+# below it (or if not finite) the entry is recomputed as the logsumexp of its
+# log-space terms. 2**-960 (about e**-665) sits above the saturation guard's
+# e**-708, so every entry the guard can reject is decided on log-space values,
+# and a sum of fewer than 2**60 terms above it has a dominant term that is a
+# normal float, not a subnormal one.
+_FLOOR = 2.0 ** -960
 
 
 def _finite_exp(a):
@@ -99,24 +111,41 @@ def _first_point(bad):
     return int(np.argmax(np.moveaxis(bad, -1, 0)))
 
 
+def _log_sum(lin, m, terms):
+    """log(lin) + m for sums lin taken in linear space, and the entries taken in log space.
+
+    lin holds nonnegative sums, scaled by exp(-m) (m broadcasts to lin; a
+    max shift, or -DELTA for a sigmoid mixture, whose log-space terms carry
+    softplus's DELTA). Each entry below _FLOOR is recomputed as the
+    logsumexp of its log-space terms(idx), (k, terms), with idx np.nonzero's
+    tuple of those entries. Returns (out, low), low = (idx, their terms) or
+    None. lin is overwritten.
+    """
+    low = ~(lin >= _FLOOR)
+    with np.errstate(divide="ignore"):
+        out = np.log(lin, out=lin)
+        out += m
+        if not low.any():
+            return out, None
+        idx = np.nonzero(low)
+        t = terms(idx)
+        out[idx] = sm.logsumexp_over_axis(t, -1)
+    return out, (idx, t)
+
+
 def _log_dot_exp(mat, v):
     """log_dot_exp's value as (out, e, m) with e = exp(v - m), m v's component max.
     Unchecked: the kernels pass a row softmax."""
     e, m = _shifted_exp(v)
-    out = mat @ e
-    low = ~(out >= _TINY)
-    with np.errstate(divide="ignore"):
-        np.log(out, out=out)
-        out += m
-        if low.any():
-            idx = np.nonzero(low)
-            out[idx] = sm.logsumexp_over_axis(np.log(mat[idx[-2]]) + _points_last(v, idx), -1)
+    out, _ = _log_sum(mat @ e, m, lambda idx: np.log(mat[idx[-2]]) + _points_last(v, idx))
     return out, e, m
 
 
 def _log_dot_exp_grads(g, out, e, m, mat, keep=0):
     """Gradients of _log_dot_exp's out for mat and v, from its saved e and m;
-    mat's keeps v's first keep leading axes (a stacked pair's) unsummed."""
+    mat's keeps v's first keep leading axes (a stacked pair's) unsummed. A
+    sigmoid mixture passes its linear pair as e with m = -DELTA: v's
+    gradient is then the mixture weights times g."""
     with np.errstate(over="ignore", invalid="ignore"):
         s = g * np.exp(m - out)
     bad = ~np.isfinite(s)
@@ -137,9 +166,9 @@ def log_dot_exp(mat, v):
     Components lead and points trail, as in every kernel. The max-shifted
     product log(mat @ exp(v - m)) + m is one BLAS product, as accurate as
     the logsumexp of log mat + v but not bit-identical to it. A column
-    entry whose shifted product falls below the smallest normal float (mat
-    ~0 where v peaks) is recomputed as that logsumexp, so it keeps full
-    precision, and only a structural zero comes back as -inf. A negative
+    entry whose shifted product falls below _FLOOR (mat ~0 where v peaks)
+    is recomputed as that logsumexp, so it keeps full precision, and only
+    a structural zero comes back as -inf. A negative
     entry of mat is a NumericError. _log_dot_exp_grads gives the gradients:
     exp(v_j - out_i) for mat and mat_ij exp(v_j - out_i) for v; one that
     overflows is a NumericError.
@@ -148,6 +177,36 @@ def log_dot_exp(mat, v):
     if np.any(mat < 0.0):
         raise NumericError("log_dot_exp of a negative matrix entry")
     return _log_dot_exp(mat, v)[0]
+
+
+# -- sigmoid mixtures --------------------------------------------------------
+
+
+def _sigmoids(C, w=None):
+    """-|C|, e = exp(-|C|) and the linear pair [s(C); s(-C)], (2, *C.shape), or
+    w times it, all from that one exponential."""
+    nabs = np.abs(C)
+    np.negative(nabs, out=nabs)
+    e = np.exp(nabs)
+    return nabs, e, sm.sigmoid_pair(C, e, w)
+
+
+def _log_sigmoid_product(nabs, e):
+    """log s(C) + log s(-C) = -|C| - 2 log1p(e) - 2 DELTA, with softplus's DELTA in
+    each, from _sigmoids' -|C| and e."""
+    out = np.log1p(e)
+    out *= -2.0
+    out += nabs
+    out -= 2.0 * sm.DELTA
+    return out
+
+
+def _logsigmoid_at(C, half, points):
+    """log s(C) where half is 0 and log s(-C) where it is 1, with softplus's DELTA,
+    of C (..., units, n) at points = (*lead, point) index arrays: (k, units),
+    the log-space terms of a sigmoid mixture's entries taken in log space."""
+    c = np.moveaxis(C, -2, -1)[points]
+    return sm.logsigmoid(np.where(half[:, None] == 0, c, -c))
 
 
 # -- shared plumbing -------------------------------------------------------
@@ -181,61 +240,69 @@ def _check_saturation(pair, x, layer=None):
 def _dsf_core(x, p, logdet=True):
     """The dsf kernel: y, log(dy/dx) and the intermediates its adjoint reads.
 
-    Plain numpy on activated logs: x (..., n); p = (log_w, a, log_a, b),
-    (..., d, n) each, so every sum over the d components runs over the
-    leading axis of a (d, n) slab. With C = a*x + b and the stacked pair
-    ls = [log s(C); log s(-C)], (2, ..., d, n), y = log D - log(1-D) where
-    [log D; log(1-D)] = LSE_j(log w_j + ls_j), one logsumexp over the
-    stack (exact because w lies on the simplex), and log(dy/dx) =
-    log R - log D - log(1-D) where log R = LSE_j[log w_j + log a_j +
-    ls_j[0] + ls_j[1]]. The softplus deltas inside logsigmoid cancel
-    exactly in both y and logdet. The third return value holds C, the two
-    LSE arguments and their results, which _dsf_adjoint reads.
+    Plain numpy: x (..., n); p = (w, log_w, a, log_a, b), (..., d, n) each,
+    so every sum over the d components runs over the leading axis of a
+    (d, n) slab. With C = a*x + b, the mixture pair [D; 1-D] =
+    sum_j w_j [s(C_j); s(-C_j)] is summed in linear space from one
+    exp(-|C|) per unit, and its log less softplus's DELTA, [log D;
+    log(1-D)] (what the logsumexp of log w + [log s(C); log s(-C)] gives),
+    is one log per point; a sum below _FLOOR is that logsumexp instead
+    (see _log_sum). y = log D - log(1-D), and log(dy/dx) = log R - log D -
+    log(1-D) where log R = LSE_j[log w_j + log a_j + log s(C_j) +
+    log s(-C_j)] stays in log space. The softplus deltas cancel exactly in
+    both y and logdet. The third return value holds the weighted pair
+    w [s(C); s(-C)], [log D; log(1-D)], C, exp(-|C|) and log R's argument
+    and value, which _dsf_adjoint reads.
     With logdet=False (the inversion solver) it returns y alone once the
     guard has passed, without log R.
     """
-    log_w, a, log_a, b = p
+    w, log_w, a, log_a, b = p
     C = a * x[..., None, :] + b
-    t = sm.logsigmoid_pair(C)
-    t_r = log_w + log_a + t[0] + t[1] if logdet else None
-    t += log_w
-    lse = sm.logsumexp_over_axis(t, -2)
-    _check_saturation(lse, x)
-    y = lse[0] - lse[1]
+    nabs, e, S = _sigmoids(C, w)
+    pair, _ = _log_sum(np.sum(S, axis=-2), -sm.DELTA, lambda idx: (
+        _logsigmoid_at(C, idx[0], idx[1:])
+        + np.moveaxis(np.broadcast_to(log_w, C.shape), -2, -1)[idx[1:]]))
+    _check_saturation(pair, x)
+    y = pair[0] - pair[1]
     if not logdet:
         return y
+    t_r = _log_sigmoid_product(nabs, e)
+    t_r += log_w
+    t_r += log_a
     log_r = sm.logsumexp_over_axis(t_r, -2)
-    return y, log_r - (lse[0] + lse[1]), (C, t, t_r, lse, log_r)
+    return y, log_r - (pair[0] + pair[1]), (S, pair, C, e, t_r, log_r)
 
 
 def _dsf_activate(block):
-    """(log w, a, log a, b) from a (..., 3d, n) block of (w_pre, a_pre, b)."""
+    """(w, log w, a, log a, b) from a (..., 3d, n) block of (w_pre, a_pre, b)."""
     w_pre, a_pre, b = np.split(block, 3, axis=-2)
     log_w = w_pre - sm.logsumexp_over_axis(w_pre, -2)[..., None, :]
     a = sm.softplus(a_pre)
-    return log_w, a, np.log(a), b
+    return np.exp(log_w), log_w, a, np.log(a), b
 
 
 def _dsf_adjoint(g_y, g_ld, x, block, p, saved):
     """Gradients of y and logdet for x and the block, by hand.
 
-    With p, q and r the softmax weights of the three LSE arguments,
-    d/d log w = g_num p + g_den q + g_ld r, where g_num and g_den are the
-    upstream gradients of log D and log(1-D); C collects
+    With p = w s(C) / D, q = w s(-C) / (1-D) and r the softmax weights of
+    log R's argument, d/d log w = g_num p + g_den q + g_ld r, where g_num
+    and g_den are the upstream gradients of log D and log(1-D); C collects
     (g_num p + g_ld r) s(-C) - (g_den q + g_ld r) s(C), and log a gets
-    g_ld r. w_pre goes back through log-softmax, a_pre through softplus.
+    g_ld r. p and q are the saved weighted pair times exp(-DELTA - [log D;
+    log(1-D)]), the reciprocals of its sums, as _log_dot_exp_grads reads a
+    pair; w_pre goes back through log-softmax, a_pre through softplus.
     """
-    log_w, a, _, _ = p
-    C, t, t_r, lse, log_r = saved
-    g_y, g_ld = g_y[..., None, :], g_ld[..., None, :]
-    gp, gq = pq = t - lse[..., None, :]  # in place below: the stack's temporaries
-    np.exp(pq, out=pq)                  # stay as few as the twin arrays' were
-    pq *= np.stack([g_y - g_ld, -g_y - g_ld])
+    w, _, a, _, _ = p
+    S, pair, C, e, t_r, log_r = saved
+    s = np.exp(-sm.DELTA - pair)
+    s *= np.stack([g_y - g_ld, -g_y - g_ld])
+    gp, gq = S * s[..., None, :]
+    g_ld = g_ld[..., None, :]
     gr = g_ld * np.exp(t_r - log_r[..., None, :])
     g_log_w = gp + gq + gr
-    s_pos, s_neg = sm.sigmoid_pair(C)
+    s_pos, s_neg = sm.sigmoid_pair(C, e)
     g_c = (gp + gr) * s_neg - (gq + gr) * s_pos
-    g_w_pre = g_log_w - np.exp(log_w) * np.sum(g_log_w, axis=-2, keepdims=True)
+    g_w_pre = g_log_w - w * np.sum(g_log_w, axis=-2, keepdims=True)
     _, a_pre, _ = np.split(block, 3, axis=-2)
     g_a_pre = (g_c * x[..., None, :] + gr / a) * sm.sigmoid(a_pre)
     return np.sum(g_c * a, axis=-2), np.concatenate([g_w_pre, g_a_pre, g_c], axis=-2)
@@ -254,9 +321,9 @@ def _cwn_product(V, E, X, pieces=True):
 
     V (rows, cols) with E = exp(V), X (..., cols, n). With m the column
     max of X and G = exp(X - m), P = E @ G. Returns log P + m, 1/P (0 on
-    low entries), G, and the low entries: where P falls below the smallest
-    normal float (V and X peak in different columns, about 700 nats
-    apart), the log is recomputed as the logsumexp of V + X, and the
+    low entries), G, and the low entries: where P falls below _FLOOR (V
+    and X peak in different columns, about 665 nats apart), the log is
+    recomputed as the logsumexp of V + X, and the
     entries' weights exp(V_ij + X_jn - log) come back as (index, weights)
     with index np.nonzero's tuple and weights (k, cols); else None.
     The CWN weights are u_ijn = E_ij G_jn / P_in on every other entry.
@@ -265,19 +332,14 @@ def _cwn_product(V, E, X, pieces=True):
     """
     G, m = _shifted_exp(X)
     P = E @ G
-    low = ~(P >= _TINY)
     with np.errstate(divide="ignore", over="ignore"):
         inv = 1.0 / P if pieces else None
-        log_p = np.log(P) + m
-    entries = None
-    if low.any():
-        idx = np.nonzero(low)
-        t = V[idx[-2]] + _points_last(X, idx)
-        log_p[idx] = sm.logsumexp_over_axis(t, -1)
-        if pieces:
-            inv[low] = 0.0
-            entries = (idx, np.exp(t - log_p[idx][:, None]))
-    return log_p, inv, G if pieces else None, entries
+    log_p, low = _log_sum(P, m, lambda idx: V[idx[-2]] + _points_last(X, idx))
+    if low is None or not pieces:
+        return log_p, inv, G if pieces else None, None
+    idx, t = low
+    inv[idx] = 0.0
+    return log_p, inv, G, (idx, np.exp(t - log_p[idx][:, None]))
 
 
 def _cwn_mix(h, E, cwn):
@@ -363,10 +425,11 @@ def _ddsf_core(x, layers, logdet=True, adjoint=True):
     F = exp(eta - column max) and Z = E @ F, u @ h = (E @ (F h)) / Z, and
     the chain link log(u @ exp r) = log Q - log Z with Q the same product
     over eta + r. Then C = a (u @ h) + b, [log D; log(1-D)] =
-    log(w @ [s(C); s(-C)]), one product over the stacked pair
-    [log s(C); log s(-C)], h' = log D - log(1-D) and r' =
+    log(w @ [s(C); s(-C)]) less softplus's DELTA, one product over the
+    stacked pair, summed in linear space from one exp(-|C|) per unit (with
+    _log_sum's fallback to log space), h' = log D - log(1-D) and r' =
     log(w @ exp(log s(C) + log s(-C) + log a + log(u @ exp r))) - log D -
-    log(1-D) = log(dh'/dx), each w product a max-shifted log_dot_exp. r
+    log(1-D) = log(dh'/dx), the chain link a max-shifted log_dot_exp. r
     stays a (units, n) vector per point because the chain starts from a
     scalar. Only training (flow.FlowLayer.forward_saved) keeps adjoint
     state: with adjoint=False (the density path, Ddsf.forward) saved is
@@ -383,9 +446,9 @@ def _ddsf_core(x, layers, logdet=True, adjoint=True):
         w, cz = lay["w"], lay["Z"]
         uh = h if cz is None else _cwn_mix(h, lay["E"], cz)
         C = lay["a"] * uh + lay["b"]
-        ls = sm.logsigmoid_pair(C)
-        nd = _log_dot_exp(w, ls)  # [log D; log(1-D)] and the adjoint's e, m
-        pair = nd[0]
+        nabs, e, sig = _sigmoids(C)
+        pair, _ = _log_sum(w @ sig, -sm.DELTA, lambda idx: (
+            np.log(w[idx[-2]]) + _logsigmoid_at(C, idx[0], (*idx[1:-2], idx[-1]))))
         _check_saturation(pair, x, layer=li)
         if not logdet:
             h = pair[0] - pair[1]
@@ -395,9 +458,13 @@ def _ddsf_core(x, layers, logdet=True, adjoint=True):
         else:
             cq = _cwn_product(lay["V"], lay["E"], lay["eta"] + r, pieces=adjoint)
             s = cq[0] - cz[0]
-        col = _log_dot_exp(w, ls[0] + ls[1] + lay["log_a"] + s)
+        t = _log_sigmoid_product(nabs, e)
+        t += lay["log_a"]
+        t += s
+        col = _log_dot_exp(w, t)
         if adjoint:
-            saved.append((h, uh, C, cq, nd, col))
+            # the pair as _log_dot_exp_grads reads it: out, e = sig, m = -DELTA
+            saved.append((h, uh, cq, (pair, sig, -sm.DELTA), col))
         h, r = pair[0] - pair[1], col[0] - (pair[0] + pair[1])
     return (h[..., 0, :], r[..., 0, :], saved) if logdet else h[..., 0, :]
 
@@ -410,14 +477,15 @@ def _ddsf_adjoint(g_y, g_ld, block, slices, layers, saved):
     g_h - g_r, -g_h - g_r and g_r, and pass them on to their arguments and
     to w (then through w's row softmax to vw). C collects log s(C)'s and
     the link's through s(-C), minus log s(-C)'s and the link's through
-    s(C); log a gets the link's, and a goes on through softplus. u @ h
+    s(C), read from the saved linear pair; log a gets the link's, and a
+    goes on through softplus. u @ h
     gets a g_C and log(u @ exp r) the link's, which _cwn_adjoint takes on
     to vu, eta, h and r.
     """
     g_h, g_r = g_y[..., None, :], g_ld[..., None, :]
     g_block = np.empty_like(block)  # every row is written below
     g_vu, g_vw = [], []
-    for lay, (eta, a_pre, b), (h, uh, C, cq, nd, col) in zip(
+    for lay, (eta, a_pre, b), (h, uh, cq, nd, col) in zip(
             reversed(layers), reversed(slices), reversed(saved)):
         w, a = lay["w"], lay["a"]
         gw_nd, (g_pos, g_neg) = _log_dot_exp_grads(
@@ -425,7 +493,7 @@ def _ddsf_adjoint(g_y, g_ld, block, slices, layers, saved):
         gw_col, g_col = _log_dot_exp_grads(g_r, *col, w)
         g_w = gw_nd[0] + gw_nd[1] + gw_col
         g_vw.append(w * (g_w - np.sum(g_w * w, axis=1, keepdims=True)))
-        s_pos, s_neg = sm.sigmoid_pair(C)
+        s_pos, s_neg = nd[1]
         g_c = (g_pos + g_col) * s_neg - (g_neg + g_col) * s_pos
         g_block[..., a_pre, :] = (g_c * uh + g_col / a) * sm.sigmoid(block[..., a_pre, :])
         g_block[..., b, :] = g_c
@@ -492,25 +560,31 @@ def invert_batch(y, forward, lo0: float = -1.0, hi0: float = 1.0) -> np.ndarray:
     # last (first a itself, which makes the first step the midpoint).
     a, fa = hi, _finite(fhi, hi) - y
     b, fb = lo, _finite(flo, lo) - y
-    c, fc = a, fa
+    c, fc, sign_a = a, fa, np.sign(fa)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for _ in range(SOLVER_ITERATIONS):
-            width = np.abs(b - a)
-            tol = np.maximum(1e-12, 4.0 * np.spacing(np.maximum(np.abs(a), np.abs(b))))
+            ba, fba = b - a, fb - fa
+            width = np.abs(ba)
+            big = np.maximum(np.abs(a), np.abs(b))
+            tol = 1e-12  # 4 ulps of |x| exceed it only from |x| = 2048 up
+            if big.max(initial=0.0) >= 2048.0:
+                tol = np.maximum(tol, 4.0 * np.spacing(big))
             live = (width > tol) & (fa != 0.0) & (fb != 0.0)
             if not live.any():
                 return np.where(np.abs(fa) <= np.abs(fb), a, b)
-            xi, phi = (a - b) / (c - b), (fa - fb) / (fc - fb)
+            cb, fcb = c - b, fc - fb
+            xi, phi = (a - b) / cb, (fa - fb) / fcb
             iqi = (phi * phi < xi) & ((1.0 - phi) ** 2 < 1.0 - xi)
-            t = np.where(iqi, fa / (fb - fa) * fc / (fb - fc)
-                         + (c - a) / (b - a) * fa / (fc - fa) * fb / (fc - fb), 0.5)
+            t = np.where(iqi, fa / fba * fc / (fb - fc)
+                         + (c - a) / ba * fa / (fc - fa) * fb / fcb, 0.5)
             tl = 0.5 * tol / width  # a new point stays tol/2 inside the bracket
-            xt = np.where(live, a + np.clip(t, tl, 1.0 - tl) * (b - a), a)
+            xt = np.where(live, a + np.minimum(np.maximum(t, tl), 1.0 - tl) * ba, a)
             ft = _finite(forward(xt), xt) - y
-            same = np.sign(ft) == np.sign(fa)
+            sign_t = np.sign(ft)
+            same = sign_t == sign_a
             c, fc = np.where(same, a, b), np.where(same, fa, fb)
             b, fb = np.where(same, b, a), np.where(same, fb, fa)
-            a, fa = xt, ft
+            a, fa, sign_a = xt, ft, sign_t
     i = int(np.argmax(live))
     raise NumericError(f"inversion of y = {y[i]:.6g} (entry {i}) did not converge "
                        f"in {SOLVER_ITERATIONS} steps", index=i)

@@ -89,11 +89,13 @@ class TestSigmoid:
         pos, neg = sm.sigmoid_pair(xs)
         assert pos.tobytes() == split.tobytes()
         assert neg.tobytes() == sm.sigmoid(-xs).tobytes()
-        # the listed points and a spread where the order of the additions shows
+        # the listed points and a spread: a scaled pair from the caller's e is
+        # each half's numerator times scale / (1 + e)
         xs = np.concatenate([xs, np.random.default_rng(3).uniform(-40.0, 40.0, 1000)])
-        ls_pos, ls_neg = sm.logsigmoid_pair(xs)
-        assert ls_pos.tobytes() == sm.logsigmoid(xs).tobytes()
-        assert ls_neg.tobytes() == sm.logsigmoid(-xs).tobytes()
+        e, scale = np.exp(-np.abs(xs)), np.random.default_rng(4).uniform(0.0, 1.0, xs.size)
+        pos, neg = sm.sigmoid_pair(xs, e, scale)
+        assert pos.tobytes() == (np.where(xs >= 0, 1.0, e) * (scale / (1.0 + e))).tobytes()
+        assert neg.tobytes() == (np.where(xs <= 0, 1.0, e) * (scale / (1.0 + e))).tobytes()
 
     @pytest.mark.parametrize("shape, order", [((1010,), "C"), ((2, 16, 64), "C"),
                                               ((2, 16, 64), "F"), ((16, 0), "C")],
@@ -103,8 +105,8 @@ class TestSigmoid:
         xs = np.asarray(rng.uniform(-40.0, 40.0, size=shape) * 20.0 ** rng.uniform(-1, 1, shape),
                         order=order)
         xs.reshape(-1, order="A")[:5] = [0.0, -0.0, 800.0, -800.0, np.nan] if xs.size else []
-        for pair, single in ((sm.logsigmoid_pair(xs), sm.logsigmoid),
-                             (sm.sigmoid_pair(xs), sm.sigmoid)):
+        given = sm.sigmoid_pair(xs, np.exp(-np.abs(xs)))  # the caller's e
+        for pair, single in ((given, sm.sigmoid), (sm.sigmoid_pair(xs), sm.sigmoid)):
             assert pair.shape == (2, *shape)
             assert pair[0].tobytes() == np.asarray(single(xs)).tobytes()
             assert pair[1].tobytes() == np.asarray(single(-xs)).tobytes()
@@ -264,7 +266,7 @@ class TestLogMatrix:
         v[1, 0, 1:, :3] = -800.0  # mat ~0 where v peaks: low entries, in log space
         g = rng.normal(size=(2, 2, 6, 40)) * 1e-3  # exp(m - out) there is ~1e308
         out = tf._log_dot_exp(mat, v)
-        assert np.sum(mat @ out[1] < tf._TINY) == 3
+        assert np.sum(mat @ out[1] < tf._FLOOR) == 3
         gw, gv = tf._log_dot_exp_grads(g, *out, mat, keep=1)
         assert gw.shape == (2, 6, 6)
         for k in range(2):

@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 from collections import Counter
 
 import numpy as np
@@ -343,6 +345,31 @@ class TestSweep:
             assert calls[(i, "adjoint")] == 1 and calls[(i, "backward")] == 1
             assert calls[(i, "forward")] == 0
         assert sets == Counter({p.name: 1 for p in stack.parameters()})
+
+    @pytest.mark.parametrize("loss", ["mle", "energy"])
+    def test_previous_step_freed_before_next_forward(self, loss):
+        # a step's loss root holds every layer's saved state; fit drops it once
+        # its value is in the trace, so no two steps' states coexist at the peak
+        # of a forward pass (reference counting alone, no cycle collection)
+        stack = FlowStack.build(m=2, kind="dsf", d=4, hidden=(8,), seed=0)
+        run, refs, held = stack.forward_saved, [], []
+
+        def forward_saved(x):
+            held.append(sum(r() is not None for r in refs))
+            y, logdet, saved = run(x)
+            refs.append(weakref.ref(saved[0][1][2]))  # the first layer's block
+            return y, logdet, saved
+
+        stack.forward_saved = forward_saved
+        data = np.random.default_rng(0).normal(size=(64, 2))
+        gc.disable()
+        try:
+            fit(stack, TrainConfig(loss=loss, steps=3, batch=32, seed=0),
+                data=data if loss == "mle" else None,
+                target=get_target("four-mode") if loss == "energy" else None)
+        finally:
+            gc.enable()
+        assert held == [0, 0, 0]
 
     def test_target_without_adjoint_fails_before_any_step(self):
         stack = FlowStack.build(m=2, kind="dsf", d=4, seed=0)

@@ -126,6 +126,7 @@ def composite_dsf(x, block, d):
     ls_pos, ls_neg = go.logsigmoid(C), go.logsigmoid(-C)
     log_num = go.logsumexp(log_w + ls_pos, axis=0)
     log_den = go.logsumexp(log_w + ls_neg, axis=0)
+    tf._check_saturation(np.stack([log_num.data, log_den.data]), x.data)
     logdet = go.logsumexp(log_w + go.log(a) + ls_pos + ls_neg, axis=0) - (log_num + log_den)
     return log_num - log_den, logdet
 
@@ -174,9 +175,28 @@ class TestDsfOp:
         y0, ld0, gx0, gb0 = op_results(lambda x, blk: composite_dsf(x, blk, d), fam, xs, block,
                                        g_y, g_ld)
         y1, ld1, gx1, gb1 = adjoint_results(fam, xs, block, g_y, g_ld)
-        assert y0.tobytes() == y1.tobytes() and ld0.tobytes() == ld1.tobytes()
-        for ref, got in ((gx0, gx1), (gb0, gb1)):
-            np.testing.assert_allclose(got, ref, rtol=1e-12, atol=0.0)
+        # The kernel sums the mixture in linear space, the composite in log
+        # space: values agree to rounding, and entries that cancel to a small
+        # fraction of the largest keep a residue of a few of its ulps.
+        for ref, got in ((y0, y1), (ld0, ld1), (gx0, gx1), (gb0, gb1)):
+            np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-14 * np.max(np.abs(ref)))
+
+    def test_floor_straddling_columns_match_composite(self):
+        # columns whose D or 1-D sits just above the floor (summed in linear
+        # space) or below it (taken in log space). logdet = log R - log D -
+        # log(1-D) cancels terms near -664 there, which keeps a rounding of a
+        # few of their ulps, so the tolerances are the ddsf composite's
+        rng = np.random.default_rng(51)
+        B, d = 132, 8
+        fam, block = straddling_dsf(rng, B, d)
+        xs = rng.uniform(-1.0, 1.0, size=B)
+        assert_straddles(fam, xs, block)
+        g_y, g_ld = rng.normal(size=B), rng.normal(size=B)
+        ref = op_results(lambda x, blk: composite_dsf(x, blk, d), fam, xs, block, g_y, g_ld)
+        got = adjoint_results(fam, xs, block, g_y, g_ld)
+        for name, want, have in zip(["y", "logdet", "x", "block"], ref, got):
+            np.testing.assert_allclose(have, want, rtol=1e-9, atol=1e-12 * np.max(np.abs(want)),
+                                       err_msg=name)
 
     def test_numpy_path_matches_graph_values(self):
         x = np.random.default_rng(3).normal(size=(8, 2))
@@ -271,6 +291,73 @@ def random_ddsf(rng, dims, B, scale=1.0):
     return fam, block.T
 
 
+# Unit biases that put a column's D or 1-D (log about -|bias|) on both sides of
+# the linear sums' floor, log(2**-960) ~ -665.4, and well inside the guard.
+FLOOR_LEVELS = (-662.0, -664.5, -666.0, -668.0, -700.0, 662.0, 664.5, 666.0, 668.0, 700.0, 0.0)
+UNIT_SLOPE = sm.softplus_inv(1.0 - sm.DELTA)  # the a_pre that softplus decodes to 1
+
+
+def straddling_dsf(rng, B, d, levels=FLOOR_LEVELS):
+    """A Dsf family and a (3d, B) block at random_row scale, but with slopes near
+    1 and every unit's bias near its column's level (0 keeps random biases)."""
+    fam = tf.Dsf(d)
+    block = np.stack([fam.random_row(rng) for _ in range(B)], axis=1)
+    level = np.resize(levels, B)
+    at = level != 0.0
+    block[d:2 * d, at] = UNIT_SLOPE + rng.normal(scale=0.05, size=(d, at.sum()))
+    block[2 * d:, at] = level[at] + rng.normal(scale=0.5, size=(d, at.sum()))
+    return fam, block
+
+
+def straddling_ddsf(rng, B, dims=(1, 4, 3, 1), levels=FLOOR_LEVELS):
+    """random_ddsf's family and block, where in each column one sublayer (in turn,
+    or none) has slopes near 1 and biases near the column's level, and every
+    later sublayer slopes of 1e-3, which bring its +-700 inputs back near 0."""
+    fam, block = random_ddsf(rng, dims, B)
+    level = np.resize(levels, B)
+    which = np.resize(np.arange(len(fam.slices) + 1), B)
+    for li, (_, a_pre, b) in enumerate(fam.slices):
+        at, after = (which == li) & (level != 0.0), which < li
+        n = at.sum()
+        block[a_pre, at] = UNIT_SLOPE + rng.normal(scale=0.05, size=(b.stop - b.start, n))
+        block[b, at] = level[at] + rng.normal(scale=0.5, size=(b.stop - b.start, n))
+        block[a_pre, after] = sm.softplus_inv(1e-3)
+    return fam, block
+
+
+def composite(fam, xs, block):
+    """The (y, logdet) nodes of fam's composite on arrays xs (B,) and block (width, B)."""
+    x, blk = go.Node(xs), go.Node(block)
+    return composite_dsf(x, blk, fam.d) if isinstance(fam, tf.Dsf) else composite_ddsf(x, blk, fam)
+
+
+def oracle_pairs(fam, xs, block):
+    """The log-space [log D; log(1-D)] of each sublayer, from the composite's own
+    guard calls (one for dsf)."""
+    pairs = []
+    check = tf._check_saturation
+
+    def record(pair, x, layer=None):
+        pairs.append(pair)
+        check(pair, x, layer)
+
+    tf._check_saturation = record
+    try:
+        composite(fam, xs, block)
+    finally:
+        tf._check_saturation = check
+    return pairs
+
+
+def assert_straddles(fam, xs, block):
+    """Some entries of the composite's pairs lie below the floor and some above it
+    but below -600, so both sides of the floor are exercised."""
+    low = np.concatenate([p.ravel() for p in oracle_pairs(fam, xs, block)])
+    floor = np.log(tf._FLOOR) - sm.DELTA
+    assert np.sum(low < floor) >= 5 and np.sum((low >= floor) & (low < -600.0)) >= 5
+    assert np.min(low) > tf.LOG_UNDERFLOW
+
+
 class TestDdsfOp:
     """The ddsf kernel and its hand adjoint against the same transformer built from ops."""
 
@@ -291,6 +378,22 @@ class TestDdsfOp:
         print("largest differences:", worst)
         assert not np.any(ref[names.index("layer.vu0")])  # a one-column u gets no gradient
         assert not np.any(got[names.index("layer.vu0")])
+
+    def test_floor_straddling_columns_match_composite(self):
+        # each sublayer in turn puts D or 1-D around the floor, at
+        # test_gradients_match_composite's tolerances
+        rng = np.random.default_rng(52)
+        B = 176
+        fam, block = straddling_ddsf(rng, B)
+        xs = rng.uniform(-1.0, 1.0, size=B)
+        assert_straddles(fam, xs, block)
+        g_y, g_ld = rng.normal(size=B), rng.normal(size=B)
+        ref = op_results(lambda x, blk: composite_ddsf(x, blk, fam), fam, xs, block, g_y, g_ld)
+        got = adjoint_results(fam, xs, block, g_y, g_ld)
+        names = ["y", "logdet", "x", "block", *(p.name for p in fam.params)]
+        for name, want, have in zip(names, ref, got):
+            np.testing.assert_allclose(have, want, rtol=1e-9, atol=1e-12 * np.max(np.abs(want)),
+                                       err_msg=name)
 
     def test_numpy_path_matches_graph_values(self):
         rng = np.random.default_rng(4)
@@ -368,7 +471,7 @@ class TestDdsfOp:
     def test_log_space_rows_match_composite(self, monkeypatch):
         # with no product counted normal, every row takes the log-space
         # path, forward and adjoint, and still matches the composite
-        monkeypatch.setattr(tf, "_TINY", np.inf)
+        monkeypatch.setattr(tf, "_FLOOR", np.inf)
         rng = np.random.default_rng(25)
         fam, block = random_ddsf(rng, (1, 6, 5, 1), 48)
         xs = rng.uniform(-3.0, 3.0, size=48)
@@ -409,7 +512,7 @@ class TestYOnlyMode:
         self.assert_same_y(fam, rng.uniform(-3.0, 3.0, size=64), block)
 
     def test_ddsf_log_space_rows(self, monkeypatch):
-        monkeypatch.setattr(tf, "_TINY", np.inf)  # every row in log space
+        monkeypatch.setattr(tf, "_FLOOR", np.inf)  # every row in log space
         rng = np.random.default_rng(25)
         fam, block = random_ddsf(rng, (1, 6, 5, 1), 48)
         self.assert_same_y(fam, rng.uniform(-3.0, 3.0, size=48), block)
@@ -482,6 +585,80 @@ class TestYOnlyMode:
             assert (err.index, err.magnitude, str(err)) == (
                 1 * 2 + 1, 2e5, str(errors[0]))
             assert err.layer == (None if kind == "dsf" else 0)
+
+
+class TestLinearSums:
+    """The sigmoid mixtures' sums, taken in linear space above the floor and in
+    log space below it: every path gives the same y bits on both sides, and the
+    guard is decided on log-space values, as the composites decide it."""
+
+    @pytest.mark.parametrize("kind", ["dsf", "ddsf"])
+    def test_floor_straddling_y_bits_match(self, kind):
+        # the density path, the training kernel and the solver's y-only mode, per
+        # (width, n) slab and on a flow layer's (m, width, n) block
+        rng = np.random.default_rng(53)
+        fam, block = straddling_dsf(rng, 176, 8) if kind == "dsf" else straddling_ddsf(rng, 176)
+        xs = rng.uniform(-1.0, 1.0, size=176)
+        assert_straddles(fam, xs, block)
+        TestYOnlyMode.assert_same_y(fam, xs, block)
+        assert fam.core(xs, fam.decode(block))[0].tobytes() == fam.forward(xs, block)[0].tobytes()
+        blocks, xs2 = np.stack([block[:, :88], block[:, 88:]]), xs.reshape(2, 88)
+        TestYOnlyMode.assert_same_y(fam, xs2, blocks)
+        y2 = fam.core(xs2, fam.decode(blocks))[0]
+        for k in range(2):
+            assert y2[k].tobytes() == fam.forward(xs2[k], blocks[k])[0].tobytes()
+
+    @pytest.mark.parametrize("make, edge", [
+        (lambda: dsf([0.5, 0.5], [1.0, 1.0], [0.0, 0.0]), 708.0),  # the identity
+        # layer 0 maps x near onto itself; layer 1's slope 10 saturates at 70.8
+        (lambda: ddsf([(np.ones((2, 1)), np.full((2, 2), 0.5), np.ones(2), np.zeros(2)),
+                       (np.full((1, 2), 0.5), np.ones((1, 1)), np.full(1, 10.0),
+                        np.zeros(1))]), 70.8),
+    ], ids=["dsf", "ddsf"])
+    def test_guard_decided_on_log_space_values(self, make, edge):
+        # point by point across the guard's edge on either side, then all at
+        # once in shuffled order: every path raises where the log-space
+        # composite does, with its layer, magnitude, index and message
+        fam, row = make()
+        grid = edge + np.linspace(-2e-6, 2e-6, 41)
+        points = np.concatenate([grid, -grid])
+        batches = [points[i:i + 1] for i in range(len(points))]
+        batches.append(np.random.default_rng(55).permutation(points))
+        raised = []
+        for xs in batches:
+            block = np.broadcast_to(row[:, None], (len(row), len(xs)))
+            p = fam.decode(block)
+            want = saturation(lambda: composite(fam, xs, block))
+            for call in (lambda: fam.forward(xs, block), lambda: fam.core(xs, p),
+                         lambda: fam.core(xs, p, logdet=False)):
+                assert saturation(call) == want, xs
+            raised.append(want is not None)
+        assert 0 < sum(raised[:41]) < 41 and 0 < sum(raised[41:82]) < 41 and raised[-1]
+
+    @pytest.mark.parametrize("kind", ["dsf", "ddsf"])
+    def test_unguarded_saturation_keeps_log_space_values(self, kind, monkeypatch):
+        # with the guard off (selftest --debug-no-guard), sums far below the
+        # floor and past float range still come back as their log-space values
+        monkeypatch.setattr(tf, "SATURATION_GUARD", False)
+        levels = (-750.0, -1000.0, 750.0, 1000.0, 0.0)
+        rng = np.random.default_rng(54)
+        fam, block = (straddling_dsf(rng, 40, 4, levels) if kind == "dsf"
+                      else straddling_ddsf(rng, 40, levels=levels))
+        xs = rng.uniform(-1.0, 1.0, size=40)
+        assert min(np.min(pair) for pair in oracle_pairs(fam, xs, block)) < -900.0
+        got = fam.core(xs, fam.decode(block))[:2]
+        for want, have in zip(composite(fam, xs, block), got):
+            np.testing.assert_allclose(have, want.data, rtol=1e-9,
+                                       atol=1e-12 * np.max(np.abs(want.data)))
+
+
+def saturation(call):
+    """(layer, index, magnitude, message) of the SaturationError call raises, or None."""
+    try:
+        call()
+    except SaturationError as err:
+        return err.layer, err.index, err.magnitude, str(err)
+    return None
 
 
 class TestOneColumnBlock:
@@ -675,7 +852,8 @@ class TestCheckMonotone:
     def test_corrupted_slope_detected(self):
         # a negative slope, which softplus never decodes, fed to the kernel
         log_w, a, b = np.log([[0.5], [0.5]]), np.array([[1.0], [-3.0]]), np.array([[-2.0], [2.0]])
-        fn = lambda x: float(tf._dsf_core(np.array([x]), (log_w, a, np.zeros((2, 1)), b))[0][0])
+        p = (np.exp(log_w), log_w, a, np.zeros((2, 1)), b)
+        fn = lambda x: float(tf._dsf_core(np.array([x]), p)[0][0])
         grid = np.linspace(-5, 5, 801)
         assert not increasing(fn, grid)
 
