@@ -6,7 +6,9 @@ mixtures are the exception: their terms lie in (0, 1], so they are
 summed in linear space from sigmoid_pair, one exp(-|x|) per entry, and
 only each sum takes a log; a sum too small to keep its precision there
 (below a floor that sits above the saturation guard) is recomputed from
-logsigmoid in log space (see transformer._log_sum). All arithmetic is
+logsigmoid in log space (see transformer._log_sum). logsigmoid_pair
+rebuilds the log-space terms from the same exp(-|x|) where weights must
+stay in log space (the dsf adjoint). All arithmetic is
 64-bit. The softplus delta keeps later log() calls strictly away from
 zero; it lives inside softplus only, so logsigmoid inherits it (the
 linear sums subtract it after their log) and logsumexp/logsoftmax stay
@@ -92,10 +94,9 @@ def sigmoid(x):
     return float(out) if out.ndim == 0 else out
 
 
-def sigmoid_pair(x, e=None, scale=None):
-    """[sigmoid(x); sigmoid(-x)], (2, *x.shape), in place from one e = exp(-|x|),
-    taken here unless the caller already holds it; or, given a scale that
-    broadcasts to x, scale times that pair.
+def sigmoid_pair(x, e, scale=None):
+    """[sigmoid(x); sigmoid(-x)], (2, *x.shape), in place from the caller's
+    e = exp(-|x|); or, given a scale that broadcasts to x, scale times that pair.
 
     Each half is sigmoid's split, 1/(1+e) or e/(1+e), taken without a mask:
     its numerator max(e, sign(+-x)) is 1 on the side where the split divides
@@ -103,8 +104,6 @@ def sigmoid_pair(x, e=None, scale=None):
     bits of two sigmoid calls; scaled, the numerators times scale/(1+e).
     """
     x = np.asarray(x, dtype=np.float64)
-    if e is None:
-        e = np.exp(-np.abs(x))
     out = _empty_pair(x)
     np.sign(x, out=out[0])
     np.negative(out[0], out=out[1])
@@ -114,6 +113,22 @@ def sigmoid_pair(x, e=None, scale=None):
     else:
         out *= np.divide(scale, 1.0 + e)
     return out
+
+
+def logsigmoid_pair(x, e):
+    """[logsigmoid(x); logsigmoid(-x)], (2, *x.shape), from the caller's
+    e = exp(-|x|) and one log1p.
+
+    With lp = log1p(e), the halves are -(max(-x, 0) + lp + DELTA) and
+    -(max(x, 0) + lp + DELTA), added in softplus's order: the bits of two calls.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    out = _empty_pair(x)
+    np.maximum(-x, 0.0, out=out[0])
+    np.maximum(x, 0.0, out=out[1])
+    out += np.log1p(e)
+    out += DELTA
+    return np.negative(out, out=out)
 
 
 def logit(p):

@@ -250,9 +250,8 @@ def _dsf_core(x, p, logdet=True):
     (see _log_sum). y = log D - log(1-D), and log(dy/dx) = log R - log D -
     log(1-D) where log R = LSE_j[log w_j + log a_j + log s(C_j) +
     log s(-C_j)] stays in log space. The softplus deltas cancel exactly in
-    both y and logdet. The third return value holds the weighted pair
-    w [s(C); s(-C)], [log D; log(1-D)], C, exp(-|C|) and log R's argument
-    and value, which _dsf_adjoint reads.
+    both y and logdet. The third return value holds C and exp(-|C|), which
+    _dsf_adjoint reads.
     With logdet=False (the inversion solver) it returns y alone once the
     guard has passed, without log R.
     """
@@ -270,7 +269,7 @@ def _dsf_core(x, p, logdet=True):
     t_r += log_w
     t_r += log_a
     log_r = sm.logsumexp_over_axis(t_r, -2)
-    return y, log_r - (pair[0] + pair[1]), (S, pair, C, e, t_r, log_r)
+    return y, log_r - (pair[0] + pair[1]), (C, e)
 
 
 def _dsf_activate(block):
@@ -284,24 +283,34 @@ def _dsf_activate(block):
 def _dsf_adjoint(g_y, g_ld, x, block, p, saved):
     """Gradients of y and logdet for x and the block, by hand.
 
-    With p = w s(C) / D, q = w s(-C) / (1-D) and r the softmax weights of
-    log R's argument, d/d log w = g_num p + g_den q + g_ld r, where g_num
-    and g_den are the upstream gradients of log D and log(1-D); C collects
+    With p, q and r the softmax weights of the log-space terms of D, 1-D
+    and R, d/d log w = g_num p + g_den q + g_ld r, where g_num and g_den
+    are the upstream gradients of log D and log(1-D); C collects
     (g_num p + g_ld r) s(-C) - (g_den q + g_ld r) s(C), and log a gets
-    g_ld r. p and q are the saved weighted pair times exp(-DELTA - [log D;
-    log(1-D)]), the reciprocals of its sums, as _log_dot_exp_grads reads a
-    pair; w_pre goes back through log-softmax, a_pre through softplus.
+    g_ld r. w_pre goes back through log-softmax, a_pre through softplus.
+    The weights are exp(t - LSE(t)) of the terms t rebuilt from the saved
+    C and exp(-|C|), not the linear sums: each is at most 1 in every
+    column, saturated or below the floor, and the entries that cancel
+    (log-softmax's, a saturated unit's C) round as in log space.
     """
-    w, _, a, _, _ = p
-    S, pair, C, e, t_r, log_r = saved
-    s = np.exp(-sm.DELTA - pair)
-    s *= np.stack([g_y - g_ld, -g_y - g_ld])
-    gp, gq = S * s[..., None, :]
-    g_ld = g_ld[..., None, :]
-    gr = g_ld * np.exp(t_r - log_r[..., None, :])
-    g_log_w = gp + gq + gr
+    w, log_w, a, log_a, _ = p
+    C, e = saved
+    t = sm.logsigmoid_pair(C, e)
+    gr = log_w + log_a
+    gr += t[0]
+    gr += t[1]
+    t += log_w
+    g_y, g_ld = g_y[..., None, :], g_ld[..., None, :]
+    for v, weighted in ((t, np.stack([g_y - g_ld, -g_y - g_ld])), (gr, g_ld)):
+        v -= sm.logsumexp_over_axis(v, -2)[..., None, :]  # in place: no temporaries
+        np.exp(v, out=v)
+        v *= weighted
+    gp, gq = t
+    gp += gr
+    g_log_w = gp + gq  # (p + r) + q, the order the log-space terms' gradients add in
+    gq += gr
     s_pos, s_neg = sm.sigmoid_pair(C, e)
-    g_c = (gp + gr) * s_neg - (gq + gr) * s_pos
+    g_c = gp * s_neg - gq * s_pos
     g_w_pre = g_log_w - w * np.sum(g_log_w, axis=-2, keepdims=True)
     _, a_pre, _ = np.split(block, 3, axis=-2)
     g_a_pre = (g_c * x[..., None, :] + gr / a) * sm.sigmoid(a_pre)

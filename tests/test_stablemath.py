@@ -86,16 +86,20 @@ class TestSigmoid:
         ex = np.exp(xs[~pos])
         split[~pos] = ex / (1.0 + ex)
         assert sm.sigmoid(xs).tobytes() == split.tobytes()
-        pos, neg = sm.sigmoid_pair(xs)
+        pos, neg = sm.sigmoid_pair(xs, np.exp(-np.abs(xs)))
         assert pos.tobytes() == split.tobytes()
         assert neg.tobytes() == sm.sigmoid(-xs).tobytes()
         # the listed points and a spread: a scaled pair from the caller's e is
-        # each half's numerator times scale / (1 + e)
+        # each half's numerator times scale / (1 + e), and the log pair has
+        # the bits of two logsigmoid calls, whose additions' order shows here
         xs = np.concatenate([xs, np.random.default_rng(3).uniform(-40.0, 40.0, 1000)])
         e, scale = np.exp(-np.abs(xs)), np.random.default_rng(4).uniform(0.0, 1.0, xs.size)
         pos, neg = sm.sigmoid_pair(xs, e, scale)
         assert pos.tobytes() == (np.where(xs >= 0, 1.0, e) * (scale / (1.0 + e))).tobytes()
         assert neg.tobytes() == (np.where(xs <= 0, 1.0, e) * (scale / (1.0 + e))).tobytes()
+        ls_pos, ls_neg = sm.logsigmoid_pair(xs, e)
+        assert ls_pos.tobytes() == sm.logsigmoid(xs).tobytes()
+        assert ls_neg.tobytes() == sm.logsigmoid(-xs).tobytes()
 
     @pytest.mark.parametrize("shape, order", [((1010,), "C"), ((2, 16, 64), "C"),
                                               ((2, 16, 64), "F"), ((16, 0), "C")],
@@ -105,8 +109,9 @@ class TestSigmoid:
         xs = np.asarray(rng.uniform(-40.0, 40.0, size=shape) * 20.0 ** rng.uniform(-1, 1, shape),
                         order=order)
         xs.reshape(-1, order="A")[:5] = [0.0, -0.0, 800.0, -800.0, np.nan] if xs.size else []
-        given = sm.sigmoid_pair(xs, np.exp(-np.abs(xs)))  # the caller's e
-        for pair, single in ((given, sm.sigmoid), (sm.sigmoid_pair(xs), sm.sigmoid)):
+        e = np.exp(-np.abs(xs))
+        for pair, single in ((sm.logsigmoid_pair(xs, e), sm.logsigmoid),
+                             (sm.sigmoid_pair(xs, e), sm.sigmoid)):
             assert pair.shape == (2, *shape)
             assert pair[0].tobytes() == np.asarray(single(xs)).tobytes()
             assert pair[1].tobytes() == np.asarray(single(-xs)).tobytes()

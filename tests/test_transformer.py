@@ -175,17 +175,18 @@ class TestDsfOp:
         y0, ld0, gx0, gb0 = op_results(lambda x, blk: composite_dsf(x, blk, d), fam, xs, block,
                                        g_y, g_ld)
         y1, ld1, gx1, gb1 = adjoint_results(fam, xs, block, g_y, g_ld)
-        # The kernel sums the mixture in linear space, the composite in log
-        # space: values agree to rounding, and entries that cancel to a small
-        # fraction of the largest keep a residue of a few of its ulps.
+        # y and logdet agree to rounding, not in bytes: the kernel sums the
+        # mixture in linear space, the composite in log space
         for ref, got in ((y0, y1), (ld0, ld1), (gx0, gx1), (gb0, gb1)):
-            np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-14 * np.max(np.abs(ref)))
+            np.testing.assert_allclose(got, ref, rtol=1e-12, atol=0.0)
 
     def test_floor_straddling_columns_match_composite(self):
         # columns whose D or 1-D sits just above the floor (summed in linear
-        # space) or below it (taken in log space). logdet = log R - log D -
-        # log(1-D) cancels terms near -664 there, which keeps a rounding of a
-        # few of their ulps, so the tolerances are the ddsf composite's
+        # space) or below it (taken in log space), at test_gradients_match_
+        # composite's tolerances. logdet = log R - log D - log(1-D) cancels
+        # terms down to -700 there, each rounded to its own ulp (1.1e-13) in
+        # the linear sum's log, so logdet alone also allows four of those
+        # ulps (measured: two)
         rng = np.random.default_rng(51)
         B, d = 132, 8
         fam, block = straddling_dsf(rng, B, d)
@@ -195,8 +196,8 @@ class TestDsfOp:
         ref = op_results(lambda x, blk: composite_dsf(x, blk, d), fam, xs, block, g_y, g_ld)
         got = adjoint_results(fam, xs, block, g_y, g_ld)
         for name, want, have in zip(["y", "logdet", "x", "block"], ref, got):
-            np.testing.assert_allclose(have, want, rtol=1e-9, atol=1e-12 * np.max(np.abs(want)),
-                                       err_msg=name)
+            atol = 4.0 * np.spacing(700.0) if name == "logdet" else 0.0
+            np.testing.assert_allclose(have, want, rtol=1e-12, atol=atol, err_msg=name)
 
     def test_numpy_path_matches_graph_values(self):
         x = np.random.default_rng(3).normal(size=(8, 2))
@@ -638,18 +639,32 @@ class TestLinearSums:
     @pytest.mark.parametrize("kind", ["dsf", "ddsf"])
     def test_unguarded_saturation_keeps_log_space_values(self, kind, monkeypatch):
         # with the guard off (selftest --debug-no-guard), sums far below the
-        # floor and past float range still come back as their log-space values
+        # floor and past float range still come back as their log-space values.
+        # dsf's gradient weights exp(t - LSE(t)) stay at most 1, so its
+        # gradients are the composite's; ddsf's read the linear pair, whose
+        # 1/D overflows once log D < -709.78: a NumericError naming such a point
         monkeypatch.setattr(tf, "SATURATION_GUARD", False)
         levels = (-750.0, -1000.0, 750.0, 1000.0, 0.0)
         rng = np.random.default_rng(54)
         fam, block = (straddling_dsf(rng, 40, 4, levels) if kind == "dsf"
                       else straddling_ddsf(rng, 40, levels=levels))
         xs = rng.uniform(-1.0, 1.0, size=40)
-        assert min(np.min(pair) for pair in oracle_pairs(fam, xs, block)) < -900.0
+        pairs = oracle_pairs(fam, xs, block)
+        assert min(np.min(pair) for pair in pairs) < -900.0
         got = fam.core(xs, fam.decode(block))[:2]
         for want, have in zip(composite(fam, xs, block), got):
             np.testing.assert_allclose(have, want.data, rtol=1e-9,
                                        atol=1e-12 * np.max(np.abs(want.data)))
+        g_y, g_ld = rng.normal(size=40), rng.normal(size=40)
+        if kind == "ddsf":
+            with pytest.raises(NumericError, match="gradient overflows") as exc:
+                adjoint_results(fam, xs, block, g_y, g_ld)
+            assert min(np.min(pair[..., exc.value.index]) for pair in pairs) < -709.78
+            return
+        ref = op_results(lambda x, blk: composite_dsf(x, blk, fam.d), fam, xs, block, g_y, g_ld)
+        for name, want, have in zip(["x", "block"], ref[2:],
+                                    adjoint_results(fam, xs, block, g_y, g_ld)[2:]):
+            np.testing.assert_allclose(have, want, rtol=1e-12, atol=0.0, err_msg=name)
 
 
 def saturation(call):
