@@ -2,7 +2,9 @@
 
 Every command resolves its configuration (defaults included), writes it
 as config.json next to its outputs, and derives all randomness from the
---seed flag, so identical invocations produce byte-identical files.
+--seed flag, so identical invocations produce byte-identical files at a
+fixed BLAS thread count (a threaded BLAS may split a product's sums
+differently; pin it, for example with OPENBLAS_NUM_THREADS=1).
 CSV cells carry 17 significant digits (round-trippable doubles), LF line
 endings. Exit codes: 0 success, 2 usage, 3 data error, 4 numeric error.
 """

@@ -77,16 +77,19 @@ def suite_logdet(rng: np.random.Generator, seeds: int = 100):
     # Saturation probes: far outside the nominal regime the guarded
     # forward (shared by densities and inversion) must raise; silent
     # pass-through is the fault this flags when the guard is disabled.
+    # A ddsf's first sublayer saturates there (its one-unit last one is
+    # closed-form and has nothing to guard).
     flagged = []
-    for s in range(5):
-        fwd = tf.forward_closure(*tf.random_params("dsf", np.random.default_rng(s)))
-        try:
-            fwd(1e6)
-            flagged.append(s)
-        except SaturationError:
-            pass
+    for kind in ("dsf", "ddsf"):
+        for s in range(5):
+            fwd = tf.forward_closure(*tf.random_params(kind, np.random.default_rng(s)))
+            try:
+                fwd(1e6)
+                flagged.append(f"{kind} {s}")
+            except SaturationError:
+                pass
     if flagged:
-        return False, f"unguarded saturation at extreme x for seeds {flagged}"
+        return False, f"unguarded saturation at extreme x for {', '.join(flagged)}"
     return True, f"{seeds} seeds per kind within 1e-4 of finite differences"
 
 

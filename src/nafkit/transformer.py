@@ -11,7 +11,10 @@ summed in linear space from one exp(-|C|) per unit, with one log per sum
 (see _log_sum): a sum below _FLOOR = 2**-960 falls back, for that entry,
 to the logsumexp of its log-space terms. The floor sits above the
 saturation guard's e**-708, so the guard decides every entry it can
-reject on log-space values.
+reject on log-space values, and a mixture with no entry below it skips
+the guard. A ddsf sublayer with one unit mixes by w = [[1]]: it is
+closed-form, h' = C with log-derivative link log a + log(u @ exp r), and
+takes no sigmoid or log, so it has nothing to guard.
 
 A family is parameterized only by the block of pseudo-parameters a
 conditioner emits (plus ddsf's trainable vu and vw); softmax, softplus
@@ -119,8 +122,15 @@ def _log_sum(lin, m, terms):
     softplus's DELTA). Each entry below _FLOOR is recomputed as the
     logsumexp of its log-space terms(idx), (k, terms), with idx np.nonzero's
     tuple of those entries. Returns (out, low), low = (idx, their terms) or
-    None. lin is overwritten.
+    None; one min decides that no entry is low. lin is overwritten. Every
+    entry of a mixture pair that comes back with low = None is a log of at
+    least -665.4, which the saturation guard's -708 cannot reject, so the
+    mixtures call the guard only on low entries' pairs.
     """
+    if np.min(lin, initial=np.inf) >= _FLOOR:  # NaN fails
+        out = np.log(lin, out=lin)
+        out += m
+        return out, None
     low = ~(lin >= _FLOOR)
     with np.errstate(divide="ignore"):
         out = np.log(lin, out=lin)
@@ -216,7 +226,10 @@ def _check_saturation(pair, x, layer=None):
     """Raise once log(D) or log(1-D) underflows float64 (pre-logit 0 or 1).
 
     pair is the stacked [log D; log(1-D)], (2, ..., n) or per unit
-    (2, ..., units, n), and x (..., n); passing takes one min. The error
+    (2, ..., units, n), and x (..., n); passing takes one min. The kernels
+    call it only for a pair with entries below _FLOOR (the others cannot
+    reach LOG_UNDERFLOW), and not for a one-unit ddsf sublayer, which
+    takes no log. The error
     names the largest offending input magnitude and the first offending
     entry of x, point-major (the index of x.T's flat layout).
     SATURATION_GUARD = False skips the check, for fault injection.
@@ -258,10 +271,11 @@ def _dsf_core(x, p, logdet=True):
     w, log_w, a, log_a, b = p
     C = a * x[..., None, :] + b
     nabs, e, S = _sigmoids(C, w)
-    pair, _ = _log_sum(np.sum(S, axis=-2), -sm.DELTA, lambda idx: (
+    pair, low = _log_sum(np.sum(S, axis=-2), -sm.DELTA, lambda idx: (
         _logsigmoid_at(C, idx[0], idx[1:])
         + np.moveaxis(np.broadcast_to(log_w, C.shape), -2, -1)[idx[1:]]))
-    _check_saturation(pair, x)
+    if low is not None:
+        _check_saturation(pair, x)
     y = pair[0] - pair[1]
     if not logdet:
         return y
@@ -408,7 +422,8 @@ def _ddsf_decode(block, slices, v_u, v_w):
     """Per-layer arrays from a (..., width, n) block and the trainable vu, vw.
 
     They are fixed while x varies: a, log a, b, w, and u's factors and
-    log Z. A one-column u is 1 once normalized, so it gets no CWN product.
+    log Z. A one-column u is 1 once normalized, so it gets no CWN product,
+    and a one-row w is [[1]], so it is None: that sublayer is closed-form.
     """
     layers = []
     for (eta, a_pre, b), vu, vw in zip(slices, v_u, v_w):
@@ -420,7 +435,7 @@ def _ddsf_decode(block, slices, v_u, v_w):
         V = vu - np.max(vu, axis=1, keepdims=True)
         E, a = np.exp(V), sm.softplus(a_pre)
         layers.append({"V": V, "E": E, "eta": eta, "a": a, "log_a": np.log(a), "b": b,
-                       "w": np.exp(sm.logsoftmax_over_axis(vw, 1)),
+                       "w": None if d_out == 1 else np.exp(sm.logsoftmax_over_axis(vw, 1)),
                        "Z": None if d_in == 1 else _cwn_product(V, E, eta)})
     return layers
 
@@ -438,7 +453,10 @@ def _ddsf_core(x, layers, logdet=True, adjoint=True):
     stacked pair, summed in linear space from one exp(-|C|) per unit (with
     _log_sum's fallback to log space), h' = log D - log(1-D) and r' =
     log(w @ exp(log s(C) + log s(-C) + log a + log(u @ exp r))) - log D -
-    log(1-D) = log(dh'/dx), the chain link a max-shifted log_dot_exp. r
+    log(1-D) = log(dh'/dx), the chain link a max-shifted log_dot_exp. A
+    one-unit sublayer (w = [[1]], decoded as None) is exact instead:
+    h' = log s(C) - log s(-C) = C and r' = log a + log(u @ exp r), with no
+    sigmoids, w product, logs or guard on any path. r
     stays a (units, n) vector per point because the chain starts from a
     scalar. Only training (flow.FlowLayer.forward_saved) keeps adjoint
     state: with adjoint=False (the density path, Ddsf.forward) saved is
@@ -455,18 +473,25 @@ def _ddsf_core(x, layers, logdet=True, adjoint=True):
         w, cz = lay["w"], lay["Z"]
         uh = h if cz is None else _cwn_mix(h, lay["E"], cz)
         C = lay["a"] * uh + lay["b"]
-        nabs, e, sig = _sigmoids(C)
-        pair, _ = _log_sum(w @ sig, -sm.DELTA, lambda idx: (
-            np.log(w[idx[-2]]) + _logsigmoid_at(C, idx[0], (*idx[1:-2], idx[-1]))))
-        _check_saturation(pair, x, layer=li)
+        if w is not None:
+            nabs, e, sig = _sigmoids(C)
+            pair, low = _log_sum(w @ sig, -sm.DELTA, lambda idx: (
+                np.log(w[idx[-2]]) + _logsigmoid_at(C, idx[0], (*idx[1:-2], idx[-1]))))
+            if low is not None:
+                _check_saturation(pair, x, layer=li)
         if not logdet:
-            h = pair[0] - pair[1]
+            h = C if w is None else pair[0] - pair[1]
             continue
         if cz is None:
             s, cq = r, None
         else:
             cq = _cwn_product(lay["V"], lay["E"], lay["eta"] + r, pieces=adjoint)
             s = cq[0] - cz[0]
+        if w is None:  # w = [[1]]: h' = log s(C) - log s(-C) = C, r' = log a + s
+            if adjoint:
+                saved.append((h, uh, cq, None, None))
+            h, r = C, lay["log_a"] + s
+            continue
         t = _log_sigmoid_product(nabs, e)
         t += lay["log_a"]
         t += s
@@ -487,7 +512,9 @@ def _ddsf_adjoint(g_y, g_ld, block, slices, layers, saved):
     to w (then through w's row softmax to vw). C collects log s(C)'s and
     the link's through s(-C), minus log s(-C)'s and the link's through
     s(C), read from the saved linear pair; log a gets the link's, and a
-    goes on through softplus. u @ h
+    goes on through softplus. A one-unit sublayer (h' = C, r' = log a +
+    the link) passes g_h to C and g_r to log a and the link, and its
+    constant w gives vw a zero gradient. u @ h
     gets a g_C and log(u @ exp r) the link's, which _cwn_adjoint takes on
     to vu, eta, h and r.
     """
@@ -497,13 +524,17 @@ def _ddsf_adjoint(g_y, g_ld, block, slices, layers, saved):
     for lay, (eta, a_pre, b), (h, uh, cq, nd, col) in zip(
             reversed(layers), reversed(slices), reversed(saved)):
         w, a = lay["w"], lay["a"]
-        gw_nd, (g_pos, g_neg) = _log_dot_exp_grads(
-            np.stack([g_h - g_r, -g_h - g_r]), *nd, w, keep=1)
-        gw_col, g_col = _log_dot_exp_grads(g_r, *col, w)
-        g_w = gw_nd[0] + gw_nd[1] + gw_col
-        g_vw.append(w * (g_w - np.sum(g_w * w, axis=1, keepdims=True)))
-        s_pos, s_neg = nd[1]
-        g_c = (g_pos + g_col) * s_neg - (g_neg + g_col) * s_pos
+        if w is None:  # h' = C and r' = log a + s; w = [[1]] is constant
+            g_c, g_col = g_h, g_r
+            g_vw.append(np.zeros((1, 1)))
+        else:
+            gw_nd, (g_pos, g_neg) = _log_dot_exp_grads(
+                np.stack([g_h - g_r, -g_h - g_r]), *nd, w, keep=1)
+            gw_col, g_col = _log_dot_exp_grads(g_r, *col, w)
+            g_w = gw_nd[0] + gw_nd[1] + gw_col
+            g_vw.append(w * (g_w - np.sum(g_w * w, axis=1, keepdims=True)))
+            s_pos, s_neg = nd[1]
+            g_c = (g_pos + g_col) * s_neg - (g_neg + g_col) * s_pos
         g_block[..., a_pre, :] = (g_c * uh + g_col / a) * sm.sigmoid(block[..., a_pre, :])
         g_block[..., b, :] = g_c
         if cq is None:  # u = 1: u @ h = h and s = r
@@ -784,7 +815,10 @@ class Ddsf(Family):
     columns. CWN modulates the trainable vu{li} (d_out, d_in) by eta
     into the row-stochastic u = softmax(vu + eta), which the kernel keeps
     factored; vw{li} (d_out, d_out) row-normalizes into the mixing matrix
-    w shared by every dimension.
+    w shared by every dimension. A one-unit sublayer's w (the last one's,
+    and any inner width 1's), the softmax of one logit, is [[1]]: that
+    sublayer is the affine C = a (u @ h) + b, taken without a sigmoid or
+    a log, and its vw gets a zero gradient.
     """
 
     core = staticmethod(_ddsf_core)

@@ -1,11 +1,14 @@
+import importlib.util
 import json
 import math
+import os
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from conftest import constant_affine_stack, exact_identity_dsf_stack, row_gradient_fd
+import nafkit
 from nafkit import flow
 from nafkit import transformer as tf
 from nafkit.errors import DataError, DomainError, NumericError, RangeError, SaturationError
@@ -458,3 +461,52 @@ class TestRowBlocks:
                 call(arg)
             assert f"dimension 1, batch point {rows + 3}: " in str(exc.value)
             assert (exc.value.dim, exc.value.index) == (1, (rows + 3) * 2 + 1)
+
+
+def perfbench_workloads():
+    """perfbench/workloads.py, loaded by path (perfbench is not a package)."""
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "workloads.py")
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestHeldOutSolves:
+    """The held-out inversions of the energy-ddsf-fourmode benchmark round: its
+    ddsf stack after the round's 40-step energy fit, and the held-out batches of
+    workload seeds 1-5 (training uses one fixed seed, so the stack is shared)."""
+
+    # Forward evaluations of each of those solves (two per batch: one per
+    # dimension) with one probe per bracketing round; with a probe for each
+    # side a bracket that grows costs one more per round. A faster solver may
+    # lower these, but no solve may take more.
+    EVALUATIONS = {seed: [8, 8, 8, 8] for seed in range(1, 6)}
+
+    def test_no_solve_takes_more_evaluations(self, monkeypatch):
+        wl = perfbench_workloads()
+        bench = wl.EnergyDdsfFourMode()
+        state = bench.setup(nafkit, 1, None)
+        stack = state["stack"]
+        nafkit.fit(stack, nafkit.TrainConfig(loss="energy", steps=bench.FIT_STEPS, batch=wl.BATCH,
+                                             lr=wl.LR, seed=bench.TRAIN_SEED),
+                   target=state["target"])
+        invert, counts = tf.invert_batch, []
+
+        def counting(y, forward, *args):
+            counts.append(0)
+
+            def counted(t):
+                counts[-1] += 1
+                return forward(t)
+            return invert(y, counted, *args)
+
+        monkeypatch.setattr(tf, "invert_batch", counting)
+        for seed, want in self.EVALUATIONS.items():
+            counts.clear()
+            for points in bench.setup(nafkit, seed, None)["heldout"]:
+                x = stack.inverse(points)
+                np.testing.assert_allclose(stack.forward(x)[0], points, rtol=0.0,
+                                           atol=wl.ROUNDTRIP_TOL)
+            assert len(counts) == len(want), (seed, counts)
+            assert all(c <= w for c, w in zip(counts, want)), (seed, counts)

@@ -38,6 +38,8 @@ class TestSelftest:
         assert results["logdet"] is False
         detail = dict((name, d) for name, _, d in rows)["logdet"]
         assert "unguarded saturation" in detail
+        for kind in ("dsf", "ddsf"):  # a ddsf's first sublayer saturates too
+            assert f"{kind} 0" in detail
         mono_ok, mono_detail = suite_monotone(np.random.default_rng(0), seeds=100)
         assert mono_ok, mono_detail
 

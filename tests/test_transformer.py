@@ -212,6 +212,15 @@ class TestDsfOp:
         assert (exc.value.dim, exc.value.index) == (1, 7)
 
 
+def middle_slope_ddsf():
+    """A (1, 2, 2, 1) ddsf whose layer 0 maps x near onto itself and whose layer 1's
+    slope 10 saturates at |x| = 70.8; layer 2's slope 0.1 keeps its C = 0.1 h
+    near +-70.8 there, clear of the log-space composite's guard."""
+    return ddsf([(np.ones((2, 1)), np.full((2, 2), 0.5), np.ones(2), np.zeros(2)),
+                 (np.full((2, 2), 0.5), np.full((2, 2), 0.5), np.full(2, 10.0), np.zeros(2)),
+                 (np.full((1, 2), 0.5), np.ones((1, 1)), np.full(1, 0.1), np.zeros(1))])
+
+
 def identity_ddsf_layers(d):
     """(u, w, a, b) per layer of a (1, d, 1) ddsf that is the identity map."""
     return [(np.ones((d, 1)), np.full((d, d), 1.0 / d), np.ones(d), np.zeros(d)),
@@ -243,6 +252,31 @@ class TestDdsf:
         for dims in ((2, 1), (1, 2), (1,), (1, 0, 1)):
             with pytest.raises(DomainError):
                 tf.Ddsf(dims=dims)
+
+    def test_one_unit_sublayer_is_affine_bit_for_bit(self):
+        # w = [[1]]: log s(C) - log s(-C) = C and its log-derivative is log a,
+        # taken without a sigmoid or a log, on every path
+        fam, row = ddsf([(np.ones((1, 1)), np.ones((1, 1)), np.full(1, 2.5), np.full(1, -0.7))])
+        xs = np.linspace(-400.0, 400.0, 81)
+        block = np.broadcast_to(row[:, None], (3, xs.size))
+        a = sm.softplus(row[1])
+        want_y, want_ld = (a * xs + row[2]).tobytes(), np.full(xs.size, np.log(a)).tobytes()
+        p = fam.decode(block)
+        for y, ld in (fam.forward(xs, block), fam.core(xs, p)[:2]):
+            assert (y.tobytes(), ld.tobytes()) == (want_y, want_ld)
+        assert fam.core(xs, p, logdet=False).tobytes() == want_y
+
+    def test_one_unit_sublayer_inverts_past_the_old_guard(self):
+        # slope 10 at x = 80: C = 800, whose log(1-D) = -800 the log-space
+        # composite's guard rejects, but no log is taken here
+        fam, row = ddsf([(np.ones((1, 1)), np.ones((1, 1)), np.full(1, 10.0), np.zeros(1))])
+        xs = np.array([80.0, -80.0, 0.5])
+        block = np.broadcast_to(row[:, None], (3, xs.size))
+        with pytest.raises(SaturationError):
+            composite(fam, xs, block)
+        ys, _ = fam.forward(xs, block)
+        np.testing.assert_allclose(ys, 10.0 * xs, rtol=1e-6)
+        np.testing.assert_allclose(fam.inverse(ys, block), xs, rtol=0.0, atol=1e-12)
 
     def test_saturation_error_carries_layer_index(self):
         fam, row = ddsf([(np.ones((2, 1)), np.full((2, 2), 0.5), np.full(2, 10.0), np.zeros(2)),
@@ -379,6 +413,25 @@ class TestDdsfOp:
         print("largest differences:", worst)
         assert not np.any(ref[names.index("layer.vu0")])  # a one-column u gets no gradient
         assert not np.any(got[names.index("layer.vu0")])
+
+    def test_one_unit_sublayers_match_composite(self):
+        # a width-1 sublayer inside the chain is closed-form too, and the one
+        # after it has a one-column u; at test_gradients_match_composite's
+        # tolerances, with an exact zero gradient for each one-unit vw
+        rng = np.random.default_rng(28)
+        B = 64
+        fam, block = random_ddsf(rng, (1, 3, 1, 4, 1), B)
+        assert [lay["w"] is None for lay in fam.decode(block)] == [False, True, False, True]
+        xs = rng.uniform(-3.0, 3.0, size=B)
+        g_y, g_ld = rng.normal(size=B), rng.normal(size=B)
+        ref = op_results(lambda x, blk: composite_ddsf(x, blk, fam), fam, xs, block, g_y, g_ld)
+        got = adjoint_results(fam, xs, block, g_y, g_ld)
+        names = ["y", "logdet", "x", "block", *(p.name for p in fam.params)]
+        for name, want, have in zip(names, ref, got):
+            np.testing.assert_allclose(have, want, rtol=1e-9, atol=1e-12 * np.max(np.abs(want)),
+                                       err_msg=name)
+        for name in ("layer.vw1", "layer.vw3"):
+            assert not np.any(got[names.index(name)])
 
     def test_floor_straddling_columns_match_composite(self):
         # each sublayer in turn puts D or 1-D around the floor, at
@@ -540,10 +593,7 @@ class TestYOnlyMode:
 
     @pytest.mark.parametrize("make, layer", [
         (lambda: dsf([0.5, 0.5], [5.0, 5.0], [0.0, 0.0]), None),
-        # layer 0 maps x near onto itself; layer 1's slope 10 saturates first
-        (lambda: ddsf([(np.ones((2, 1)), np.full((2, 2), 0.5), np.ones(2), np.zeros(2)),
-                       (np.full((1, 2), 0.5), np.ones((1, 1)), np.full(1, 10.0),
-                        np.zeros(1))]), 1),
+        (middle_slope_ddsf, 1),
     ], ids=["dsf", "ddsf"])
     def test_same_saturation_error(self, make, layer):
         fam, row = make()
@@ -611,10 +661,7 @@ class TestLinearSums:
 
     @pytest.mark.parametrize("make, edge", [
         (lambda: dsf([0.5, 0.5], [1.0, 1.0], [0.0, 0.0]), 708.0),  # the identity
-        # layer 0 maps x near onto itself; layer 1's slope 10 saturates at 70.8
-        (lambda: ddsf([(np.ones((2, 1)), np.full((2, 2), 0.5), np.ones(2), np.zeros(2)),
-                       (np.full((1, 2), 0.5), np.ones((1, 1)), np.full(1, 10.0),
-                        np.zeros(1))]), 70.8),
+        (middle_slope_ddsf, 70.8),
     ], ids=["dsf", "ddsf"])
     def test_guard_decided_on_log_space_values(self, make, edge):
         # point by point across the guard's edge on either side, then all at
