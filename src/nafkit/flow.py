@@ -138,6 +138,7 @@ class FlowLayer:
         rows = _block_rows(self)
         y, ld = np.empty((self.m, n)), np.empty((self.m, n))
         readout = np.empty(self.m * self.family.width * min(n, rows))
+        constants = self.family.constants()  # once per call, not per block
         for start, block_rows in _row_blocks(x, rows):
             xb = x[block_rows]
             try:
@@ -146,7 +147,8 @@ class FlowLayer:
                 raise self._located(err, start) from None
             for i in range(self.m):
                 try:
-                    y[i, block_rows], ld[i, block_rows] = self.family.forward(xb[:, i], blocks[i])
+                    y[i, block_rows], ld[i, block_rows] = self.family.forward(
+                        xb[:, i], blocks[i], constants)
                 except (DomainError, NumericError) as err:
                     raise self._located(err, start, dim=i) from None
         return y.T, ld.sum(axis=0)
@@ -189,11 +191,12 @@ class FlowLayer:
         if y.ndim != 2 or y.shape[1] != self.m:
             raise DomainError(f"expected (n, {self.m}) input, got {y.shape}")
         x = np.zeros_like(y)
+        constants = self.family.constants()
         for deg in range(1, self.m + 1):
             i = self.order.index(deg)
             target = np.ascontiguousarray(y[:, i])  # the solver reads it at every step
             try:
-                x[:, i] = self.family.inverse(target, self.conditioner.block(x, i))
+                x[:, i] = self.family.inverse(target, self.conditioner.block(x, i), constants)
             except NumericError as err:
                 raise self._located(err, dim=i) from None
         return x

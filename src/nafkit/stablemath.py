@@ -1,12 +1,13 @@
 """Numerically stable log-space primitives, and the linear sigmoid pair.
 
-Log-det chains, softmaxes and mixture densities downstream compute in
-natural logarithms with these kernels. The transformers' sigmoid
-mixtures are the exception: their terms lie in (0, 1], so they are
-summed in linear space from sigmoid_pair, one exp(-|x|) per entry, and
-only each sum takes a log; a sum too small to keep its precision there
-(below a floor that sits above the saturation guard) is recomputed from
-logsigmoid in log space (see transformer._log_sum). logsigmoid_pair
+Softmaxes and mixture densities downstream compute in natural
+logarithms with these kernels, and log-det chains pass between layers
+as logs. The transformers' sums are the exception: their sigmoid
+mixtures and log-det chain links are summed in linear space from
+sigmoid_pair, one exp(-|x|) per entry, and only each sum takes a log; a
+sum too small to keep its precision there (below a floor that sits
+above the saturation guard) is recomputed from logsigmoid in log space
+(see transformer._log_sum and _chain_link). logsigmoid_pair
 rebuilds the log-space terms from the same exp(-|x|) where weights must
 stay in log space (the dsf adjoint). All arithmetic is
 64-bit. The softplus delta keeps later log() calls strictly away from

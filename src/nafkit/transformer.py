@@ -4,17 +4,19 @@ Three families: affine (exp- or gate-parameterized scale), a single
 hidden layer of softmax-weighted sigmoids behind an inverse-sigmoid
 readout (dsf), and its multi-layer dense generalization with
 row-stochastic mixing matrices (ddsf). Every forward returns both y and
-log(dy/dx), with the log-derivative chain assembled in log space so
-stacked Jacobian chains neither vanish nor overflow. The sigmoid
-mixtures themselves, [D; 1-D] = w [s(C); s(-C)], lie in (0, 1] and are
-summed in linear space from one exp(-|C|) per unit, with one log per sum
-(see _log_sum): a sum below _FLOOR = 2**-960 falls back, for that entry,
-to the logsumexp of its log-space terms. The floor sits above the
-saturation guard's e**-708, so the guard decides every entry it can
-reject on log-space values, and a mixture with no entry below it skips
-the guard. A ddsf sublayer with one unit mixes by w = [[1]]: it is
-closed-form, h' = C with log-derivative link log a + log(u @ exp r), and
-takes no sigmoid or log, so it has nothing to guard.
+log(dy/dx), and the log-derivative passes between sublayers as a log,
+so stacked Jacobian chains neither vanish nor overflow. Each sum inside
+is taken in linear space with one log per output (see _log_sum): the
+sigmoid mixtures [D; 1-D] = w [s(C); s(-C)], from one exp(-|C|) per
+unit, and each log-det chain link, from s(C) s(-C) and max-shifted
+terms (see _chain_link). A sum below _FLOOR = 2**-960 falls back, for
+that entry (a link, for its column), to the logsumexp of its log-space
+terms. The floor sits above the saturation guard's e**-708, so the
+guard decides every entry it can reject on log-space values, and a
+mixture with no entry below it skips the guard. A ddsf sublayer with one
+unit mixes by w = [[1]]: it is closed-form, h' = C with log-derivative
+link log a + log(u @ exp r), and takes no sigmoid, so it has nothing to
+guard.
 
 A family is parameterized only by the block of pseudo-parameters a
 conditioner emits (plus ddsf's trainable vu and vw); softmax, softplus
@@ -96,10 +98,16 @@ def _shifted_exp(v):
     return np.exp(e, out=e), m  # in place: one temporary of v's size, not two
 
 
+def _columns(v, pts):
+    """The (k, components) columns of v (..., components, n) at the points
+    pts = (*lead, point), np.nonzero's tuple of an (..., n) array."""
+    return np.moveaxis(v, -2, -1)[pts]
+
+
 def _points_last(v, idx):
     """The (k, components) rows of v (..., components, n) at the flagged
     entries idx = (*lead, unit, point) of an (..., units, n) array."""
-    return np.moveaxis(v, -2, -1)[(*idx[:-2], idx[-1])]
+    return _columns(v, (*idx[:-2], idx[-1]))
 
 
 def _outer_sum(a, b, keep=0):
@@ -117,22 +125,22 @@ def _first_point(bad):
 def _log_sum(lin, m, terms):
     """log(lin) + m for sums lin taken in linear space, and the entries taken in log space.
 
-    lin holds nonnegative sums, scaled by exp(-m) (m broadcasts to lin; a
-    max shift, or -DELTA for a sigmoid mixture, whose log-space terms carry
-    softplus's DELTA). Each entry below _FLOOR is recomputed as the
-    logsumexp of its log-space terms(idx), (k, terms), with idx np.nonzero's
-    tuple of those entries. Returns (out, low), low = (idx, their terms) or
-    None; one min decides that no entry is low. lin is overwritten. Every
-    entry of a mixture pair that comes back with low = None is a log of at
-    least -665.4, which the saturation guard's -708 cannot reject, so the
-    mixtures call the guard only on low entries' pairs.
+    lin holds sums scaled by exp(-m) (m broadcasts to lin; a max shift, or
+    -DELTA for a sigmoid mixture, whose log-space terms carry softplus's
+    DELTA). Each entry below _FLOOR (or NaN, or negative) is recomputed as
+    the logsumexp of its log-space terms(idx), (k, terms), with idx
+    np.nonzero's tuple of those entries. Returns (out, low), low = (idx,
+    their terms) or None; one min decides that no entry is low. lin is
+    overwritten. Every entry of a mixture pair that comes back with low =
+    None is a log of at least -665.4, which the saturation guard's -708
+    cannot reject, so the mixtures call the guard only on low entries' pairs.
     """
-    if np.min(lin, initial=np.inf) >= _FLOOR:  # NaN fails
+    if lin.min(initial=np.inf) >= _FLOOR:  # NaN fails
         out = np.log(lin, out=lin)
         out += m
         return out, None
     low = ~(lin >= _FLOOR)
-    with np.errstate(divide="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore"):
         out = np.log(lin, out=lin)
         out += m
         if not low.any():
@@ -141,6 +149,38 @@ def _log_sum(lin, m, terms):
         t = terms(idx)
         out[idx] = sm.logsumexp_over_axis(t, -1)
     return out, (idx, t)
+
+
+def _chain_link(w, q, shift, terms):
+    """A log-det chain link log(w @ q) + shift, summed in linear space with one log.
+
+    q (..., units, n) holds the link's terms scaled by exp(-shift), shift
+    broadcasts as (..., 1, n), and w is None for a one-unit sublayer (w =
+    [[1]], so the link is log q + shift). A column with a sum below _FLOOR,
+    or NaN (a low CWN product's), is taken in log space: terms(pts) gives
+    its (k, units) log-space terms at pts = (*lead, point), and its q and
+    shift become exp(t - max t) and max t, so every sum is at least its
+    largest weight. Returns (out, q, shift), the (out, e, m) that
+    _log_dot_exp_grads reads.
+    """
+    lin = q.copy() if w is None else w @ q
+    if lin.min(initial=np.inf) >= _FLOOR:  # NaN fails; _log_sum's fast path, one min
+        out = np.log(lin, out=lin)
+        out += shift
+        return out, q, shift
+    pts = np.nonzero(~np.all(lin >= _FLOOR, axis=-2))
+    t = terms(pts)
+    top = np.max(t, axis=-1, keepdims=True)
+    top = np.where(np.isfinite(top), top, 0.0)
+    e = np.exp(t - top)
+    shift = np.array(np.broadcast_to(shift, (*lin.shape[:-2], 1, lin.shape[-1])))
+    np.moveaxis(q, -2, -1)[pts] = e
+    np.moveaxis(shift, -2, -1)[pts] = top
+    np.moveaxis(lin, -2, -1)[pts] = e if w is None else e @ w.T
+    out, _ = _log_sum(lin, shift, lambda idx: (
+        (0.0 if w is None else np.log(w[idx[-2]]))
+        + np.log(_points_last(q, idx)) + _points_last(shift, idx)))
+    return out, q, shift
 
 
 def _log_dot_exp(mat, v):
@@ -193,22 +233,12 @@ def log_dot_exp(mat, v):
 
 
 def _sigmoids(C, w=None):
-    """-|C|, e = exp(-|C|) and the linear pair [s(C); s(-C)], (2, *C.shape), or
-    w times it, all from that one exponential."""
-    nabs = np.abs(C)
-    np.negative(nabs, out=nabs)
-    e = np.exp(nabs)
-    return nabs, e, sm.sigmoid_pair(C, e, w)
-
-
-def _log_sigmoid_product(nabs, e):
-    """log s(C) + log s(-C) = -|C| - 2 log1p(e) - 2 DELTA, with softplus's DELTA in
-    each, from _sigmoids' -|C| and e."""
-    out = np.log1p(e)
-    out *= -2.0
-    out += nabs
-    out -= 2.0 * sm.DELTA
-    return out
+    """e = exp(-|C|) and the linear pair [s(C); s(-C)], (2, *C.shape), or w times
+    it, all from that one exponential."""
+    e = np.abs(C)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    return e, sm.sigmoid_pair(C, e, w)
 
 
 def _logsigmoid_at(C, half, points):
@@ -255,22 +285,22 @@ def _dsf_core(x, p, logdet=True):
 
     Plain numpy: x (..., n); p = (w, log_w, a, log_a, b), (..., d, n) each,
     so every sum over the d components runs over the leading axis of a
-    (d, n) slab. With C = a*x + b, the mixture pair [D; 1-D] =
-    sum_j w_j [s(C_j); s(-C_j)] is summed in linear space from one
-    exp(-|C|) per unit, and its log less softplus's DELTA, [log D;
-    log(1-D)] (what the logsumexp of log w + [log s(C); log s(-C)] gives),
-    is one log per point; a sum below _FLOOR is that logsumexp instead
-    (see _log_sum). y = log D - log(1-D), and log(dy/dx) = log R - log D -
-    log(1-D) where log R = LSE_j[log w_j + log a_j + log s(C_j) +
-    log s(-C_j)] stays in log space. The softplus deltas cancel exactly in
-    both y and logdet. The third return value holds C and exp(-|C|), which
-    _dsf_adjoint reads.
+    (d, n) slab. With C = a*x + b and e = exp(-|C|), one exponential per
+    unit, two sums are taken in linear space, each with one log per point
+    (see _log_sum): the mixture pair [D; 1-D] = sum_j w_j [s(C_j); s(-C_j)]
+    and R = sum_j w_j a_j s(C_j) s(-C_j), with s(C) s(-C) = e / (1 + e)^2.
+    Less softplus's DELTA (once per log sigmoid), their logs are what the
+    logsumexp of the log-space terms log w + [log s(C); log s(-C)] and log w
+    + log a + log s(C) + log s(-C) give, and a sum below _FLOOR is that
+    logsumexp instead. y = log D - log(1-D) and log(dy/dx) = log R - log D -
+    log(1-D); the deltas cancel exactly in both. The third return value
+    holds C and e, which _dsf_adjoint reads.
     With logdet=False (the inversion solver) it returns y alone once the
-    guard has passed, without log R.
+    guard has passed, without R.
     """
     w, log_w, a, log_a, b = p
     C = a * x[..., None, :] + b
-    nabs, e, S = _sigmoids(C, w)
+    e, S = _sigmoids(C, w)
     pair, low = _log_sum(np.sum(S, axis=-2), -sm.DELTA, lambda idx: (
         _logsigmoid_at(C, idx[0], idx[1:])
         + np.moveaxis(np.broadcast_to(log_w, C.shape), -2, -1)[idx[1:]]))
@@ -279,10 +309,21 @@ def _dsf_core(x, p, logdet=True):
     y = pair[0] - pair[1]
     if not logdet:
         return y
-    t_r = _log_sigmoid_product(nabs, e)
-    t_r += log_w
-    t_r += log_a
-    log_r = sm.logsumexp_over_axis(t_r, -2)
+    q = 1.0 + e
+    q *= q
+    np.divide(e, q, out=q)
+    q *= w
+    q *= a
+
+    def terms(pts):
+        c = _columns(C, pts)
+        t = sm.logsigmoid(c)
+        t += sm.logsigmoid(-c)
+        t += _columns(np.broadcast_to(log_w, C.shape), pts)
+        t += _columns(np.broadcast_to(log_a, C.shape), pts)
+        return t
+
+    log_r, _ = _log_sum(np.sum(q, axis=-2), -2.0 * sm.DELTA, terms)
     return y, log_r - (pair[0] + pair[1]), (C, e)
 
 
@@ -340,29 +381,35 @@ def dsf_from_preact(x, block):
 
 
 def _cwn_product(V, E, X, pieces=True):
-    """log sum_j exp(V_ij + X_jn) as one max-shifted product, and its pieces.
+    """sum_j exp(V_ij + X_jn) as one max-shifted product, and its pieces.
 
     V (rows, cols) with E = exp(V), X (..., cols, n). With m the column
-    max of X and G = exp(X - m), P = E @ G. Returns log P + m, 1/P (0 on
-    low entries), G, and the low entries: where P falls below _FLOOR (V
-    and X peak in different columns, about 665 nats apart), the log is
-    recomputed as the logsumexp of V + X, and the
-    entries' weights exp(V_ij + X_jn - log) come back as (index, weights)
-    with index np.nonzero's tuple and weights (k, cols); else None.
-    The CWN weights are u_ijn = E_ij G_jn / P_in on every other entry.
-    With pieces=False the pieces come back None, and 1/P and the low
-    weights are never built: the log is all a kernel without adjoint reads.
+    max of X and G = exp(X - m), P = E @ G, so the sum is P exp(m). Returns
+    (P, m), 1/P (0 on low entries), G, and the low entries: where P falls
+    below _FLOOR (V and X peak in different columns, about 665 nats apart)
+    P is NaN, and the entries' weights exp(V_ij + X_jn - log) with log the
+    logsumexp of V + X come back as (index, weights) with index
+    np.nonzero's tuple and weights (k, cols); else None. The CWN weights
+    are u_ijn = E_ij G_jn / P_in on every other entry. No entry takes a
+    log but the low ones. With pieces=False the pieces come back None, and
+    1/P and the low weights are never built: (P, m) is all a kernel
+    without adjoint reads.
     """
     G, m = _shifted_exp(X)
     P = E @ G
-    with np.errstate(divide="ignore", over="ignore"):
-        inv = 1.0 / P if pieces else None
-    log_p, low = _log_sum(P, m, lambda idx: V[idx[-2]] + _points_last(X, idx))
-    if low is None or not pieces:
-        return log_p, inv, G if pieces else None, None
-    idx, t = low
-    inv[idx] = 0.0
-    return log_p, inv, G, (idx, np.exp(t - log_p[idx][:, None]))
+    low = None
+    if not P.min(initial=np.inf) >= _FLOOR:
+        idx = np.nonzero(~(P >= _FLOOR))
+        P[idx] = np.nan
+        if pieces:
+            t = V[idx[-2]] + _points_last(X, idx)
+            low = (idx, np.exp(t - sm.logsumexp_over_axis(t, -1)[:, None]))
+    if not pieces:
+        return (P, m), None, None, None
+    inv = 1.0 / P
+    if low is not None:
+        inv[low[0]] = 0.0
+    return (P, m), inv, G, low
 
 
 def _cwn_mix(h, E, cwn):
@@ -418,24 +465,34 @@ def _cwn_adjoint(g_uh, g_s, h, uh, E, cz, cq):
     return g_v, g_eta, g_h, g_r
 
 
-def _ddsf_decode(block, slices, v_u, v_w):
-    """Per-layer arrays from a (..., width, n) block and the trainable vu, vw.
+def _ddsf_constants(v_u, v_w):
+    """Per layer, what _ddsf_decode reads of vu and vw alone: V = vu - row max,
+    E = exp(V) and w = softmax(vw) by rows. They are fixed while the block
+    varies, so a flow layer takes them once per call."""
+    out = []
+    for vu, vw in zip(v_u, v_w):
+        V = vu - np.max(vu, axis=1, keepdims=True)
+        out.append((V, np.exp(V), np.exp(sm.logsoftmax_over_axis(vw, 1))))
+    return out
 
-    They are fixed while x varies: a, log a, b, w, and u's factors and
-    log Z. A one-column u is 1 once normalized, so it gets no CWN product,
-    and a one-row w is [[1]], so it is None: that sublayer is closed-form.
+
+def _ddsf_decode(block, slices, constants):
+    """Per-layer arrays from a (..., width, n) block and _ddsf_constants.
+
+    They are fixed while x varies: a, b, w, and u's factors and
+    normalizer Z, as a _cwn_product over eta. A one-column u is 1 once
+    normalized, so it gets no CWN product, and a one-row w is [[1]], so it
+    is None: that sublayer is closed-form.
     """
     layers = []
-    for (eta, a_pre, b), vu, vw in zip(slices, v_u, v_w):
+    for (eta, a_pre, b), (V, E, w) in zip(slices, constants):
         eta, a_pre, b = block[..., eta, :], block[..., a_pre, :], block[..., b, :]
         d_in, d_out = eta.shape[-2], b.shape[-2]
-        if vu.shape != (d_out, d_in) or vw.shape != (d_out, d_out):
-            raise DomainError(f"vu {vu.shape} and vw {vw.shape} do not fit a layer "
+        if V.shape != (d_out, d_in) or w.shape != (d_out, d_out):
+            raise DomainError(f"vu {V.shape} and vw {w.shape} do not fit a layer "
                               f"with {d_in} inputs and {d_out} outputs")
-        V = vu - np.max(vu, axis=1, keepdims=True)
-        E, a = np.exp(V), sm.softplus(a_pre)
-        layers.append({"V": V, "E": E, "eta": eta, "a": a, "log_a": np.log(a), "b": b,
-                       "w": None if d_out == 1 else np.exp(sm.logsoftmax_over_axis(vw, 1)),
+        layers.append({"V": V, "E": E, "eta": eta, "a": sm.softplus(a_pre), "b": b,
+                       "w": None if d_out == 1 else w,
                        "Z": None if d_in == 1 else _cwn_product(V, E, eta)})
     return layers
 
@@ -446,22 +503,24 @@ def _ddsf_core(x, layers, logdet=True, adjoint=True):
     Plain numpy; x (..., n), layers from _ddsf_decode, every per-unit
     array (..., units, n). Per layer, CWN's row-stochastic u =
     softmax_j(vu_ij + eta_jn) is never formed: with E = exp(vu - rowmax),
-    F = exp(eta - column max) and Z = E @ F, u @ h = (E @ (F h)) / Z, and
-    the chain link log(u @ exp r) = log Q - log Z with Q the same product
-    over eta + r. Then C = a (u @ h) + b, [log D; log(1-D)] =
-    log(w @ [s(C); s(-C)]) less softplus's DELTA, one product over the
-    stacked pair, summed in linear space from one exp(-|C|) per unit (with
-    _log_sum's fallback to log space), h' = log D - log(1-D) and r' =
-    log(w @ exp(log s(C) + log s(-C) + log a + log(u @ exp r))) - log D -
-    log(1-D) = log(dh'/dx), the chain link a max-shifted log_dot_exp. A
-    one-unit sublayer (w = [[1]], decoded as None) is exact instead:
-    h' = log s(C) - log s(-C) = C and r' = log a + log(u @ exp r), with no
-    sigmoids, w product, logs or guard on any path. r
-    stays a (units, n) vector per point because the chain starts from a
-    scalar. Only training (flow.FlowLayer.forward_saved) keeps adjoint
-    state: with adjoint=False (the density path, Ddsf.forward) saved is
-    None and Q's pieces are never built, so each sublayer's temporaries
-    are freed as the next one runs.
+    F = exp(eta - column max) and Z = E @ F, u @ h = (E @ (F h)) / Z. Then
+    C = a (u @ h) + b, [log D; log(1-D)] = log(w @ [s(C); s(-C)]) less
+    softplus's DELTA, one product over the stacked pair, summed in linear
+    space from one exp(-|C|) per unit (with _log_sum's fallback to log
+    space), and h' = log D - log(1-D). r, the per-unit log(dh/dx), stays
+    in log space between sublayers, but each chain link is one linear sum
+    and one log (_chain_link): with Q the product over eta + r, G =
+    exp(eta + r - its column max m_q), u @ exp r = (Q / Z) exp(m_q - m_z),
+    q = s(C) s(-C) a Q / Z per unit, and r' = log(w @ q) + m_q - m_z -
+    2 DELTA - log D - log(1-D) = log(dh'/dx). A column where Z, Q or w @ q
+    falls below _FLOOR takes its link in log space. A one-unit sublayer
+    (w = [[1]], decoded as None) is exact instead: h' = log s(C) - log s(-C)
+    = C and r' = log(a Q / Z) + m_q - m_z, with no sigmoids, w product or
+    guard on any path. r stays a (units, n) vector per point because the
+    chain starts from a scalar. Only training
+    (flow.FlowLayer.forward_saved) keeps adjoint state: with adjoint=False
+    (the density path, Ddsf.forward) saved is None and Q's pieces are never
+    built, so each sublayer's temporaries are freed as the next one runs.
     With logdet=False (the inversion solver) every layer stops at h' once
     its guard has passed, and y comes back alone: no Q, link, r or saved
     arrays.
@@ -474,7 +533,7 @@ def _ddsf_core(x, layers, logdet=True, adjoint=True):
         uh = h if cz is None else _cwn_mix(h, lay["E"], cz)
         C = lay["a"] * uh + lay["b"]
         if w is not None:
-            nabs, e, sig = _sigmoids(C)
+            _, sig = _sigmoids(C)
             pair, low = _log_sum(w @ sig, -sm.DELTA, lambda idx: (
                 np.log(w[idx[-2]]) + _logsigmoid_at(C, idx[0], (*idx[1:-2], idx[-1]))))
             if low is not None:
@@ -482,24 +541,46 @@ def _ddsf_core(x, layers, logdet=True, adjoint=True):
         if not logdet:
             h = C if w is None else pair[0] - pair[1]
             continue
-        if cz is None:
-            s, cq = r, None
+        if cz is None:  # u = 1: u @ exp r = exp r
+            cq, shift = None, r
+            q = np.ones_like(C) if w is None else sig[0] * sig[1]
         else:
-            cq = _cwn_product(lay["V"], lay["E"], lay["eta"] + r, pieces=adjoint)
-            s = cq[0] - cz[0]
-        if w is None:  # w = [[1]]: h' = log s(C) - log s(-C) = C, r' = log a + s
+            cq = _cwn_product(lay["V"], lay["E"], lay["eta"] + r, adjoint)
+            (pq, mq), (pz, mz) = cq[0], cz[0]
+            q, shift = pq / pz, mq - mz  # NaN where Q or Z is low
+            if w is not None:
+                q *= sig[0]
+                q *= sig[1]
+        q *= lay["a"]
+        if w is not None:
+            shift = shift - 2.0 * sm.DELTA  # one per log sigmoid of the log-space terms
+
+        def terms(pts):
+            """The link's log-space terms at the points pts: log a + log(u @ exp r),
+            and with w, log s(C) + log s(-C)."""
+            t = np.log(_columns(np.broadcast_to(lay["a"], C.shape), pts))
+            if cz is None:
+                t += _columns(r, pts)
+            else:
+                X = lay["V"] + _columns(np.broadcast_to(lay["eta"], r.shape), pts)[:, None, :]
+                t += sm.logsumexp_over_axis(X + _columns(r, pts)[:, None, :], -1)
+                t -= sm.logsumexp_over_axis(X, -1)
+            if w is not None:
+                c = _columns(C, pts)
+                t += sm.logsigmoid(c)
+                t += sm.logsigmoid(-c)
+            return t
+
+        link = _chain_link(w, q, shift, terms)
+        if w is None:  # w = [[1]]: h' = log s(C) - log s(-C) = C, r' = the link
             if adjoint:
                 saved.append((h, uh, cq, None, None))
-            h, r = C, lay["log_a"] + s
+            h, r = C, link[0]
             continue
-        t = _log_sigmoid_product(nabs, e)
-        t += lay["log_a"]
-        t += s
-        col = _log_dot_exp(w, t)
         if adjoint:
             # the pair as _log_dot_exp_grads reads it: out, e = sig, m = -DELTA
-            saved.append((h, uh, cq, (pair, sig, -sm.DELTA), col))
-        h, r = pair[0] - pair[1], col[0] - (pair[0] + pair[1])
+            saved.append((h, uh, cq, (pair, sig, -sm.DELTA), link))
+        h, r = pair[0] - pair[1], link[0] - (pair[0] + pair[1])
     return (h[..., 0, :], r[..., 0, :], saved) if logdet else h[..., 0, :]
 
 
@@ -692,12 +773,16 @@ class Family:
       width, offset  the per-dimension conditioner output count, and the
                      constants added so a fresh flow starts near identity;
       params         trainable leaves outside the conditioner;
-      decode(block)  core's arguments p, from a (..., width, n) block and params;
+      constants()    what decode reads of params alone (None but for ddsf);
+                     a flow layer takes it once per call, not per block;
+      decode(block, constants=None)
+                     core's arguments p, from a (..., width, n) block and
+                     params (their constants() unless given);
       core(x, p)     (y, log dy/dx, saved) of an (..., n) x, or y alone
                      with logdet=False, for the solver;
       adjoint(g_y, g_ld, x, block, p, saved)
                      (g_x, g_block, *g_params), by hand from saved;
-      forward        (y, log dy/dx): core on decode(block);
+      forward        (y, log dy/dx): core on decode(block, constants);
       inverse        x with forward(x, block) = y: decode once, then solve
                      core's y with invert_batch (the same bits and guard).
     random_row(rng) draws one (width,) block column for property checks (ddsf
@@ -710,11 +795,15 @@ class Family:
     def __init__(self, d=DSF_DEFAULT_D, dims=None, name="layer"):
         pass
 
-    def forward(self, x, block):
-        return self.core(x, self.decode(block))[:2]
+    @staticmethod
+    def constants():
+        return None
 
-    def inverse(self, y, block):
-        p = self.decode(block)  # once, not per solver evaluation
+    def forward(self, x, block, constants=None):
+        return self.core(x, self.decode(block, constants))[:2]
+
+    def inverse(self, y, block, constants=None):
+        p = self.decode(block, constants)  # once, not per solver evaluation
         return invert_batch(y, lambda t: self.core(t, p, logdet=False))
 
 
@@ -725,7 +814,7 @@ class AffineExp(Family):
     offset = np.zeros(2)
 
     @staticmethod
-    def decode(block):
+    def decode(block, constants=None):
         return block[..., 0, :], block[..., 1, :]
 
     @staticmethod
@@ -739,7 +828,7 @@ class AffineExp(Family):
     def adjoint(g_y, g_ld, x, block, p, scale):
         return g_y * scale, np.stack([g_y, g_y * x * scale + g_ld], axis=-2)
 
-    def inverse(self, y, block):
+    def inverse(self, y, block, constants=None):
         mu, s = self.decode(block)
         return _within_reach(y, (y - mu) * np.exp(-s))
 
@@ -765,7 +854,7 @@ class AffineGate(AffineExp):
         g_s = (g_y * x - g_y * mu) * gate * (1.0 - gate) + g_ld * sm.sigmoid(-s)
         return g_y * gate, np.stack([g_y * (1.0 - gate), g_s], axis=-2)
 
-    def inverse(self, y, block):
+    def inverse(self, y, block, constants=None):
         mu, s = self.decode(block)
         sig = sm.sigmoid(s)  # the exact forward gate, not its log form
         return _within_reach(y, (y - (1.0 - sig) * mu) / sig)
@@ -787,14 +876,14 @@ class Dsf(Family):
         )
 
     @staticmethod
-    def decode(block):
+    def decode(block, constants=None):
         return _dsf_activate(block)
 
     @staticmethod
-    def forward(x, block):
+    def forward(x, block, constants=None):
         return dsf_from_preact(x, block)  # looked up per call, so it can be wrapped
 
-    def inverse(self, y, block):
+    def inverse(self, y, block, constants=None):
         # A one-column block (the dimension of degree 1) is decoded on its one
         # column, then spread over the points: every solver evaluation reads
         # (d, n) arrays faster than it broadcasts (d, 1) ones. Same values, same bits.
@@ -843,13 +932,18 @@ class Ddsf(Family):
                     for li, (_, d_out) in enumerate(pairs)]
         self.params = [*self.v_u, *self.v_w]
 
-    def forward(self, x, block):
-        return self.core(x, self.decode(block), adjoint=False)[:2]
+    def forward(self, x, block, constants=None):
+        return self.core(x, self.decode(block, constants), adjoint=False)[:2]
 
-    def decode(self, block):
-        """Every array an inverse solve holds fixed, once per block."""
-        return _ddsf_decode(block, self.slices, [v.data for v in self.v_u],
-                            [v.data for v in self.v_w])
+    def constants(self):
+        """V, E and w per layer, from vu and vw: read anew at every call,
+        since training replaces the parameters' data every step."""
+        return _ddsf_constants([v.data for v in self.v_u], [v.data for v in self.v_w])
+
+    def decode(self, block, constants=None):
+        """Every array an inverse solve holds fixed, once per block: the
+        constants, if not given, then a, b, w and the CWN normalizers Z."""
+        return _ddsf_decode(block, self.slices, constants or self.constants())
 
     def adjoint(self, g_y, g_ld, x, block, p, saved):
         return _ddsf_adjoint(g_y, g_ld, block, self.slices, p, saved)

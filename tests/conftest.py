@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from nafkit import transformer as tf
 from nafkit.flow import FlowLayer, FlowStack
 
 
@@ -44,4 +45,19 @@ def row_gradient_fd(fn, x, g, h=1e-6):
         step = np.zeros_like(x)
         step[:, j] = h
         out[:, j] = g * (fn(x + step) - fn(x - step)) / (2.0 * h)
+    return out
+
+
+def cwn_log(V, E, X):
+    """log sum_j exp(V_ij + X_jn) from the ddsf kernel's CWN product: log P + m,
+    and on its low entries, where P is NaN, the logsumexp that their weights
+    exp(V_ij + X_jn - logsumexp) were normalized by, read from the largest."""
+    (P, m), _, _, low = tf._cwn_product(V, E, X)
+    out = np.log(P) + m
+    if low is not None:
+        idx, u = low
+        t = V[idx[-2]] + tf._points_last(X, idx)
+        j = np.argmax(u, axis=-1)[:, None]
+        with np.errstate(divide="ignore", invalid="ignore"):  # zero weights, never the largest
+            out[idx] = np.take_along_axis(t - np.log(u), j, axis=-1)[:, 0]
     return out

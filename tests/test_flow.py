@@ -437,6 +437,20 @@ class TestRowBlocks:
         y_node, ld_node, _ = fam.core(x.T, p)
         assert y.tobytes() == y_node.tobytes() and ld.tobytes() == ld_node.tobytes()
 
+    def test_parameter_arrays_once_per_call(self, monkeypatch):
+        # V, E and w depend on vu and vw alone: each layer call takes them once,
+        # not once per row block (forward) or per dimension (inverse)
+        stack = perturbed_stack("ddsf")
+        calls = []
+        constants = tf._ddsf_constants
+        monkeypatch.setattr(tf, "_ddsf_constants", lambda *a: calls.append(1) or constants(*a))
+        x = np.random.default_rng(7).normal(size=(int(2.5 * R), 2))
+        y, _ = stack.forward(x)
+        assert len(calls) == len(stack.layers)
+        calls.clear()
+        stack.inverse(y[:16])
+        assert len(calls) == len(stack.layers)
+
     def test_cwn_product_without_pieces_builds_no_reciprocal(self):
         # pieces=False skips 1/P: its peak is lower by about P's bytes
         rng = np.random.default_rng(0)
@@ -472,6 +486,23 @@ def perfbench_workloads():
     return module
 
 
+def counted_solves(monkeypatch):
+    """A list that gains, from here on, one entry per invert_batch call: the
+    forward evaluations of that solve."""
+    invert, counts = tf.invert_batch, []
+
+    def counting(y, forward, *args):
+        counts.append(0)
+
+        def counted(t):
+            counts[-1] += 1
+            return forward(t)
+        return invert(y, counted, *args)
+
+    monkeypatch.setattr(tf, "invert_batch", counting)
+    return counts
+
+
 class TestHeldOutSolves:
     """The held-out inversions of the energy-ddsf-fourmode benchmark round: its
     ddsf stack after the round's 40-step energy fit, and the held-out batches of
@@ -491,22 +522,47 @@ class TestHeldOutSolves:
         nafkit.fit(stack, nafkit.TrainConfig(loss="energy", steps=bench.FIT_STEPS, batch=wl.BATCH,
                                              lr=wl.LR, seed=bench.TRAIN_SEED),
                    target=state["target"])
-        invert, counts = tf.invert_batch, []
-
-        def counting(y, forward, *args):
-            counts.append(0)
-
-            def counted(t):
-                counts[-1] += 1
-                return forward(t)
-            return invert(y, counted, *args)
-
-        monkeypatch.setattr(tf, "invert_batch", counting)
+        counts = counted_solves(monkeypatch)
         for seed, want in self.EVALUATIONS.items():
             counts.clear()
             for points in bench.setup(nafkit, seed, None)["heldout"]:
                 x = stack.inverse(points)
                 np.testing.assert_allclose(stack.forward(x)[0], points, rtol=0.0,
+                                           atol=wl.ROUNDTRIP_TOL)
+            assert len(counts) == len(want), (seed, counts)
+            assert all(c <= w for c, w in zip(counts, want)), (seed, counts)
+
+
+class TestSampleSolves:
+    """The sampling inversions of the mle-dsf-grid benchmark round: for each
+    workload seed 1-5, which draws the stack, its data and its fit, the dsf
+    stack after the round's 300-step MLE fit, sampled at the round's four seeds."""
+
+    # Forward evaluations of each of those solves (two per sample call: one per
+    # dimension) with one probe per bracketing round. A faster solver may lower
+    # these, but no solve may take more.
+    EVALUATIONS = {
+        1: [11, 16, 11, 16, 11, 17, 11, 16],
+        2: [11, 16, 11, 16, 11, 16, 11, 16],
+        3: [11, 16, 11, 15, 11, 15, 12, 16],
+        4: [11, 16, 11, 16, 11, 16, 11, 16],
+        5: [11, 15, 11, 16, 11, 16, 11, 16],
+    }
+
+    def test_no_solve_takes_more_evaluations(self, monkeypatch):
+        wl = perfbench_workloads()
+        bench = wl.MleDsfGrid()
+        counts = counted_solves(monkeypatch)
+        for seed, want in self.EVALUATIONS.items():
+            state = bench.setup(nafkit, seed, None)
+            stack = state["stack"]
+            nafkit.fit(stack, nafkit.TrainConfig(loss="mle", steps=bench.FIT_STEPS, batch=wl.BATCH,
+                                                 lr=wl.LR, seed=seed), data=state["train"])
+            counts.clear()
+            for s in state["sample_seeds"]:
+                x = stack.sample(bench.SAMPLE_DRAWS, seed=s)
+                noise = np.random.default_rng(s).standard_normal((bench.SAMPLE_DRAWS, stack.m))
+                np.testing.assert_allclose(stack.forward(x)[0], noise, rtol=0.0,
                                            atol=wl.ROUNDTRIP_TOL)
             assert len(counts) == len(want), (seed, counts)
             assert all(c <= w for c, w in zip(counts, want)), (seed, counts)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import graph_ops as go
+from conftest import cwn_log
 from nafkit import diffgraph as dg
 from nafkit import stablemath as sm
 from nafkit import transformer as tf
@@ -199,6 +200,24 @@ class TestDsfOp:
             atol = 4.0 * np.spacing(700.0) if name == "logdet" else 0.0
             np.testing.assert_allclose(have, want, rtol=1e-12, atol=atol, err_msg=name)
 
+    def test_saturated_units_match_composite(self):
+        # every unit saturates, half on each side, so each w a s(C) s(-C) and
+        # their sum R lie below the floor (taken in log space) while D and 1-D
+        # stay near 1/2; at test_gradients_match_composite's tolerances
+        rng = np.random.default_rng(56)
+        B, d = 64, 8
+        fam, block = saturated_dsf(rng, B, d)
+        xs = rng.uniform(-1.0, 1.0, size=B)
+        C = sm.softplus(block[d:2 * d]) * xs + block[2 * d:]
+        assert np.all(sm.logsigmoid(C) + sm.logsigmoid(-C) < np.log(tf._FLOOR))
+        assert min(np.min(pair) for pair in oracle_pairs(fam, xs, block)) > -5.0
+        g_y, g_ld = rng.normal(size=B), rng.normal(size=B)
+        ref = op_results(lambda x, blk: composite_dsf(x, blk, d), fam, xs, block, g_y, g_ld)
+        got = adjoint_results(fam, xs, block, g_y, g_ld)
+        assert np.all(ref[1] < -600.0)
+        for name, want, have in zip(["y", "logdet", "x", "block"], ref, got):
+            np.testing.assert_allclose(have, want, rtol=1e-12, atol=0.0, err_msg=name)
+
     def test_numpy_path_matches_graph_values(self):
         x = np.random.default_rng(3).normal(size=(8, 2))
         assert_layer_paths_agree(FlowLayer(2, "dsf", d=4, hidden=(8,)), x)
@@ -344,6 +363,16 @@ def straddling_dsf(rng, B, d, levels=FLOOR_LEVELS):
     return fam, block
 
 
+def saturated_dsf(rng, B, d):
+    """A Dsf family and a (3d, B) block at random_row scale, but with slopes near
+    1 and biases near +700 on half the units and -700 on the other half."""
+    fam = tf.Dsf(d)
+    block = np.stack([fam.random_row(rng) for _ in range(B)], axis=1)
+    block[d:2 * d] = UNIT_SLOPE + rng.normal(scale=0.05, size=(d, B))
+    block[2 * d:] = np.resize([700.0, -700.0], d)[:, None] + rng.normal(scale=0.5, size=(d, B))
+    return fam, block
+
+
 def straddling_ddsf(rng, B, dims=(1, 4, 3, 1), levels=FLOOR_LEVELS):
     """random_ddsf's family and block, where in each column one sublayer (in turn,
     or none) has slopes near 1 and biases near the column's level, and every
@@ -449,6 +478,37 @@ class TestDdsfOp:
             np.testing.assert_allclose(have, want, rtol=1e-9, atol=1e-12 * np.max(np.abs(want)),
                                        err_msg=name)
 
+    @pytest.mark.parametrize("sublayer", [0, 1])
+    def test_saturated_sublayer_matches_composite(self, sublayer):
+        # one sublayer's units all saturate, half on each side: every s(C) s(-C)
+        # is below the floor, so its chain link's sums are, and each column's
+        # link is taken in log space, while D and 1-D stay near 1/2; at
+        # test_gradients_match_composite's tolerances
+        rng = np.random.default_rng(57 + sublayer)
+        B = 64
+        fam, block = random_ddsf(rng, (1, 4, 3, 1), B)
+        _, a_pre, b = fam.slices[sublayer]
+        units = b.stop - b.start
+        block[a_pre] = UNIT_SLOPE + rng.normal(scale=0.05, size=(units, B))
+        block[b] = np.resize([700.0, -700.0], units)[:, None] + rng.normal(scale=0.5, size=(units, B))
+        xs = rng.uniform(-1.0, 1.0, size=B)
+        sig = []
+        check = tf._sigmoids
+        with pytest.MonkeyPatch.context() as mp:  # record each sublayer's C
+            mp.setattr(tf, "_sigmoids", lambda C, *w: sig.append(C) or check(C, *w))
+            fam.core(xs, fam.decode(block))
+        C = sig[sublayer]
+        assert np.all(sm.logsigmoid(C) + sm.logsigmoid(-C) < np.log(tf._FLOOR))
+        assert np.min(oracle_pairs(fam, xs, block)[sublayer]) > -5.0
+        g_y, g_ld = rng.normal(size=B), rng.normal(size=B)
+        ref = op_results(lambda x, blk: composite_ddsf(x, blk, fam), fam, xs, block, g_y, g_ld)
+        got = adjoint_results(fam, xs, block, g_y, g_ld)
+        assert np.all(ref[1] < -600.0)
+        names = ["y", "logdet", "x", "block", *(p.name for p in fam.params)]
+        for name, want, have in zip(names, ref, got):
+            np.testing.assert_allclose(have, want, rtol=1e-9, atol=1e-12 * np.max(np.abs(want)),
+                                       err_msg=name)
+
     def test_numpy_path_matches_graph_values(self):
         rng = np.random.default_rng(4)
         fam, block = random_ddsf(rng, (1, 6, 5, 1), 32)
@@ -483,10 +543,14 @@ class TestDdsfOp:
         log_u = sm.logsoftmax_over_axis(vu + eta[:, None, :], -1)
         want_s = sm.logsumexp_over_axis(log_u + r[:, None, :], -1)
         want_uh = np.sum(np.exp(log_u) * h[:, None, :], axis=-1)
-        np.testing.assert_allclose(cq[0] - cz[0], want_s.T, rtol=1e-12, atol=1e-12)
-        # without pieces: the same log, bytes and all, and nothing else
-        log_q, *pieces = tf._cwn_product(V, E, (eta + r).T, pieces=False)
-        assert log_q.tobytes() == cq[0].tobytes() and pieces == [None, None, None]
+        # low products are NaN, and their logs come from their weights' normalizer
+        assert np.all(np.isnan(cq[0][0][cq[3][0]])) and np.all(np.isnan(cz[0][0][cz[3][0]]))
+        s = cwn_log(V, E, (eta + r).T) - cwn_log(V, E, eta.T)
+        np.testing.assert_allclose(s, want_s.T, rtol=1e-12, atol=1e-12)
+        # without pieces: the same product and shift, bytes and all, and nothing else
+        (p_q, m_q), *pieces = tf._cwn_product(V, E, (eta + r).T, pieces=False)
+        assert (p_q.tobytes(), m_q.tobytes()) == (cq[0][0].tobytes(), cq[0][1].tobytes())
+        assert pieces == [None, None, None]
         np.testing.assert_allclose(tf._cwn_mix(h.T, E, cz), want_uh.T, rtol=1e-12, atol=1e-12)
 
     def test_normalizer_underflow_end_to_end(self):
