@@ -102,8 +102,9 @@ def read_data_csv(path: str, expect_header: bool) -> np.ndarray:
 
 
 def _threads_cap() -> int | None:
-    """NAFKIT_THREADS caps worker count; this build is single-threaded, so
-    any positive value is honored trivially. Validated and echoed."""
+    """NAFKIT_THREADS, validated and echoed into config.json. nafkit starts no
+    threads of its own, and the value does not pin the BLAS numpy runs on,
+    which may use several (so outputs can differ between thread counts)."""
     raw = os.environ.get("NAFKIT_THREADS")
     if raw is None:
         return None

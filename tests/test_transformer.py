@@ -655,6 +655,30 @@ class TestYOnlyMode:
         y_node = fam.core(xs, fam.decode(block))[0]
         assert y_node.tobytes() == fam.forward(xs, block)[0].tobytes()
 
+    @pytest.mark.parametrize("family", ["random", "m2-stack", "saturated"])
+    def test_dsf_slope_pass(self, family):
+        # the Newton solver's pass: y keeps the y-only bits, and dy/dx is
+        # exp(logdet) to 1e-12. On saturated units (biases +-700) it lies
+        # below _FLOOR, and the solve returns the y-only solve's roots.
+        rng = np.random.default_rng(35)
+        if family == "saturated":
+            fam, block = saturated_dsf(rng, 64, 8)
+            xs = rng.uniform(-1.0, 1.0, size=64)
+        else:
+            fam = tf.Dsf(d=8)
+            block = np.stack([fam.random_row(rng) for _ in range(192)], axis=1)
+            xs = rng.uniform(-6.0, 6.0, size=192)
+            if family == "m2-stack":
+                block, xs = np.stack([block[:, :96], block[:, 96:]]), xs.reshape(2, 96)
+        p = fam.decode(block)
+        y, slope = fam.core(xs, p, a_w=p[2] / p[0])
+        assert y.tobytes() == fam.core(xs, p, logdet=False).tobytes()
+        np.testing.assert_allclose(slope, np.exp(fam.core(xs, p)[1]), rtol=1e-12, atol=0.0)
+        if family == "saturated":
+            assert np.all(slope < tf._FLOOR)
+            y_only = tf.invert_batch(y, lambda t: fam.core(t, p, logdet=False))
+            assert fam.inverse(y, block).tobytes() == y_only.tobytes()
+
     @pytest.mark.parametrize("make, layer", [
         (lambda: dsf([0.5, 0.5], [5.0, 5.0], [0.0, 0.0]), None),
         (middle_slope_ddsf, 1),
@@ -818,6 +842,32 @@ class TestOneColumnBlock:
         self.assert_same_bits(fam, row, rng.uniform(-5, 5, size=300))
 
 
+def solver_forward(fam, row, slope=True):
+    """forward_closure(fam, row) of a Dsf, or with slope the (y, dy/dx) pair
+    that Dsf.inverse solves on."""
+    if not slope:
+        return tf.forward_closure(fam, row)
+
+    def fn(t):
+        p = fam.decode(np.broadcast_to(np.asarray(row)[:, None], (len(row), t.size)))
+        return tf._dsf_core(t, p, a_w=p[2] / p[0])
+    return fn
+
+
+def with_slope(fn, dfn, slope):
+    """fn, or with slope the pair (fn, dfn) that a Newton solve reads."""
+    return (lambda t: (fn(t), dfn(t))) if slope else fn
+
+
+def tanh_slope(t):
+    return 1.0 - np.tanh(t) ** 2
+
+
+# Each error and budget test below runs the y-only (Chandrupatla) and the
+# slope-returning (Newton) solve in turn, keeping one test id.
+SOLVERS = (False, True)
+
+
 class TestInvert:
     def test_identity_dsf(self):
         fn = tf.forward_closure(*dsf([1.0], [1.0], [0.0]))
@@ -841,48 +891,53 @@ class TestInvert:
         assert tf.invert_batch([250.0], fn, -1.0, 1.0)[0] == pytest.approx(150.0, abs=1e-8)
 
     def test_range_error_when_unreachable(self):
-        fn = tf.forward_closure(*dsf([0.5, 0.5], [1.0, 1.0], [0.0, 0.0]))
-        # identical units make the identity; inversion solves the same
-        # guarded forward, which reaches far past 100
-        assert tf.invert_batch([100.0], fn)[0] == pytest.approx(100.0, abs=1e-8)
-        # tanh stays below 1 on every |x| <= 1e6
-        with pytest.raises(RangeError) as exc:
-            tf.invert_batch([0.5, 2.0], np.tanh)
-        assert exc.value.index == 1
+        for slope in SOLVERS:
+            fn = solver_forward(*dsf([0.5, 0.5], [1.0, 1.0], [0.0, 0.0]), slope)
+            # identical units make the identity; inversion solves the same
+            # guarded forward, which reaches far past 100
+            assert tf.invert_batch([100.0], fn)[0] == pytest.approx(100.0, abs=1e-8)
+            # tanh stays below 1 on every |x| <= 1e6
+            with pytest.raises(RangeError) as exc:
+                tf.invert_batch([0.5, 2.0], with_slope(np.tanh, tanh_slope, slope))
+            assert exc.value.index == 1
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_nonfinite_target_raises_before_any_evaluation(self, bad):
-        fn, calls = counted(np.tanh)
-        with pytest.raises(RangeError) as exc:
-            tf.invert_batch([0.5, bad], fn)
-        assert exc.value.index == 1 and calls[0] == 0
+        for slope in SOLVERS:
+            fn, calls = counted(with_slope(np.tanh, tanh_slope, slope))
+            with pytest.raises(RangeError) as exc:
+                tf.invert_batch([0.5, bad], fn)
+            assert exc.value.index == 1 and calls[0] == 0
 
     def test_reach_is_the_guarded_forward(self):
         # the identity dsf maps |x| up to the guard (about 708) onto itself;
         # a bracket probe past the guard is pulled back, not raised
-        fn = tf.forward_closure(*dsf([0.5, 0.5], [1.0, 1.0], [0.0, 0.0]))
-        ys = np.array([-600.0, 3.0, 700.0])
-        assert np.max(np.abs(tf.invert_batch(ys, fn) - ys)) <= 1e-8
-        with pytest.raises(SaturationError):
-            tf.invert_batch([1e4], fn)
+        for slope in SOLVERS:
+            fn = solver_forward(*dsf([0.5, 0.5], [1.0, 1.0], [0.0, 0.0]), slope)
+            ys = np.array([-600.0, 3.0, 700.0])
+            assert np.max(np.abs(tf.invert_batch(ys, fn) - ys)) <= 1e-8
+            with pytest.raises(SaturationError):
+                tf.invert_batch([1e4], fn)
 
     def test_target_past_guard_raises_within_budget(self):
         # a probe that trips the guard also shortens the next step, so
         # the ends close on the guard instead of re-tripping it each time
-        fn, calls = counted(tf.forward_closure(*dsf([0.5, 0.5], [1.0, 1.0], [0.0, 0.0])))
-        with pytest.raises(SaturationError):
-            tf.invert_batch([1e4], fn)
-        assert calls[0] <= 150
+        for slope in SOLVERS:
+            fn, calls = counted(solver_forward(*dsf([0.5, 0.5], [1.0, 1.0], [0.0, 0.0]), slope))
+            with pytest.raises(SaturationError):
+                tf.invert_batch([1e4], fn)
+            assert calls[0] <= 150
 
-    @pytest.mark.parametrize("kind", ["dsf", "ddsf"])
+    @pytest.mark.parametrize("kind", ["dsf", "ddsf", "dsf-newton"])
     def test_forward_evals_per_call(self, kind):
-        fn = tf.forward_closure(*tf.random_params(kind, np.random.default_rng(13)))
+        fam, row = tf.random_params(kind.split("-")[0], np.random.default_rng(13))
+        fn = solver_forward(fam, row) if kind == "dsf-newton" else tf.forward_closure(fam, row)
         xs = np.random.default_rng(0).uniform(-4, 4, size=1000)
-        ys = fn(xs)
+        ys = tf.forward_closure(fam, row)(xs)
         counting, calls = counted(fn)
         back = tf.invert_batch(ys, counting)
         assert np.max(np.abs(back - xs)) <= 1e-8
-        assert calls[0] <= {"dsf": 11, "ddsf": 10}[kind]
+        assert calls[0] <= {"dsf": 11, "ddsf": 10, "dsf-newton": 8}[kind]
 
     def test_one_evaluation_per_expansion_round(self):
         # entries move down and up in the same rounds: x = -29 takes three
@@ -897,13 +952,16 @@ class TestInvert:
 
     @pytest.mark.parametrize("nan_where", [
         lambda t: t > 0.3,  # at the bracket end x = 1
-        lambda t: np.abs(t) < 0.1,  # at the first iterate, the midpoint x = 0
+        # at entry 0's first iterate: the midpoint x = 0, or Newton's x = 0.2
+        lambda t: np.abs(t) < 0.3,
     ], ids=["bracket-end", "iterate"])
     def test_nonfinite_forward_raises(self, nan_where):
-        with pytest.raises(NumericError) as exc:
-            tf.invert_batch([0.2, 0.5], lambda t: np.where(nan_where(t), np.nan, t))
-        assert "entry 0" in str(exc.value)
-        assert exc.value.index == 0
+        for slope in SOLVERS:
+            fn = with_slope(lambda t: np.where(nan_where(t), np.nan, t), np.ones_like, slope)
+            with pytest.raises(NumericError) as exc:
+                tf.invert_batch([0.2, 0.5], fn)
+            assert "entry 0" in str(exc.value)
+            assert exc.value.index == 0
 
     def test_large_x_ends_at_ulp_width(self):
         # 1e-12 is below the spacing of floats near 5e5
@@ -940,11 +998,44 @@ class TestInvert:
 
     def test_iteration_cap_raises(self, monkeypatch):
         monkeypatch.setattr(tf, "SOLVER_ITERATIONS", 2)
-        fn = tf.forward_closure(*dsf([0.5, 0.5], [2.0, 1.0], [0.0, 0.0]))
-        with pytest.raises(NumericError) as exc:
-            tf.invert_batch([0.1, 0.7], fn)
-        assert "entry 0" in str(exc.value)
-        assert exc.value.index == 0
+        for slope in SOLVERS:
+            fn = solver_forward(*dsf([0.5, 0.5], [2.0, 1.0], [0.0, 0.0]), slope)
+            with pytest.raises(NumericError) as exc:
+                tf.invert_batch([0.1, 0.7], fn)
+            assert "entry 0" in str(exc.value)
+            assert exc.value.index == 0
+
+    def test_bad_slopes_only_cost_bisections(self):
+        # slopes of 0, -1, NaN and inf at four of every five entries: those
+        # entries bisect, and every root lands where the true slopes put it
+        fam, row = tf.random_params("dsf", np.random.default_rng(13))
+        fn = solver_forward(fam, row)
+        xs = np.random.default_rng(0).uniform(-4, 4, size=1000)
+        ys, _ = fn(xs)
+
+        def injected(t):
+            y, g = fn(t)
+            g[0::5], g[1::5], g[2::5], g[3::5] = 0.0, -1.0, np.nan, np.inf
+            return y, g
+        back = tf.invert_batch(ys, injected)
+        assert np.max(np.abs(back - tf.invert_batch(ys, fn))) <= 1e-12
+        assert np.max(np.abs(back - xs)) <= 1e-12
+
+    def test_flat_root_ends_at_the_forward_rounding(self):
+        # two steps with a plateau between them: dy/dx is about 7.5e-5 at
+        # x = 0, so 16 ulps of y span about 6e-12 of x, and f's rounding
+        # there moves Newton's steps past 1e-12. The solve ends once |f - y|
+        # is at most 16 ulps of y, within budget.
+        fam, row = dsf([0.45, 0.55], [5.0, 5.0], [-12.5, 12.5])
+        fn = solver_forward(fam, row)
+        xs = np.array([-0.1, -0.05, 0.0, 0.05, 0.1])
+        ys, slopes = fn(xs)
+        assert np.all(slopes < 1e-4)
+        counting, calls = counted(fn)
+        back = tf.invert_batch(ys, counting)
+        assert calls[0] <= 10  # the y-only solve takes 14
+        assert np.all(np.abs(fn(back)[0] - ys) <= 16.0 * np.spacing(np.abs(ys)))
+        assert np.max(np.abs(back - xs)) <= 1e-10
 
 
 def counted(fn):
