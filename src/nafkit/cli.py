@@ -381,13 +381,27 @@ _CERT_TARGETS = {
 }
 
 
+def _step_counts(raw: str) -> list:
+    """certify-universal's --n, every entry an integer >= 1, before any work."""
+    ns = []
+    for entry in raw.split(","):
+        try:
+            n = int(entry)
+        except ValueError:
+            raise DataError(f"--n entries must be integers, got {entry!r}") from None
+        if n < 1:
+            raise DomainError(f"--n entries must be >= 1, got {n}")
+        ns.append(n)
+    return ns
+
+
 def cmd_certify_universal(args) -> int:
     if args.target not in _CERT_TARGETS:
         raise DataError(
             f"unknown monotone target {args.target!r}; choose from {sorted(_CERT_TARGETS)}"
         )
     target = _CERT_TARGETS[args.target]()
-    ns = [int(v) for v in args.n.split(",")]
+    ns = _step_counts(args.n)
     os.makedirs(args.out, exist_ok=True)
     certificates = []
     for n in ns:
@@ -408,7 +422,8 @@ def cmd_certify_universal(args) -> int:
         write_csv(os.path.join(args.out, f"curve_n{n}.csv"),
                   np.column_stack([xs, truth, steps, sig]),
                   header=["x", "target", "step_sum", "sigmoid_sum"])
-    demo = inverse_transform_demo(max(ns), seed=args.seed)
+    # the demo's sigmoid sum needs two steps, as a certificate's sigmoid fields do
+    demo = inverse_transform_demo(max(ns), seed=args.seed) if max(ns) >= 2 else None
     write_json(os.path.join(args.out, "certificates.json"),
                {"certificates": certificates, "inverse_transform_demo": demo})
     ok = all(c["step_achieved"] <= c["step_bound"] + 1e-9 for c in certificates)

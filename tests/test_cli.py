@@ -348,6 +348,29 @@ class TestCertifyUniversalCommand:
         stdout = capsys.readouterr().out
         assert json.loads(stdout)["passed"] is True
 
+    def test_one_step_has_no_demo(self, tmp_path):
+        # the demo's sigmoid sum needs two steps, as the sigmoid fields do
+        out = tmp_path / "cert"
+        assert run(["certify-universal", "--n", "1", "--grid", 2001, "--out", out]) == 0
+        doc = json.loads((out / "certificates.json").read_text())
+        assert doc["inverse_transform_demo"] is None
+        assert "sigmoid_bound" not in doc["certificates"][0]
+        assert (out / "curve_n1.csv").exists()
+
+    @pytest.mark.parametrize("counts, message", [
+        ("a", "--n entries must be integers, got 'a'"),
+        ("4,", "--n entries must be integers, got ''"),
+        ("4,0", "--n entries must be >= 1, got 0"),
+        ("0,4", "--n entries must be >= 1, got 0"),
+    ])
+    def test_bad_step_count_exits_3_and_writes_nothing(self, tmp_path, capsys, counts,
+                                                       message):
+        out = tmp_path / "cert"
+        assert run(["certify-universal", "--n", counts, "--grid", 2001, "--out", out]) == 3
+        err = capsys.readouterr().err
+        assert f"error: {message}" in err and "Traceback" not in err
+        assert not out.exists()
+
 
 class TestSelftestCommand:
     def test_fresh_build_exits_zero(self, capsys):

@@ -503,16 +503,28 @@ def counted_solves(monkeypatch):
     return counts
 
 
+def sample_solves(counts, stack, seeds, draws, tol):
+    """The forward evaluations of each solve of stack.sample(draws) at each
+    seed, from counted_solves' list, once every draw round-trips within tol."""
+    counts.clear()
+    for s in seeds:
+        x = stack.sample(draws, seed=s)
+        noise = np.random.default_rng(s).standard_normal((draws, stack.m))
+        np.testing.assert_allclose(stack.forward(x)[0], noise, rtol=0.0, atol=tol)
+    return list(counts)
+
+
 class TestHeldOutSolves:
     """The held-out inversions of the energy-ddsf-fourmode benchmark round: its
     ddsf stack after the round's 40-step energy fit, and the held-out batches of
     workload seeds 1-5 (training uses one fixed seed, so the stack is shared)."""
 
-    # Forward evaluations of each of those solves (two per batch: one per
-    # dimension) with one probe per bracketing round; with a probe for each
-    # side a bracket that grows costs one more per round. A faster solver may
-    # lower these, but no solve may take more.
-    EVALUATIONS = {seed: [8, 8, 8, 8] for seed in range(1, 6)}
+    # Forward evaluations, each y-only, of each of those solves (two per batch:
+    # one per dimension) with one probe per bracketing round and safeguarded
+    # Newton steps on secant slopes; with a probe for each side a bracket that
+    # grows costs one more per round, and the inverse quadratic interpolation
+    # refine took 8. A faster solver may lower these, but no solve may take more.
+    EVALUATIONS = {seed: [6, 6, 6, 6] for seed in range(1, 6)}
 
     def test_no_solve_takes_more_evaluations(self, monkeypatch):
         wl = perfbench_workloads()
@@ -541,7 +553,8 @@ class TestSampleSolves:
     # Forward evaluations, each a y-and-slope pass, of each of those solves (two
     # per sample call: one per dimension) with one probe per bracketing round
     # and safeguarded Newton steps. A faster solver may lower these, but no
-    # solve may take more; the y-only Chandrupatla refine took 11-12 and 15-17.
+    # solve may take more; y-only, by inverse quadratic interpolation, they
+    # took 11-12 and 15-17.
     EVALUATIONS = {
         1: [9, 14, 9, 14, 9, 14, 9, 15],
         2: [9, 14, 9, 14, 9, 13, 9, 14],
@@ -559,11 +572,40 @@ class TestSampleSolves:
             stack = state["stack"]
             nafkit.fit(stack, nafkit.TrainConfig(loss="mle", steps=bench.FIT_STEPS, batch=wl.BATCH,
                                                  lr=wl.LR, seed=seed), data=state["train"])
-            counts.clear()
-            for s in state["sample_seeds"]:
-                x = stack.sample(bench.SAMPLE_DRAWS, seed=s)
-                noise = np.random.default_rng(s).standard_normal((bench.SAMPLE_DRAWS, stack.m))
-                np.testing.assert_allclose(stack.forward(x)[0], noise, rtol=0.0,
-                                           atol=wl.ROUNDTRIP_TOL)
-            assert len(counts) == len(want), (seed, counts)
-            assert all(c <= w for c, w in zip(counts, want)), (seed, counts)
+            got = sample_solves(counts, stack, state["sample_seeds"], bench.SAMPLE_DRAWS,
+                                wl.ROUNDTRIP_TOL)
+            assert len(got) == len(want), (seed, got)
+            assert all(c <= w for c, w in zip(got, want)), (seed, got)
+
+
+class TestStoredSampleSolves:
+    """The sampling inversions of the sample-ddsf benchmark round: the stored
+    2-layer ddsf checkpoint (read only), sampled at the two seeds that each
+    workload seed 1-5 draws, as its CLI `sample` calls do."""
+
+    # Forward evaluations, each y-only, of each of those solves (four per sample
+    # call: one per layer and dimension, the last layer first) with one probe
+    # per bracketing round and safeguarded Newton steps on secant slopes. A
+    # faster solver may lower these, but no solve may take more; the inverse
+    # quadratic interpolation refine took 8-9 and 14-15 (seed 1: 9, 14, 9, 15,
+    # 9, 14, 9, 15). The second dimension's forward is nearly flat on [-1, 1]
+    # and steep beyond, so secant steps bisect out of the plateau first.
+    EVALUATIONS = {
+        1: [7, 16, 7, 17, 7, 17, 7, 18],
+        2: [7, 17, 7, 18, 7, 17, 7, 17],
+        3: [7, 17, 7, 18, 6, 17, 7, 18],
+        4: [7, 17, 7, 17, 6, 17, 8, 17],
+        5: [7, 18, 7, 17, 6, 17, 7, 17],
+    }
+
+    def test_no_solve_takes_more_evaluations(self, monkeypatch, tmp_path):
+        wl = perfbench_workloads()
+        bench = wl.SampleDdsf()
+        counts = counted_solves(monkeypatch)
+        for seed, want in self.EVALUATIONS.items():
+            state = bench.setup(nafkit, seed, str(tmp_path))
+            stack = state["stack"]
+            got = sample_solves(counts, stack, state["sample_seeds"], bench.SAMPLE_DRAWS,
+                                wl.ROUNDTRIP_TOL)
+            assert len(got) == len(want), (seed, got)
+            assert all(c <= w for c, w in zip(got, want)), (seed, got)

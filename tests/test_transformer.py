@@ -863,8 +863,9 @@ def tanh_slope(t):
     return 1.0 - np.tanh(t) ** 2
 
 
-# Each error and budget test below runs the y-only (Chandrupatla) and the
-# slope-returning (Newton) solve in turn, keeping one test id.
+# Each error and budget test below runs the y-only (Newton on secant slopes)
+# and the slope-returning (Newton on the forward's slopes) solve in turn,
+# keeping one test id.
 SOLVERS = (False, True)
 
 
@@ -952,7 +953,7 @@ class TestInvert:
 
     @pytest.mark.parametrize("nan_where", [
         lambda t: t > 0.3,  # at the bracket end x = 1
-        # at entry 0's first iterate: the midpoint x = 0, or Newton's x = 0.2
+        # at entry 0's first iterate: Newton's x = 0.2, on the chord's slope too
         lambda t: np.abs(t) < 0.3,
     ], ids=["bracket-end", "iterate"])
     def test_nonfinite_forward_raises(self, nan_where):
@@ -1025,17 +1026,19 @@ class TestInvert:
         # two steps with a plateau between them: dy/dx is about 7.5e-5 at
         # x = 0, so 16 ulps of y span about 6e-12 of x, and f's rounding
         # there moves Newton's steps past 1e-12. The solve ends once |f - y|
-        # is at most 16 ulps of y, within budget.
+        # is at most 16 ulps of y, within budget: on the forward's slopes
+        # 10 evaluations, on secant slopes 14.
         fam, row = dsf([0.45, 0.55], [5.0, 5.0], [-12.5, 12.5])
         fn = solver_forward(fam, row)
         xs = np.array([-0.1, -0.05, 0.0, 0.05, 0.1])
         ys, slopes = fn(xs)
         assert np.all(slopes < 1e-4)
-        counting, calls = counted(fn)
-        back = tf.invert_batch(ys, counting)
-        assert calls[0] <= 10  # the y-only solve takes 14
-        assert np.all(np.abs(fn(back)[0] - ys) <= 16.0 * np.spacing(np.abs(ys)))
-        assert np.max(np.abs(back - xs)) <= 1e-10
+        for slope in SOLVERS:
+            counting, calls = counted(fn if slope else tf.forward_closure(fam, row))
+            back = tf.invert_batch(ys, counting)
+            assert calls[0] <= (10 if slope else 14)
+            assert np.all(np.abs(fn(back)[0] - ys) <= 16.0 * np.spacing(np.abs(ys)))
+            assert np.max(np.abs(back - xs)) <= 1e-10
 
 
 def counted(fn):
