@@ -118,17 +118,18 @@ def suite_gradcheck(rng: np.random.Generator):
 
 
 def suite_roundtrip(rng: np.random.Generator, n: int = 300):
-    """inverse(forward(x)) recovers x to 1e-8 for every kind."""
+    """inverse(forward(x)) recovers x to 1e-8 for every kind, through a block
+    per point and through one column that every point shares."""
     for kind in tf.FAMILIES:
         fam, row = tf.random_params(kind, np.random.default_rng(3))
         xs = rng.uniform(-4, 4, size=n)
         block = np.broadcast_to(row[:, None], (row.size, n))
         ys, _ = fam.forward(xs, block)
-        back = fam.inverse(ys, block)
-        err = float(np.max(np.abs(back - xs)))
-        if err > 1e-8:
-            return False, f"{kind} round-trip error {err:.2e}"
-    return True, f"max round-trip error below 1e-8 over {n} points per kind"
+        for name, block in (("", block), (" one-column", row[:, None])):
+            err = float(np.max(np.abs(fam.inverse(ys, block) - xs)))
+            if err > 1e-8:
+                return False, f"{kind}{name} round-trip error {err:.2e}"
+    return True, f"max round-trip error below 1e-8 over {n} points per kind and block"
 
 
 def suite_step_bound(rng: np.random.Generator):

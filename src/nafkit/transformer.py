@@ -42,7 +42,11 @@ path can score. dsf and ddsf have no closed-form inverse: invert_batch
 brackets each target and refines it by safeguarded Newton, dsf on the
 slope its y pass gives for about an eighth more, ddsf on secant slopes
 through y-only evaluations: about 6 to 18 forward evaluations per
-dimension.
+dimension. A block column that every point shares (the dimension of degree
+1) is one scalar function for the whole batch, so for more than TABLE
+points one forward call on a table over the x its units' bound allows
+(_grid) seats every target in a cell, and the refine starts there: 3 or
+4 evaluations in all on the benchmark's stacks.
 """
 
 from __future__ import annotations
@@ -64,6 +68,9 @@ SATURATION_GUARD = True
 
 # Reach of every inverse: an x beyond it is a RangeError.
 BRACKET_CAP = 1e6
+
+# Points of the table that seats every target of a block all points share.
+TABLE = 65
 
 # Refinement steps after bracketing before an inverse is a NumericError.
 SOLVER_ITERATIONS = 200
@@ -644,12 +651,17 @@ def _ddsf_adjoint(g_y, g_ld, block, slices, layers, saved):
 # -- inversion -------------------------------------------------------------
 
 
-def invert_batch(y, forward, lo0: float = -1.0, hi0: float = 1.0) -> np.ndarray:
+def invert_batch(y, forward, lo0: float = -1.0, hi0: float = 1.0, table=None) -> np.ndarray:
     """Vectorized root-finding: forward maps (n,) -> (n,), increasing per entry.
 
     forward(t) returns f(t), or the pair (f(t), df/dt). A non-finite y is a
-    RangeError naming its entry, before any forward evaluation. Each
-    bracket doubles outward from [lo0, hi0] until it straddles its y (up to
+    RangeError naming its entry, before any forward evaluation. Each entry
+    starts from [lo0, hi0]; or, given a table (an increasing grid, for a
+    forward that is one function for every entry), one forward call on the
+    grid starts each entry from its cell, the first or last cell for a y
+    beyond the grid (_seat), unless that call trips the saturation guard or
+    returns a non-finite value. Each bracket doubles outward from its start
+    (a zero-width one from width 1) until it straddles its y (up to
     |x| = 1e6, else RangeError naming the first such entry). An expansion
     round takes one forward evaluation: an entry whose f(lo) is above y
     moves lo down, one whose f(hi) is below y moves hi up, and for an
@@ -672,11 +684,14 @@ def invert_batch(y, forward, lo0: float = -1.0, hi0: float = 1.0) -> np.ndarray:
     y = np.asarray(y, dtype=np.float64)
     if not np.all(np.isfinite(y)):
         raise _unreachable(y, ~np.isfinite(y))
-    lo = np.full_like(y, lo0)
-    hi = np.full_like(y, hi0)
-    flo = np.array(forward(lo), ndmin=2)  # rows [f], or [f; df/dx] from a pair
-    fhi = np.array(forward(hi), ndmin=2)
-    w = hi - lo
+    seat = None if table is None else _seat(y, forward, table)
+    if seat is None:
+        lo, hi = np.full_like(y, lo0), np.full_like(y, hi0)
+        flo = np.array(forward(lo), ndmin=2)  # rows [f], or [f; df/dx] from a pair
+        fhi = np.array(forward(hi), ndmin=2)
+    else:
+        lo, hi, flo, fhi = seat
+    w = np.where(hi > lo, hi - lo, 1.0)
     for _ in range(64):
         need_lo = flo[0] > y
         need_hi = fhi[0] < y
@@ -721,6 +736,20 @@ def invert_batch(y, forward, lo0: float = -1.0, hi0: float = 1.0) -> np.ndarray:
             below = f < 0.0
             lo, hi = np.where(below, x, lo), np.where(below, hi, x)
     raise _no_convergence(y, live)
+
+
+def _seat(y, forward, grid):
+    """(lo, hi, f(lo), f(hi)) per entry from one forward call on an increasing
+    grid: each y's cell, the grid's first or last for a y beyond its ends. None
+    if that call trips the saturation guard or returns a non-finite value."""
+    try:
+        f = np.array(forward(grid), ndmin=2)
+    except SaturationError:
+        return None
+    if not np.isfinite(f[0]).all():
+        return None
+    j = np.clip(np.searchsorted(f[0], y), 1, len(grid) - 1)
+    return grid[j - 1], grid[j], f[:, j - 1], f[:, j]
 
 
 def _tolerance(a, b):
@@ -777,6 +806,24 @@ def _unreachable(y, entries):
     return RangeError(f"no |x| <= 1e6 reaches y = {y[i]:.6g}", index=i)
 
 
+def _grid(y, units):
+    """TABLE points over the x that can reach y's targets, for one block column.
+
+    A sigmoid mixture's output lies between its units' smallest and largest
+    pre-activation C = a h + b, and u @ h between h's extremes. So, walking
+    from the last sublayer's (a, b) back to x, every root lies in [lo, hi]
+    with lo = min (t - b) / a from the smallest target t and hi = max
+    (t - b) / a from the largest, held to the solver's reach.
+    """
+    lo, hi = np.min(y), np.max(y)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for a, b in reversed(units):
+            lo, hi = np.min((lo - b) / a), np.max((hi - b) / a)
+    lo = min(lo, BRACKET_CAP) if lo > -BRACKET_CAP else -BRACKET_CAP  # NaN: the cap
+    hi = max(hi, -BRACKET_CAP) if hi < BRACKET_CAP else BRACKET_CAP
+    return np.linspace(lo, hi, TABLE)
+
+
 def _within_reach(y, x):
     """x from a closed-form inverse, held to invert_batch's reach."""
     far = ~(np.abs(x) <= BRACKET_CAP)  # also flags inf and nan
@@ -810,7 +857,11 @@ class Family:
       forward        (y, log dy/dx): core on decode(block, constants);
       inverse        x with forward(x, block) = y: decode once, then solve
                      core's y with invert_batch (the same bits and guard),
-                     which dsf's core hands dy/dx too.
+                     which dsf's core hands dy/dx too; a one-column block
+                     of more than TABLE points also gives it a table over
+                     its units' range;
+      units(p)       (a, b) of each sublayer, first to last, whose
+                     pre-activations bound that range (dsf and ddsf).
     random_row(rng) draws one (width,) block column for property checks (ddsf
     also redraws vu and vw); random_params pairs it with a fresh family.
     """
@@ -830,7 +881,15 @@ class Family:
 
     def inverse(self, y, block, constants=None):
         p = self.decode(block, constants)  # once, not per solver evaluation
-        return invert_batch(y, lambda t: self.core(t, p, logdet=False))
+        return invert_batch(y, lambda t: self.core(t, p, logdet=False),
+                            table=self._table(y, block, p))
+
+    def _table(self, y, block, p):
+        """The grid of a table, when a one-column block serves every point of a
+        (n,) y with more points than the table has."""
+        if np.shape(block)[-1] == 1 and np.ndim(y) == 1 and np.size(y) > TABLE:
+            return _grid(y, self.units(p))
+        return None
 
 
 class AffineExp(Family):
@@ -909,14 +968,18 @@ class Dsf(Family):
     def forward(x, block, constants=None):
         return dsf_from_preact(x, block)  # looked up per call, so it can be wrapped
 
+    @staticmethod
+    def units(p):
+        return [(p[2], p[4])]
+
     def inverse(self, y, block, constants=None):
         # A one-column block (the dimension of degree 1) is decoded on its one
-        # column, then spread over the points: every solver evaluation reads
-        # (d, n) arrays faster than it broadcasts (d, 1) ones. Same values, same bits.
-        n = np.shape(y)[-1]
-        p = tuple(np.repeat(v, n, axis=-1) if v.shape[-1] < n else v for v in self.decode(block))
+        # column and broadcast over the points, table and batch alike: the same
+        # bits as (d, n) copies, whose allocation per solve costs more page
+        # faults than their faster reads save in a solve of few evaluations.
+        p = self.decode(block)
         a_w = p[2] / np.maximum(p[0], _FLOOR)  # a unit whose w underflows adds 0, not NaN
-        return invert_batch(y, lambda t: self.core(t, p, a_w=a_w))
+        return invert_batch(y, lambda t: self.core(t, p, a_w=a_w), table=self._table(y, block, p))
 
     def random_row(self, rng):
         d = self.d
@@ -971,6 +1034,10 @@ class Ddsf(Family):
         """Every array an inverse solve holds fixed, once per block: the
         constants, if not given, then a, b, w and the CWN normalizers Z."""
         return _ddsf_decode(block, self.slices, constants or self.constants())
+
+    @staticmethod
+    def units(p):
+        return [(lay["a"], lay["b"]) for lay in p]
 
     def adjoint(self, g_y, g_ld, x, block, p, saved):
         return _ddsf_adjoint(g_y, g_ld, block, self.slices, p, saved)

@@ -813,7 +813,11 @@ def saturation(call):
 
 class TestOneColumnBlock:
     """A (width, 1) block, which the conditioner gives the dimension of degree 1,
-    serves every point: the bits of that block broadcast over the points."""
+    serves every point: its forward has the bits of that block broadcast over
+    the points, and so has its inverse of up to TABLE points. A dsf or ddsf
+    inverse of more points starts from one table, not from the broadcast
+    block's bracket, so it lands within 1e-12 of that block's; an affine
+    inverse is closed-form and keeps the bits."""
 
     @staticmethod
     def assert_same_bits(fam, row, xs):
@@ -822,7 +826,12 @@ class TestOneColumnBlock:
         for got, want in zip(fam.forward(xs, one), fam.forward(xs, wide)):
             assert np.broadcast_to(got, want.shape).tobytes() == want.tobytes()
         ys = fam.forward(xs, wide)[0]
-        assert fam.inverse(ys, one).tobytes() == fam.inverse(ys, wide).tobytes()
+        few = slice(tf.TABLE)
+        assert fam.inverse(ys[few], one).tobytes() == fam.inverse(ys[few], wide[:, few]).tobytes()
+        back = fam.inverse(ys, wide)
+        if isinstance(fam, tf.AffineExp):
+            assert fam.inverse(ys, one).tobytes() == back.tobytes()
+        assert np.max(np.abs(fam.inverse(ys, one) - back)) <= 1e-12
 
     @pytest.mark.parametrize("kind", ["affine-exp", "affine-gate", "dsf"])
     def test_same_bits_as_broadcast(self, kind):
@@ -840,6 +849,128 @@ class TestOneColumnBlock:
         fam.v_u[1].data = np.array([[-800.0, 0, 0, 0], [-800.0, 1, 0, 0], [0.0, 0, 0, 0]])
         assert fam.decode(row[:, None])[1]["Z"][3] is not None
         self.assert_same_bits(fam, row, rng.uniform(-5, 5, size=300))
+
+
+def shared_family(name):
+    """A family and its one block row: random, or with an edge the unit bound meets."""
+    rng = np.random.default_rng(51)
+    if name == "dsf":
+        return tf.random_params("dsf", rng, d=8)
+    if name == "ddsf":
+        return tf.random_params("ddsf", rng, dims=(1, 16, 16, 1))
+    if name == "ddsf-inner-one-unit":
+        return tf.random_params("ddsf", rng, dims=(1, 4, 1, 4, 1))
+    if name == "dsf-saturated":  # every unit saturated on [-5, 5]
+        return dsf(np.full(8, 0.125), 1.0 + rng.uniform(-0.05, 0.05, 8), np.resize([700.0, -700.0], 8))
+    if name == "ddsf-saturated":
+        fam, row = tf.random_params("ddsf", rng, dims=(1, 8, 8, 1))
+        row[fam.slices[0][2]] = np.resize([700.0, -700.0], 8)
+        return fam, row
+    if name == "dsf-tiny-a":  # a = DELTA: its bound reaches past the cap on both sides
+        return tf.Dsf(3), np.concatenate([np.log([0.25, 0.5, 0.25]), [*a_pre([1.0, 2.0]), -50.0],
+                                          [0.0, 0.5, 0.3]])
+    # w = exp(-800) underflows to 0; its unit's b = -1000 puts the bound's hi at
+    # about 1000, where the other units saturate: the table trips the guard
+    fam = tf.Dsf(3)
+    return fam, np.concatenate([[0.0, 0.0, -800.0], a_pre([1.0, 2.0, 1.0]), [0.0, 0.5, -1000.0]])
+
+
+SHARED = ["dsf", "ddsf", "ddsf-inner-one-unit", "dsf-tiny-a", "dsf-underflowing-w"]
+
+
+def forward_sizes(monkeypatch):
+    """The size of the x of every inversion forward call, in order."""
+    sizes, invert = [], tf.invert_batch
+
+    def counting(y, forward, *args, **kwargs):
+        return invert(y, lambda t: sizes.append(np.size(t)) or forward(t), *args, **kwargs)
+    monkeypatch.setattr(tf, "invert_batch", counting)
+    return sizes
+
+
+def raised(call):
+    """(type, index, message) of the NumericError call raises."""
+    with pytest.raises(NumericError) as exc:
+        call()
+    return type(exc.value), exc.value.index, str(exc.value)
+
+
+class TestSharedTable:
+    """A one-column block's inverse of more than TABLE points seats every target
+    from one table over the x the unit bound allows, and solves as the broadcast
+    block does from there."""
+
+    @pytest.mark.parametrize("name", [*SHARED, "dsf-saturated", "ddsf-saturated"])
+    def test_unit_bound_straddles_every_target(self, name, monkeypatch):
+        # with the guard off every x has a log-space value to compare
+        monkeypatch.setattr(tf, "SATURATION_GUARD", False)
+        fam, row = shared_family(name)
+        p = fam.decode(row[:, None])
+        for seed in range(5):
+            xs = np.random.default_rng(seed).uniform(-5.0, 5.0, size=200)
+            ys = fam.core(xs, p, logdet=False)
+            grid = tf._grid(ys, fam.units(p))
+            assert len(grid) == tf.TABLE and np.all(np.diff(grid) >= 0.0)
+            assert grid[0] <= xs.min() and grid[-1] >= xs.max()
+            ends = fam.core(grid[[0, -1]], p, logdet=False)
+            assert ends[0] <= ys.min() and ends[1] >= ys.max(), (name, seed)
+
+    @pytest.mark.parametrize("name", SHARED)
+    def test_same_x_as_repeated_column(self, name):
+        fam, row = shared_family(name)
+        xs = np.random.default_rng(52).uniform(-5.0, 5.0, size=300)
+        one = row[:, None]
+        wide = np.repeat(one, xs.size, axis=1)
+        ys = fam.forward(xs, wide)[0]
+        back = fam.inverse(ys, one)
+        assert np.max(np.abs(back - fam.inverse(ys, wide))) <= 1e-12
+        np.testing.assert_allclose(fam.forward(back, wide)[0], ys, rtol=0.0, atol=1e-12)
+
+    def test_zero_width_table(self):
+        # identical units bound every root of equal targets to one point, and
+        # f rounds below y = 0.3 there: the bracket must still grow from it
+        fam, row = dsf([0.5, 0.5], [1.0, 1.0], [0.0, 0.0])
+        ys = np.full(tf.TABLE + 1, 0.3)
+        p = fam.decode(row[:, None])
+        assert np.ptp(tf._grid(ys, fam.units(p))) == 0.0
+        assert fam.core(np.array([0.3]), p, logdet=False)[0] < 0.3
+        assert np.max(np.abs(fam.inverse(ys, row[:, None]) - 0.3)) <= 1e-12
+
+    def test_table_is_one_forward_evaluation(self, monkeypatch):
+        # the table goes through the solver's forward, and seats every target
+        calls = forward_sizes(monkeypatch)
+        fam, row = shared_family("dsf")
+        xs = np.random.default_rng(53).uniform(-5.0, 5.0, size=300)
+        ys = fam.forward(xs, row[:, None])[0]
+        fam.inverse(ys, row[:, None])
+        assert calls[0] == tf.TABLE and calls[1:] == [xs.size] * (len(calls) - 1)
+        assert len(calls) <= 5
+
+    @pytest.mark.parametrize("make, ys", [
+        # unreachable: slopes of 2e-6 and 3e-6 keep y within +-10 on |x| <= 1e6
+        (lambda: dsf([0.5, 0.5], [2e-6, 3e-6], [0.0, 0.0]), [0.2, 10.0, -10.0, 0.1]),
+        (lambda: ddsf([(np.ones((2, 1)), np.full((2, 2), 0.5), np.array([2e-6, 3e-6]),
+                        np.zeros(2)),
+                       (np.full((1, 2), 0.5), np.ones((1, 1)), np.ones(1), np.zeros(1))]),
+         [0.2, -10.0, 10.0, 0.1]),
+        # past the guard
+        (lambda: dsf([0.5, 0.5], [1.0, 1.0], [0.0, 0.0]), [0.0, 1e4, 3.0, 2.0]),
+        (middle_slope_ddsf, [0.0, -1e4, 3.0, 2.0]),
+        # non-finite targets
+        (lambda: dsf([0.5, 0.5], [1.0, 2.0], [0.0, 0.0]), [0.5, np.nan, 0.1, np.inf]),
+        (middle_slope_ddsf, [0.5, -np.inf, 0.1, np.nan]),
+    ], ids=["range-dsf", "range-ddsf", "saturation-dsf", "saturation-ddsf",
+            "nonfinite-dsf", "nonfinite-ddsf"])
+    def test_same_error_as_repeated_column(self, make, ys, monkeypatch):
+        fam, row = make()
+        ys = np.concatenate([ys, np.full(tf.TABLE, ys[0])])  # enough points for a table
+        one = row[:, None]
+        calls = forward_sizes(monkeypatch)
+        got = raised(lambda: fam.inverse(ys, one))
+        # a non-finite target raises before any evaluation, the others after the table's
+        assert calls[:1] == ([tf.TABLE] if np.isfinite(ys).all() else [])
+        assert got == raised(lambda: fam.inverse(ys, np.repeat(one, ys.size, axis=1)))
+        assert got[1] == 1
 
 
 def solver_forward(fam, row, slope=True):
@@ -957,12 +1088,17 @@ class TestInvert:
         lambda t: np.abs(t) < 0.3,
     ], ids=["bracket-end", "iterate"])
     def test_nonfinite_forward_raises(self, nan_where):
+        # a table with a non-finite value is dropped: the same error as without
         for slope in SOLVERS:
             fn = with_slope(lambda t: np.where(nan_where(t), np.nan, t), np.ones_like, slope)
-            with pytest.raises(NumericError) as exc:
-                tf.invert_batch([0.2, 0.5], fn)
-            assert "entry 0" in str(exc.value)
-            assert exc.value.index == 0
+            messages = []
+            for table in (None, np.linspace(-1.0, 1.0, tf.TABLE)):
+                with pytest.raises(NumericError) as exc:
+                    tf.invert_batch([0.2, 0.5], fn, table=table)
+                assert "entry 0" in str(exc.value)
+                assert exc.value.index == 0
+                messages.append(str(exc.value))
+            assert messages[0] == messages[1]
 
     def test_large_x_ends_at_ulp_width(self):
         # 1e-12 is below the spacing of floats near 5e5
