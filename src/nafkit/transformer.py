@@ -43,10 +43,10 @@ brackets each target and refines it by safeguarded Newton, dsf on the
 slope its y pass gives for about an eighth more, ddsf on secant slopes
 through y-only evaluations: about 6 to 18 forward evaluations per
 dimension. A block column that every point shares (the dimension of degree
-1) is one scalar function for the whole batch, so for more than TABLE
-points one forward call on a table over the x its units' bound allows
-(_grid) seats every target in a cell, and the refine starts there: 3 or
-4 evaluations in all on the benchmark's stacks.
+1) is one scalar function for the whole batch, so one forward call on a
+TABLE-point grid over the x its units' bound allows (_grid) seats every
+target in a cell, and the refine starts there: 3 or 4 evaluations in all
+on the benchmark's stacks.
 """
 
 from __future__ import annotations
@@ -858,8 +858,7 @@ class Family:
       inverse        x with forward(x, block) = y: decode once, then solve
                      core's y with invert_batch (the same bits and guard),
                      which dsf's core hands dy/dx too; a one-column block
-                     of more than TABLE points also gives it a table over
-                     its units' range;
+                     also gives it a table over its units' range;
       units(p)       (a, b) of each sublayer, first to last, whose
                      pre-activations bound that range (dsf and ddsf).
     random_row(rng) draws one (width,) block column for property checks (ddsf
@@ -886,8 +885,8 @@ class Family:
 
     def _table(self, y, block, p):
         """The grid of a table, when a one-column block serves every point of a
-        (n,) y with more points than the table has."""
-        if np.shape(block)[-1] == 1 and np.ndim(y) == 1 and np.size(y) > TABLE:
+        non-empty (n,) y."""
+        if np.shape(block)[-1] == 1 and np.ndim(y) == 1 and np.size(y):
             return _grid(y, self.units(p))
         return None
 

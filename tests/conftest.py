@@ -32,6 +32,24 @@ def exact_identity_dsf_stack(m, d=16):
     return FlowStack([layer])
 
 
+def counted_solves(monkeypatch):
+    """A list that gains, from here on, one entry per invert_batch call: the
+    size of the x of each forward evaluation of that solve, in order."""
+    invert, solves = tf.invert_batch, []
+
+    def counting(y, forward, *args, **kwargs):
+        sizes = []
+        solves.append(sizes)
+
+        def counted(t):
+            sizes.append(np.size(t))
+            return forward(t)
+        return invert(y, counted, *args, **kwargs)
+
+    monkeypatch.setattr(tf, "invert_batch", counting)
+    return solves
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(0)

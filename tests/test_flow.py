@@ -7,7 +7,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import constant_affine_stack, exact_identity_dsf_stack, row_gradient_fd
+from conftest import (constant_affine_stack, counted_solves, exact_identity_dsf_stack,
+                      row_gradient_fd)
 import nafkit
 from nafkit import flow
 from nafkit import transformer as tf
@@ -198,7 +199,9 @@ class TestSampling:
         assert (exc.value.dim, exc.value.index) == (0, 2)
 
     def test_unconverged_inverse_names_layer_dimension_and_sample(self, monkeypatch):
-        monkeypatch.setattr(tf, "SOLVER_ITERATIONS", 2)
+        # one step: layer1's dimension 1, solved first from its shared table,
+        # converges in two
+        monkeypatch.setattr(tf, "SOLVER_ITERATIONS", 1)
         stack = FlowStack.build(m=2, kind="dsf", n_layers=2, seed=0)
         with pytest.raises(NumericError) as exc:
             stack.inverse(np.array([[0.0, 0.0], [0.3, 0.7]]))
@@ -486,32 +489,15 @@ def perfbench_workloads():
     return module
 
 
-def counted_solves(monkeypatch):
-    """A list that gains, from here on, one entry per invert_batch call: the
-    forward evaluations of that solve."""
-    invert, counts = tf.invert_batch, []
-
-    def counting(y, forward, *args, **kwargs):
-        counts.append(0)
-
-        def counted(t):
-            counts[-1] += 1
-            return forward(t)
-        return invert(y, counted, *args, **kwargs)
-
-    monkeypatch.setattr(tf, "invert_batch", counting)
-    return counts
-
-
-def sample_solves(counts, stack, seeds, draws, tol):
+def sample_solves(solves, stack, seeds, draws, tol):
     """The forward evaluations of each solve of stack.sample(draws) at each
     seed, from counted_solves' list, once every draw round-trips within tol."""
-    counts.clear()
+    solves.clear()
     for s in seeds:
         x = stack.sample(draws, seed=s)
         noise = np.random.default_rng(s).standard_normal((draws, stack.m))
         np.testing.assert_allclose(stack.forward(x)[0], noise, rtol=0.0, atol=tol)
-    return list(counts)
+    return [len(sizes) for sizes in solves]
 
 
 class TestHeldOutSolves:
@@ -536,15 +522,16 @@ class TestHeldOutSolves:
         nafkit.fit(stack, nafkit.TrainConfig(loss="energy", steps=bench.FIT_STEPS, batch=wl.BATCH,
                                              lr=wl.LR, seed=bench.TRAIN_SEED),
                    target=state["target"])
-        counts = counted_solves(monkeypatch)
+        solves = counted_solves(monkeypatch)
         for seed, want in self.EVALUATIONS.items():
-            counts.clear()
+            solves.clear()
             for points in bench.setup(nafkit, seed, None)["heldout"]:
                 x = stack.inverse(points)
                 np.testing.assert_allclose(stack.forward(x)[0], points, rtol=0.0,
                                            atol=wl.ROUNDTRIP_TOL)
-            assert len(counts) == len(want), (seed, counts)
-            assert all(c <= w for c, w in zip(counts, want)), (seed, counts)
+            got = [len(sizes) for sizes in solves]
+            assert len(got) == len(want), (seed, got)
+            assert all(c <= w for c, w in zip(got, want)), (seed, got)
 
 
 class TestSampleSolves:
@@ -569,13 +556,13 @@ class TestSampleSolves:
     def test_no_solve_takes_more_evaluations(self, monkeypatch):
         wl = perfbench_workloads()
         bench = wl.MleDsfGrid()
-        counts = counted_solves(monkeypatch)
+        solves = counted_solves(monkeypatch)
         for seed, want in self.EVALUATIONS.items():
             state = bench.setup(nafkit, seed, None)
             stack = state["stack"]
             nafkit.fit(stack, nafkit.TrainConfig(loss="mle", steps=bench.FIT_STEPS, batch=wl.BATCH,
                                                  lr=wl.LR, seed=seed), data=state["train"])
-            got = sample_solves(counts, stack, state["sample_seeds"], bench.SAMPLE_DRAWS,
+            got = sample_solves(solves, stack, state["sample_seeds"], bench.SAMPLE_DRAWS,
                                 wl.ROUNDTRIP_TOL)
             assert len(got) == len(want), (seed, got)
             assert all(c <= w for c, w in zip(got, want)), (seed, got)
@@ -606,11 +593,11 @@ class TestStoredSampleSolves:
     def test_no_solve_takes_more_evaluations(self, monkeypatch, tmp_path):
         wl = perfbench_workloads()
         bench = wl.SampleDdsf()
-        counts = counted_solves(monkeypatch)
+        solves = counted_solves(monkeypatch)
         for seed, want in self.EVALUATIONS.items():
             state = bench.setup(nafkit, seed, str(tmp_path))
             stack = state["stack"]
-            got = sample_solves(counts, stack, state["sample_seeds"], bench.SAMPLE_DRAWS,
+            got = sample_solves(solves, stack, state["sample_seeds"], bench.SAMPLE_DRAWS,
                                 wl.ROUNDTRIP_TOL)
             assert len(got) == len(want), (seed, got)
             assert all(c <= w for c, w in zip(got, want)), (seed, got)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import graph_ops as go
-from conftest import cwn_log
+from conftest import counted_solves, cwn_log
 from nafkit import diffgraph as dg
 from nafkit import stablemath as sm
 from nafkit import transformer as tf
@@ -814,10 +814,9 @@ def saturation(call):
 class TestOneColumnBlock:
     """A (width, 1) block, which the conditioner gives the dimension of degree 1,
     serves every point: its forward has the bits of that block broadcast over
-    the points, and so has its inverse of up to TABLE points. A dsf or ddsf
-    inverse of more points starts from one table, not from the broadcast
-    block's bracket, so it lands within 1e-12 of that block's; an affine
-    inverse is closed-form and keeps the bits."""
+    the points. A dsf or ddsf inverse starts from one table, not from the
+    broadcast block's bracket, so it lands within 1e-12 of that block's; an
+    affine inverse is closed-form and keeps the bits."""
 
     @staticmethod
     def assert_same_bits(fam, row, xs):
@@ -826,8 +825,6 @@ class TestOneColumnBlock:
         for got, want in zip(fam.forward(xs, one), fam.forward(xs, wide)):
             assert np.broadcast_to(got, want.shape).tobytes() == want.tobytes()
         ys = fam.forward(xs, wide)[0]
-        few = slice(tf.TABLE)
-        assert fam.inverse(ys[few], one).tobytes() == fam.inverse(ys[few], wide[:, few]).tobytes()
         back = fam.inverse(ys, wide)
         if isinstance(fam, tf.AffineExp):
             assert fam.inverse(ys, one).tobytes() == back.tobytes()
@@ -878,16 +875,6 @@ def shared_family(name):
 SHARED = ["dsf", "ddsf", "ddsf-inner-one-unit", "dsf-tiny-a", "dsf-underflowing-w"]
 
 
-def forward_sizes(monkeypatch):
-    """The size of the x of every inversion forward call, in order."""
-    sizes, invert = [], tf.invert_batch
-
-    def counting(y, forward, *args, **kwargs):
-        return invert(y, lambda t: sizes.append(np.size(t)) or forward(t), *args, **kwargs)
-    monkeypatch.setattr(tf, "invert_batch", counting)
-    return sizes
-
-
 def raised(call):
     """(type, index, message) of the NumericError call raises."""
     with pytest.raises(NumericError) as exc:
@@ -896,9 +883,8 @@ def raised(call):
 
 
 class TestSharedTable:
-    """A one-column block's inverse of more than TABLE points seats every target
-    from one table over the x the unit bound allows, and solves as the broadcast
-    block does from there."""
+    """A one-column block's inverse seats every target from one table over the x
+    the unit bound allows, and solves as the broadcast block does from there."""
 
     @pytest.mark.parametrize("name", [*SHARED, "dsf-saturated", "ddsf-saturated"])
     def test_unit_bound_straddles_every_target(self, name, monkeypatch):
@@ -930,21 +916,30 @@ class TestSharedTable:
         # identical units bound every root of equal targets to one point, and
         # f rounds below y = 0.3 there: the bracket must still grow from it
         fam, row = dsf([0.5, 0.5], [1.0, 1.0], [0.0, 0.0])
-        ys = np.full(tf.TABLE + 1, 0.3)
+        ys = np.full(3, 0.3)
         p = fam.decode(row[:, None])
         assert np.ptp(tf._grid(ys, fam.units(p))) == 0.0
         assert fam.core(np.array([0.3]), p, logdet=False)[0] < 0.3
         assert np.max(np.abs(fam.inverse(ys, row[:, None]) - 0.3)) <= 1e-12
 
+    @pytest.mark.parametrize("kind", ["dsf", "ddsf"])
+    def test_empty_batch(self, kind):
+        # no target, no table: the unit bound has no smallest or largest target
+        fam, row = tf.random_params(kind, np.random.default_rng(54))
+        assert fam.inverse(np.empty(0), row[:, None]).shape == (0,)
+
     def test_table_is_one_forward_evaluation(self, monkeypatch):
         # the table goes through the solver's forward, and seats every target
-        calls = forward_sizes(monkeypatch)
+        solves = counted_solves(monkeypatch)
         fam, row = shared_family("dsf")
-        xs = np.random.default_rng(53).uniform(-5.0, 5.0, size=300)
-        ys = fam.forward(xs, row[:, None])[0]
-        fam.inverse(ys, row[:, None])
-        assert calls[0] == tf.TABLE and calls[1:] == [xs.size] * (len(calls) - 1)
-        assert len(calls) <= 5
+        for n in (1, 300):
+            xs = np.random.default_rng(53).uniform(-5.0, 5.0, size=n)
+            ys = fam.forward(xs, row[:, None])[0]
+            solves.clear()
+            fam.inverse(ys, row[:, None])
+            [calls] = solves
+            assert calls[0] == tf.TABLE and calls[1:] == [n] * (len(calls) - 1)
+            assert len(calls) <= 5
 
     @pytest.mark.parametrize("make, ys", [
         # unreachable: slopes of 2e-6 and 3e-6 keep y within +-10 on |x| <= 1e6
@@ -963,12 +958,12 @@ class TestSharedTable:
             "nonfinite-dsf", "nonfinite-ddsf"])
     def test_same_error_as_repeated_column(self, make, ys, monkeypatch):
         fam, row = make()
-        ys = np.concatenate([ys, np.full(tf.TABLE, ys[0])])  # enough points for a table
+        ys = np.array(ys)
         one = row[:, None]
-        calls = forward_sizes(monkeypatch)
+        solves = counted_solves(monkeypatch)
         got = raised(lambda: fam.inverse(ys, one))
         # a non-finite target raises before any evaluation, the others after the table's
-        assert calls[:1] == ([tf.TABLE] if np.isfinite(ys).all() else [])
+        assert solves[0][:1] == ([tf.TABLE] if np.isfinite(ys).all() else [])
         assert got == raised(lambda: fam.inverse(ys, np.repeat(one, ys.size, axis=1)))
         assert got[1] == 1
 
