@@ -7,10 +7,10 @@ mixtures and log-det chain links are summed in linear space from
 sigmoid_pair, one exp(-|x|) per entry, and only each sum takes a log; a
 sum too small to keep its precision there (below a floor that sits
 above the saturation guard) is recomputed from logsigmoid in log space
-(see transformer._log_sum and _chain_link). logsigmoid_pair
-rebuilds the log-space terms from the same exp(-|x|) where weights must
-stay in log space (the dsf adjoint). All arithmetic is
-64-bit. The softplus delta keeps later log() calls strictly away from
+(see transformer._log_sum and _chain_link). Both adjoints read their
+gradient weights from those sums, the log-space terms only where a sum
+fell below the floor, so no log pair is rebuilt for them. All arithmetic
+is 64-bit. The softplus delta keeps later log() calls strictly away from
 zero; it lives inside softplus only, so logsigmoid inherits it (the
 linear sums subtract it after their log) and logsumexp/logsoftmax stay
 exact.
@@ -87,11 +87,12 @@ def sigmoid(x):
     """Logistic function from exp(-|x|), which cannot overflow.
 
     1/(1+e) for x >= 0 and e/(1+e) below: the same bits as splitting the
-    input at 0, without scattering through boolean masks.
+    input at 0, from sigmoid_pair's numerator max(e, sign(x)) and one division.
     """
     x = np.asarray(x, dtype=np.float64)
     e = np.exp(-np.abs(x))
-    out = np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    out = np.maximum(e, np.sign(x))
+    out /= 1.0 + e
     return float(out) if out.ndim == 0 else out
 
 
@@ -114,22 +115,6 @@ def sigmoid_pair(x, e, scale=None):
     else:
         out *= np.divide(scale, 1.0 + e)
     return out
-
-
-def logsigmoid_pair(x, e):
-    """[logsigmoid(x); logsigmoid(-x)], (2, *x.shape), from the caller's
-    e = exp(-|x|) and one log1p.
-
-    With lp = log1p(e), the halves are -(max(-x, 0) + lp + DELTA) and
-    -(max(x, 0) + lp + DELTA), added in softplus's order: the bits of two calls.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    out = _empty_pair(x)
-    np.maximum(-x, 0.0, out=out[0])
-    np.maximum(x, 0.0, out=out[1])
-    out += np.log1p(e)
-    out += DELTA
-    return np.negative(out, out=out)
 
 
 def logit(p):

@@ -130,11 +130,11 @@ class Adam:
 
 
 def clip_global_norm(params, max_norm: float):
-    total = 0.0
-    for p in params:
-        if p.grad is not None:
-            total += float(np.sum(p.grad * p.grad))
-    norm = float(np.sqrt(total))
+    grads = [p.grad for p in params if p.grad is not None]
+    with np.errstate(over="ignore"):  # squares that overflow are retaken below
+        norm = float(np.sqrt(sum(float(np.sum(g * g)) for g in grads)))
+    if norm == np.inf and (top := max(np.max(np.abs(g), initial=0.0) for g in grads)) < np.inf:
+        norm = float(top * np.sqrt(sum(float(np.sum(np.square(g / top))) for g in grads)))
     if norm > max_norm and norm > 0:
         scale = max_norm / norm
         for p in params:

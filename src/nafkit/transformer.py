@@ -295,19 +295,20 @@ def _dsf_core(x, p, logdet=True, a_w=None):
     so every sum over the d components runs over the leading axis of a
     (d, n) slab. With C = a*x + b and e = exp(-|C|), one exponential per
     unit, two sums are taken in linear space, each with one log per point
-    (see _log_sum): the mixture pair [D; 1-D] = sum_j w_j [s(C_j); s(-C_j)]
-    and R = sum_j w_j a_j s(C_j) s(-C_j), with s(C) s(-C) = e / (1 + e)^2.
+    (see _log_sum): the mixture pair [D; 1-D] = sum_j S_j, S = w [s(C);
+    s(-C)], and R = sum_j q_j, q = w a s(C) s(-C) = w a e / (1 + e)^2.
     Less softplus's DELTA (once per log sigmoid), their logs are what the
     logsumexp of the log-space terms log w + [log s(C); log s(-C)] and log w
     + log a + log s(C) + log s(-C) give, and a sum below _FLOOR is that
     logsumexp instead. y = log D - log(1-D) and log(dy/dx) = log R - log D -
     log(1-D); the deltas cancel exactly in both. The third return value
-    holds C and e, which _dsf_adjoint reads.
+    holds C, e and per sum its terms, the sum, _log_sum's low entries and
+    the sum's log, which _dsf_adjoint reads its weights from.
     With logdet=False (the inversion solver) it returns y alone once the
     guard has passed, without R. Given a_w = a / w instead (the Newton
     solver, once per solve), it returns y and dy/dx = sum_j a_j/w_j S0_j
-    S1_j / (D (1-D)), S = w [s(C); s(-C)], in linear space from the same
-    sums: y keeps its bits, and a slope that underflows only costs a bisection.
+    S1_j / (D (1-D)) in linear space from the same sums: y keeps its bits,
+    and a slope that underflows only costs a bisection.
     """
     w, log_w, a, log_a, b = p
     C = a * x[..., None, :] + b
@@ -315,7 +316,8 @@ def _dsf_core(x, p, logdet=True, a_w=None):
     lin = np.sum(S, axis=-2)
     if a_w is not None:
         den = lin[0] * lin[1]  # before _log_sum overwrites lin
-    pair, low = _log_sum(lin, -sm.DELTA, lambda idx: (
+    keep = logdet and a_w is None  # _dsf_adjoint reads the sums, which _log_sum overwrites
+    pair, low = _log_sum(lin.copy() if keep else lin, -sm.DELTA, lambda idx: (
         _logsigmoid_at(C, idx[0], idx[1:])
         + np.moveaxis(np.broadcast_to(log_w, C.shape), -2, -1)[idx[1:]]))
     if low is not None:
@@ -341,8 +343,23 @@ def _dsf_core(x, p, logdet=True, a_w=None):
         t += _columns(np.broadcast_to(log_a, C.shape), pts)
         return t
 
-    log_r, _ = _log_sum(np.sum(q, axis=-2), -2.0 * sm.DELTA, terms)
-    return y, log_r - (pair[0] + pair[1]), (C, e)
+    R = np.sum(q, axis=-2)
+    log_r, low_r = _log_sum(R.copy(), -2.0 * sm.DELTA, terms)
+    return y, log_r - (pair[0] + pair[1]), (C, e, (S, lin, low, pair), (q, R, low_r, log_r))
+
+
+def _weights(v, total, low, out):
+    """The softmax weights of a linear sum's terms v (..., units, n): v times
+    the reciprocal of their sum total (..., n), and on the low entries of
+    _log_sum's (out, low) exp(t - out) from their log-space terms t. Every
+    weight lies in [0, 1] up to rounding, saturated or below the floor."""
+    if low is not None:
+        total[low[0]] = 1.0  # not 1 / 0: their weights are taken from t below
+    out_w = v * np.reciprocal(total)[..., None, :]
+    if low is not None:
+        idx, t = low
+        np.moveaxis(out_w, -2, -1)[idx] = np.exp(t - out[idx][:, None])
+    return out_w
 
 
 def _dsf_activate(block):
@@ -361,23 +378,18 @@ def _dsf_adjoint(g_y, g_ld, x, block, p, saved):
     are the upstream gradients of log D and log(1-D); C collects
     (g_num p + g_ld r) s(-C) - (g_den q + g_ld r) s(C), and log a gets
     g_ld r. w_pre goes back through log-softmax, a_pre through softplus.
-    The weights are exp(t - LSE(t)) of the terms t rebuilt from the saved
-    C and exp(-|C|), not the linear sums: each is at most 1 in every
-    column, saturated or below the floor, and the entries that cancel
-    (log-softmax's, a saturated unit's C) round as in log space.
+    The weights come from the kernel's saved sums (_weights): each term
+    times its sum's reciprocal, and on a low entry exp(t - log sum) from
+    the log-space terms _log_sum built, so nothing is rebuilt from C and
+    each weight is at most 1 in every column, saturated or below the floor.
     """
-    w, log_w, a, log_a, _ = p
-    C, e = saved
-    t = sm.logsigmoid_pair(C, e)
-    gr = log_w + log_a
-    gr += t[0]
-    gr += t[1]
-    t += log_w
+    w, _, a, _, _ = p
+    C, e, mix, link = saved
     g_y, g_ld = g_y[..., None, :], g_ld[..., None, :]
-    for v, weighted in ((t, np.stack([g_y - g_ld, -g_y - g_ld])), (gr, g_ld)):
-        v -= sm.logsumexp_over_axis(v, -2)[..., None, :]  # in place: no temporaries
-        np.exp(v, out=v)
-        v *= weighted
+    t = _weights(*mix)
+    t *= np.stack([g_y - g_ld, -g_y - g_ld])
+    gr = _weights(*link)
+    gr *= g_ld
     gp, gq = t
     gp += gr
     g_log_w = gp + gq  # (p + r) + q, the order the log-space terms' gradients add in
@@ -385,8 +397,7 @@ def _dsf_adjoint(g_y, g_ld, x, block, p, saved):
     s_pos, s_neg = sm.sigmoid_pair(C, e)
     g_c = gp * s_neg - gq * s_pos
     g_w_pre = g_log_w - w * np.sum(g_log_w, axis=-2, keepdims=True)
-    _, a_pre, _ = np.split(block, 3, axis=-2)
-    g_a_pre = (g_c * x[..., None, :] + gr / a) * sm.sigmoid(a_pre)
+    g_a_pre = (g_c * x[..., None, :] + gr / a) * sm.sigmoid(np.split(block, 3, axis=-2)[1])
     return np.sum(g_c * a, axis=-2), np.concatenate([g_w_pre, g_a_pre, g_c], axis=-2)
 
 

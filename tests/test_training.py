@@ -8,6 +8,7 @@ import pytest
 
 from conftest import constant_affine_stack
 from nafkit import diffgraph as dg
+from nafkit import stablemath as sm
 from nafkit.errors import DomainError, NumericError
 from nafkit.flow import FlowStack
 from nafkit.targets import TargetSpec, get_target
@@ -154,6 +155,17 @@ class TestClipGlobalNorm:
         assert norm == pytest.approx(6.0)
         np.testing.assert_allclose(p.grad, [0.5, 0.5])
         np.testing.assert_allclose(q.grad, [0.5, 0.5])
+
+    def test_overflowing_squares_clip_to_the_bound(self):
+        # a finite gradient whose sum of squares overflows has a finite norm, and
+        # is scaled to grad_clip, not to 0 by grad_clip / inf
+        p = dg.Parameter(np.zeros(3), "p")
+        dg.backward(dg.Value(0.0, [p], lambda: [np.array([1e160, -3e159, 2.0])]))
+        grad_clip = TrainConfig().grad_clip
+        norm = clip_global_norm([p], grad_clip)
+        assert norm == pytest.approx(math.hypot(1e160, 3e159), rel=1e-15)
+        assert np.linalg.norm(p.grad) == pytest.approx(grad_clip, rel=1e-15)
+        assert p.grad[0] > 0.0 > p.grad[1]
 
 
 class TestTrainConfig:
@@ -370,6 +382,19 @@ class TestSweep:
         finally:
             gc.enable()
         assert held == [0, 0, 0]
+
+    def test_dsf_reverse_sweep_takes_no_logsumexp(self, monkeypatch):
+        # the dsf adjoint reads its weights from the kernel's linear sums: with
+        # no entry below the floor, each layer's forward takes one logsumexp
+        # (w's softmax) and the reverse sweep none
+        stack = FlowStack.build(m=2, kind="dsf", n_layers=2, d=4, hidden=(8,), seed=0)
+        calls = Counter()
+        monkeypatch.setattr(sm, "logsumexp_over_axis",
+                            counted(sm.logsumexp_over_axis, calls, "logsumexp"))
+        loss = mle_loss(np.random.default_rng(0).normal(size=(64, 2)), stack)
+        assert calls["logsumexp"] == 2
+        dg.backward(loss)
+        assert calls["logsumexp"] == 2
 
     def test_target_without_adjoint_fails_before_any_step(self):
         stack = FlowStack.build(m=2, kind="dsf", d=4, seed=0)

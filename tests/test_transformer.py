@@ -132,6 +132,56 @@ def composite_dsf(x, block, d):
     return log_num - log_den, logdet
 
 
+def exact_dsf_grads(xs, block, d, g_y, g_ld):
+    """The x and block gradients of sum(g_y y + g_ld logdet), by complex step in
+    np.clongdouble (h = 1e-30): composite_dsf's log-space formulas, whose
+    rounding in the wider mantissa stays below a float64 ulp. Each point reads
+    only its own x and block column, so one evaluation per input row
+    differentiates every point at once."""
+    h = 1e-30
+
+    def lse(t):
+        m = np.max(t.real, axis=0)
+        return m + np.log(np.sum(np.exp(t - m), axis=0))
+
+    def softplus(z):
+        return np.where(z.real > 0, z + np.log1p(np.exp(-z)), np.log1p(np.exp(z))) + sm.DELTA
+
+    def objective(x, blk):
+        w_pre, a_pre, b = blk[:d], blk[d:2 * d], blk[2 * d:]
+        log_w = w_pre - lse(w_pre)
+        a = softplus(a_pre)
+        C = a * x + b
+        ls_pos, ls_neg = -softplus(-C), -softplus(C)
+        log_num, log_den = lse(log_w + ls_pos), lse(log_w + ls_neg)
+        logdet = lse(log_w + np.log(a) + ls_pos + ls_neg) - (log_num + log_den)
+        return g_y * (log_num - log_den) + g_ld * logdet
+
+    x, blk = xs.astype(np.clongdouble), block.astype(np.clongdouble)
+    g_x = objective(x + 1j * h, blk).imag / h
+    g_block = np.empty(block.shape, dtype=np.longdouble)
+    for k in range(block.shape[0]):
+        bumped = blk.copy()
+        bumped[k] += 1j * h
+        g_block[k] = objective(x, bumped).imag / h
+    return g_x, g_block
+
+
+def assert_dsf_grads_near_exact(fam, xs, block, g_y, g_ld, ref, got):
+    """The kernel's x and block gradients (got[2:]) lie within 1.5 times the
+    composite's (ref[2:]) largest error from exact_dsf_grads, or within 4 ulps
+    of the largest exact entry; both errors are printed, in those ulps."""
+    if np.finfo(np.longdouble).nmant <= np.finfo(np.float64).nmant:
+        pytest.skip("np.longdouble is float64 here, too narrow for an exact reference")
+    exact = exact_dsf_grads(xs, block, fam.d, g_y, g_ld)
+    for name, want, comp, have in zip(["x", "block"], exact, ref[2:], got[2:]):
+        ulp = np.spacing(float(np.max(np.abs(want))))
+        err_comp, err = (float(np.max(np.abs(v - want))) for v in (comp, have))
+        print(f"{name}: max |error| composite {err_comp / ulp:.1f} ulps, "
+              f"kernel {err / ulp:.1f} ulps")
+        assert err <= max(1.5 * err_comp, 4.0 * ulp), name
+
+
 def op_results(fn, fam, xs, block, g_y, g_ld):
     """y, logdet and the gradients of x, the block and each of fam's parameters."""
     dg.zero_grad(fam.params)
@@ -173,13 +223,13 @@ class TestDsfOp:
         xs = rng.uniform(-3.0, 3.0, size=B)
         g_y, g_ld = rng.normal(size=B), rng.normal(size=B)
         fam = tf.Dsf(d)
-        y0, ld0, gx0, gb0 = op_results(lambda x, blk: composite_dsf(x, blk, d), fam, xs, block,
-                                       g_y, g_ld)
-        y1, ld1, gx1, gb1 = adjoint_results(fam, xs, block, g_y, g_ld)
+        ref = op_results(lambda x, blk: composite_dsf(x, blk, d), fam, xs, block, g_y, g_ld)
+        got = adjoint_results(fam, xs, block, g_y, g_ld)
         # y and logdet agree to rounding, not in bytes: the kernel sums the
         # mixture in linear space, the composite in log space
-        for ref, got in ((y0, y1), (ld0, ld1), (gx0, gx1), (gb0, gb1)):
-            np.testing.assert_allclose(got, ref, rtol=1e-12, atol=0.0)
+        for want, have in zip(ref[:2], got[:2]):
+            np.testing.assert_allclose(have, want, rtol=1e-12, atol=0.0)
+        assert_dsf_grads_near_exact(fam, xs, block, g_y, g_ld, ref, got)
 
     def test_floor_straddling_columns_match_composite(self):
         # columns whose D or 1-D sits just above the floor (summed in linear
@@ -187,7 +237,7 @@ class TestDsfOp:
         # composite's tolerances. logdet = log R - log D - log(1-D) cancels
         # terms down to -700 there, each rounded to its own ulp (1.1e-13) in
         # the linear sum's log, so logdet alone also allows four of those
-        # ulps (measured: two)
+        # ulps (measured: two). The gradients are held to the exact ones
         rng = np.random.default_rng(51)
         B, d = 132, 8
         fam, block = straddling_dsf(rng, B, d)
@@ -196,14 +246,16 @@ class TestDsfOp:
         g_y, g_ld = rng.normal(size=B), rng.normal(size=B)
         ref = op_results(lambda x, blk: composite_dsf(x, blk, d), fam, xs, block, g_y, g_ld)
         got = adjoint_results(fam, xs, block, g_y, g_ld)
-        for name, want, have in zip(["y", "logdet", "x", "block"], ref, got):
+        for name, want, have in zip(["y", "logdet"], ref, got):
             atol = 4.0 * np.spacing(700.0) if name == "logdet" else 0.0
             np.testing.assert_allclose(have, want, rtol=1e-12, atol=atol, err_msg=name)
+        assert_dsf_grads_near_exact(fam, xs, block, g_y, g_ld, ref, got)
 
     def test_saturated_units_match_composite(self):
         # every unit saturates, half on each side, so each w a s(C) s(-C) and
         # their sum R lie below the floor (taken in log space) while D and 1-D
-        # stay near 1/2; at test_gradients_match_composite's tolerances
+        # stay near 1/2; at test_gradients_match_composite's tolerances, and
+        # the gradients held to the exact ones
         rng = np.random.default_rng(56)
         B, d = 64, 8
         fam, block = saturated_dsf(rng, B, d)
@@ -215,8 +267,9 @@ class TestDsfOp:
         ref = op_results(lambda x, blk: composite_dsf(x, blk, d), fam, xs, block, g_y, g_ld)
         got = adjoint_results(fam, xs, block, g_y, g_ld)
         assert np.all(ref[1] < -600.0)
-        for name, want, have in zip(["y", "logdet", "x", "block"], ref, got):
+        for name, want, have in zip(["y", "logdet"], ref, got):
             np.testing.assert_allclose(have, want, rtol=1e-12, atol=0.0, err_msg=name)
+        assert_dsf_grads_near_exact(fam, xs, block, g_y, g_ld, ref, got)
 
     def test_numpy_path_matches_graph_values(self):
         x = np.random.default_rng(3).normal(size=(8, 2))
@@ -775,9 +828,10 @@ class TestLinearSums:
     def test_unguarded_saturation_keeps_log_space_values(self, kind, monkeypatch):
         # with the guard off (selftest --debug-no-guard), sums far below the
         # floor and past float range still come back as their log-space values.
-        # dsf's gradient weights exp(t - LSE(t)) stay at most 1, so its
-        # gradients are the composite's; ddsf's read the linear pair, whose
-        # 1/D overflows once log D < -709.78: a NumericError naming such a point
+        # dsf's gradient weights on low entries, exp(t - log sum) from the log-
+        # space terms, stay at most 1, so its gradients are as near the exact
+        # ones as the composite's; ddsf's read the linear pair, whose 1/D
+        # overflows once log D < -709.78: a NumericError naming such a point
         monkeypatch.setattr(tf, "SATURATION_GUARD", False)
         levels = (-750.0, -1000.0, 750.0, 1000.0, 0.0)
         rng = np.random.default_rng(54)
@@ -797,9 +851,36 @@ class TestLinearSums:
             assert min(np.min(pair[..., exc.value.index]) for pair in pairs) < -709.78
             return
         ref = op_results(lambda x, blk: composite_dsf(x, blk, fam.d), fam, xs, block, g_y, g_ld)
-        for name, want, have in zip(["x", "block"], ref[2:],
-                                    adjoint_results(fam, xs, block, g_y, g_ld)[2:]):
-            np.testing.assert_allclose(have, want, rtol=1e-12, atol=0.0, err_msg=name)
+        assert_dsf_grads_near_exact(fam, xs, block, g_y, g_ld, ref,
+                                    adjoint_results(fam, xs, block, g_y, g_ld))
+
+    @pytest.mark.parametrize("guard, levels", [(True, FLOOR_LEVELS),
+                                               (False, (-750.0, -1000.0, 750.0, 1000.0, 0.0))],
+                             ids=["guarded", "unguarded"])
+    def test_dsf_low_entry_weights_lie_in_unit_interval(self, guard, levels, monkeypatch):
+        # the dsf adjoint weights a low entry's units by exp(t - log sum) from the
+        # log-space terms _log_sum built, not by the linear sum's reciprocal:
+        # each weight lies in [0, 1] and the gradients are finite, also where
+        # 1/D overflows (log D < -709.78), which ddsf's adjoint raises on
+        monkeypatch.setattr(tf, "SATURATION_GUARD", guard)
+        rng = np.random.default_rng(57)
+        fam, block = straddling_dsf(rng, 40, 4, levels)
+        xs = rng.uniform(-1.0, 1.0, size=40)
+        deepest = min(np.min(pair) for pair in oracle_pairs(fam, xs, block))
+        assert deepest < -709.78 if not guard else tf.LOG_UNDERFLOW < deepest < -690.0
+        low, weights = [], tf._weights
+
+        def recorded(v, inv, low_entries, out):
+            got = weights(v, inv, low_entries, out)
+            if low_entries is not None:
+                low.append(np.moveaxis(got, -2, -1)[low_entries[0]])
+            return got
+
+        monkeypatch.setattr(tf, "_weights", recorded)
+        grads = adjoint_results(fam, xs, block, rng.normal(size=40), rng.normal(size=40))[2:]
+        assert len(low) == 2  # the mixture pair's and R's
+        assert all(np.all((w >= 0.0) & (w <= 1.0)) for w in low)
+        assert all(np.all(np.isfinite(g)) for g in grads)
 
 
 def saturation(call):
