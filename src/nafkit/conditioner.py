@@ -13,8 +13,12 @@ blocks, the layout every transformer kernel takes.
 The masks fix, before training, which readout rows any input reaches:
 no hidden unit has degree 0 when m > 1, so the rows of the dimension of
 degree 1 are dead and equal their bias. The readout product, and its
-gradients, run over the live rows only. Sampling fixes one dimension at
-a time and asks for one block (block), not the whole readout.
+gradients, run over the live rows only. The block of the dimension of
+degree 1 sees no input at any m (at m = 1 the hidden units see none
+either), so block computes it on one column that every point shares:
+densities and training pass that column to the family, and sampling,
+which fixes one dimension at a time, asks block for each dimension's
+rows, not the whole readout.
 """
 
 from __future__ import annotations
@@ -118,6 +122,7 @@ class MadeConditioner:
         self.out_offset = np.asarray(out_offset, dtype=np.float64)
         if self.out_offset.shape != (self.out_per_dim,):
             raise DomainError("out_offset length must equal out_per_dim")
+        self._offsets = np.tile(self.out_offset, self.m)  # per readout row
 
         sizes = [self.m, *self.hidden_sizes, self.m * self.out_per_dim]
         self.weights = []
@@ -135,16 +140,21 @@ class MadeConditioner:
 
         out, if given, is a 1-D float64 buffer of at least m * out_per_dim * n
         elements that the blocks are written into, so row blocks can share one.
-        A non-finite entry of x is a DomainError whose index is its flat
-        (point, dimension) position.
+        x is checked as check does.
         """
+        x = self.check(x)
+        return self.activations(x.T, out)[1].reshape(self.m, self.out_per_dim, x.shape[0])
+
+    def check(self, x):
+        """x as float64 once it is an (n, m) array of finite values. A non-finite
+        entry is a DomainError whose index is its flat (point, dimension) position."""
         x = np.asarray(x, dtype=np.float64)
         if x.ndim != 2 or x.shape[1] != self.m:
             raise DomainError(f"expected (n, {self.m}) input, got {x.shape}")
         bad = ~np.isfinite(x)
         if bad.any():
             raise DomainError("conditioner input must be finite", index=int(np.argmax(bad)))
-        return self.activations(x.T, out)[1].reshape(self.m, self.out_per_dim, x.shape[0])
+        return x
 
     def block(self, x, i):
         """Dimension i's block of forward(x), (out_per_dim, n) for an (n, m) x.
@@ -184,7 +194,7 @@ class MadeConditioner:
         A dead row gets its bias plus out_offset, which is exactly what the
         full product gives it: its weights are all masked, and 0 * h sums to 0.
         """
-        bias = (self.biases[-1].data + np.tile(self.out_offset, self.m))[rows, None]
+        bias = (self.biases[-1].data[rows] + self._offsets[rows])[:, None]
         if live:
             np.matmul((self.weights[-1].data[:, rows] * self.masks[-1][:, rows]).T, h, out=out)
             out += bias

@@ -129,26 +129,34 @@ class FlowLayer:
         It runs over row blocks of _block_rows(self) points, whose
         temporaries stay in cache; each block's outputs are the bits of
         evaluating that block alone. The blocks share one readout buffer, and
-        the family runs one dimension at a time (see _BLOCK_BYTES).
-        A non-finite x, or a numeric failure, names this layer, the dimension
-        and the point of the whole x.
+        the family runs one dimension at a time (see _BLOCK_BYTES). The
+        dimension of degree 1 sees no input: its block is taken once per call
+        on one (width, 1) column (MadeConditioner.block), which every row
+        block passes to the family, and at m = 1, where that is every block,
+        the conditioner only checks x. A non-finite x, or a numeric failure,
+        names this layer, the dimension and the point of the whole x.
         """
         x = np.asarray(x, dtype=np.float64)
         n = len(x) if x.ndim == 2 else 0  # else the conditioner refuses x
-        rows = _block_rows(self)
+        cond, rows = self.conditioner, _block_rows(self)
         y, ld = np.empty((self.m, n)), np.empty((self.m, n))
         readout = np.empty(self.m * self.family.width * min(n, rows))
         constants = self.family.constants()  # once per call, not per block
+        first = self.order.index(1)
+        shared = cond.block(x, first)
         for start, block_rows in _row_blocks(x, rows):
             xb = x[block_rows]
             try:
-                blocks = self.conditioner.forward(xb, readout)
+                if self.m > 1:
+                    blocks = cond.forward(xb, readout)
+                else:  # the one block is shared
+                    cond.check(xb)
             except DomainError as err:
                 raise self._located(err, start) from None
             for i in range(self.m):
                 try:
                     y[i, block_rows], ld[i, block_rows] = self.family.forward(
-                        xb[:, i], blocks[i], constants)
+                        xb[:, i], shared if i == first else blocks[i], constants)
                 except (DomainError, NumericError) as err:
                     raise self._located(err, start, dim=i) from None
         return y.T, ld.sum(axis=0)
@@ -157,26 +165,38 @@ class FlowLayer:
         """(out, saved) for an (n, m) x: out = [y | logdet], (n, m + 1), and what
         adjoint reads. One pass over the whole batch, for training. Unlike
         forward it does not check x: fit checks its data, and noise is finite.
+
+        The block of the dimension of degree 1 gets the bits forward gives it:
+        the family decodes that slab to a one-column block's bits (decode's
+        shared).
+        At m = 1 it is the only block, so the conditioner and the decode run
+        on one column, which the kernel broadcasts over the points.
         """
         n, m = x.shape
         cond, fam = self.conditioner, self.family
         try:
-            hs, readout = cond.activations(x.T)
-            block = readout.reshape(m, fam.width, n)
-            p = fam.decode(block)
+            hs, readout = cond.activations(x.T if m > 1 else np.zeros((1, 1)))
+            block = readout.reshape(m, fam.width, -1)
+            p = fam.decode(block, shared=self.order.index(1))
             y, ld, kernel = fam.core(x.T, p)
         except NumericError as err:
             raise self._located(err) from None
-        return np.column_stack([y.T, ld.sum(axis=0)]), (x, hs, block, p, kernel)
+        # an affine logdet is its block's s: one column wide at m = 1
+        ld = np.broadcast_to(ld, y.shape).sum(axis=0)
+        return np.column_stack([y.T, ld]), (x, hs, block, p, kernel)
 
     def adjoint(self, g, saved):
         """(g_x, gradients of parameters()) for forward_saved's out gradient g,
-        (n, m + 1): the family's adjoint, chained into the conditioner's."""
+        (n, m + 1): the family's adjoint, chained into the conditioner's. A
+        one-column block (m = 1) gets its gradient summed over the points."""
         x, hs, block, p, kernel = saved
         n, m = x.shape
         g_y, g_ld = g[:, :m].T, np.broadcast_to(g[:, m], (m, n))
         g_x, g_block, *g_fam = self.family.adjoint(g_y, g_ld, x.T, block, p, kernel)
-        g_xc, g_cond = self.conditioner.backward(g_block.reshape(m * self.family.width, n), hs)
+        cols = block.shape[-1]
+        if cols < n:
+            g_block = g_block.sum(axis=-1, keepdims=True)
+        g_xc, g_cond = self.conditioner.backward(g_block.reshape(m * self.family.width, cols), hs)
         return (g_xc + g_x).T, [*g_cond, *g_fam]
 
     # -- inverse ---------------------------------------------------------

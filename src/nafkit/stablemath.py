@@ -18,6 +18,8 @@ exact.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import DomainError
@@ -41,14 +43,25 @@ def logsumexp(v) -> float:
 
 
 def logsumexp_over_axis(a, axis: int):
-    """Axis-wise stable logsumexp on arrays; -inf slices map to -inf."""
+    """Axis-wise stable logsumexp on arrays; -inf slices map to -inf.
+
+    A sum over a leading axis adds its rows in order whatever the trailing
+    size. numpy sums a lone column pairwise instead, so without the running
+    sum a one-column block would round differently from each column of a
+    wide one.
+    """
     a = np.asarray(a, dtype=np.float64)
     m = np.max(a, axis=axis, keepdims=True)
     m = np.where(np.isfinite(m), m, 0.0)
     shifted = a - m
     np.exp(shifted, out=shifted)  # in place: one large temporary, not two
+    axis %= a.ndim
+    if axis < a.ndim - 1 and math.prod(a.shape[axis + 1:]) == 1:
+        total = np.take(np.cumsum(shifted, axis=axis, out=shifted), [-1], axis=axis)
+    else:
+        total = np.sum(shifted, axis=axis, keepdims=True)
     with np.errstate(divide="ignore"):
-        out = np.log(np.sum(shifted, axis=axis, keepdims=True)) + m
+        out = np.log(total) + m
     return np.squeeze(out, axis=axis)
 
 

@@ -120,7 +120,10 @@ def _points_last(v, idx):
 
 def _outer_sum(a, b, keep=0):
     """a @ b.T summed over the leading axes of a (..., rows, n) and b (..., cols, n)
-    but the first keep."""
+    but the first keep. A one-column b (a block every point shares) takes a
+    summed over the points."""
+    if b.shape[-1] < a.shape[-1]:
+        a = np.sum(a, axis=-1, keepdims=True)
     out = a @ np.swapaxes(b, -1, -2)
     return out.reshape(*out.shape[:keep], -1, *out.shape[-2:]).sum(axis=keep)
 
@@ -159,7 +162,7 @@ def _log_sum(lin, m, terms):
     return out, (idx, t)
 
 
-def _chain_link(w, q, shift, terms):
+def _chain_link(w, q, shift, terms, keep=False):
     """A log-det chain link log(w @ q) + shift, summed in linear space with one log.
 
     q (..., units, n) holds the link's terms scaled by exp(-shift), shift
@@ -168,14 +171,16 @@ def _chain_link(w, q, shift, terms):
     or NaN (a low CWN product's), is taken in log space: terms(pts) gives
     its (k, units) log-space terms at pts = (*lead, point), and its q and
     shift become exp(t - max t) and max t, so every sum is at least its
-    largest weight. Returns (out, q, shift), the (out, e, m) that
-    _log_dot_exp_grads reads.
+    largest weight. Returns (out, q, lin, low), the record _mix_grads reads:
+    low is _log_sum's low entries, and lin, with keep, the sums w @ q before
+    their log (else None).
     """
     lin = q.copy() if w is None else w @ q
     if lin.min(initial=np.inf) >= _FLOOR:  # NaN fails; _log_sum's fast path, one min
+        saved = lin.copy() if keep else None
         out = np.log(lin, out=lin)
         out += shift
-        return out, q, shift
+        return out, q, saved, None
     pts = np.nonzero(~np.all(lin >= _FLOOR, axis=-2))
     t = terms(pts)
     top = np.max(t, axis=-1, keepdims=True)
@@ -185,10 +190,11 @@ def _chain_link(w, q, shift, terms):
     np.moveaxis(q, -2, -1)[pts] = e
     np.moveaxis(shift, -2, -1)[pts] = top
     np.moveaxis(lin, -2, -1)[pts] = e if w is None else e @ w.T
-    out, _ = _log_sum(lin, shift, lambda idx: (
+    saved = lin.copy() if keep else None
+    out, low = _log_sum(lin, shift, lambda idx: (
         (0.0 if w is None else np.log(w[idx[-2]]))
         + np.log(_points_last(q, idx)) + _points_last(shift, idx)))
-    return out, q, shift
+    return out, q, saved, low
 
 
 def _log_dot_exp(mat, v):
@@ -201,9 +207,7 @@ def _log_dot_exp(mat, v):
 
 def _log_dot_exp_grads(g, out, e, m, mat, keep=0):
     """Gradients of _log_dot_exp's out for mat and v, from its saved e and m;
-    mat's keeps v's first keep leading axes (a stacked pair's) unsummed. A
-    sigmoid mixture passes its linear pair as e with m = -DELTA: v's
-    gradient is then the mixture weights times g."""
+    mat's keeps v's first keep leading axes unsummed."""
     with np.errstate(over="ignore", invalid="ignore"):
         s = g * np.exp(m - out)
     bad = ~np.isfinite(s)
@@ -348,18 +352,50 @@ def _dsf_core(x, p, logdet=True, a_w=None):
     return y, log_r - (pair[0] + pair[1]), (C, e, (S, lin, low, pair), (q, R, low_r, log_r))
 
 
+def _sum_weights(total, low, out):
+    """What a linear sum's softmax weights are read from: 1 / total, the saved
+    sums (..., n), which is 0 on the low entries of _log_sum's (out, low),
+    and those entries' weights exp(t - out), (k, terms), from their log-space
+    terms t (None if no entry is low). A term over its sum is the term times
+    1 / total, so every weight lies in [0, 1] up to rounding, saturated or
+    below the floor."""
+    if low is None:
+        return np.reciprocal(total), None
+    idx, t = low
+    total[idx] = np.inf  # 1 / inf = 0: their weights are exp(t - out)
+    return np.reciprocal(total), np.exp(t - out[idx][:, None])
+
+
 def _weights(v, total, low, out):
-    """The softmax weights of a linear sum's terms v (..., units, n): v times
-    the reciprocal of their sum total (..., n), and on the low entries of
-    _log_sum's (out, low) exp(t - out) from their log-space terms t. Every
-    weight lies in [0, 1] up to rounding, saturated or below the floor."""
+    """The softmax weights of a sum over units of the terms v (..., units, n)
+    (_sum_weights)."""
+    inv, low_w = _sum_weights(total, low, out)
+    out_w = v * inv[..., None, :]
     if low is not None:
-        total[low[0]] = 1.0  # not 1 / 0: their weights are taken from t below
-    out_w = v * np.reciprocal(total)[..., None, :]
-    if low is not None:
-        idx, t = low
-        np.moveaxis(out_w, -2, -1)[idx] = np.exp(t - out[idx][:, None])
+        np.moveaxis(out_w, -2, -1)[low[0]] = low_w
     return out_w
+
+
+def _mix_grads(g, mix, mat, keep=0):
+    """(mat times the gradient for mat, the gradient for log e) of out =
+    log(mat @ e) + shift, for out's gradient g (..., rows, n).
+
+    mix = (e, total, low, out), with total the saved sums mat @ e (..., rows,
+    n) and low _log_sum's low entries. Each term's softmax weight is mat_ij
+    e_jn / total_in, read through _sum_weights: so g / total in the products,
+    and on low entries g times their weights exp(t - out). mat's gradient
+    keeps the first keep leading axes (a stacked pair's) unsummed.
+    """
+    e, total, low, out = mix
+    inv, low_w = _sum_weights(total, low, out)
+    s = g * inv
+    g_mat, g_e = mat * _outer_sum(s, e, keep), e * (mat.T @ s)
+    if low is not None:
+        idx = low[0]
+        t = g[idx][:, None] * low_w
+        np.add.at(g_mat, (*idx[:keep], idx[-2]), t)
+        np.add.at(np.moveaxis(g_e, -2, -1), (*idx[:-2], idx[-1]), t)
+    return g_mat, g_e
 
 
 def _dsf_activate(block):
@@ -409,11 +445,15 @@ def dsf_from_preact(x, block):
 # -- ddsf ------------------------------------------------------------------
 
 
-def _cwn_product(V, E, X, pieces=True):
+def _cwn_product(V, E, X, pieces=True, shared=None):
     """sum_j exp(V_ij + X_jn) as one max-shifted product, and its pieces.
 
     V (rows, cols) with E = exp(V), X (..., cols, n). With m the column
-    max of X and G = exp(X - m), P = E @ G, so the sum is P exp(m). Returns
+    max of X and G = exp(X - m), P = E @ G, so the sum is P exp(m). Given
+    shared, the index of a leading slab of X that is the same in every
+    column, that slab's P is its first column's product: a BLAS product's
+    bits depend on its column count, and this is the product a one-column
+    block of that slab takes. Returns
     (P, m), 1/P (0 on low entries), G, and the low entries: where P falls
     below _FLOOR (V and X peak in different columns, about 665 nats apart)
     P is NaN, and the entries' weights exp(V_ij + X_jn - log) with log the
@@ -426,6 +466,9 @@ def _cwn_product(V, E, X, pieces=True):
     """
     G, m = _shifted_exp(X)
     P = E @ G
+    if shared is not None and X.shape[-1] > 1:
+        # contiguous, as a one-column block's G is: the product's bits follow its layout
+        P[shared] = E @ np.ascontiguousarray(G[shared, ..., :1])
     low = None
     if not P.min(initial=np.inf) >= _FLOOR:
         idx = np.nonzero(~(P >= _FLOOR))
@@ -441,20 +484,23 @@ def _cwn_product(V, E, X, pieces=True):
     return (P, m), inv, G, low
 
 
-def _cwn_mix(h, E, cwn):
-    """u @ h per point for the CWN weights u of a _cwn_product; h (..., cols, n).
+def _low_at(low, cols, n):
+    """A _cwn_product's low entries (idx, weights) at n points. A product of
+    one column (a block every point shares) serves all n: each of its low
+    entries stands for that row at every point."""
+    idx, u = low
+    if cols < n:
+        idx = (*(np.repeat(i, n) for i in idx[:-1]), np.tile(np.arange(n), len(u)))
+        u = np.repeat(u, n, axis=0)
+    return idx, u
 
-    A _cwn_product of one column (a block every point shares) serves all n
-    points of h: each of its low entries stands for that row at every point.
-    """
+
+def _cwn_mix(h, E, cwn):
+    """u @ h per point for the CWN weights u of a _cwn_product; h (..., cols, n)."""
     _, inv, G, low = cwn
     out = (E @ (G * h)) * inv
     if low is not None:
-        idx, u = low
-        n = out.shape[-1]
-        if inv.shape[-1] < n:
-            idx = (*(np.repeat(i, n) for i in idx[:-1]), np.tile(np.arange(n), len(u)))
-            u = np.repeat(u, n, axis=0)
+        idx, u = _low_at(low, inv.shape[-1], out.shape[-1])
         out[idx] = np.sum(u * _points_last(h, idx), axis=-1)
     return out
 
@@ -468,6 +514,7 @@ def _cwn_adjoint(g_uh, g_s, h, uh, E, cz, cq):
     same per column, so every term is a (rows, n) x (n, cols) product:
     g_V = E * [(g_uh/Z) (F h)' - ((g_uh uh + g_s)/Z) F' + (g_s/Q) G'].
     Low entries, whose 1/Z or 1/Q is 0, add their terms from their weights.
+    cz may be of one column (a block every point shares).
     """
     _, inv_z, F, low_z = cz
     _, inv_q, G, low_q = cq
@@ -478,7 +525,7 @@ def _cwn_adjoint(g_uh, g_s, h, uh, E, cz, cq):
     g_h, g_r = F * (Et @ a), G * (Et @ c)
     g_eta = h * g_h - F * (Et @ b) + g_r
     if low_z is not None:
-        idx, u = low_z
+        idx, u = _low_at(low_z, inv_z.shape[-1], g_uh.shape[-1])
         pts = (*idx[:-2], idx[-1])
         t = u * (g_uh[idx][:, None] * _points_last(h, idx) - k[idx][:, None])
         np.add.at(g_v, idx[-2], t)
@@ -505,13 +552,13 @@ def _ddsf_constants(v_u, v_w):
     return out
 
 
-def _ddsf_decode(block, slices, constants):
+def _ddsf_decode(block, slices, constants, shared=None):
     """Per-layer arrays from a (..., width, n) block and _ddsf_constants.
 
     They are fixed while x varies: a, b, w, and u's factors and
-    normalizer Z, as a _cwn_product over eta. A one-column u is 1 once
-    normalized, so it gets no CWN product, and a one-row w is [[1]], so it
-    is None: that sublayer is closed-form.
+    normalizer Z, as a _cwn_product over eta (shared passes on to it). A
+    one-column u is 1 once normalized, so it gets no CWN product, and a
+    one-row w is [[1]], so it is None: that sublayer is closed-form.
     """
     layers = []
     for (eta, a_pre, b), (V, E, w) in zip(slices, constants):
@@ -522,7 +569,7 @@ def _ddsf_decode(block, slices, constants):
                               f"with {d_in} inputs and {d_out} outputs")
         layers.append({"V": V, "E": E, "eta": eta, "a": sm.softplus(a_pre), "b": b,
                        "w": None if d_out == 1 else w,
-                       "Z": None if d_in == 1 else _cwn_product(V, E, eta)})
+                       "Z": None if d_in == 1 else _cwn_product(V, E, eta, True, shared)})
     return layers
 
 
@@ -563,7 +610,8 @@ def _ddsf_core(x, layers, logdet=True, adjoint=True):
         C = lay["a"] * uh + lay["b"]
         if w is not None:
             _, sig = _sigmoids(C)
-            pair, low = _log_sum(w @ sig, -sm.DELTA, lambda idx: (
+            lin = w @ sig
+            pair, low = _log_sum(lin.copy() if logdet and adjoint else lin, -sm.DELTA, lambda idx: (
                 np.log(w[idx[-2]]) + _logsigmoid_at(C, idx[0], (*idx[1:-2], idx[-1]))))
             if low is not None:
                 _check_saturation(pair, x, layer=li)
@@ -600,16 +648,15 @@ def _ddsf_core(x, layers, logdet=True, adjoint=True):
                 t += sm.logsigmoid(-c)
             return t
 
-        link = _chain_link(w, q, shift, terms)
+        link, q, link_sums, link_low = _chain_link(w, q, shift, terms, adjoint and w is not None)
         if w is None:  # w = [[1]]: h' = log s(C) - log s(-C) = C, r' = the link
             if adjoint:
                 saved.append((h, uh, cq, None, None))
-            h, r = C, link[0]
+            h, r = C, link
             continue
-        if adjoint:
-            # the pair as _log_dot_exp_grads reads it: out, e = sig, m = -DELTA
-            saved.append((h, uh, cq, (pair, sig, -sm.DELTA), link))
-        h, r = pair[0] - pair[1], link[0] - (pair[0] + pair[1])
+        if adjoint:  # each w product's terms, linear sums, low entries and log
+            saved.append((h, uh, cq, (sig, lin, low, pair), (q, link_sums, link_low, link)))
+        h, r = pair[0] - pair[1], link - (pair[0] + pair[1])
     return (h[..., 0, :], r[..., 0, :], saved) if logdet else h[..., 0, :]
 
 
@@ -619,17 +666,19 @@ def _ddsf_adjoint(g_y, g_ld, block, slices, layers, saved):
     Per layer, back to front, with g_h and g_r the upstream gradients of h'
     and r': the w products log D, log(1-D) and the chain link get
     g_h - g_r, -g_h - g_r and g_r, and pass them on to their arguments and
-    to w (then through w's row softmax to vw). C collects log s(C)'s and
-    the link's through s(-C), minus log s(-C)'s and the link's through
-    s(C), read from the saved linear pair; log a gets the link's, and a
-    goes on through softplus. A one-unit sublayer (h' = C, r' = log a +
+    to w (then through w's row softmax to vw) by their terms' softmax
+    weights, read from the sums the kernel saved (_mix_grads), as dsf's
+    are. C collects log s(C)'s and the link's through s(-C), minus
+    log s(-C)'s and the link's through s(C), read from the saved linear
+    pair; log a gets the link's, and a goes on through softplus. A one-unit sublayer (h' = C, r' = log a +
     the link) passes g_h to C and g_r to log a and the link, and its
     constant w gives vw a zero gradient. u @ h
     gets a g_C and log(u @ exp r) the link's, which _cwn_adjoint takes on
-    to vu, eta, h and r.
+    to vu, eta, h and r. A one-column block (one every point shares) gets
+    its gradient per point, (..., width, n).
     """
     g_h, g_r = g_y[..., None, :], g_ld[..., None, :]
-    g_block = np.empty_like(block)  # every row is written below
+    g_block = np.empty((*block.shape[:-1], g_y.shape[-1]))  # every row is written below
     g_vu, g_vw = [], []
     for lay, (eta, a_pre, b), (h, uh, cq, nd, col) in zip(
             reversed(layers), reversed(slices), reversed(saved)):
@@ -638,12 +687,11 @@ def _ddsf_adjoint(g_y, g_ld, block, slices, layers, saved):
             g_c, g_col = g_h, g_r
             g_vw.append(np.zeros((1, 1)))
         else:
-            gw_nd, (g_pos, g_neg) = _log_dot_exp_grads(
-                np.stack([g_h - g_r, -g_h - g_r]), *nd, w, keep=1)
-            gw_col, g_col = _log_dot_exp_grads(g_r, *col, w)
-            g_w = gw_nd[0] + gw_nd[1] + gw_col
-            g_vw.append(w * (g_w - np.sum(g_w * w, axis=1, keepdims=True)))
-            s_pos, s_neg = nd[1]
+            wg_nd, (g_pos, g_neg) = _mix_grads(np.stack([g_h - g_r, -g_h - g_r]), nd, w, keep=1)
+            wg_col, g_col = _mix_grads(g_r, col, w)
+            wg = wg_nd[0] + wg_nd[1] + wg_col  # w times w's gradient
+            g_vw.append(wg - w * np.sum(wg, axis=1, keepdims=True))
+            s_pos, s_neg = nd[0]
             g_c = (g_pos + g_col) * s_neg - (g_neg + g_col) * s_pos
         g_block[..., a_pre, :] = (g_c * uh + g_col / a) * sm.sigmoid(block[..., a_pre, :])
         g_block[..., b, :] = g_c
@@ -850,17 +898,25 @@ class Family:
     """One transformer family, sized by (d, dims), behind a conditioner.
 
     Batch-last throughout: x is (..., n) and a block (..., width, n), one
-    column per point (or (..., width, 1), one column every point shares),
-    so reductions over components run over a leading axis. An instance
-    owns, all in numpy:
+    column per point, or (..., width, 1), one column every point shares, so
+    reductions over components run over a leading axis. Every method takes
+    either block: core broadcasts a one-column block's p over x's points,
+    and adjoint returns its gradient per point. A flow layer passes the
+    dimension of degree 1 (every dimension at m = 1) as one column to its
+    density, training and inverse calls alike. An instance owns, all in
+    numpy:
       width, offset  the per-dimension conditioner output count, and the
                      constants added so a fresh flow starts near identity;
       params         trainable leaves outside the conditioner;
       constants()    what decode reads of params alone (None but for ddsf);
                      a flow layer takes it once per call, not per block;
-      decode(block, constants=None)
-                     core's arguments p, from a (..., width, n) block and
-                     params (their constants() unless given);
+      decode(block, constants=None, shared=None)
+                     core's arguments p, from a block and params (their
+                     constants() unless given); shared indexes a leading
+                     slab of a wider block that is the same in every
+                     column, and it decodes to that slab's one-column bits
+                     (for ddsf's CWN product; dsf's softmax and the
+                     affine slices have them anyway);
       core(x, p)     (y, log dy/dx, saved) of an (..., n) x, or y alone
                      with logdet=False, for the solver;
       adjoint(g_y, g_ld, x, block, p, saved)
@@ -909,7 +965,7 @@ class AffineExp(Family):
     offset = np.zeros(2)
 
     @staticmethod
-    def decode(block, constants=None):
+    def decode(block, constants=None, shared=None):
         return block[..., 0, :], block[..., 1, :]
 
     @staticmethod
@@ -971,7 +1027,7 @@ class Dsf(Family):
         )
 
     @staticmethod
-    def decode(block, constants=None):
+    def decode(block, constants=None, shared=None):
         return _dsf_activate(block)
 
     @staticmethod
@@ -1040,10 +1096,10 @@ class Ddsf(Family):
         since training replaces the parameters' data every step."""
         return _ddsf_constants([v.data for v in self.v_u], [v.data for v in self.v_w])
 
-    def decode(self, block, constants=None):
+    def decode(self, block, constants=None, shared=None):
         """Every array an inverse solve holds fixed, once per block: the
         constants, if not given, then a, b, w and the CWN normalizers Z."""
-        return _ddsf_decode(block, self.slices, constants or self.constants())
+        return _ddsf_decode(block, self.slices, constants or self.constants(), shared)
 
     @staticmethod
     def units(p):

@@ -10,10 +10,12 @@ import pytest
 from conftest import (constant_affine_stack, counted_solves, exact_identity_dsf_stack,
                       row_gradient_fd)
 import nafkit
+from nafkit import diffgraph as dg
 from nafkit import flow
 from nafkit import transformer as tf
 from nafkit.errors import DataError, DomainError, NumericError, RangeError, SaturationError
 from nafkit.flow import FlowLayer, FlowStack, StandardNormal, UniformBase
+from nafkit.training import mle_loss
 
 LOG_2PI = math.log(2.0 * math.pi)
 
@@ -478,6 +480,96 @@ class TestRowBlocks:
                 call(arg)
             assert f"dimension 1, batch point {rows + 3}: " in str(exc.value)
             assert (exc.value.dim, exc.value.index) == (1, (rows + 3) * 2 + 1)
+
+
+def shared_block_layer(kind, m, seed=0, name="layer"):
+    """An m-dimensional layer of the kind in reversed order (its dimension of
+    degree 1 is the last), its parameters moved off the identity."""
+    layer = FlowLayer(m, kind, d=4, ddsf_dims=(1, 4, 3, 1), hidden=(8,),
+                      order=tuple(range(m, 0, -1)), seed=seed, name=name)
+    rng = np.random.default_rng(seed + 10)
+    for p in layer.parameters():
+        p.data = p.data + rng.normal(scale=0.4, size=p.shape)
+    return layer
+
+
+KINDS = ["affine-exp", "affine-gate", "dsf", "ddsf"]
+
+
+class TestSharedBlock:
+    """The dimension of degree 1 sees no input: densities and training take its
+    block on one column that every point shares, as sampling does."""
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_density_decodes_one_column(self, kind, m, monkeypatch):
+        # every row block passes the family that block on one (width, 1) column,
+        # whose outputs are an expanded (width, n) block's: dsf's to the byte
+        layer = shared_block_layer(kind, m)
+        fam, first = layer.family, layer.order.index(1)
+        widths, forward = [], fam.forward
+
+        def recorded(x, block, constants=None):
+            widths.append(block.shape)
+            got = forward(x, block, constants)
+            if block.shape[-1] == 1:
+                wide = forward(x, np.repeat(block, len(x), axis=1), constants)
+                for have, want in zip(got, wide):
+                    have = np.broadcast_to(have, want.shape)
+                    if kind == "dsf":
+                        assert have.tobytes() == want.tobytes()
+                    np.testing.assert_allclose(have, want, rtol=1e-12, atol=1e-12)
+            return got
+
+        monkeypatch.setattr(fam, "forward", recorded)
+        rows = flow._block_rows(layer)
+        n = rows + 37
+        layer.forward(np.random.default_rng(m).normal(size=(n, m)))
+        assert widths == [(fam.width, 1 if i == first else min(rows, n - s))
+                          for s in range(0, n, rows) for i in range(m)]
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("m", [1, 3])
+    def test_training_pass_has_the_density_bytes(self, kind, m):
+        layer = shared_block_layer(kind, m, seed=m)
+        x = np.random.default_rng(3).normal(size=(300, m))
+        y, ld = layer.forward(x)
+        out, _ = layer.forward_saved(x)
+        assert y.tobytes() == out[:, :m].tobytes() and ld.tobytes() == out[:, m].tobytes()
+
+    @pytest.mark.parametrize("kind", ["affine-exp", "affine-gate"])
+    def test_m1_affine_logdet_per_point(self, kind):
+        # an affine logdet is its block's s, one column wide at m = 1
+        layer = shared_block_layer(kind, 1)
+        x = np.random.default_rng(4).normal(size=(7, 1))
+        _, ld = layer.forward(x)
+        out, _ = layer.forward_saved(x)
+        assert ld.shape == (7,) and out.shape == (7, 2)
+        assert FlowStack([layer]).log_density(x).shape == (7,)
+        assert ld.tobytes() == out[:, 1].tobytes() and np.all(ld == ld[0])
+
+    def test_m1_nonfinite_input_names_layer_dimension_and_point(self):
+        stack = FlowStack.build(m=1, kind="dsf", n_layers=2, seed=0)
+        x = np.random.default_rng(0).normal(size=(2000, 1))
+        x[1500, 0] = np.inf
+        for call in (stack.forward, stack.log_density, stack.transform_noise):
+            with pytest.raises(DomainError) as exc:
+                call(x)
+            assert str(exc.value).startswith("layer0, dimension 0, batch point 1500: ")
+            assert (exc.value.dim, exc.value.index) == (0, 1500)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_m1_gradients(self, kind):
+        # the whole conditioner runs on one column, and its gradient is summed
+        # over the points first; the input weights are masked and stay at 0
+        stack = FlowStack([shared_block_layer(kind, 1, seed=s, name=f"layer{s}") for s in (1, 2)])
+        batch, params = np.random.default_rng(5).normal(size=(6, 1)), stack.parameters()
+        assert dg.check_gradients(lambda: mle_loss(batch, stack), params, eps=1e-5) < 1e-4
+        dg.zero_grad(params)
+        dg.backward(mle_loss(batch, stack))
+        for layer in stack.layers:
+            w0 = layer.conditioner.weights[0]
+            assert not layer.conditioner.masks[0].any() and np.all(w0.grad == 0.0)
 
 
 def perfbench_workloads():

@@ -132,31 +132,62 @@ def composite_dsf(x, block, d):
     return log_num - log_den, logdet
 
 
-def exact_dsf_grads(xs, block, d, g_y, g_ld):
+def _lse(t, axis=0):
+    """logsumexp of a complex array over axis, shifted by its real max."""
+    m = np.max(t.real, axis=axis, keepdims=True)
+    return np.squeeze(m + np.log(np.sum(np.exp(t - m), axis=axis, keepdims=True)), axis=axis)
+
+
+def _softplus(z):
+    return np.where(z.real > 0, z + np.log1p(np.exp(-z)), np.log1p(np.exp(z))) + sm.DELTA
+
+
+def dsf_objective(fam, g_y, g_ld):
+    """sum(g_y y + g_ld logdet) per point by composite_dsf's log-space formulas,
+    on complex x (B,) and block (3d, B); the family has no parameters."""
+    d = fam.d
+
+    def objective(x, blk):
+        w_pre, a_pre, b = blk[:d], blk[d:2 * d], blk[2 * d:]
+        log_w = w_pre - _lse(w_pre)
+        a = _softplus(a_pre)
+        C = a * x + b
+        ls_pos, ls_neg = -_softplus(-C), -_softplus(C)
+        log_num, log_den = _lse(log_w + ls_pos), _lse(log_w + ls_neg)
+        logdet = _lse(log_w + np.log(a) + ls_pos + ls_neg) - (log_num + log_den)
+        return g_y * (log_num - log_den) + g_ld * logdet
+    return objective
+
+
+def ddsf_objective(fam, g_y, g_ld):
+    """sum(g_y y + g_ld logdet) per point by composite_ddsf's log-space formulas,
+    on complex x (B,) and block (width, B)."""
+    def objective(x, blk):
+        h, r = x[None, :], np.zeros((1, x.shape[0]))
+        for (eta, a_pre, b), vu, vw in zip(fam.slices, fam.v_u, fam.v_w):
+            vu, vw = vu.data, vw.data
+            X = vu[:, :, None] + blk[eta][None]
+            log_u = X - _lse(X, axis=1)[:, None, :]
+            log_w = (vw - _lse(vw, axis=1)[:, None])[:, :, None]
+            a = _softplus(blk[a_pre])
+            C = a * np.sum(np.exp(log_u) * h[None], axis=1) + blk[b]
+            ls_pos, ls_neg = -_softplus(-C), -_softplus(C)
+            log_num, log_den = _lse(log_w + ls_pos[None], axis=1), _lse(log_w + ls_neg[None], axis=1)
+            s = _lse(log_u + r[None], axis=1)
+            link = _lse(log_w + (ls_pos + ls_neg + np.log(a) + s)[None], axis=1)
+            h, r = log_num - log_den, link - (log_num + log_den)
+        return g_y * h[0] + g_ld * r[0]
+    return objective
+
+
+def exact_grads(fam, xs, block, g_y, g_ld):
     """The x and block gradients of sum(g_y y + g_ld logdet), by complex step in
-    np.clongdouble (h = 1e-30): composite_dsf's log-space formulas, whose
+    np.clongdouble (h = 1e-30): the composites' log-space formulas, whose
     rounding in the wider mantissa stays below a float64 ulp. Each point reads
     only its own x and block column, so one evaluation per input row
     differentiates every point at once."""
     h = 1e-30
-
-    def lse(t):
-        m = np.max(t.real, axis=0)
-        return m + np.log(np.sum(np.exp(t - m), axis=0))
-
-    def softplus(z):
-        return np.where(z.real > 0, z + np.log1p(np.exp(-z)), np.log1p(np.exp(z))) + sm.DELTA
-
-    def objective(x, blk):
-        w_pre, a_pre, b = blk[:d], blk[d:2 * d], blk[2 * d:]
-        log_w = w_pre - lse(w_pre)
-        a = softplus(a_pre)
-        C = a * x + b
-        ls_pos, ls_neg = -softplus(-C), -softplus(C)
-        log_num, log_den = lse(log_w + ls_pos), lse(log_w + ls_neg)
-        logdet = lse(log_w + np.log(a) + ls_pos + ls_neg) - (log_num + log_den)
-        return g_y * (log_num - log_den) + g_ld * logdet
-
+    objective = (dsf_objective if isinstance(fam, tf.Dsf) else ddsf_objective)(fam, g_y, g_ld)
     x, blk = xs.astype(np.clongdouble), block.astype(np.clongdouble)
     g_x = objective(x + 1j * h, blk).imag / h
     g_block = np.empty(block.shape, dtype=np.longdouble)
@@ -167,13 +198,13 @@ def exact_dsf_grads(xs, block, d, g_y, g_ld):
     return g_x, g_block
 
 
-def assert_dsf_grads_near_exact(fam, xs, block, g_y, g_ld, ref, got):
-    """The kernel's x and block gradients (got[2:]) lie within 1.5 times the
-    composite's (ref[2:]) largest error from exact_dsf_grads, or within 4 ulps
-    of the largest exact entry; both errors are printed, in those ulps."""
+def assert_grads_near_exact(fam, xs, block, g_y, g_ld, ref, got):
+    """The kernel's x and block gradients (got[2:4]) lie within 1.5 times the
+    composite's (ref[2:4]) largest error from exact_grads, or within 4 ulps of
+    the largest exact entry; both errors are printed, in those ulps."""
     if np.finfo(np.longdouble).nmant <= np.finfo(np.float64).nmant:
         pytest.skip("np.longdouble is float64 here, too narrow for an exact reference")
-    exact = exact_dsf_grads(xs, block, fam.d, g_y, g_ld)
+    exact = exact_grads(fam, xs, block, g_y, g_ld)
     for name, want, comp, have in zip(["x", "block"], exact, ref[2:], got[2:]):
         ulp = np.spacing(float(np.max(np.abs(want))))
         err_comp, err = (float(np.max(np.abs(v - want))) for v in (comp, have))
@@ -229,7 +260,7 @@ class TestDsfOp:
         # mixture in linear space, the composite in log space
         for want, have in zip(ref[:2], got[:2]):
             np.testing.assert_allclose(have, want, rtol=1e-12, atol=0.0)
-        assert_dsf_grads_near_exact(fam, xs, block, g_y, g_ld, ref, got)
+        assert_grads_near_exact(fam, xs, block, g_y, g_ld, ref, got)
 
     def test_floor_straddling_columns_match_composite(self):
         # columns whose D or 1-D sits just above the floor (summed in linear
@@ -249,7 +280,7 @@ class TestDsfOp:
         for name, want, have in zip(["y", "logdet"], ref, got):
             atol = 4.0 * np.spacing(700.0) if name == "logdet" else 0.0
             np.testing.assert_allclose(have, want, rtol=1e-12, atol=atol, err_msg=name)
-        assert_dsf_grads_near_exact(fam, xs, block, g_y, g_ld, ref, got)
+        assert_grads_near_exact(fam, xs, block, g_y, g_ld, ref, got)
 
     def test_saturated_units_match_composite(self):
         # every unit saturates, half on each side, so each w a s(C) s(-C) and
@@ -269,7 +300,7 @@ class TestDsfOp:
         assert np.all(ref[1] < -600.0)
         for name, want, have in zip(["y", "logdet"], ref, got):
             np.testing.assert_allclose(have, want, rtol=1e-12, atol=0.0, err_msg=name)
-        assert_dsf_grads_near_exact(fam, xs, block, g_y, g_ld, ref, got)
+        assert_grads_near_exact(fam, xs, block, g_y, g_ld, ref, got)
 
     def test_numpy_path_matches_graph_values(self):
         x = np.random.default_rng(3).normal(size=(8, 2))
@@ -828,10 +859,10 @@ class TestLinearSums:
     def test_unguarded_saturation_keeps_log_space_values(self, kind, monkeypatch):
         # with the guard off (selftest --debug-no-guard), sums far below the
         # floor and past float range still come back as their log-space values.
-        # dsf's gradient weights on low entries, exp(t - log sum) from the log-
-        # space terms, stay at most 1, so its gradients are as near the exact
-        # ones as the composite's; ddsf's read the linear pair, whose 1/D
-        # overflows once log D < -709.78: a NumericError naming such a point
+        # Both adjoints' gradient weights on low entries, exp(t - log sum) from
+        # the log-space terms, stay at most 1, so their gradients are as near
+        # the exact ones as the composite's, also where 1/D would overflow
+        # (log D < -709.78)
         monkeypatch.setattr(tf, "SATURATION_GUARD", False)
         levels = (-750.0, -1000.0, 750.0, 1000.0, 0.0)
         rng = np.random.default_rng(54)
@@ -845,14 +876,11 @@ class TestLinearSums:
             np.testing.assert_allclose(have, want.data, rtol=1e-9,
                                        atol=1e-12 * np.max(np.abs(want.data)))
         g_y, g_ld = rng.normal(size=40), rng.normal(size=40)
-        if kind == "ddsf":
-            with pytest.raises(NumericError, match="gradient overflows") as exc:
-                adjoint_results(fam, xs, block, g_y, g_ld)
-            assert min(np.min(pair[..., exc.value.index]) for pair in pairs) < -709.78
-            return
-        ref = op_results(lambda x, blk: composite_dsf(x, blk, fam.d), fam, xs, block, g_y, g_ld)
-        assert_dsf_grads_near_exact(fam, xs, block, g_y, g_ld, ref,
-                                    adjoint_results(fam, xs, block, g_y, g_ld))
+        spelled = (lambda x, blk: composite_dsf(x, blk, fam.d)) if kind == "dsf" else (
+            lambda x, blk: composite_ddsf(x, blk, fam))
+        ref = op_results(spelled, fam, xs, block, g_y, g_ld)
+        assert_grads_near_exact(fam, xs, block, g_y, g_ld, ref,
+                                adjoint_results(fam, xs, block, g_y, g_ld))
 
     @pytest.mark.parametrize("guard, levels", [(True, FLOOR_LEVELS),
                                                (False, (-750.0, -1000.0, 750.0, 1000.0, 0.0))],
@@ -861,7 +889,7 @@ class TestLinearSums:
         # the dsf adjoint weights a low entry's units by exp(t - log sum) from the
         # log-space terms _log_sum built, not by the linear sum's reciprocal:
         # each weight lies in [0, 1] and the gradients are finite, also where
-        # 1/D overflows (log D < -709.78), which ddsf's adjoint raises on
+        # 1/D overflows (log D < -709.78)
         monkeypatch.setattr(tf, "SATURATION_GUARD", guard)
         rng = np.random.default_rng(57)
         fam, block = straddling_dsf(rng, 40, 4, levels)
@@ -916,17 +944,39 @@ class TestOneColumnBlock:
         rng = np.random.default_rng(41)
         self.assert_same_bits(*tf.random_params(kind, rng, d=8), rng.uniform(-5, 5, size=300))
 
-    def test_ddsf_low_entries_same_bits_as_broadcast(self):
-        # Layer 1's eta peaks in column 0, 800 nats above the others, and two rows of
-        # vu put -800 there: their CWN products underflow and are recomputed, and the
-        # one-column block's low entries must stand for every point. (Elsewhere a
-        # one-column product may round differently from a wide one.)
-        rng = np.random.default_rng(42)
+    @staticmethod
+    def low_entry_ddsf(rng):
+        """A ddsf and its block row whose layer 1 has low CWN entries: eta peaks in
+        column 0, 800 nats above the others, and two rows of vu put -800 there."""
         fam, row = tf.random_params("ddsf", rng, dims=(1, 4, 3, 1))
         row[fam.slices[1][0]] = [800.0, 0.0, 0.0, 0.0]
         fam.v_u[1].data = np.array([[-800.0, 0, 0, 0], [-800.0, 1, 0, 0], [0.0, 0, 0, 0]])
         assert fam.decode(row[:, None])[1]["Z"][3] is not None
-        self.assert_same_bits(fam, row, rng.uniform(-5, 5, size=300))
+        return fam, row
+
+    def test_ddsf_low_entries_same_bits_as_broadcast(self):
+        # the low entries' CWN products underflow and are recomputed, and the
+        # one-column block's low entries must stand for every point. (Elsewhere a
+        # one-column product may round differently from a wide one.)
+        rng = np.random.default_rng(42)
+        self.assert_same_bits(*self.low_entry_ddsf(rng), rng.uniform(-5, 5, size=300))
+
+    @pytest.mark.parametrize("kind", ["affine-exp", "affine-gate", "dsf", "ddsf", "ddsf-low"])
+    def test_adjoint_matches_broadcast(self, kind):
+        # a one-column block's adjoint gives the expanded block's gradients, the
+        # block's per point, within 1e-12 (dsf's to the byte), low entries included
+        rng = np.random.default_rng(43)
+        fam, row = (self.low_entry_ddsf(rng) if kind == "ddsf-low"
+                    else tf.random_params(kind, rng, d=8, dims=(1, 4, 3, 1)))
+        xs, g_y, g_ld = rng.uniform(-5, 5, size=300), rng.normal(size=300), rng.normal(size=300)
+        one = row[:, None]
+        got = adjoint_results(fam, xs, one, g_y, g_ld)
+        want = adjoint_results(fam, xs, np.repeat(one, xs.size, axis=1), g_y, g_ld)
+        for have, ref in zip(got, want):
+            have = np.broadcast_to(have, ref.shape)
+            if kind == "dsf":
+                assert have.tobytes() == ref.tobytes()
+            np.testing.assert_allclose(have, ref, rtol=1e-12, atol=1e-12 * np.max(np.abs(ref)))
 
 
 def shared_family(name):
