@@ -189,12 +189,13 @@ def _kind(action) -> str:
 
 
 # Each integer size flag: the name its error gives and its smallest value.
-# certify-universal's --n is a comma list, which its own parser reads.
+# certify-universal's --n is a comma list, which its own parser reads. A seed
+# seeds np.random.default_rng, which refuses a negative one.
 _SIZES = {"samples": ("--samples", 1), "train_n": ("--train-n", 1), "val_n": ("--val-n", 1),
           "steps": ("steps", 1), "batch": ("--batch", 1), "d": ("--d", 1), "L": ("--L", 1),
           "stack": ("--stack", 1), "hidden": ("--hidden", 1), "n": ("sample count", 0),
           "grid_points": ("grid points", 0), "points": ("grid points", 0),
-          "curve_points": ("--curve-points", 0)}
+          "curve_points": ("--curve-points", 0), "seed": ("--seed", 0)}
 
 
 # Each float flag: the name its error gives, its rule, and the test of the rule

@@ -23,7 +23,7 @@ rows, not the whole readout.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,16 +43,15 @@ GATE_IDENTITY_OFFSET = 5.0
 
 @dataclass
 class MaskSet:
-    """Degrees per layer plus the binary masks they induce.
+    """The binary masks that the layers' degrees induce.
 
     masks[i] has shape (fan_in, fan_out) and multiplies the i-th weight
     matrix elementwise; out_base is the (last_hidden, m) readout mask that
     gets column-replicated per pseudo-parameter block.
     """
 
-    degrees: list = field(default_factory=list)
-    masks: list = field(default_factory=list)
-    out_base: np.ndarray = None
+    masks: list
+    out_base: np.ndarray
 
 
 def build_masks(m: int, hidden_sizes, order=None) -> MaskSet:
@@ -88,7 +87,7 @@ def build_masks(m: int, hidden_sizes, order=None) -> MaskSet:
     for prev, nxt in zip(degrees[:-1], degrees[1:]):
         masks.append((prev[:, None] <= nxt[None, :]).astype(np.float64))
     out_base = (degrees[-1][:, None] < in_deg[None, :]).astype(np.float64)
-    return MaskSet(degrees=degrees, masks=masks, out_base=out_base)
+    return MaskSet(masks=masks, out_base=out_base)
 
 
 class MadeConditioner:
@@ -110,7 +109,6 @@ class MadeConditioner:
         self.order = tuple(order) if order is not None else tuple(range(1, m + 1))
         self.name = name
         mask_set = build_masks(self.m, self.hidden_sizes, self.order)
-        self.mask_set = mask_set
         # Replicate readout columns per block: output index = dim * P + p.
         self.masks = list(mask_set.masks) + [
             np.repeat(mask_set.out_base, self.out_per_dim, axis=1)

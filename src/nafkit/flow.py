@@ -6,9 +6,10 @@ log-determinant is the sum of per-dimension scalar log-derivatives.
 Stacks alternate natural and reversed orders. One forward implementation
 serves both directions: data -> noise for density estimation and
 noise -> sample for energy fitting; only the interpretation differs.
-Training runs each layer once over the whole batch, keeping what its
-adjoint reads (forward_saved), then sweeps the layers' adjoints back to
-front (FlowStack.adjoint); the base distributions supply theirs.
+Training runs each layer once over the whole batch (forward_saved: y,
+the logdet, and what its adjoint reads), then sweeps the layers' adjoints
+back to front (FlowStack.adjoint), each taking the gradients of its y and
+of its logdet; the base distributions supply theirs.
 """
 
 from __future__ import annotations
@@ -162,9 +163,9 @@ class FlowLayer:
         return y.T, ld.sum(axis=0)
 
     def forward_saved(self, x):
-        """(out, saved) for an (n, m) x: out = [y | logdet], (n, m + 1), and what
-        adjoint reads. One pass over the whole batch, for training. Unlike
-        forward it does not check x: fit checks its data, and noise is finite.
+        """(y, logdet, saved) for an (n, m) x, with saved what adjoint reads. One
+        pass over the whole batch, for training. Unlike forward it does not
+        check x: fit checks its data, and noise is finite.
 
         The block of the dimension of degree 1 gets the bits forward gives it:
         the family decodes that slab to a one-column block's bits (decode's
@@ -183,16 +184,17 @@ class FlowLayer:
             raise self._located(err) from None
         # an affine logdet is its block's s: one column wide at m = 1
         ld = np.broadcast_to(ld, y.shape).sum(axis=0)
-        return np.column_stack([y.T, ld]), (x, hs, block, p, kernel)
+        return y.T, ld, (x, hs, block, p, kernel)
 
-    def adjoint(self, g, saved):
-        """(g_x, gradients of parameters()) for forward_saved's out gradient g,
-        (n, m + 1): the family's adjoint, chained into the conditioner's. A
-        one-column block (m = 1) gets its gradient summed over the points."""
+    def adjoint(self, g_y, g_ld, saved):
+        """(g_x, gradients of parameters()) for the gradients g_y (n, m) of
+        forward_saved's y and g_ld (n,) of its logdet: the family's adjoint,
+        chained into the conditioner's. A one-column block (m = 1) gets its
+        gradient summed over the points."""
         x, hs, block, p, kernel = saved
         n, m = x.shape
-        g_y, g_ld = g[:, :m].T, np.broadcast_to(g[:, m], (m, n))
-        g_x, g_block, *g_fam = self.family.adjoint(g_y, g_ld, x.T, block, p, kernel)
+        g_x, g_block, *g_fam = self.family.adjoint(
+            g_y.T, np.broadcast_to(g_ld, (m, n)), x.T, block, p, kernel)
         cols = block.shape[-1]
         if cols < n:
             g_block = g_block.sum(axis=-1, keepdims=True)
@@ -302,9 +304,8 @@ class FlowStack:
         """forward for training: (y, logdet, saved), with saved what adjoint reads."""
         total, saved = None, []
         for layer in self.layers:
-            out = layer.forward_saved(x)
-            saved.append(out)
-            x, ld = out[0][:, :self.m], out[0][:, self.m]
+            x, ld, state = layer.forward_saved(x)
+            saved.append(state)
             total = ld if total is None else total + ld
         return x, total, saved
 
@@ -313,11 +314,8 @@ class FlowStack:
         y and g_ld (n,) of its logdet: one reverse sweep of the layers' adjoints.
         """
         grads = []
-        for layer, (out, state) in zip(reversed(self.layers), reversed(saved)):
-            g = np.zeros_like(out)  # added into zeros: a -0.0 entry is kept as +0.0
-            g[:, :self.m] += g_y
-            g[:, self.m] += g_ld
-            g_y, layer_grads = layer.adjoint(g, state)
+        for layer, state in zip(reversed(self.layers), reversed(saved)):
+            g_y, layer_grads = layer.adjoint(g_y, g_ld, state)
             grads[:0] = layer_grads
         return grads
 
@@ -368,17 +366,19 @@ class FlowStack:
         version = doc.get("version") if isinstance(doc, dict) else None
         if version != 1:
             raise DataError(f"unsupported checkpoint version {version!r}")
-        m = _entry(doc, "m", "checkpoint")
+        m = _integers(doc, "m", "checkpoint")
         layers = []
         for i, spec in enumerate(_entry(doc, "layers", "checkpoint")):
             where = f"checkpoint layer {i}"
-            kind, d, dims, hidden, order = (
-                _entry(spec, key, where) for key in ("kind", "d", "dims", "hidden", "order")
-            )
+            kind, dims = _entry(spec, "kind", where), _entry(spec, "dims", where)
+            if dims is not None:  # ddsf's widths; to_json writes None for the other kinds
+                dims = _integers(spec, "dims", where, many=True)
+            d = _integers(spec, "d", where)
+            hidden, order = (_integers(spec, key, where, many=True) for key in ("hidden", "order"))
             try:
                 layers.append(FlowLayer(
-                    m, kind, d=d, ddsf_dims=dims, hidden=tuple(hidden),
-                    order=tuple(order), seed=0, name=f"layer{i}",
+                    m, kind, d=d, ddsf_dims=dims, hidden=hidden,
+                    order=order, seed=0, name=f"layer{i}",
                 ))
             except (TypeError, ValueError) as err:
                 raise DataError(f"{where}: {err}") from None
@@ -417,6 +417,17 @@ def _entry(doc, key, where):
     if not isinstance(doc, dict) or key not in doc:
         raise DataError(f"{where} has no {key!r} entry")
     return doc[key]
+
+
+def _integers(doc, key, where, many=False):
+    """doc[key] of a checkpoint mapping that is an int, or with many a list of
+    ints (as a tuple); else a DataError naming the key."""
+    value = _entry(doc, key, where)
+    items = value if many else [value]
+    if not isinstance(items, list) or any(type(v) is not int for v in items):
+        kind = "a list of integers" if many else "an integer"
+        raise DataError(f"{where}: {key!r} must be {kind}, got {value!r}")
+    return tuple(items) if many else value
 
 
 def write_atomic(path: str, text: str):

@@ -31,19 +31,18 @@ def suite_stablemath(rng: np.random.Generator):
     for _ in range(200):
         v = rng.uniform(-100, 100, size=rng.integers(1, 9))
         c = float(rng.uniform(-50, 50))
-        if abs(sm.logsumexp(v + c) - (sm.logsumexp(v) + c)) > 1e-12 * max(
-            1.0, abs(sm.logsumexp(v))
-        ):
+        lse = float(sm.logsumexp_over_axis(v, 0))
+        if abs(float(sm.logsumexp_over_axis(v + c, 0)) - (lse + c)) > 1e-12 * max(1.0, abs(lse)):
             return False, f"logsumexp shift invariance broke on {v}"
-        if abs(np.sum(np.exp(sm.logsoftmax(v))) - 1.0) > 1e-12:
+        if abs(np.sum(np.exp(sm.logsoftmax_over_axis(v, 0))) - 1.0) > 1e-12:
             return False, "logsoftmax exponentials do not sum to 1"
     for _ in range(100):
         a = rng.uniform(0.1, 10.0, size=(3, 4))
         v = rng.uniform(0.1, 10.0, size=(4, 2))
-        got = tf.log_dot_exp(a, np.log(v))
+        (P, m), *_ = tf._cwn_product(np.log(a), a, np.log(v), pieces=False)
         want = np.log(a @ v)
-        if np.max(np.abs(got - want) / np.abs(want)) > 1e-9:
-            return False, "log_dot_exp disagrees with the dense product"
+        if np.max(np.abs(np.log(P) + m - want) / np.abs(want)) > 1e-9:
+            return False, "the CWN product disagrees with the dense product"
     for _ in range(200):
         x = float(rng.uniform(-30, 30))
         if abs(sm.softplus(x) - sm.softplus(-x) - x) > 1e-9 + 2 * sm.DELTA:

@@ -11,9 +11,8 @@ above the saturation guard) is recomputed from logsigmoid in log space
 gradient weights from those sums, the log-space terms only where a sum
 fell below the floor, so no log pair is rebuilt for them. All arithmetic
 is 64-bit. The softplus delta keeps later log() calls strictly away from
-zero; it lives inside softplus only, so logsigmoid inherits it (the
-linear sums subtract it after their log) and logsumexp/logsoftmax stay
-exact.
+zero; it lives inside softplus only, so logsigmoid inherits it (the linear
+sums subtract it after their log) and the axis-wise logsumexp stays exact.
 """
 
 from __future__ import annotations
@@ -27,23 +26,12 @@ from .errors import DomainError
 # Additive floor inside softplus. Applied nowhere else.
 DELTA = 1e-6
 
-NEG_INF = float("-inf")
-
-
-def logsumexp(v) -> float:
-    """log(sum(exp(v))) for a nonempty vector, max-shifted before exp.
-
-    All-(-inf) input returns -inf rather than erroring: masked Jacobian
-    chains rely on structural zeros surviving the reduction.
-    """
-    v = np.asarray(v, dtype=np.float64)
-    if v.size == 0:
-        raise DomainError("logsumexp of an empty vector")
-    return float(logsumexp_over_axis(v.reshape(-1), axis=0))
-
 
 def logsumexp_over_axis(a, axis: int):
-    """Axis-wise stable logsumexp on arrays; -inf slices map to -inf.
+    """Axis-wise stable logsumexp on arrays, max-shifted before exp.
+
+    An all-(-inf) slice maps to -inf rather than erroring: structural zeros
+    survive the reduction.
 
     A sum over a leading axis adds its rows in order whatever the trailing
     size. numpy sums a lone column pairwise instead, so without the running
@@ -86,16 +74,6 @@ def logsigmoid(x):
     return -softplus(-x)
 
 
-def _empty_pair(x):
-    """An empty (2, *x.shape) array whose halves have x's memory order, which
-    numpy's reductions over them read to pick their order of summation."""
-    if x.flags.c_contiguous:
-        return np.empty((2, *x.shape))
-    order = sorted(range(x.ndim), key=lambda i: -abs(x.strides[i]))
-    out = np.empty((2, *(x.shape[i] for i in order)))
-    return out.transpose(0, *(1 + np.argsort(order)))
-
-
 def sigmoid(x):
     """Logistic function from exp(-|x|), which cannot overflow.
 
@@ -110,7 +88,7 @@ def sigmoid(x):
 
 
 def sigmoid_pair(x, e, scale=None):
-    """[sigmoid(x); sigmoid(-x)], (2, *x.shape), in place from the caller's
+    """[sigmoid(x); sigmoid(-x)], C-ordered (2, *x.shape), in place from the caller's
     e = exp(-|x|); or, given a scale that broadcasts to x, scale times that pair.
 
     Each half is sigmoid's split, 1/(1+e) or e/(1+e), taken without a mask:
@@ -119,7 +97,7 @@ def sigmoid_pair(x, e, scale=None):
     bits of two sigmoid calls; scaled, the numerators times scale/(1+e).
     """
     x = np.asarray(x, dtype=np.float64)
-    out = _empty_pair(x)
+    out = np.empty((2, *x.shape))
     np.sign(x, out=out[0])
     np.negative(out[0], out=out[1])
     np.maximum(e, out, out=out)
@@ -137,14 +115,6 @@ def logit(p):
         raise DomainError("logit requires arguments strictly inside (0, 1)")
     out = np.log(p) - np.log1p(-p)
     return float(out) if out.ndim == 0 else out
-
-
-def logsoftmax(v):
-    """v - logsumexp(v) on a nonempty vector; exps sum to 1."""
-    v = np.asarray(v, dtype=np.float64)
-    if v.size == 0:
-        raise DomainError("logsoftmax of an empty vector")
-    return v - logsumexp(v)
 
 
 def logsoftmax_over_axis(a, axis: int):

@@ -42,11 +42,11 @@ path can score. dsf and ddsf have no closed-form inverse: invert_batch
 brackets each target and refines it by safeguarded Newton, dsf on the
 slope its y pass gives for about an eighth more, ddsf on secant slopes
 through y-only evaluations: about 6 to 18 forward evaluations per
-dimension. A block column that every point shares (the dimension of degree
-1) is one scalar function for the whole batch, so one forward call on a
-TABLE-point grid over the x its units' bound allows (_grid) seats every
-target in a cell, and the refine starts there: 3 or 4 evaluations in all
-on the benchmark's stacks.
+dimension, from [-1, 1]. A block column that every point shares (the
+dimension of degree 1) is one scalar function for the whole batch, so
+one forward call on a TABLE-point grid over the x its units' bound allows
+(_grid) seats every target in a cell, and the refine starts there: 3 or 4
+evaluations in all on the benchmark's stacks.
 """
 
 from __future__ import annotations
@@ -195,50 +195,6 @@ def _chain_link(w, q, shift, terms, keep=False):
         (0.0 if w is None else np.log(w[idx[-2]]))
         + np.log(_points_last(q, idx)) + _points_last(shift, idx)))
     return out, q, saved, low
-
-
-def _log_dot_exp(mat, v):
-    """log_dot_exp's value as (out, e, m) with e = exp(v - m), m v's component max.
-    Unchecked: the kernels pass a row softmax."""
-    e, m = _shifted_exp(v)
-    out, _ = _log_sum(mat @ e, m, lambda idx: np.log(mat[idx[-2]]) + _points_last(v, idx))
-    return out, e, m
-
-
-def _log_dot_exp_grads(g, out, e, m, mat, keep=0):
-    """Gradients of _log_dot_exp's out for mat and v, from its saved e and m;
-    mat's keeps v's first keep leading axes unsummed."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        s = g * np.exp(m - out)
-    bad = ~np.isfinite(s)
-    if bad.any():
-        # index is point-major over the leading axes after the kept ones,
-        # which a flow layer holds as its dimensions
-        lead = bad.reshape(-1, *bad.shape[keep:]).any(axis=(0, -2))
-        n = _first_point(lead)
-        point, *dims = np.unravel_index(n, (lead.shape[-1], *lead.shape[:-1]))
-        at = "".join(f", dimension {i}" for i in dims)
-        raise NumericError(f"log_dot_exp gradient overflows at point {point}{at}", index=n)
-    return _outer_sum(s, e, keep), e * (mat.T @ s)
-
-
-def log_dot_exp(mat, v):
-    """log(mat @ exp(v)) per column of v (cols, n) for a nonnegative mat (rows, cols).
-
-    Components lead and points trail, as in every kernel. The max-shifted
-    product log(mat @ exp(v - m)) + m is one BLAS product, as accurate as
-    the logsumexp of log mat + v but not bit-identical to it. A column
-    entry whose shifted product falls below _FLOOR (mat ~0 where v peaks)
-    is recomputed as that logsumexp, so it keeps full precision, and only
-    a structural zero comes back as -inf. A negative
-    entry of mat is a NumericError. _log_dot_exp_grads gives the gradients:
-    exp(v_j - out_i) for mat and mat_ij exp(v_j - out_i) for v; one that
-    overflows is a NumericError.
-    """
-    mat, v = np.asarray(mat, dtype=np.float64), np.asarray(v, dtype=np.float64)
-    if np.any(mat < 0.0):
-        raise NumericError("log_dot_exp of a negative matrix entry")
-    return _log_dot_exp(mat, v)[0]
 
 
 # -- sigmoid mixtures --------------------------------------------------------
@@ -710,16 +666,16 @@ def _ddsf_adjoint(g_y, g_ld, block, slices, layers, saved):
 # -- inversion -------------------------------------------------------------
 
 
-def invert_batch(y, forward, lo0: float = -1.0, hi0: float = 1.0, table=None) -> np.ndarray:
+def invert_batch(y, forward, table=None) -> np.ndarray:
     """Vectorized root-finding: forward maps (n,) -> (n,), increasing per entry.
 
     forward(t) returns f(t), or the pair (f(t), df/dt). A non-finite y is a
-    RangeError naming its entry, before any forward evaluation. Each entry
-    starts from [lo0, hi0]; or, given a table (an increasing grid, for a
-    forward that is one function for every entry), one forward call on the
-    grid starts each entry from its cell, the first or last cell for a y
-    beyond the grid (_seat), unless that call trips the saturation guard or
-    returns a non-finite value. Each bracket doubles outward from its start
+    RangeError naming its entry, before any forward evaluation. Given a table
+    (an increasing grid, for a forward that is one function for every
+    entry), one forward call on the grid starts each entry from its cell,
+    the first or last cell for a y beyond the grid (_seat); without one, or
+    if that call trips the saturation guard or returns a non-finite value,
+    each entry starts from [-1, 1]. Each bracket doubles outward from its start
     (a zero-width one from width 1) until it straddles its y (up to
     |x| = 1e6, else RangeError naming the first such entry). An expansion
     round takes one forward evaluation: an entry whose f(lo) is above y
@@ -745,7 +701,7 @@ def invert_batch(y, forward, lo0: float = -1.0, hi0: float = 1.0, table=None) ->
         raise _unreachable(y, ~np.isfinite(y))
     seat = None if table is None else _seat(y, forward, table)
     if seat is None:
-        lo, hi = np.full_like(y, lo0), np.full_like(y, hi0)
+        lo, hi = np.full_like(y, -1.0), np.full_like(y, 1.0)
         flo = np.array(forward(lo), ndmin=2)  # rows [f], or [f; df/dx] from a pair
         fhi = np.array(forward(hi), ndmin=2)
     else:
@@ -924,8 +880,8 @@ class Family:
       forward        (y, log dy/dx): core on decode(block, constants);
       inverse        x with forward(x, block) = y: decode once, then solve
                      core's y with invert_batch (the same bits and guard),
-                     which dsf's core hands dy/dx too; a one-column block
-                     also gives it a table over its units' range;
+                     which dsf's core hands dy/dx too, from [-1, 1], or
+                     for a one-column block a table over its units' range;
       units(p)       (a, b) of each sublayer, first to last, whose
                      pre-activations bound that range (dsf and ddsf).
     random_row(rng) draws one (width,) block column for property checks (ddsf

@@ -43,11 +43,12 @@ class MonotoneTarget:
             raise DomainError("target must be strictly increasing (flat region found)")
 
     def inverse(self, y: float) -> float:
-        """Quantile of level y, analytic if supplied, else invert_batch."""
+        """Quantile of level y, analytic if supplied, else invert_batch seated
+        in [r0, r1] by one forward call on that two-point table."""
         if self.inv is not None:
             return float(self.inv(y))
         fn = lambda xs: np.array([self.fn(float(x)) for x in xs])
-        return float(invert_batch([float(y)], fn, lo0=self.r0, hi0=self.r1)[0])
+        return float(invert_batch([float(y)], fn, table=np.array([self.r0, self.r1]))[0])
 
 
 def identity_target() -> MonotoneTarget:

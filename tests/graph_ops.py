@@ -223,13 +223,23 @@ def logsoftmax(a, axis: int = -1):
 
 
 def log_dot_exp(mat, v):
-    """nafkit's log_dot_exp as one op: the max-shifted product and its gradients."""
+    """log(mat @ exp(v)) per column of v (cols, n) for a nonnegative mat, as one
+    op built from the kernels' helpers: the max-shifted product with one log
+    per entry, and the logsumexp of log mat + v on an entry below _log_sum's
+    floor. Its gradients are exp(v_j - out_i) for mat and mat_ij exp(v_j - out_i)
+    for v."""
     def forward(mat, v):
-        if np.any(mat < 0.0):
-            raise NumericError("log_dot_exp of a negative matrix entry")
-        return tf._log_dot_exp(mat, v)
+        e, m = tf._shifted_exp(v)
+        out, _ = tf._log_sum(mat @ e, m,
+                             lambda idx: np.log(mat[idx[-2]]) + tf._points_last(v, idx))
+        return out, e, m
 
-    return _op(forward, lambda g, out, mat, v: tf._log_dot_exp_grads(g, *out, mat), mat, v)
+    def adjoint(g, out, mat, v):
+        out, e, m = out
+        s = g * np.exp(m - out)
+        return tf._outer_sum(s, e), e * (mat.T @ s)
+
+    return _op(forward, adjoint, mat, v)
 
 
 # -- shape ops -----------------------------------------------------------
@@ -278,15 +288,17 @@ def layer_op(layer, x, *values):
     x (n, m) and its parameters, whose data are set to values if given:
     (y, logdet), as takes of the op's [y | logdet]."""
     params = layer.parameters()
+    m = layer.m
 
     def forward(x, *vals):
         for p, v in zip(params, vals):
             p.data = v
-        return layer.forward_saved(x)
+        y, ld, saved = layer.forward_saved(x)
+        return np.column_stack([y, ld]), saved
 
     def adjoint(g, out, *_):
-        g_x, grads = layer.adjoint(g, out[1])
+        g_x, grads = layer.adjoint(g[:, :m], g[:, m], out[1])
         return (g_x, *grads)
 
     node = _op(forward, adjoint, x, *(values or params))
-    return node[:, :layer.m], node[:, layer.m]
+    return node[:, :m], node[:, m]

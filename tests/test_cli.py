@@ -316,6 +316,28 @@ def _unchained_dims(doc):
     doc["layers"][0].update(kind="ddsf", dims=[2, 1])
 
 
+def _layer_entry(key, value):
+    """A corruption that sets layer 0's key to value."""
+    return lambda doc: doc["layers"][0].update({key: value})
+
+
+# A size or order entry of the wrong JSON type: a string "2" or a float 2.0 is
+# not read as an integer, nor 16.5 cut down to 16.
+_NOT_INTEGERS = [
+    (lambda doc: doc.update(m="2"), "checkpoint: 'm' must be an integer, got '2'"),
+    (lambda doc: doc.update(m=2.0), "checkpoint: 'm' must be an integer, got 2.0"),
+    (_layer_entry("d", 16.5), "checkpoint layer 0: 'd' must be an integer, got 16.5"),
+    (_layer_entry("hidden", "64"),
+     "checkpoint layer 0: 'hidden' must be a list of integers, got '64'"),
+    (_layer_entry("hidden", [8.0]),
+     "checkpoint layer 0: 'hidden' must be a list of integers, got [8.0]"),
+    (_layer_entry("order", [1, 2.0]),
+     "checkpoint layer 0: 'order' must be a list of integers, got [1, 2.0]"),
+    (lambda doc: doc["layers"][0].update(kind="ddsf", dims=[1, 4.5, 1]),
+     "checkpoint layer 0: 'dims' must be a list of integers, got [1, 4.5, 1]"),
+]
+
+
 class TestCheckpointValidation:
     @pytest.mark.parametrize("corrupt, needle", [
         (_drop_layers, "'layers'"),
@@ -324,7 +346,9 @@ class TestCheckpointValidation:
         (_unknown_kind, "spline"),
         (_zero_d, "d >= 1"),
         (_unchained_dims, "chain from 1 to 1"),
-    ], ids=["no-layers", "no-hidden", "inf-param", "kind", "d", "dims"])
+        *_NOT_INTEGERS,
+    ], ids=["no-layers", "no-hidden", "inf-param", "kind", "d", "dims", "m-string", "m-float",
+            "d-float", "hidden-string", "hidden-float", "order-float", "dims-float"])
     def test_malformed_checkpoint_exits_3(self, tmp_path, capsys, corrupt, needle):
         doc = FlowStack.build(m=2, kind="dsf", d=4, hidden=(8,), seed=0).to_json()
         corrupt(doc)
@@ -537,6 +561,27 @@ class TestSizeFlags:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
         assert not out.exists() or (out.is_dir() and not any(out.iterdir()))
+
+    @pytest.mark.parametrize("command", ["fit-density", "fit-energy", "sample",
+                                         "certify-universal", "selftest", "config"])
+    def test_negative_seed_exits_3_and_writes_nothing(self, tmp_path, capsys, command):
+        # np.random.default_rng refuses a negative seed; "config" is fit-density
+        # adopting "seed": -1 from a --config file
+        name = "fit-density" if command == "config" else command
+        argv = [name, *self.BASE.get(name, [])]
+        if command == "sample":
+            argv += ["--checkpoint", tmp_path / "never-read.json"]
+        if command == "config":
+            cfg = tmp_path / "c.json"
+            cfg.write_text(json.dumps({"seed": -1}))
+            argv += ["--config", cfg]
+        else:
+            argv += ["--seed", -1]
+        out = tmp_path / "out"
+        assert run(argv + (["--out", out] if command != "selftest" else [])) == 3
+        captured = capsys.readouterr()
+        assert captured.err == "error: --seed must be >= 0, got -1\n" and captured.out == ""
+        assert not out.exists()
 
     def test_nan_metric_is_a_numeric_error_and_writes_nothing(self, tmp_path):
         path = tmp_path / "metrics.json"

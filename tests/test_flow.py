@@ -534,8 +534,8 @@ class TestSharedBlock:
         layer = shared_block_layer(kind, m, seed=m)
         x = np.random.default_rng(3).normal(size=(300, m))
         y, ld = layer.forward(x)
-        out, _ = layer.forward_saved(x)
-        assert y.tobytes() == out[:, :m].tobytes() and ld.tobytes() == out[:, m].tobytes()
+        y_saved, ld_saved, _ = layer.forward_saved(x)
+        assert y.tobytes() == y_saved.tobytes() and ld.tobytes() == ld_saved.tobytes()
 
     @pytest.mark.parametrize("kind", ["affine-exp", "affine-gate"])
     def test_m1_affine_logdet_per_point(self, kind):
@@ -543,10 +543,10 @@ class TestSharedBlock:
         layer = shared_block_layer(kind, 1)
         x = np.random.default_rng(4).normal(size=(7, 1))
         _, ld = layer.forward(x)
-        out, _ = layer.forward_saved(x)
-        assert ld.shape == (7,) and out.shape == (7, 2)
+        y_saved, ld_saved, _ = layer.forward_saved(x)
+        assert ld.shape == (7,) and y_saved.shape == (7, 1) and ld_saved.shape == (7,)
         assert FlowStack([layer]).log_density(x).shape == (7,)
-        assert ld.tobytes() == out[:, 1].tobytes() and np.all(ld == ld[0])
+        assert ld.tobytes() == ld_saved.tobytes() and np.all(ld == ld[0])
 
     def test_m1_nonfinite_input_names_layer_dimension_and_point(self):
         stack = FlowStack.build(m=1, kind="dsf", n_layers=2, seed=0)

@@ -369,7 +369,7 @@ class TestSweep:
         def forward_saved(x):
             held.append(sum(r() is not None for r in refs))
             y, logdet, saved = run(x)
-            refs.append(weakref.ref(saved[0][1][2]))  # the first layer's block
+            refs.append(weakref.ref(saved[0][2]))  # the first layer's block
             return y, logdet, saved
 
         stack.forward_saved = forward_saved

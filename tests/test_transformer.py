@@ -236,8 +236,8 @@ def assert_layer_paths_agree(layer, x):
     for p in layer.parameters():
         p.data = p.data + rng.normal(scale=0.4, size=p.shape)
     y, ld = layer.forward(x)
-    out, _ = layer.forward_saved(x)
-    assert y.tobytes() == out[:, :layer.m].tobytes() and ld.tobytes() == out[:, -1].tobytes()
+    y_saved, ld_saved, _ = layer.forward_saved(x)
+    assert y.tobytes() == y_saved.tobytes() and ld.tobytes() == ld_saved.tobytes()
 
 
 class TestDsfOp:
@@ -1145,8 +1145,17 @@ class TestInvert:
         assert np.max(np.abs(back - xs)) <= 1e-8
 
     def test_bracket_expansion_beyond_hint(self):
-        fn = tf.forward_closure(*affine("exp", 100.0, 0.0))
-        assert tf.invert_batch([250.0], fn, -1.0, 1.0)[0] == pytest.approx(150.0, abs=1e-8)
+        # y = 250 lies past the table's one cell [-1, 1] (f = 99 and 101): the
+        # bracket expands up from that cell, first to hi = 1 + 2 * 2
+        fn, seen = tf.forward_closure(*affine("exp", 100.0, 0.0)), []
+
+        def recorded(t):
+            seen.append(np.array(t))
+            return fn(t)
+
+        assert tf.invert_batch([250.0], recorded, table=np.array([-1.0, 1.0]))[0] == \
+            pytest.approx(150.0, abs=1e-8)
+        assert seen[0].tolist() == [-1.0, 1.0] and seen[1].tolist() == [5.0]
 
     def test_range_error_when_unreachable(self):
         for slope in SOLVERS:

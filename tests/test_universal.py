@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from nafkit import universal
 from nafkit.errors import DomainError
 from nafkit.universal import (
     MonotoneTarget,
@@ -41,6 +42,27 @@ class TestMonotoneTarget:
         for y in (0.1, 0.5, 0.73):
             want = stats.norm.ppf(lo + y * (hi - lo))
             assert tgt.inverse(y) == pytest.approx(want, abs=1e-9)
+
+    def test_quantiles_seat_in_the_two_point_table(self, monkeypatch):
+        # each solve seats its level in the table [r0, r1] by one forward call
+        # and refines inside that cell, with no expansion probe; the quantiles
+        # are the bits the start [r0, r1] gave as two separate end evaluations
+        tgt, invert, seen = normal_cdf_target(), universal.invert_batch, []
+
+        def recording(y, forward, **kwargs):
+            calls = []
+            seen.append(calls)
+            return invert(y, lambda t: calls.append(np.array(t)) or forward(t), **kwargs)
+
+        monkeypatch.setattr(universal, "invert_batch", recording)
+        _, b = build_step_approx(tgt, 4)
+        assert [float(v).hex() for v in b] == [
+            "-0x1.aee014f85ab18p-1", "-0x1.036920036bb4dp-2",
+            "0x1.036920036bb51p-2", "0x1.aee014f85ab1bp-1"]
+        assert len(seen) == 4
+        for calls in seen:
+            assert calls[0].tolist() == [tgt.r0, tgt.r1]
+            assert all(c.size == 1 and tgt.r0 < c[0] < tgt.r1 for c in calls[1:])
 
 
 class TestStepApprox:
