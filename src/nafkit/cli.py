@@ -195,7 +195,8 @@ _SIZES = {"samples": ("--samples", 1), "train_n": ("--train-n", 1), "val_n": ("-
           "steps": ("steps", 1), "batch": ("--batch", 1), "d": ("--d", 1), "L": ("--L", 1),
           "stack": ("--stack", 1), "hidden": ("--hidden", 1), "n": ("sample count", 0),
           "grid_points": ("grid points", 0), "points": ("grid points", 0),
-          "curve_points": ("--curve-points", 0), "seed": ("--seed", 0)}
+          "curve_points": ("--curve-points", 0), "seed": ("--seed", 0),
+          "grid": ("--grid", 101)}
 
 
 # Each float flag: the name its error gives, its rule, and the test of the rule

@@ -133,15 +133,16 @@ class MadeConditioner:
     def parameters(self):
         return [*self.weights, *self.biases]
 
-    def forward(self, x, out=None):
+    def forward(self, x, out=None, dead=True):
         """x: (n, m) array -> (m, out_per_dim, n) blocks, out_offset added.
 
         out, if given, is a 1-D float64 buffer of at least m * out_per_dim * n
         elements that the blocks are written into, so row blocks can share one.
-        x is checked as check does.
+        With dead=False the dead rows are not written (a caller that takes the
+        dead block from block reads none of them). x is checked as check does.
         """
         x = self.check(x)
-        return self.activations(x.T, out)[1].reshape(self.m, self.out_per_dim, x.shape[0])
+        return self.activations(x.T, out, dead)[1].reshape(self.m, self.out_per_dim, x.shape[0])
 
     def check(self, x):
         """x as float64 once it is an (n, m) array of finite values. A non-finite
@@ -167,7 +168,7 @@ class MadeConditioner:
         rows = slice(i * self.out_per_dim, (i + 1) * self.out_per_dim)
         return self._readout(h, rows, self.live[i], np.empty((self.out_per_dim, h.shape[1])))
 
-    def activations(self, x_t, out=None):
+    def activations(self, x_t, out=None, dead=True):
         """([x_t, h_1, ..., h_k], out) for x_t = x.T (m, n): the input, each tanh
         layer's (units, n) output, and the (m * out_per_dim, n) readout with
         out_offset in its bias, in the buffer out if one is given (see forward)."""
@@ -175,7 +176,8 @@ class MadeConditioner:
         out = np.empty(shape) if out is None else out[:shape[0] * shape[1]].reshape(shape)
         hs = self._hidden(x_t)
         for rows, live in self._runs:
-            self._readout(hs[-1], rows, live, out[rows])
+            if live or dead:
+                self._readout(hs[-1], rows, live, out[rows])
         return hs, out
 
     def _hidden(self, x_t):
@@ -200,28 +202,35 @@ class MadeConditioner:
             out[...] = bias
         return out
 
-    def backward(self, g, hs):
+    def backward(self, g, hs, x_grad=True):
         """(g_x.T, gradients of parameters()) for the readout's gradient g, (m * out_per_dim, n).
 
         Back to front, for each layer's input h in hs: g_W = (h @ g.T) * mask,
         g_b = g.sum(axis=1), and (W * mask) @ g times tanh' = 1 - h^2 (unless h is x.T).
         The readout's g_W and (W * mask) @ g run over its live rows only; a dead
-        row's weights get an exact zero gradient.
+        row's weights get an exact zero gradient. With x_grad=False (the input
+        gradient is dropped, as a stack's first layer's is) the first layer's
+        (W * mask) @ g is skipped and g_x.T is None.
         """
         g_w, g_b = [], []
         last = len(self.weights) - 1
         for i in reversed(range(len(self.weights))):
             w, mask, h = self.weights[i].data, self.masks[i], hs[i]
             g_b.append(g.sum(axis=1))
-            g_w.append(np.zeros_like(w))
-            g_in = np.zeros_like(h)
+            g_w.append(np.empty_like(w))  # every column is written below
+            g_in = None
             for rows, live in self._runs if i == last else [(slice(None), True)]:
-                if live:
-                    g_w[-1][:, rows] = (h @ g[rows].T) * mask[:, rows]
-                    g_in += (w[:, rows] * mask[:, rows]) @ g[rows]
+                if not live:
+                    g_w[-1][:, rows] = 0.0
+                    continue
+                g_w[-1][:, rows] = (h @ g[rows].T) * mask[:, rows]
+                if i > 0 or x_grad:
+                    part = (w[:, rows] * mask[:, rows]) @ g[rows]
+                    g_in = part if g_in is None else g_in + part
             g = g_in
             if i > 0:
-                g *= 1.0 - h * h
+                t = h * h
+                g *= np.subtract(1.0, t, out=t)
         return g, [*reversed(g_w), *reversed(g_b)]
 
 

@@ -131,10 +131,11 @@ class FlowLayer:
         temporaries stay in cache; each block's outputs are the bits of
         evaluating that block alone. The blocks share one readout buffer, and
         the family runs one dimension at a time (see _BLOCK_BYTES). The
-        dimension of degree 1 sees no input: its block is taken once per call
-        on one (width, 1) column (MadeConditioner.block), which every row
-        block passes to the family, and at m = 1, where that is every block,
-        the conditioner only checks x. A non-finite x, or a numeric failure,
+        dimension of degree 1 sees no input: its block is taken and decoded
+        once per call on one (width, 1) column (MadeConditioner.block), which
+        every row block passes to the family's density, so the row blocks'
+        readouts skip its dead rows. At m = 1, where that is every block, the
+        conditioner only checks x. A non-finite x, or a numeric failure,
         names this layer, the dimension and the point of the whole x.
         """
         x = np.asarray(x, dtype=np.float64)
@@ -144,20 +145,23 @@ class FlowLayer:
         readout = np.empty(self.m * self.family.width * min(n, rows))
         constants = self.family.constants()  # once per call, not per block
         first = self.order.index(1)
-        shared = cond.block(x, first)
+        shared = self.family.decode(cond.block(x, first), constants)
         for start, block_rows in _row_blocks(x, rows):
             xb = x[block_rows]
             try:
                 if self.m > 1:
-                    blocks = cond.forward(xb, readout)
+                    blocks = cond.forward(xb, readout, dead=False)
                 else:  # the one block is shared
                     cond.check(xb)
             except DomainError as err:
                 raise self._located(err, start) from None
             for i in range(self.m):
                 try:
-                    y[i, block_rows], ld[i, block_rows] = self.family.forward(
-                        xb[:, i], shared if i == first else blocks[i], constants)
+                    if i == first:
+                        out = self.family.density(xb[:, i], shared)
+                    else:
+                        out = self.family.forward(xb[:, i], blocks[i], constants)
+                    y[i, block_rows], ld[i, block_rows] = out
                 except (DomainError, NumericError) as err:
                     raise self._located(err, start, dim=i) from None
         return y.T, ld.sum(axis=0)
@@ -186,20 +190,23 @@ class FlowLayer:
         ld = np.broadcast_to(ld, y.shape).sum(axis=0)
         return y.T, ld, (x, hs, block, p, kernel)
 
-    def adjoint(self, g_y, g_ld, saved):
+    def adjoint(self, g_y, g_ld, saved, x_grad=True):
         """(g_x, gradients of parameters()) for the gradients g_y (n, m) of
         forward_saved's y and g_ld (n,) of its logdet: the family's adjoint,
         chained into the conditioner's. A one-column block (m = 1) gets its
-        gradient summed over the points."""
+        gradient summed over the points. With x_grad=False (a stack's first
+        layer, whose x gradient the sweep drops) neither adjoint takes its x
+        gradient, and g_x is None."""
         x, hs, block, p, kernel = saved
         n, m = x.shape
         g_x, g_block, *g_fam = self.family.adjoint(
-            g_y.T, np.broadcast_to(g_ld, (m, n)), x.T, block, p, kernel)
+            g_y.T, np.broadcast_to(g_ld, (m, n)), x.T, block, p, kernel, x_grad)
         cols = block.shape[-1]
         if cols < n:
             g_block = g_block.sum(axis=-1, keepdims=True)
-        g_xc, g_cond = self.conditioner.backward(g_block.reshape(m * self.family.width, cols), hs)
-        return (g_xc + g_x).T, [*g_cond, *g_fam]
+        g_xc, g_cond = self.conditioner.backward(
+            g_block.reshape(m * self.family.width, cols), hs, x_grad)
+        return (g_xc + g_x).T if x_grad else None, [*g_cond, *g_fam]
 
     # -- inverse ---------------------------------------------------------
 
@@ -312,10 +319,11 @@ class FlowStack:
     def adjoint(self, g_y, g_ld, saved):
         """Gradients of parameters() for the gradients g_y (n, m) of forward_saved's
         y and g_ld (n,) of its logdet: one reverse sweep of the layers' adjoints.
+        The first layer's x gradient would be dropped, so it is not taken.
         """
         grads = []
-        for layer, state in zip(reversed(self.layers), reversed(saved)):
-            g_y, layer_grads = layer.adjoint(g_y, g_ld, state)
+        for i in reversed(range(len(self.layers))):
+            g_y, layer_grads = self.layers[i].adjoint(g_y, g_ld, saved[i], i > 0)
             grads[:0] = layer_grads
         return grads
 

@@ -6,7 +6,10 @@ energy fitting scores transported base noise under a target log-density.
 Each loss is a root whose backward runs one reverse sweep of the flow's
 layer adjoints (FlowStack.adjoint), seeded by the base's or the target's.
 All randomness flows from one seeded generator per run, so traces are
-bit-reproducible.
+bit-reproducible. A step's bookkeeping is a few vector operations: fit's
+Adam adopts the stack's parameters into one flat float64 arena, so from
+then on each Parameter.data is a view into it (see Adam), gathers the
+gradients into one flat vector, and clips and updates that vector in place.
 """
 
 from __future__ import annotations
@@ -104,7 +107,19 @@ def energy_loss(n: int, stack: FlowStack, target: TargetSpec, seed=0):
 
 
 class Adam:
-    """Adam with bias correction over a fixed parameter list."""
+    """Adam with bias correction over a fixed parameter list.
+
+    Building it adopts the parameters into one float64 arena, data: each
+    p.data becomes a C-order view of its segment (bounds[i] of the flat
+    array), so a step updates every parameter with a few in-place vector
+    operations, each element by the formula a per-parameter loop takes.
+    p.data edited in place edits the arena. A p.data rebound to a new array
+    of its shape is copied into the arena, and viewed again, at the next
+    step; one of another shape is a DomainError. The flat gradient grad
+    (gather), the moments m and v and two scratch vectors share one block,
+    made at the first gather: made here instead, before any forward pass,
+    it left a plain process more page faults per step (see CHANGES.md).
+    """
 
     def __init__(self, params, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):
         self.params = list(params)
@@ -113,33 +128,92 @@ class Adam:
         self.beta2 = float(beta2)
         self.eps = float(eps)
         self.t = 0
-        self.m = [np.zeros_like(p.data) for p in self.params]
-        self.v = [np.zeros_like(p.data) for p in self.params]
+        self.bounds = _segments([p.data for p in self.params])
+        self.data = np.zeros(self.bounds[-1][1] if self.bounds else 0)
+        for p, (a, b) in zip(self.params, self.bounds):
+            self.data[a:b] = p.data.reshape(-1)
+            p.data = self.data[a:b].reshape(p.data.shape)
+        self._views = [p.data for p in self.params]
+        self.grad = self.m = self.v = None
 
-    def step(self):
+    def gather(self):
+        """The flat gradient grad, with every p.grad copied into its segment (None as 0).
+
+        A non-finite gradient is a NumericError naming the first parameter that has one.
+        """
+        if self.grad is None:
+            n = self.data.size
+            self.grad, self.m, self.v, *self._tmp = np.zeros(5 * n).reshape(5, n)
+        for p, (a, b) in zip(self.params, self.bounds):
+            if p.grad is None:
+                self.grad[a:b] = 0.0
+            else:
+                self.grad[a:b] = p.grad.reshape(-1)
+        # a finite sum of squares has finite terms; one that overflows is checked term by term
+        with np.errstate(over="ignore"):
+            sum_sq = self.grad @ self.grad
+        if not np.isfinite(sum_sq) and not np.isfinite(self.grad).all():
+            bad = int(np.argmax(~np.isfinite(self.grad)))
+            name = next(p.name for p, (_, b) in zip(self.params, self.bounds) if bad < b)
+            raise NumericError(f"non-finite gradient for parameter {name!r}")
+        return self.grad
+
+    def step(self, grad=None):
+        """One update from the flat gradient grad (gather's, unless given)."""
+        for p, view in zip(self.params, self._views):
+            if p.data is not view:  # rebound since the last step: adopt its values
+                if np.shape(p.data) != view.shape:
+                    raise DomainError(f"parameter {p.name!r} was rebound to shape "
+                                      f"{np.shape(p.data)}, not {view.shape}")
+                view[...] = p.data
+                p.data = view
+        g = self.gather() if grad is None else grad
         self.t += 1
-        for i, p in enumerate(self.params):
-            g = p.grad if p.grad is not None else np.zeros_like(p.data)
-            if not np.all(np.isfinite(g)):
-                raise NumericError(f"non-finite gradient for parameter {p.name!r}")
-            self.m[i] = self.beta1 * self.m[i] + (1.0 - self.beta1) * g
-            self.v[i] = self.beta2 * self.v[i] + (1.0 - self.beta2) * g * g
-            m_hat = self.m[i] / (1.0 - self.beta1 ** self.t)
-            v_hat = self.v[i] / (1.0 - self.beta2 ** self.t)
-            p.data = p.data - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+        t1, t2 = self._tmp
+        self.m *= self.beta1
+        self.m += np.multiply(g, 1.0 - self.beta1, out=t1)
+        self.v *= self.beta2
+        np.multiply(g, 1.0 - self.beta2, out=t1)
+        self.v += np.multiply(t1, g, out=t1)
+        np.divide(self.m, 1.0 - self.beta1 ** self.t, out=t1)  # m_hat
+        t1 *= self.lr
+        np.divide(self.v, 1.0 - self.beta2 ** self.t, out=t2)  # v_hat
+        t2 = np.sqrt(t2, out=t2)
+        t2 += self.eps
+        self.data -= np.divide(t1, t2, out=t1)
+
+
+def _segments(arrays):
+    """(start, end) of each array's elements in their concatenation."""
+    ends = np.cumsum([a.size for a in arrays], dtype=np.int64).tolist()
+    return list(zip([0, *ends[:-1]], ends))
 
 
 def clip_global_norm(params, max_norm: float):
-    grads = [p.grad for p in params if p.grad is not None]
+    """Scale the gradients to a global 2-norm of max_norm once it is above it; returns the norm.
+
+    params is a parameter list, whose .grad arrays are rescaled out of place
+    (a gradient may share its array), or an Adam after its gather, whose flat
+    gradient is rescaled in place. The norm is the square root of the
+    per-parameter sums of squares, added in parameter order.
+    """
+    if isinstance(params, Adam):
+        grad, bounds = params.grad, params.bounds
+    else:
+        params = [p for p in params if p.grad is not None]
+        bounds = _segments([p.grad for p in params])
+        grad = np.concatenate([p.grad.reshape(-1) for p in params]) if params else np.zeros(0)
     with np.errstate(over="ignore"):  # squares that overflow are retaken below
-        norm = float(np.sqrt(sum(float(np.sum(g * g)) for g in grads)))
-    if norm == np.inf and (top := max(np.max(np.abs(g), initial=0.0) for g in grads)) < np.inf:
-        norm = float(top * np.sqrt(sum(float(np.sum(np.square(g / top))) for g in grads)))
+        sq = np.square(grad)
+        norm = float(np.sqrt(sum(float(np.add.reduce(sq[a:b])) for a, b in bounds)))
+    if norm == np.inf and (top := np.max(np.abs(grad), initial=0.0)) < np.inf:
+        sq = np.square(grad / top)
+        norm = float(top * np.sqrt(sum(float(np.add.reduce(sq[a:b])) for a, b in bounds)))
     if norm > max_norm and norm > 0:
-        scale = max_norm / norm
-        for p in params:
-            if p.grad is not None:  # not in place: a gradient may share its array
-                p.grad = p.grad * scale
+        grad *= max_norm / norm
+        if not isinstance(params, Adam):
+            for p, (a, b) in zip(params, bounds):
+                p.grad = grad[a:b].reshape(p.grad.shape)
     return norm
 
 
@@ -149,11 +223,11 @@ def fit(stack: FlowStack, config: TrainConfig, data=None, target=None):
     MLE consumes shuffled-without-replacement epochs of `data` (partial
     trailing chunks are dropped and the permutation reseeds per epoch);
     energy fitting draws fresh base noise each step. Identical configs
-    and inputs give bit-identical traces.
+    and inputs give bit-identical traces. Once the inputs pass their checks,
+    the stack's Parameter.data become views into the Adam's arena; with
+    polyak the averaged values are written into it at the end.
     """
     params = stack.parameters()
-    opt = Adam(params, lr=config.lr, beta1=config.beta1, beta2=config.beta2,
-               eps=config.eps)
     rng = np.random.default_rng(config.seed)
 
     if config.loss == "mle":
@@ -173,9 +247,9 @@ def fit(stack: FlowStack, config: TrainConfig, data=None, target=None):
         raise DomainError(f"target {target.name!r} has no adjoint; energy fitting needs "
                           "the gradient of its log-density")
 
-    ema = None
-    if config.polyak is not None:
-        ema = [p.data.copy() for p in params]
+    opt = Adam(params, lr=config.lr, beta1=config.beta1, beta2=config.beta2,
+               eps=config.eps)
+    ema = opt.data.copy() if config.polyak is not None else None
 
     trace = []
     perm, cursor = None, 0
@@ -192,18 +266,16 @@ def fit(stack: FlowStack, config: TrainConfig, data=None, target=None):
 
         dg.zero_grad(params)
         dg.backward(loss)
+        grad = opt.gather()
         if config.grad_clip is not None:
-            clip_global_norm(params, config.grad_clip)
-        opt.step()
+            clip_global_norm(opt, config.grad_clip)
+        opt.step(grad)
         if ema is not None:
-            a = config.polyak
-            for buf, p in zip(ema, params):
-                buf *= a
-                buf += (1.0 - a) * p.data
+            ema *= config.polyak
+            ema += (1.0 - config.polyak) * opt.data
         trace.append((step, float(loss.data)))
         del loss  # its backward holds every layer's saved state: free it before the next forward
 
     if ema is not None:
-        for buf, p in zip(ema, params):
-            p.data = buf.copy()
+        opt.data[...] = ema
     return trace

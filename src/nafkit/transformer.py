@@ -356,13 +356,14 @@ def _mix_grads(g, mix, mat, keep=0):
 
 def _dsf_activate(block):
     """(w, log w, a, log a, b) from a (..., 3d, n) block of (w_pre, a_pre, b)."""
-    w_pre, a_pre, b = np.split(block, 3, axis=-2)
+    d = block.shape[-2] // 3
+    w_pre, a_pre, b = block[..., :d, :], block[..., d:2 * d, :], block[..., 2 * d:, :]
     log_w = w_pre - sm.logsumexp_over_axis(w_pre, -2)[..., None, :]
     a = sm.softplus(a_pre)
     return np.exp(log_w), log_w, a, np.log(a), b
 
 
-def _dsf_adjoint(g_y, g_ld, x, block, p, saved):
+def _dsf_adjoint(g_y, g_ld, x, block, p, saved, x_grad=True):
     """Gradients of y and logdet for x and the block, by hand.
 
     With p, q and r the softmax weights of the log-space terms of D, 1-D
@@ -374,6 +375,7 @@ def _dsf_adjoint(g_y, g_ld, x, block, p, saved):
     times its sum's reciprocal, and on a low entry exp(t - log sum) from
     the log-space terms _log_sum built, so nothing is rebuilt from C and
     each weight is at most 1 in every column, saturated or below the floor.
+    With x_grad=False the x gradient is not taken and comes back None.
     """
     w, _, a, _, _ = p
     C, e, mix, link = saved
@@ -389,8 +391,10 @@ def _dsf_adjoint(g_y, g_ld, x, block, p, saved):
     s_pos, s_neg = sm.sigmoid_pair(C, e)
     g_c = gp * s_neg - gq * s_pos
     g_w_pre = g_log_w - w * np.sum(g_log_w, axis=-2, keepdims=True)
-    g_a_pre = (g_c * x[..., None, :] + gr / a) * sm.sigmoid(np.split(block, 3, axis=-2)[1])
-    return np.sum(g_c * a, axis=-2), np.concatenate([g_w_pre, g_a_pre, g_c], axis=-2)
+    d = w.shape[-2]
+    g_a_pre = (g_c * x[..., None, :] + gr / a) * sm.sigmoid(block[..., d:2 * d, :])
+    g_x = np.sum(g_c * a, axis=-2) if x_grad else None
+    return g_x, np.concatenate([g_w_pre, g_a_pre, g_c], axis=-2)
 
 
 def dsf_from_preact(x, block):
@@ -616,7 +620,7 @@ def _ddsf_core(x, layers, logdet=True, adjoint=True):
     return (h[..., 0, :], r[..., 0, :], saved) if logdet else h[..., 0, :]
 
 
-def _ddsf_adjoint(g_y, g_ld, block, slices, layers, saved):
+def _ddsf_adjoint(g_y, g_ld, block, slices, layers, saved, x_grad=True):
     """Gradients of y and logdet for x, the block, vu and vw, by hand.
 
     Per layer, back to front, with g_h and g_r the upstream gradients of h'
@@ -631,13 +635,14 @@ def _ddsf_adjoint(g_y, g_ld, block, slices, layers, saved):
     constant w gives vw a zero gradient. u @ h
     gets a g_C and log(u @ exp r) the link's, which _cwn_adjoint takes on
     to vu, eta, h and r. A one-column block (one every point shares) gets
-    its gradient per point, (..., width, n).
+    its gradient per point, (..., width, n). With x_grad=False the first
+    sublayer does not pass a gradient on to x, which comes back None.
     """
     g_h, g_r = g_y[..., None, :], g_ld[..., None, :]
     g_block = np.empty((*block.shape[:-1], g_y.shape[-1]))  # every row is written below
     g_vu, g_vw = [], []
-    for lay, (eta, a_pre, b), (h, uh, cq, nd, col) in zip(
-            reversed(layers), reversed(slices), reversed(saved)):
+    for li, lay, (eta, a_pre, b), (h, uh, cq, nd, col) in zip(
+            reversed(range(len(layers))), reversed(layers), reversed(slices), reversed(saved)):
         w, a = lay["w"], lay["a"]
         if w is None:  # h' = C and r' = log a + s; w = [[1]] is constant
             g_c, g_col = g_h, g_r
@@ -652,15 +657,16 @@ def _ddsf_adjoint(g_y, g_ld, block, slices, layers, saved):
         g_block[..., a_pre, :] = (g_c * uh + g_col / a) * sm.sigmoid(block[..., a_pre, :])
         g_block[..., b, :] = g_c
         if cq is None:  # u = 1: u @ h = h and s = r
-            g_h = np.sum(g_c * a, axis=-2, keepdims=True)
-            g_r = np.sum(g_col, axis=-2, keepdims=True)
+            if li > 0 or x_grad:  # the first sublayer's h is x
+                g_h = np.sum(g_c * a, axis=-2, keepdims=True)
+                g_r = np.sum(g_col, axis=-2, keepdims=True)
             g_block[..., eta, :] = 0.0
             g_vu.append(np.zeros_like(lay["V"]))
         else:
             g_v, g_block[..., eta, :], g_h, g_r = _cwn_adjoint(
                 g_c * a, g_col, h, uh, lay["E"], lay["Z"], cq)
             g_vu.append(g_v)
-    return (g_h[..., 0, :], g_block, *reversed(g_vu), *reversed(g_vw))
+    return (g_h[..., 0, :] if x_grad else None, g_block, *reversed(g_vu), *reversed(g_vw))
 
 
 # -- inversion -------------------------------------------------------------
@@ -875,9 +881,11 @@ class Family:
                      affine slices have them anyway);
       core(x, p)     (y, log dy/dx, saved) of an (..., n) x, or y alone
                      with logdet=False, for the solver;
-      adjoint(g_y, g_ld, x, block, p, saved)
-                     (g_x, g_block, *g_params), by hand from saved;
-      forward        (y, log dy/dx): core on decode(block, constants);
+      adjoint(g_y, g_ld, x, block, p, saved, x_grad=True)
+                     (g_x, g_block, *g_params), by hand from saved; g_x
+                     is None with x_grad=False (a stack's first layer);
+      forward        (y, log dy/dx): density on decode(block, constants);
+      density(x, p)  (y, log dy/dx) from core, keeping no adjoint state;
       inverse        x with forward(x, block) = y: decode once, then solve
                      core's y with invert_batch (the same bits and guard),
                      which dsf's core hands dy/dx too, from [-1, 1], or
@@ -899,7 +907,10 @@ class Family:
         return None
 
     def forward(self, x, block, constants=None):
-        return self.core(x, self.decode(block, constants))[:2]
+        return self.density(x, self.decode(block, constants))
+
+    def density(self, x, p):
+        return self.core(x, p)[:2]
 
     def inverse(self, y, block, constants=None):
         p = self.decode(block, constants)  # once, not per solver evaluation
@@ -932,8 +943,8 @@ class AffineExp(Family):
         return (y, s, scale) if logdet else y
 
     @staticmethod
-    def adjoint(g_y, g_ld, x, block, p, scale):
-        return g_y * scale, np.stack([g_y, g_y * x * scale + g_ld], axis=-2)
+    def adjoint(g_y, g_ld, x, block, p, scale, x_grad=True):
+        return g_y * scale if x_grad else None, np.stack([g_y, g_y * x * scale + g_ld], axis=-2)
 
     def inverse(self, y, block, constants=None):
         mu, s = self.decode(block)
@@ -956,10 +967,10 @@ class AffineGate(AffineExp):
         return (y, sm.logsigmoid(s), gate) if logdet else y
 
     @staticmethod
-    def adjoint(g_y, g_ld, x, block, p, gate):
+    def adjoint(g_y, g_ld, x, block, p, gate, x_grad=True):
         mu, s = p
         g_s = (g_y * x - g_y * mu) * gate * (1.0 - gate) + g_ld * sm.sigmoid(-s)
-        return g_y * gate, np.stack([g_y * (1.0 - gate), g_s], axis=-2)
+        return g_y * gate if x_grad else None, np.stack([g_y * (1.0 - gate), g_s], axis=-2)
 
     def inverse(self, y, block, constants=None):
         mu, s = self.decode(block)
@@ -1044,8 +1055,8 @@ class Ddsf(Family):
                     for li, (_, d_out) in enumerate(pairs)]
         self.params = [*self.v_u, *self.v_w]
 
-    def forward(self, x, block, constants=None):
-        return self.core(x, self.decode(block, constants), adjoint=False)[:2]
+    def density(self, x, p):
+        return self.core(x, p, adjoint=False)[:2]
 
     def constants(self):
         """V, E and w per layer, from vu and vw: read anew at every call,
@@ -1061,8 +1072,8 @@ class Ddsf(Family):
     def units(p):
         return [(lay["a"], lay["b"]) for lay in p]
 
-    def adjoint(self, g_y, g_ld, x, block, p, saved):
-        return _ddsf_adjoint(g_y, g_ld, block, self.slices, p, saved)
+    def adjoint(self, g_y, g_ld, x, block, p, saved, x_grad=True):
+        return _ddsf_adjoint(g_y, g_ld, block, self.slices, p, saved, x_grad)
 
     def random_row(self, rng):
         row = []

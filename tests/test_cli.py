@@ -5,7 +5,7 @@ import os
 import numpy as np
 import pytest
 
-from nafkit.cli import main, read_data_csv, write_csv, write_json
+from nafkit.cli import build_parser, main, read_data_csv, write_csv, write_json
 from nafkit.errors import DataError, NumericError, SaturationError
 from nafkit.flow import FlowStack, _block_rows
 
@@ -381,6 +381,14 @@ class TestCertifyUniversalCommand:
         assert "sigmoid_bound" not in doc["certificates"][0]
         assert (out / "curve_n1.csv").exists()
 
+    @pytest.mark.parametrize("grid", [0, -1, 100])
+    def test_grid_below_101_exits_3_and_writes_nothing(self, tmp_path, capsys, grid):
+        out = tmp_path / "cert"
+        assert run(["certify-universal", "--n", "1,4", "--grid", grid, "--out", out]) == 3
+        captured = capsys.readouterr()
+        assert captured.err == f"error: --grid must be >= 101, got {grid}\n"
+        assert captured.out == "" and not out.exists()
+
     @pytest.mark.parametrize("counts, message", [
         ("a", "--n entries must be integers, got 'a'"),
         ("4,", "--n entries must be integers, got ''"),
@@ -504,6 +512,18 @@ FLOAT_FLAGS = (
 )
 
 
+# What the sweep of every numeric option feeds it, and the (command, flag, value)
+# runs that are valid uses ("*" for every command): a zero rate, seed,
+# validation share, grid, curve, sample count or grid size, and window ends,
+# which only need to be finite.
+SWEEP_VALUES = ("-1", "0", "nan", "inf", "1e400", "abc")
+SWEEP_VALID = {("*", "--lr", "0"), ("*", "--seed", "0"), ("fit-density", "--val-frac", "0"),
+               ("fit-density", "--grid-points", "0"), ("certify-universal", "--curve-points", "0"),
+               ("sample", "--n", "0"), ("grid-export", "--points", "0"),
+               ("fit-density", "--grid-window", "-1"), ("fit-density", "--grid-window", "0"),
+               ("grid-export", "--window", "-1"), ("grid-export", "--window", "0")}
+
+
 class TestSizeFlags:
     """Every integer size flag below its minimum is refused before any work."""
 
@@ -582,6 +602,42 @@ class TestSizeFlags:
         captured = capsys.readouterr()
         assert captured.err == "error: --seed must be >= 0, got -1\n" and captured.out == ""
         assert not out.exists()
+
+    def test_every_numeric_option_refuses_bad_values(self, tmp_path, capsys, rng):
+        # Walks every subcommand's numeric options and feeds each one every value
+        # of SWEEP_VALUES (at both ends of a window): a run exits 2 (argparse) or 3,
+        # prints no traceback and does not even create --out. SWEEP_VALID are the
+        # values an option accepts.
+        checkpoint = tmp_path / "ckpt.json"
+        FlowStack.build(m=2, kind="dsf", d=2, hidden=(4,), seed=0).save(str(checkpoint))
+        data = tmp_path / "data.csv"
+        write_csv(str(data), rng.normal(size=(64, 2)))
+        base = {**self.BASE, "sample": [*self.BASE["sample"], "--checkpoint", checkpoint],
+                "grid-export": [*self.BASE["grid-export"], "--checkpoint", checkpoint],
+                "logpdf": ["--checkpoint", checkpoint, "--data", data], "selftest": []}
+        _, commands = build_parser()
+        swept = 0
+        for command, parser in commands.items():
+            for action in parser._actions:
+                if action.type not in (int, float) or not action.option_strings:
+                    continue
+                flag = action.option_strings[0]
+                for value in SWEEP_VALUES:
+                    if (command, flag, value) in SWEEP_VALID or ("*", flag, value) in SWEEP_VALID:
+                        continue
+                    out = tmp_path / f"out{swept}"
+                    argv = [command, *base[command], flag, *[value] * (action.nargs or 1)]
+                    if command != "selftest":
+                        argv += ["--out", out]
+                    try:
+                        code = run(argv)
+                    except SystemExit as exc:
+                        code = exc.code
+                    err = capsys.readouterr().err
+                    assert code in (2, 3), (argv, code, err)
+                    assert "Traceback" not in err and not out.exists(), argv
+                    swept += 1
+        assert swept > 150  # every subcommand's options were found
 
     def test_nan_metric_is_a_numeric_error_and_writes_nothing(self, tmp_path):
         path = tmp_path / "metrics.json"

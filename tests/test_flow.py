@@ -503,28 +503,44 @@ class TestSharedBlock:
     @pytest.mark.parametrize("kind", KINDS)
     @pytest.mark.parametrize("m", [1, 2, 3])
     def test_density_decodes_one_column(self, kind, m, monkeypatch):
-        # every row block passes the family that block on one (width, 1) column,
-        # whose outputs are an expanded (width, n) block's: dsf's to the byte
+        # the (width, 1) column is decoded once per call, and every row block's
+        # density of it gives an expanded (width, n) block's outputs: dsf's to
+        # the byte. The other dimensions' blocks go to forward row block by row block.
         layer = shared_block_layer(kind, m)
         fam, first = layer.family, layer.order.index(1)
-        widths, forward = [], fam.forward
+        widths, columns, decode, density = [], [], fam.decode, fam.density
 
-        def recorded(x, block, constants=None):
-            widths.append(block.shape)
-            got = forward(x, block, constants)
+        def recorded_decode(block, constants=None, shared=None):
             if block.shape[-1] == 1:
-                wide = forward(x, np.repeat(block, len(x), axis=1), constants)
-                for have, want in zip(got, wide):
-                    have = np.broadcast_to(have, want.shape)
-                    if kind == "dsf":
-                        assert have.tobytes() == want.tobytes()
-                    np.testing.assert_allclose(have, want, rtol=1e-12, atol=1e-12)
+                columns.append(block)
+            return decode(block, constants, shared)
+
+        # forward and the expanded block's outputs go through the unrecorded methods
+        def recorded_density(x, p):
+            widths.append((fam.width, 1))
+            got = density(x, p)
+            wide = forward(x, np.repeat(columns[-1], len(x), axis=1))
+            for have, want in zip(got, wide):
+                have = np.broadcast_to(have, want.shape)
+                if kind == "dsf":
+                    assert have.tobytes() == want.tobytes()
+                np.testing.assert_allclose(have, want, rtol=1e-12, atol=1e-12)
             return got
 
-        monkeypatch.setattr(fam, "forward", recorded)
+        def forward(x, block, constants=None):
+            return density(x, decode(block, constants))
+
+        def recorded_forward(x, block, constants=None):
+            widths.append(block.shape)
+            return forward(x, block, constants)
+
+        monkeypatch.setattr(fam, "decode", recorded_decode)
+        monkeypatch.setattr(fam, "density", recorded_density)
+        monkeypatch.setattr(fam, "forward", recorded_forward)
         rows = flow._block_rows(layer)
         n = rows + 37
         layer.forward(np.random.default_rng(m).normal(size=(n, m)))
+        assert len(columns) == 1
         assert widths == [(fam.width, 1 if i == first else min(rows, n - s))
                           for s in range(0, n, rows) for i in range(m)]
 

@@ -168,6 +168,156 @@ class TestClipGlobalNorm:
         assert p.grad[0] > 0.0 > p.grad[1]
 
 
+def reference_step(params, state, t, max_norm, lr=0.05, beta1=0.9, beta2=0.999, eps=1e-8):
+    """One clipped Adam step the per-parameter way: each gradient rescaled out of
+    place, each parameter's moments and data replaced. Returns the norm."""
+    grads = [p.grad for p in params]
+    with np.errstate(over="ignore"):
+        norm = float(np.sqrt(sum(float(np.sum(g * g)) for g in grads)))
+    if norm == np.inf and (top := max(np.max(np.abs(g), initial=0.0) for g in grads)) < np.inf:
+        norm = float(top * np.sqrt(sum(float(np.sum(np.square(g / top))) for g in grads)))
+    if norm > max_norm and norm > 0:
+        grads = [g * (max_norm / norm) for g in grads]
+    for p, g, (m, v) in zip(params, grads, state):
+        m[...] = beta1 * m + (1.0 - beta1) * g
+        v[...] = beta2 * v + (1.0 - beta2) * g * g
+        m_hat, v_hat = m / (1.0 - beta1 ** t), v / (1.0 - beta2 ** t)
+        p.data = p.data - lr * m_hat / (np.sqrt(v_hat) + eps)
+    return norm
+
+
+ARENA_SHAPES = [(3,), (4, 5), (2, 3, 2), (1,), (7, 1)]
+
+
+class TestArena:
+    """Adam adopts its parameters into one flat arena; steps keep the per-parameter bits."""
+
+    @staticmethod
+    def twins(seed):
+        rng = np.random.default_rng(seed)
+        values = [rng.normal(size=s) for s in ARENA_SHAPES]
+        return ([dg.Parameter(v.copy(), f"p{i}") for i, v in enumerate(values)],
+                [dg.Parameter(v.copy(), f"p{i}") for i, v in enumerate(values)])
+
+    @pytest.mark.parametrize("max_norm,scale", [(1e9, 1.0), (0.5, 1.0), (3.0, 1e160)],
+                             ids=["clip-idle", "clip-fires", "squares-overflow"])
+    def test_matches_the_per_parameter_reference_bit_for_bit(self, max_norm, scale):
+        arena, ref = self.twins(0)
+        opt = Adam(arena, lr=0.05)
+        state = [(np.zeros(p.shape), np.zeros(p.shape)) for p in ref]
+        rng = np.random.default_rng(1)
+        for t in range(1, 7):
+            grads = [rng.normal(size=s) * scale for s in ARENA_SHAPES]
+            grads[3] = grads[1][0, :1]  # one parameter's gradient views another's
+            for a, r, g in zip(arena, ref, grads):
+                a.grad, r.grad = g, g
+            grad = opt.gather()
+            norm = clip_global_norm(opt, max_norm)
+            opt.step(grad)
+            assert norm == reference_step(ref, state, t, max_norm)
+            for a, r in zip(arena, ref):
+                assert a.data.tobytes() == r.data.tobytes()
+        # every parameter is a view of the one arena
+        assert all(np.shares_memory(p.data, opt.data) for p in arena)
+
+    def test_shared_gradient_array_counts_twice_and_scales_once(self):
+        # p2's gradient is a view of p1's array: counted in the norm once per parameter
+        arena, ref = self.twins(2)
+        for group in (arena, ref):
+            for p in group:
+                p.grad = np.full(p.shape, 2.0)
+            group[2].grad = group[1].grad.reshape(-1)[:12].reshape(2, 3, 2)
+        opt = Adam(arena, lr=0.05)
+        grad = opt.gather()
+        norm = clip_global_norm(opt, 1.0)
+        opt.step(grad)
+        state = [(np.zeros(p.shape), np.zeros(p.shape)) for p in ref]
+        assert norm == reference_step(ref, state, 1, 1.0) == pytest.approx(2.0 * math.sqrt(43))
+        assert all(a.data.tobytes() == r.data.tobytes() for a, r in zip(arena, ref))
+        assert np.all(ref[1].grad == 2.0)  # the reference rescaled out of place
+
+    def test_nonfinite_gradient_names_its_parameter_and_moves_nothing(self):
+        params, _ = self.twins(3)
+        before = [p.data.copy() for p in params]
+        for i, p in enumerate(params):
+            p.grad = np.full(p.shape, np.inf if i == 2 else 1.0)
+        opt = Adam(params)
+        with pytest.raises(NumericError, match="'p2'"):
+            opt.step()
+        assert opt.t == 0
+        assert all(np.array_equal(b, p.data) for b, p in zip(before, params))
+
+    def test_rebound_data_is_adopted(self):
+        arena, ref = self.twins(4)
+        opt = Adam(arena, lr=0.05)
+        state = [(np.zeros(p.shape), np.zeros(p.shape)) for p in ref]
+        rng = np.random.default_rng(5)
+        for t in range(1, 6):
+            if t == 3:  # as a benchmark's restore does between fits
+                for a, r in zip(arena, ref):
+                    a.data = r.data = a.data + 1.0
+            for a, r in zip(arena, ref):
+                a.grad = r.grad = rng.normal(size=a.shape)
+            opt.step()
+            reference_step(ref, state, t, np.inf)
+            assert all(a.data.tobytes() == r.data.tobytes() for a, r in zip(arena, ref))
+        assert all(np.shares_memory(p.data, opt.data) for p in arena)
+        # an in-place edit is an edit of the arena
+        arena[1].data[0, 0] = 7.0
+        assert opt.data[opt.bounds[1][0]] == 7.0
+
+    def test_rebinding_to_another_shape_raises(self):
+        params, _ = self.twins(6)
+        opt = Adam(params)
+        params[1].data = np.zeros((5, 4))
+        for p in params:
+            p.grad = np.ones(p.shape)
+        with pytest.raises(DomainError, match="'p1'.*shape"):
+            opt.step()
+
+
+class TestFirstLayerInputGradient:
+    """The sweep does not take the first layer's x gradient, which nothing reads."""
+
+    @pytest.mark.parametrize("kind", ["dsf", "ddsf", "affine-exp", "affine-gate"])
+    @pytest.mark.parametrize("layers", [1, 2, 3])
+    def test_parameter_gradients_keep_their_bits(self, kind, layers):
+        stack = FlowStack.build(m=3, kind=kind, n_layers=layers, d=3, ddsf_dims=(1, 4, 3, 1),
+                                hidden=(6,), seed=layers)
+        rng = np.random.default_rng(layers)
+        for p in stack.parameters():
+            p.data = p.data + rng.normal(scale=0.3, size=p.shape)
+        x = rng.normal(size=(40, 3))
+        u, _, saved = stack.forward_saved(x)
+        g = np.full(len(x), -1.0 / len(x))
+        g_u = stack.base.adjoint(u, g)
+        skipped = stack.adjoint(g_u, g, saved)
+        full, g_y = [], g_u
+        for layer, state in zip(reversed(stack.layers), reversed(saved)):
+            g_y, layer_grads = layer.adjoint(g_y, g, state)
+            full[:0] = layer_grads
+        assert g_y.shape == x.shape  # the full sweep does reach x
+        assert [a.tobytes() for a in skipped] == [b.tobytes() for b in full]
+        g_x, _ = stack.layers[0].adjoint(g_u if layers == 1 else g_y, g, saved[0], x_grad=False)
+        assert g_x is None
+
+    @pytest.mark.parametrize("kind", ["dsf", "ddsf", "affine-exp"])
+    def test_masked_weights_keep_an_exact_zero_gradient(self, kind):
+        stack = FlowStack.build(m=3, kind=kind, n_layers=2, d=3, ddsf_dims=(1, 4, 1),
+                                hidden=(6, 5), seed=0)
+        rng = np.random.default_rng(0)
+        for p in stack.parameters():
+            p.data = p.data + rng.normal(scale=0.3, size=p.shape)
+        params = stack.parameters()
+        dg.zero_grad(params)
+        dg.backward(mle_loss(rng.normal(size=(32, 3)), stack))
+        for layer in stack.layers:
+            cond = layer.conditioner
+            for w, mask in zip(cond.weights, cond.masks):
+                assert np.all(w.grad[mask == 0.0] == 0.0)
+                assert np.any(w.grad[mask != 0.0] != 0.0)
+
+
 class TestTrainConfig:
     def test_validation(self):
         with pytest.raises(DomainError):
