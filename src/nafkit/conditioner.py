@@ -208,8 +208,9 @@ class MadeConditioner:
         Back to front, for each layer's input h in hs: g_W = (h @ g.T) * mask,
         g_b = g.sum(axis=1), and (W * mask) @ g times tanh' = 1 - h^2 (unless h is x.T).
         The readout's g_W and (W * mask) @ g run over its live rows only; a dead
-        row's weights get an exact zero gradient. With x_grad=False (the input
-        gradient is dropped, as a stack's first layer's is) the first layer's
+        row's weights get an exact zero gradient, and a readout with no live row
+        passes a zero gradient on. With x_grad=False (the input gradient is
+        dropped, as a stack's first layer's is) the first layer's
         (W * mask) @ g is skipped and g_x.T is None.
         """
         g_w, g_b = [], []
@@ -227,6 +228,8 @@ class MadeConditioner:
                 if i > 0 or x_grad:
                     part = (w[:, rows] * mask[:, rows]) @ g[rows]
                     g_in = part if g_in is None else g_in + part
+            if g_in is None and (i > 0 or x_grad):  # no live readout row
+                g_in = np.zeros_like(h)
             g = g_in
             if i > 0:
                 t = h * h

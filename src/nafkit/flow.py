@@ -195,12 +195,12 @@ class FlowLayer:
         forward_saved's y and g_ld (n,) of its logdet: the family's adjoint,
         chained into the conditioner's. A one-column block (m = 1) gets its
         gradient summed over the points. With x_grad=False (a stack's first
-        layer, whose x gradient the sweep drops) neither adjoint takes its x
-        gradient, and g_x is None."""
+        layer, whose x gradient the sweep drops) the conditioner skips its
+        input gradient, and g_x is None."""
         x, hs, block, p, kernel = saved
         n, m = x.shape
         g_x, g_block, *g_fam = self.family.adjoint(
-            g_y.T, np.broadcast_to(g_ld, (m, n)), x.T, block, p, kernel, x_grad)
+            g_y.T, np.broadcast_to(g_ld, (m, n)), x.T, block, p, kernel)
         cols = block.shape[-1]
         if cols < n:
             g_block = g_block.sum(axis=-1, keepdims=True)

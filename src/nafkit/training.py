@@ -115,10 +115,11 @@ class Adam:
     operations, each element by the formula a per-parameter loop takes.
     p.data edited in place edits the arena. A p.data rebound to a new array
     of its shape is copied into the arena, and viewed again, at the next
-    step; one of another shape is a DomainError. The flat gradient grad
-    (gather), the moments m and v and two scratch vectors share one block,
-    made at the first gather: made here instead, before any forward pass,
-    it left a plain process more page faults per step (see CHANGES.md).
+    step; one of another shape is a DomainError. The flat gradient grad and
+    the moments m and v share one block, made at the first step, and each
+    step takes two scratch vectors: in a plain process a block made here,
+    before any forward pass, or one holding the scratch too, left more page
+    faults per step (see CHANGES.md).
     """
 
     def __init__(self, params, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):
@@ -128,38 +129,24 @@ class Adam:
         self.beta2 = float(beta2)
         self.eps = float(eps)
         self.t = 0
-        self.bounds = _segments([p.data for p in self.params])
-        self.data = np.zeros(self.bounds[-1][1] if self.bounds else 0)
+        ends = np.cumsum([p.data.size for p in self.params], dtype=np.int64).tolist()
+        self.bounds = list(zip([0, *ends[:-1]], ends))
+        self.data = np.zeros(ends[-1] if ends else 0)
         for p, (a, b) in zip(self.params, self.bounds):
             self.data[a:b] = p.data.reshape(-1)
             p.data = self.data[a:b].reshape(p.data.shape)
         self._views = [p.data for p in self.params]
         self.grad = self.m = self.v = None
 
-    def gather(self):
-        """The flat gradient grad, with every p.grad copied into its segment (None as 0).
+    def step(self, max_norm=None):
+        """One update from the parameters' gradients (None as 0), first clipped
+        to a global 2-norm of max_norm (clip_global_norm) if one is given.
 
-        A non-finite gradient is a NumericError naming the first parameter that has one.
+        The gradients are copied into the flat gradient grad, so a gradient
+        array that parameters share is counted once per parameter and left as
+        it is. A non-finite gradient is a NumericError naming the first
+        parameter that has one, raised before any state moves.
         """
-        if self.grad is None:
-            n = self.data.size
-            self.grad, self.m, self.v, *self._tmp = np.zeros(5 * n).reshape(5, n)
-        for p, (a, b) in zip(self.params, self.bounds):
-            if p.grad is None:
-                self.grad[a:b] = 0.0
-            else:
-                self.grad[a:b] = p.grad.reshape(-1)
-        # a finite sum of squares has finite terms; one that overflows is checked term by term
-        with np.errstate(over="ignore"):
-            sum_sq = self.grad @ self.grad
-        if not np.isfinite(sum_sq) and not np.isfinite(self.grad).all():
-            bad = int(np.argmax(~np.isfinite(self.grad)))
-            name = next(p.name for p, (_, b) in zip(self.params, self.bounds) if bad < b)
-            raise NumericError(f"non-finite gradient for parameter {name!r}")
-        return self.grad
-
-    def step(self, grad=None):
-        """One update from the flat gradient grad (gather's, unless given)."""
         for p, view in zip(self.params, self._views):
             if p.data is not view:  # rebound since the last step: adopt its values
                 if np.shape(p.data) != view.shape:
@@ -167,9 +154,26 @@ class Adam:
                                       f"{np.shape(p.data)}, not {view.shape}")
                 view[...] = p.data
                 p.data = view
-        g = self.gather() if grad is None else grad
+        if self.grad is None:
+            n = self.data.size
+            self.grad, self.m, self.v = np.zeros(3 * n).reshape(3, n)
+        g = self.grad
+        for p, (a, b) in zip(self.params, self.bounds):
+            if p.grad is None:
+                g[a:b] = 0.0
+            else:
+                g[a:b] = p.grad.reshape(-1)
+        # a finite sum of squares has finite terms; one that overflows is checked term by term
+        with np.errstate(over="ignore"):
+            sum_sq = g @ g
+        if not np.isfinite(sum_sq) and not np.isfinite(g).all():
+            bad = int(np.argmax(~np.isfinite(g)))
+            name = next(p.name for p, (_, b) in zip(self.params, self.bounds) if bad < b)
+            raise NumericError(f"non-finite gradient for parameter {name!r}")
+        if max_norm is not None:
+            clip_global_norm(g, self.bounds, max_norm)
         self.t += 1
-        t1, t2 = self._tmp
+        t1, t2 = np.empty((2, g.size))
         self.m *= self.beta1
         self.m += np.multiply(g, 1.0 - self.beta1, out=t1)
         self.v *= self.beta2
@@ -183,26 +187,14 @@ class Adam:
         self.data -= np.divide(t1, t2, out=t1)
 
 
-def _segments(arrays):
-    """(start, end) of each array's elements in their concatenation."""
-    ends = np.cumsum([a.size for a in arrays], dtype=np.int64).tolist()
-    return list(zip([0, *ends[:-1]], ends))
+def clip_global_norm(grad, bounds, max_norm: float):
+    """Scale the flat gradient grad in place to a global 2-norm of max_norm
+    once it is above it; returns the norm.
 
-
-def clip_global_norm(params, max_norm: float):
-    """Scale the gradients to a global 2-norm of max_norm once it is above it; returns the norm.
-
-    params is a parameter list, whose .grad arrays are rescaled out of place
-    (a gradient may share its array), or an Adam after its gather, whose flat
-    gradient is rescaled in place. The norm is the square root of the
-    per-parameter sums of squares, added in parameter order.
+    The norm is the square root of the sums of squares over the (start, end)
+    segments bounds, one per parameter, added in parameter order: the bits
+    of summing each parameter's gradient alone.
     """
-    if isinstance(params, Adam):
-        grad, bounds = params.grad, params.bounds
-    else:
-        params = [p for p in params if p.grad is not None]
-        bounds = _segments([p.grad for p in params])
-        grad = np.concatenate([p.grad.reshape(-1) for p in params]) if params else np.zeros(0)
     with np.errstate(over="ignore"):  # squares that overflow are retaken below
         sq = np.square(grad)
         norm = float(np.sqrt(sum(float(np.add.reduce(sq[a:b])) for a, b in bounds)))
@@ -211,9 +203,6 @@ def clip_global_norm(params, max_norm: float):
         norm = float(top * np.sqrt(sum(float(np.add.reduce(sq[a:b])) for a, b in bounds)))
     if norm > max_norm and norm > 0:
         grad *= max_norm / norm
-        if not isinstance(params, Adam):
-            for p, (a, b) in zip(params, bounds):
-                p.grad = grad[a:b].reshape(p.grad.shape)
     return norm
 
 
@@ -266,10 +255,7 @@ def fit(stack: FlowStack, config: TrainConfig, data=None, target=None):
 
         dg.zero_grad(params)
         dg.backward(loss)
-        grad = opt.gather()
-        if config.grad_clip is not None:
-            clip_global_norm(opt, config.grad_clip)
-        opt.step(grad)
+        opt.step(config.grad_clip)
         if ema is not None:
             ema *= config.polyak
             ema += (1.0 - config.polyak) * opt.data

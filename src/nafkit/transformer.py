@@ -363,7 +363,7 @@ def _dsf_activate(block):
     return np.exp(log_w), log_w, a, np.log(a), b
 
 
-def _dsf_adjoint(g_y, g_ld, x, block, p, saved, x_grad=True):
+def _dsf_adjoint(g_y, g_ld, x, block, p, saved):
     """Gradients of y and logdet for x and the block, by hand.
 
     With p, q and r the softmax weights of the log-space terms of D, 1-D
@@ -375,7 +375,8 @@ def _dsf_adjoint(g_y, g_ld, x, block, p, saved, x_grad=True):
     times its sum's reciprocal, and on a low entry exp(t - log sum) from
     the log-space terms _log_sum built, so nothing is rebuilt from C and
     each weight is at most 1 in every column, saturated or below the floor.
-    With x_grad=False the x gradient is not taken and comes back None.
+    The block gradient is written in place, its products into the weights'
+    buffers: a training step's faults follow its adjoint's peak memory.
     """
     w, _, a, _, _ = p
     C, e, mix, link = saved
@@ -386,15 +387,20 @@ def _dsf_adjoint(g_y, g_ld, x, block, p, saved, x_grad=True):
     gr *= g_ld
     gp, gq = t
     gp += gr
-    g_log_w = gp + gq  # (p + r) + q, the order the log-space terms' gradients add in
+    d = w.shape[-2]
+    g_block = np.empty((*C.shape[:-2], 3 * d, C.shape[-1]))  # every row is written below
+    g_log_w, g_a_pre, g_c = g_block[..., :d, :], g_block[..., d:2 * d, :], g_block[..., 2 * d:, :]
+    np.add(gp, gq, out=g_log_w)  # (p + r) + q, the order the log-space terms' gradients add in
     gq += gr
     s_pos, s_neg = sm.sigmoid_pair(C, e)
-    g_c = gp * s_neg - gq * s_pos
-    g_w_pre = g_log_w - w * np.sum(g_log_w, axis=-2, keepdims=True)
-    d = w.shape[-2]
-    g_a_pre = (g_c * x[..., None, :] + gr / a) * sm.sigmoid(block[..., d:2 * d, :])
-    g_x = np.sum(g_c * a, axis=-2) if x_grad else None
-    return g_x, np.concatenate([g_w_pre, g_a_pre, g_c], axis=-2)
+    np.multiply(gp, s_neg, out=g_c)
+    g_c -= np.multiply(gq, s_pos, out=s_pos)
+    del s_pos, s_neg  # free the pair before the a_pre products
+    g_log_w -= np.multiply(w, np.sum(g_log_w, axis=-2, keepdims=True), out=gp)  # w_pre's
+    np.multiply(g_c, x[..., None, :], out=g_a_pre)
+    g_a_pre += np.divide(gr, a, out=gr)
+    g_a_pre *= sm.sigmoid(block[..., d:2 * d, :])
+    return np.sum(np.multiply(g_c, a, out=gr), axis=-2), g_block
 
 
 def dsf_from_preact(x, block):
@@ -620,7 +626,7 @@ def _ddsf_core(x, layers, logdet=True, adjoint=True):
     return (h[..., 0, :], r[..., 0, :], saved) if logdet else h[..., 0, :]
 
 
-def _ddsf_adjoint(g_y, g_ld, block, slices, layers, saved, x_grad=True):
+def _ddsf_adjoint(g_y, g_ld, block, slices, layers, saved):
     """Gradients of y and logdet for x, the block, vu and vw, by hand.
 
     Per layer, back to front, with g_h and g_r the upstream gradients of h'
@@ -635,14 +641,13 @@ def _ddsf_adjoint(g_y, g_ld, block, slices, layers, saved, x_grad=True):
     constant w gives vw a zero gradient. u @ h
     gets a g_C and log(u @ exp r) the link's, which _cwn_adjoint takes on
     to vu, eta, h and r. A one-column block (one every point shares) gets
-    its gradient per point, (..., width, n). With x_grad=False the first
-    sublayer does not pass a gradient on to x, which comes back None.
+    its gradient per point, (..., width, n).
     """
     g_h, g_r = g_y[..., None, :], g_ld[..., None, :]
     g_block = np.empty((*block.shape[:-1], g_y.shape[-1]))  # every row is written below
     g_vu, g_vw = [], []
-    for li, lay, (eta, a_pre, b), (h, uh, cq, nd, col) in zip(
-            reversed(range(len(layers))), reversed(layers), reversed(slices), reversed(saved)):
+    for lay, (eta, a_pre, b), (h, uh, cq, nd, col) in zip(
+            reversed(layers), reversed(slices), reversed(saved)):
         w, a = lay["w"], lay["a"]
         if w is None:  # h' = C and r' = log a + s; w = [[1]] is constant
             g_c, g_col = g_h, g_r
@@ -657,16 +662,15 @@ def _ddsf_adjoint(g_y, g_ld, block, slices, layers, saved, x_grad=True):
         g_block[..., a_pre, :] = (g_c * uh + g_col / a) * sm.sigmoid(block[..., a_pre, :])
         g_block[..., b, :] = g_c
         if cq is None:  # u = 1: u @ h = h and s = r
-            if li > 0 or x_grad:  # the first sublayer's h is x
-                g_h = np.sum(g_c * a, axis=-2, keepdims=True)
-                g_r = np.sum(g_col, axis=-2, keepdims=True)
+            g_h = np.sum(g_c * a, axis=-2, keepdims=True)
+            g_r = np.sum(g_col, axis=-2, keepdims=True)
             g_block[..., eta, :] = 0.0
             g_vu.append(np.zeros_like(lay["V"]))
         else:
             g_v, g_block[..., eta, :], g_h, g_r = _cwn_adjoint(
                 g_c * a, g_col, h, uh, lay["E"], lay["Z"], cq)
             g_vu.append(g_v)
-    return (g_h[..., 0, :] if x_grad else None, g_block, *reversed(g_vu), *reversed(g_vw))
+    return (g_h[..., 0, :], g_block, *reversed(g_vu), *reversed(g_vw))
 
 
 # -- inversion -------------------------------------------------------------
@@ -881,9 +885,8 @@ class Family:
                      affine slices have them anyway);
       core(x, p)     (y, log dy/dx, saved) of an (..., n) x, or y alone
                      with logdet=False, for the solver;
-      adjoint(g_y, g_ld, x, block, p, saved, x_grad=True)
-                     (g_x, g_block, *g_params), by hand from saved; g_x
-                     is None with x_grad=False (a stack's first layer);
+      adjoint(g_y, g_ld, x, block, p, saved)
+                     (g_x, g_block, *g_params), by hand from saved;
       forward        (y, log dy/dx): density on decode(block, constants);
       density(x, p)  (y, log dy/dx) from core, keeping no adjoint state;
       inverse        x with forward(x, block) = y: decode once, then solve
@@ -943,8 +946,8 @@ class AffineExp(Family):
         return (y, s, scale) if logdet else y
 
     @staticmethod
-    def adjoint(g_y, g_ld, x, block, p, scale, x_grad=True):
-        return g_y * scale if x_grad else None, np.stack([g_y, g_y * x * scale + g_ld], axis=-2)
+    def adjoint(g_y, g_ld, x, block, p, scale):
+        return g_y * scale, np.stack([g_y, g_y * x * scale + g_ld], axis=-2)
 
     def inverse(self, y, block, constants=None):
         mu, s = self.decode(block)
@@ -967,10 +970,10 @@ class AffineGate(AffineExp):
         return (y, sm.logsigmoid(s), gate) if logdet else y
 
     @staticmethod
-    def adjoint(g_y, g_ld, x, block, p, gate, x_grad=True):
+    def adjoint(g_y, g_ld, x, block, p, gate):
         mu, s = p
         g_s = (g_y * x - g_y * mu) * gate * (1.0 - gate) + g_ld * sm.sigmoid(-s)
-        return g_y * gate if x_grad else None, np.stack([g_y * (1.0 - gate), g_s], axis=-2)
+        return g_y * gate, np.stack([g_y * (1.0 - gate), g_s], axis=-2)
 
     def inverse(self, y, block, constants=None):
         mu, s = self.decode(block)
@@ -1072,8 +1075,8 @@ class Ddsf(Family):
     def units(p):
         return [(lay["a"], lay["b"]) for lay in p]
 
-    def adjoint(self, g_y, g_ld, x, block, p, saved, x_grad=True):
-        return _ddsf_adjoint(g_y, g_ld, block, self.slices, p, saved, x_grad)
+    def adjoint(self, g_y, g_ld, x, block, p, saved):
+        return _ddsf_adjoint(g_y, g_ld, block, self.slices, p, saved)
 
     def random_row(self, rng):
         row = []

@@ -146,31 +146,37 @@ class TestAdam:
 
 class TestClipGlobalNorm:
     def test_shared_gradient_array_scaled_once(self):
-        # a root may give p and q one gradient array; each is scaled exactly once
+        # a root may give p and q one gradient array; each counts once in the norm,
+        # the step's flat copy is scaled once, and the shared array is left as it is
         p, q = dg.Parameter(np.zeros(2), "p"), dg.Parameter(np.zeros(2), "q")
         shared = np.full(2, 3.0)
         dg.backward(dg.Value(0.0, [p, q], lambda: [shared, shared]))
         assert p.grad is q.grad
-        norm = clip_global_norm([p, q], 1.0)
-        assert norm == pytest.approx(6.0)
-        np.testing.assert_allclose(p.grad, [0.5, 0.5])
-        np.testing.assert_allclose(q.grad, [0.5, 0.5])
+        opt = Adam([p, q])
+        opt.step(max_norm=1.0)
+        np.testing.assert_allclose(opt.grad, [0.5, 0.5, 0.5, 0.5])
+        assert np.all(shared == 3.0)
+        assert clip_global_norm(np.full(4, 3.0), opt.bounds, 1.0) == pytest.approx(6.0)
 
     def test_overflowing_squares_clip_to_the_bound(self):
         # a finite gradient whose sum of squares overflows has a finite norm, and
         # is scaled to grad_clip, not to 0 by grad_clip / inf
         p = dg.Parameter(np.zeros(3), "p")
-        dg.backward(dg.Value(0.0, [p], lambda: [np.array([1e160, -3e159, 2.0])]))
+        g = np.array([1e160, -3e159, 2.0])
+        dg.backward(dg.Value(0.0, [p], lambda: [g]))
         grad_clip = TrainConfig().grad_clip
-        norm = clip_global_norm([p], grad_clip)
+        opt = Adam([p])
+        opt.step(max_norm=grad_clip)
+        assert np.linalg.norm(opt.grad) == pytest.approx(grad_clip, rel=1e-15)
+        assert opt.grad[0] > 0.0 > opt.grad[1]
+        norm = clip_global_norm(g.copy(), opt.bounds, grad_clip)
         assert norm == pytest.approx(math.hypot(1e160, 3e159), rel=1e-15)
-        assert np.linalg.norm(p.grad) == pytest.approx(grad_clip, rel=1e-15)
-        assert p.grad[0] > 0.0 > p.grad[1]
 
 
 def reference_step(params, state, t, max_norm, lr=0.05, beta1=0.9, beta2=0.999, eps=1e-8):
     """One clipped Adam step the per-parameter way: each gradient rescaled out of
-    place, each parameter's moments and data replaced. Returns the norm."""
+    place, each parameter's moments and data replaced. Returns the norm and the
+    gradients the step took."""
     grads = [p.grad for p in params]
     with np.errstate(over="ignore"):
         norm = float(np.sqrt(sum(float(np.sum(g * g)) for g in grads)))
@@ -183,7 +189,7 @@ def reference_step(params, state, t, max_norm, lr=0.05, beta1=0.9, beta2=0.999, 
         v[...] = beta2 * v + (1.0 - beta2) * g * g
         m_hat, v_hat = m / (1.0 - beta1 ** t), v / (1.0 - beta2 ** t)
         p.data = p.data - lr * m_hat / (np.sqrt(v_hat) + eps)
-    return norm
+    return norm, grads
 
 
 ARENA_SHAPES = [(3,), (4, 5), (2, 3, 2), (1,), (7, 1)]
@@ -211,10 +217,11 @@ class TestArena:
             grads[3] = grads[1][0, :1]  # one parameter's gradient views another's
             for a, r, g in zip(arena, ref, grads):
                 a.grad, r.grad = g, g
-            grad = opt.gather()
-            norm = clip_global_norm(opt, max_norm)
-            opt.step(grad)
-            assert norm == reference_step(ref, state, t, max_norm)
+            flat = np.concatenate([g.ravel() for g in grads])
+            opt.step(max_norm)
+            norm, taken = reference_step(ref, state, t, max_norm)
+            assert clip_global_norm(flat, opt.bounds, max_norm) == norm
+            assert opt.grad.tobytes() == np.concatenate([g.ravel() for g in taken]).tobytes()
             for a, r in zip(arena, ref):
                 assert a.data.tobytes() == r.data.tobytes()
         # every parameter is a view of the one arena
@@ -228,11 +235,10 @@ class TestArena:
                 p.grad = np.full(p.shape, 2.0)
             group[2].grad = group[1].grad.reshape(-1)[:12].reshape(2, 3, 2)
         opt = Adam(arena, lr=0.05)
-        grad = opt.gather()
-        norm = clip_global_norm(opt, 1.0)
-        opt.step(grad)
+        opt.step(1.0)
         state = [(np.zeros(p.shape), np.zeros(p.shape)) for p in ref]
-        assert norm == reference_step(ref, state, 1, 1.0) == pytest.approx(2.0 * math.sqrt(43))
+        assert reference_step(ref, state, 1, 1.0)[0] == pytest.approx(2.0 * math.sqrt(43))
+        assert np.linalg.norm(opt.grad) == pytest.approx(1.0, rel=1e-15)
         assert all(a.data.tobytes() == r.data.tobytes() for a, r in zip(arena, ref))
         assert np.all(ref[1].grad == 2.0)  # the reference rescaled out of place
 
@@ -300,6 +306,22 @@ class TestFirstLayerInputGradient:
         assert [a.tobytes() for a in skipped] == [b.tobytes() for b in full]
         g_x, _ = stack.layers[0].adjoint(g_u if layers == 1 else g_y, g, saved[0], x_grad=False)
         assert g_x is None
+
+    @pytest.mark.parametrize("kind", ["dsf", "ddsf", "affine-exp", "affine-gate"])
+    def test_dead_readout_passes_a_zero_input_gradient(self, kind):
+        # m = 1 with no hidden layer: every readout row is dead, so the second
+        # layer's conditioner hands back a zero x gradient, and the sweep runs
+        stack = FlowStack.build(m=1, kind=kind, n_layers=2, d=3, ddsf_dims=(1, 4, 1),
+                                hidden=(), seed=0)
+        rng = np.random.default_rng(0)
+        for p in stack.parameters():
+            p.data = p.data + rng.normal(scale=0.3, size=p.shape)
+        x = rng.normal(size=(24, 1))
+        _, _, saved = stack.forward_saved(x)
+        g_x, _ = stack.layers[1].conditioner.backward(np.ones((stack.layers[1].family.width, 1)),
+                                                      saved[1][1])
+        assert g_x.shape == (1, 1) and np.all(g_x == 0.0)
+        assert dg.check_gradients(lambda: mle_loss(x, stack), stack.parameters(), eps=1e-5) < 1e-5
 
     @pytest.mark.parametrize("kind", ["dsf", "ddsf", "affine-exp"])
     def test_masked_weights_keep_an_exact_zero_gradient(self, kind):
